@@ -15,6 +15,8 @@ from scipy.interpolate import BSpline
 from .errors import IllConditioned, InvalidOrder, WrongInterval
 from .grids import FunctionalSample, Grid, Interval
 
+# Largest condition number accepted for a normal system or a pooled score
+# covariance before it counts as singular.
 CONDITION_BOUND = 1e12
 
 

@@ -37,10 +37,14 @@ EXIT_EMPTY = 3
 
 
 def _threads() -> int:
+    text = os.environ.get("FDA2S_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("FDA2S_THREADS", "1")))
+        threads = int(text)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise FdaError(f"FDA2S_THREADS must be a positive integer, got {text!r}")
+    return threads
 
 
 def _resolve_seed(seed: int | None) -> int:

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaincc, gammainccinv
 
+from .bsplines import CONDITION_BOUND
 from .errors import (
     DimensionMismatch,
     GridMismatch,
@@ -23,8 +24,6 @@ from .errors import (
 )
 from .grids import FunctionalSample, sample_inner_products
 from .projections import GVector
-
-CONDITION_BOUND = 1e12
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,9 @@
 """Finite-sample calibration: permutation splits and the spectral Monte Carlo null.
 
-Replicate r of a plan draws from a substream keyed by (seed, r), so the
-ordered replicate sequence is bit-identical however the replicates are
-scheduled (serial, threaded, out of order).
+Replicate r of a plan draws from a substream keyed by (seed, r), and
+replicates are evaluated in fixed consecutive chunks, so the ordered
+replicate sequence is bit-identical however the chunks are scheduled
+(serial, threaded, out of order).
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
+from .bsplines import CONDITION_BOUND
 from .errors import SingularCovariance, TooFewReplicates
 from .grids import FunctionalSample, sample_inner_products
 from .projections import BasisSpec, GVector
@@ -23,6 +26,11 @@ from .sea import (
     estimate_spectra,
     estimator_grid,
 )
+
+# Replicates per chunk of the permutation null.  A chunk holds one
+# PERMUTATION_CHUNK x N membership mask, so memory does not grow with B,
+# and chunks are the unit of thread scheduling.
+PERMUTATION_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -84,21 +92,36 @@ def _qn_from_scores(scores: np.ndarray, m: int) -> float:
     return qn_statistic(sx, sy).qn
 
 
-def _run_replicates(task, plan: ResamplingPlan, n_jobs: int) -> NullDistribution:
-    """Evaluate `task(r)` for r = 0..B-1, tolerating singular replicates."""
+def _each_replicate(task):
+    """Chunk evaluator calling `task(r)` per replicate; singular ones give NaN."""
 
-    def safe(r: int) -> float:
-        try:
-            return task(r)
-        except SingularCovariance:
-            return np.nan
+    def evaluate(rs: range) -> np.ndarray:
+        out = np.empty(len(rs))
+        for i, r in enumerate(rs):
+            try:
+                out[i] = task(r)
+            except SingularCovariance:
+                out[i] = np.nan
+        return out
 
-    indices = range(plan.B)
+    return evaluate
+
+
+def _run_replicates(
+    evaluate, plan: ResamplingPlan, n_jobs: int, chunk: int = 1
+) -> NullDistribution:
+    """Evaluate replicates 0..B-1 in consecutive chunks, tolerating singular ones.
+
+    `evaluate(rs)` returns the values of the replicates in range `rs`, NaN
+    where a replicate was singular.  The chunk boundaries depend on `chunk`
+    only, never on `n_jobs`.
+    """
+    chunks = [range(s, min(s + chunk, plan.B)) for s in range(0, plan.B, chunk)]
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            raw = np.fromiter(pool.map(safe, indices), dtype=float, count=plan.B)
+            raw = np.concatenate(list(pool.map(evaluate, chunks)))
     else:
-        raw = np.fromiter(map(safe, indices), dtype=float, count=plan.B)
+        raw = np.concatenate(list(map(evaluate, chunks)))
     failed = int(np.count_nonzero(np.isnan(raw)))
     if failed > 0.01 * plan.B:
         raise SingularCovariance(
@@ -106,6 +129,59 @@ def _run_replicates(task, plan: ResamplingPlan, n_jobs: int) -> NullDistribution
             "the scheme is too rich for these sample sizes"
         )
     return NullDistribution(raw[~np.isnan(raw)], failed, plan)
+
+
+class _SplitStatistic:
+    """Qn of any (m, n) split of fixed pooled scores, from one factorization.
+
+    The total centred scatter T = W + h d d' of the pooled scores is the
+    same under every relabelling (W: within-sample scatter, d: difference
+    of the sample means, h = mn/N).  With a = d' T^-1 d, Sherman-Morrison
+    gives d' W^-1 d = a / (1 - h a), so Qn = (N - 2) h a / (1 - h a).
+
+    cond(W) <= cond(T) / (1 - h a), so a split counts as singular when
+    1 - h a <= cond(T) / CONDITION_BOUND: every split on which the direct
+    evaluation fails, and possibly a few more.  When T itself exceeds the
+    bound or cannot be factored, `factor` is None and every split fails.
+    """
+
+    def __init__(self, scores: np.ndarray, m: int):
+        self.N = scores.shape[0]
+        self.m, self.n = m, self.N - m
+        self.h = m * self.n / self.N
+        centred = scores - scores.mean(axis=0)
+        self.total = centred.sum(axis=0)
+        self.centred_t = np.ascontiguousarray(centred.T)
+        scatter = centred.T @ centred
+        cond = np.linalg.cond(scatter)
+        self.factor = None
+        self.min_slack = cond / CONDITION_BOUND
+        if np.isfinite(cond) and cond <= CONDITION_BOUND:
+            try:
+                self.factor = scipy.linalg.cho_factor(scatter)
+            except scipy.linalg.LinAlgError:
+                pass
+
+    def values(self, x_rows: np.ndarray) -> np.ndarray:
+        """Qn of the splits whose x-samples are the rows of `x_rows`; NaN if singular.
+
+        Membership goes through a 0/1 mask, reduced by einsum over whole
+        rows: a value depends on the set of x-indices only, not on their
+        order or on the row's position (BLAS matmul sums edge rows of a
+        block in a different order).
+        """
+        count = x_rows.shape[0]
+        if self.factor is None:
+            return np.full(count, np.nan)
+        mask = np.zeros((count, self.N))
+        mask[np.arange(count)[:, None], x_rows] = 1.0
+        sx = np.einsum("cn,kn->ck", mask, self.centred_t)
+        d = sx / self.m - (self.total - sx) / self.n
+        ha = self.h * np.einsum("ij,ji->i", d, scipy.linalg.cho_solve(self.factor, d.T))
+        out = np.full(count, np.nan)
+        ok = 1.0 - ha > self.min_slack
+        out[ok] = np.maximum((self.N - 2) * ha[ok] / (1.0 - ha[ok]), 0.0)
+        return out
 
 
 def permutation_null(
@@ -118,8 +194,10 @@ def permutation_null(
 
     Data-driven schemes are built once from the joint sample: their
     construction depends only on the unlabeled pooled set, so rebuilding
-    per replicate would change nothing.  Each replicate relabels the
-    pre-computed score rows with a fresh uniformly random split.
+    per replicate would change nothing.  Replicate r takes the first m
+    entries of `substream(seed, r).permutation(N)` as its x-sample and is
+    evaluated in closed form from one factorization (`_SplitStatistic`),
+    PERMUTATION_CHUNK replicates at a time.
     """
     m, n = plan.sizes
     if m + n != joint.n_curves:
@@ -127,13 +205,13 @@ def permutation_null(
             f"split sizes {plan.sizes} do not add up to {joint.n_curves} curves"
         )
     g = basis.build(joint) if isinstance(basis, BasisSpec) else basis
-    scores = sample_inner_products(joint, g.functions)
+    split = _SplitStatistic(sample_inner_products(joint, g.functions), m)
 
-    def task(r: int) -> float:
-        perm = substream(plan.seed, r).permutation(scores.shape[0])
-        return _qn_from_scores(scores[perm], m)
+    def evaluate(rs: range) -> np.ndarray:
+        x_rows = np.array([substream(plan.seed, r).permutation(split.N)[:m] for r in rs])
+        return split.values(x_rows)
 
-    return _run_replicates(task, plan, n_jobs)
+    return _run_replicates(evaluate, plan, n_jobs, PERMUTATION_CHUNK)
 
 
 def permutation_pvalue(observed_qn: float, null_values) -> float:
@@ -200,14 +278,15 @@ def spectral_mc_null(
         scores = sample_inner_products(joint, g.functions)
         return _qn_from_scores(scores, m)
 
-    return _run_replicates(task, plan, n_jobs)
+    return _run_replicates(_each_replicate(task), plan, n_jobs)
 
 
 def quantile_table(null_values, k: int, probs=(0.5, 0.9, 0.95, 0.975, 0.99)) -> QuantileTable:
     """Empirical null quantiles with their chi-square reference values.
 
     Empirical quantiles interpolate linearly between order statistics;
-    the relative error column is (asymptotic - empirical) / empirical.
+    the relative error column is (asymptotic - empirical) / empirical, so
+    an empirical quantile of 0 is rejected.
     """
     values = np.asarray(null_values, dtype=float)
     if values.size < 100:
@@ -220,6 +299,12 @@ def quantile_table(null_values, k: int, probs=(0.5, 0.9, 0.95, 0.975, 0.99)) -> 
     if np.any(np.diff(probs) <= 0):
         raise ValueError("probabilities must be strictly increasing")
     empirical = np.quantile(values, probs, method="linear")
+    zero = probs[empirical == 0.0]
+    if zero.size:
+        raise ValueError(
+            f"empirical null quantile at p={zero[0]:g} is 0, "
+            "so its relative error is undefined"
+        )
     asymptotic = np.array([chi_square_isf(1.0 - p, k) for p in probs])
     relative_error = (asymptotic - empirical) / empirical
     return QuantileTable(probs, empirical, asymptotic, relative_error, k)

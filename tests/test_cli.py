@@ -171,6 +171,16 @@ class TestTest:
                    "-o", out2) == 0
         assert json.loads(out1.read_text())["qn"] == json.loads(out2.read_text())["qn"]
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+    def test_bad_thread_count_exits_2(self, tmp_path, rng, monkeypatch, capsys, threads):
+        xp, yp = self._write_pair(tmp_path, rng)
+        monkeypatch.setenv("FDA2S_THREADS", threads)
+        out = tmp_path / "report.json"
+        assert run("test", "--x", xp, "--y", yp, "--calibration", "permutation:B=99",
+                   "--seed", 3, "-o", out) == 2
+        assert "FDA2S_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestQuantiles:
     def test_from_null_values_file(self, tmp_path, rng):
@@ -199,6 +209,14 @@ class TestQuantiles:
 
     def test_requires_inputs(self, tmp_path):
         assert run("quantiles", "-o", tmp_path / "t.csv") == 2
+
+    def test_zero_empirical_quantile_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "null.txt"
+        path.write_text("0.0\n" * 60 + "".join(f"{v}\n" for v in range(1, 41)))
+        out = tmp_path / "table.csv"
+        assert run("quantiles", "--null-values", path, "--k", 2, "-o", out) == 2
+        assert "p=0.5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_chi2_input_near_zero_relative_error(self, tmp_path):
         from scipy.stats import chi2 as chi2_dist

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from fda2s import (
@@ -29,6 +31,8 @@ from fda2s import (
 from fda2s.errors import SingularCovariance, TooFewReplicates
 from fda2s.grids import sample_inner_products
 from fda2s.projections import trig_g_functions
+from fda2s.resampling import PERMUTATION_CHUNK, _SplitStatistic
+from fda2s.rng import substream
 
 from conftest import smooth_curves
 
@@ -113,6 +117,89 @@ class TestPermutationNull:
             ).qn
             hits += permutation_pvalue(observed, null.values) <= 0.05
         assert 0.02 <= hits / 200 <= 0.09
+
+
+def per_replicate_null(joint, basis, plan):
+    """Oracle: replicate r is qn_statistic on the split drawn from substream(seed, r)."""
+    scores = sample_inner_products(joint, basis.build(joint).functions)
+    m = plan.sizes[0]
+    values = []
+    for r in range(plan.B):
+        perm = substream(plan.seed, r).permutation(joint.n_curves)
+        values.append(
+            qn_statistic(ScoreMatrix(scores[perm[:m]]), ScoreMatrix(scores[perm[m:]])).qn
+        )
+    return np.array(values)
+
+
+def assert_matches_oracle(values, oracle):
+    # relative to the chi-square scale, as for the statistic itself
+    assert values.shape == oracle.shape
+    assert np.all(np.abs(values - oracle) <= 1e-10 * np.maximum(np.abs(oracle), 1.0))
+
+
+@st.composite
+def small_problems(draw):
+    """Random joint sample (N <= 40), indicator basis (k <= 4), split size and seed."""
+    k = draw(st.integers(1, 4))
+    n_curves = draw(st.integers(k + 6, 40))
+    m = draw(st.integers(2, n_curves - 2))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = uniform_grid(Interval(0.0, 1.0), 17)
+    joint = FunctionalSample(grid, data.normal(size=(n_curves, 17)), "joint")
+    seed = draw(st.integers(0, 2**63 - 1))
+    return joint, BasisSpec("indicator", {"k": k}), m, seed
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestClosedFormNull:
+    @PROPERTY
+    @given(small_problems(), st.integers(1, 60))
+    def test_matches_per_replicate_oracle(self, problem, B):
+        joint, basis, m, seed = problem
+        plan = ResamplingPlan("permutation", B, seed, (m, joint.n_curves - m))
+        null = permutation_null(joint, basis, plan)
+        assert null.n_failed == 0
+        assert_matches_oracle(null.values, per_replicate_null(joint, basis, plan))
+
+    @PROPERTY
+    @given(small_problems())
+    def test_same_x_index_set_bit_identical(self, problem):
+        joint, basis, m, seed = problem
+        scores = sample_inner_products(joint, basis.build(joint).functions)
+        split = _SplitStatistic(scores, m)
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(joint.n_curves)
+        others = [rng.permutation(joint.n_curves)[:m] for _ in range(5)]
+        values = split.values(np.array([perm[:m], *others, rng.permutation(perm[:m])]))
+        assert values[0].tobytes() == values[-1].tobytes()
+
+    def test_singular_split_fails_where_the_direct_evaluation_fails(self):
+        # split {0,1,2} vs {3,4,5} has zero within-sample scatter
+        scores = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]])
+        values = _SplitStatistic(scores, 3).values(np.array([[0, 1, 2], [5, 3, 4], [0, 1, 3]]))
+        assert np.isnan(values[0]) and np.isnan(values[1])
+        for x in ([0, 1, 2], [3, 4, 5]):
+            y = [i for i in range(6) if i not in x]
+            with pytest.raises(SingularCovariance):
+                qn_statistic(ScoreMatrix(scores[x]), ScoreMatrix(scores[y]))
+        direct = qn_statistic(ScoreMatrix(scores[[0, 1, 3]]), ScoreMatrix(scores[[2, 4, 5]]))
+        assert values[2] == pytest.approx(direct.qn, rel=1e-12)
+
+    @settings(PROPERTY, max_examples=10)
+    @given(small_problems(), st.integers(1, PERMUTATION_CHUNK - 1))
+    def test_partial_last_chunk_matches_oracle_at_any_thread_count(self, problem, extra):
+        joint, basis, m, seed = problem
+        plan = ResamplingPlan(
+            "permutation", PERMUTATION_CHUNK + extra, seed, (m, joint.n_curves - m)
+        )
+        oracle = per_replicate_null(joint, basis, plan)
+        serial = permutation_null(joint, basis, plan, n_jobs=1)
+        threaded = permutation_null(joint, basis, plan, n_jobs=3)
+        assert_matches_oracle(serial.values, oracle)
+        assert serial.values.tobytes() == threaded.values.tobytes()
 
 
 class TestPermutationPvalue:
@@ -201,6 +288,14 @@ class TestQuantileTable:
     def test_too_few_replicates(self):
         with pytest.raises(TooFewReplicates):
             quantile_table(np.arange(50.0), 2)
+
+    def test_zero_empirical_quantile_rejected(self):
+        values = np.concatenate([np.zeros(60), np.arange(1.0, 41.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="p=0.5"):
+                quantile_table(values, 2)
+        assert quantile_table(values, 2, (0.9, 0.95)).empirical[0] > 0.0
 
     def test_relative_error_convention(self):
         table = quantile_table(np.arange(1.0, 101.0), 2, (0.5,))

@@ -80,7 +80,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
     for key, value in config.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
-            continue
+            raise FdaError(f"unknown config key {key!r} for {args.command}")
         if getattr(args, attr) == parser.get_default(attr):
             setattr(args, attr, value)
 

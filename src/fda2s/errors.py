@@ -61,6 +61,10 @@ class NyquistViolation(FdaError):
     """Spectral density carries non-negligible mass above the Nyquist rate."""
 
 
+class NegativeEstimate(FdaError):
+    """Spectral estimate is negative beyond round-off."""
+
+
 class RecordTooShort(FdaError):
     """Time series record too short for the requested estimator."""
 

@@ -78,13 +78,9 @@ class PCABasis:
     eigenvalues: np.ndarray  # non-increasing, >= 0
     d: int
 
-    def to_gvector(self, params: dict | None = None) -> GVector:
+    def to_gvector(self) -> GVector:
         return GVector(
-            self.grid,
-            self.eigenfunctions,
-            "pca",
-            params if params is not None else {"d": self.d},
-            provenance="data-driven",
+            self.grid, self.eigenfunctions, "pca", {"d": self.d}, provenance="data-driven"
         )
 
 
@@ -193,31 +189,28 @@ def pca_basis(
         raise InvalidK(f"need 1 <= d <= {n_pts}, got {d}")
     vals = joint.values
     if sizes is None:
-        centered = vals - vals.mean(axis=0)
-        cov = centered.T @ centered / (vals.shape[0] - 1)
+        data = (vals - vals.mean(axis=0)) / np.sqrt(vals.shape[0] - 1)
     else:
         m, n = sizes
         if m + n != vals.shape[0] or m < 2 or n < 2:
             raise ValueError("sizes must split the joint sample with m, n >= 2")
         theta = m / (m + n) if weights == "proportion" else 0.5
-        cx = vals[:m] - vals[:m].mean(axis=0)
-        cy = vals[m:] - vals[m:].mean(axis=0)
-        cov = (1.0 - theta) * (cx.T @ cx / (m - 1)) + theta * (cy.T @ cy / (n - 1))
+        data = np.vstack([
+            np.sqrt((1.0 - theta) / (m - 1)) * (vals[:m] - vals[:m].mean(axis=0)),
+            np.sqrt(theta / (n - 1)) * (vals[m:] - vals[m:].mean(axis=0)),
+        ])
 
+    # sqrt(w) C sqrt(w) = Z'Z with Z = data * sqrt(w): thin SVD, O(N P min(N, P)).
     w = joint.grid.weights
     sqrt_w = np.sqrt(w)
-    sym = sqrt_w[:, None] * cov * sqrt_w[None, :]
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    if eigvals[d - 1] < 1e-12 * max(eigvals[0], 0.0) or eigvals[0] <= 0:
-        raise DegenerateCovariance(
-            f"component {d} is numerically zero (eigenvalue {eigvals[d - 1]:.3e})"
-        )
-    eigvals = np.clip(eigvals[:d], 0.0, None)
+    _, sv, vt = np.linalg.svd(data * sqrt_w, full_matrices=False)
+    eigvals = sv**2
+    rank = int(np.count_nonzero(eigvals > 1e-12 * eigvals[0]))
+    if d > rank:
+        raise DegenerateCovariance(f"component {d} is numerically zero: only {rank} "
+                                   "eigenvalues exceed 1e-12 of the largest")
     # Back to function values: phi = u / sqrt(w) is orthonormal in L2.
-    phis = (eigvecs[:, :d] / sqrt_w[:, None]).T
+    phis = vt[:d] / sqrt_w
     for i in range(d):
         integral = float(np.dot(w, phis[i]))
         if abs(integral) > 1e-10 * np.max(np.abs(phis[i])):
@@ -225,7 +218,7 @@ def pca_basis(
                 phis[i] = -phis[i]
         elif phis[i][np.argmax(np.abs(phis[i]))] < 0:
             phis[i] = -phis[i]
-    return PCABasis(joint.grid, phis, eigvals, d)
+    return PCABasis(joint.grid, phis, eigvals[:d], d)
 
 
 @dataclass(frozen=True)
@@ -239,11 +232,22 @@ class BasisSpec:
     scheme: str
     params: dict = field(default_factory=dict)
 
-    _SCHEMES = ("indicator", "bspline", "trig", "pca")
+    # Parameters each scheme reads; any other key is an error, not a no-op.
+    _KEYS = {"indicator": ("k",), "bspline": ("order", "interior"),
+             "trig": ("k", "k_max", "parts"), "pca": ("d",)}
 
     def __post_init__(self):
-        if self.scheme not in self._SCHEMES:
+        if self.scheme not in self._KEYS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        keys = self._KEYS[self.scheme]
+        unknown = set(self.params) - set(keys)
+        if unknown:
+            raise ValueError(f"unknown {self.scheme} parameter {min(unknown)!r}; "
+                             f"expected {', '.join(keys)}")
+        object.__setattr__(self, "params", {
+            key: value if key == "parts" else int(value)
+            for key, value in self.params.items()
+        })
 
     @property
     def data_driven(self) -> bool:
@@ -252,26 +256,18 @@ class BasisSpec:
     def build(self, joint: FunctionalSample) -> GVector:
         interval, grid = joint.interval, joint.grid
         if self.scheme == "indicator":
-            return indicator_basis(interval, int(self.params.get("k", 8)), grid)
+            return indicator_basis(interval, self.params.get("k", 8), grid)
         if self.scheme == "bspline":
             return bspline_basis_g(
-                interval,
-                int(self.params.get("order", 5)),
-                int(self.params.get("interior", 7)),
-                grid,
+                interval, self.params.get("order", 5), self.params.get("interior", 7), grid
             )
         if self.scheme == "trig":
             return trig_g_functions(
                 joint,
-                int(self.params.get("k", self.params.get("k_max", 3))),
-                str(self.params.get("parts", "both")),
+                self.params.get("k", self.params.get("k_max", 3)),
+                self.params.get("parts", "both"),
             )
-        basis = pca_basis(
-            joint,
-            int(self.params.get("d", 2)),
-            str(self.params.get("weights", "proportion")),
-        )
-        return basis.to_gvector()
+        return pca_basis(joint, self.params.get("d", 2)).to_gvector()
 
     @classmethod
     def parse(cls, text: str) -> "BasisSpec":
@@ -283,9 +279,7 @@ class BasisSpec:
                 key, _, value = item.partition("=")
                 if not _:
                     raise ValueError(f"malformed basis parameter {item!r}")
-                key = key.strip().lower()
-                value = value.strip()
-                params[key] = value if key in ("parts", "weights") else int(value)
+                params[key.strip().lower()] = value.strip()
         return cls(scheme, params)
 
     def __str__(self) -> str:

@@ -86,12 +86,6 @@ class QuantileTable:
     k: int
 
 
-def _qn_from_scores(scores: np.ndarray, m: int) -> float:
-    sx = ScoreMatrix(scores[:m])
-    sy = ScoreMatrix(scores[m:])
-    return qn_statistic(sx, sy).qn
-
-
 def _each_replicate(task):
     """Chunk evaluator calling `task(r)` per replicate; singular ones give NaN."""
 
@@ -258,25 +252,23 @@ def spectral_mc_null(
     if (len(spectra_x), len(spectra_y)) != (m, n):
         raise ValueError("plan sizes must match the numbers of input spectra")
     s_avg = average_spectrum(list(spectra_x) + list(spectra_y))
-    n_samples = int(round(sim.duration * sim.fs))
-    synth = GaussianSynthesizer(n_samples, sim.fs)
+    synth = GaussianSynthesizer(int(round(sim.duration * sim.fs)), sim.fs)
     synth.check_nyquist(s_avg)
-    if basis.data_driven:
-        fixed_g = None
-    else:
-        placeholder = FunctionalSample(
-            estimator_grid(sim.fs, sim.n_freq), np.zeros((1, sim.n_freq))
-        )
-        fixed_g = basis.build(placeholder)
+
+    def weighted_g(joint: FunctionalSample) -> np.ndarray:
+        return (basis.build(joint).functions * joint.grid.weights).T
+
+    # Scores are est @ (g w)'.  A fixed basis is weighted once; a data-driven
+    # one is rebuilt from each replicate's estimates.
+    fixed = None if basis.data_driven else weighted_g(FunctionalSample(
+        estimator_grid(sim.fs, sim.n_freq), np.zeros((1, sim.n_freq))))
 
     def task(r: int) -> float:
-        rng = substream(plan.seed, r)
-        records = synth.simulate(s_avg, rng, m + n)
+        records = synth.simulate(s_avg, substream(plan.seed, r), m + n)
         grid, est = estimate_spectra(records, sim.fs, sim.parzen_L, sim.n_freq)
-        joint = FunctionalSample(grid, est)
-        g = fixed_g if fixed_g is not None else basis.build(joint)
-        scores = sample_inner_products(joint, g.functions)
-        return _qn_from_scores(scores, m)
+        gw = fixed if fixed is not None else weighted_g(FunctionalSample(grid, est))
+        scores = est @ gw
+        return qn_statistic(ScoreMatrix(scores[:m]), ScoreMatrix(scores[m:])).qn
 
     return _run_replicates(_each_replicate(task), plan, n_jobs)
 

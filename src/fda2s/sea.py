@@ -8,11 +8,14 @@ No factor of 2 appears anywhere; other toolboxes differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .errors import (
     InvalidParams,
+    NegativeEstimate,
     NonFiniteValue,
     NyquistViolation,
     RecordTooShort,
@@ -277,14 +280,14 @@ def parzen_window(u: np.ndarray) -> np.ndarray:
 
 
 def _autocovariances(rows: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased sample autocovariances c(0..max_lag) of mean-subtracted rows."""
-    rows = np.atleast_2d(rows)
+    """Biased sample autocovariances c(0..max_lag) of mean-subtracted rows (2-d)."""
     n = rows.shape[1]
     x = rows - rows.mean(axis=1, keepdims=True)
-    n_fft = 1 << int(np.ceil(np.log2(n + max_lag + 1)))
+    # Padding to n + max_lag + 1 keeps lags 0..max_lag free of wrap-around.
+    n_fft = scipy.fft.next_fast_len(n + max_lag + 1, real=True)
     spec = np.fft.rfft(x, n_fft, axis=1)
-    acov = np.fft.irfft(spec * np.conj(spec), n_fft, axis=1)[:, : max_lag + 1]
-    return acov / n
+    periodogram = spec.real**2 + spec.imag**2
+    return np.fft.irfft(periodogram, n_fft, axis=1)[:, : max_lag + 1] / n
 
 
 def estimate_spectrum(
@@ -305,6 +308,19 @@ def estimator_grid(fs: float, n_freq: int) -> Grid:
     return Grid(np.linspace(0.0, np.pi * fs, n_freq))
 
 
+@lru_cache(maxsize=16)
+def _parzen_map(fs: float, parzen_L: int, n_freq: int) -> tuple[Grid, np.ndarray]:
+    """Estimator grid and the (L+1, n_freq) map from autocovariances c_h to the density
+    (dt/pi) sum_h w_h c_h cos(omega h dt), dt = 1/fs, w = Parzen window x 2 for h >= 1."""
+    lags = np.arange(parzen_L + 1)
+    weights = parzen_window(lags / parzen_L)
+    weights[1:] *= 2.0
+    grid = estimator_grid(fs, n_freq)
+    table = weights[:, None] / (np.pi * fs) * np.cos(np.outer(lags / fs, grid.points))
+    table.flags.writeable = False
+    return grid, table
+
+
 def estimate_spectra(
     rows: np.ndarray, fs: float, parzen_L: int = 60, n_freq: int = 481
 ) -> tuple[Grid, np.ndarray]:
@@ -318,18 +334,11 @@ def estimate_spectra(
             f"record of {n} samples too short for Parzen length {parzen_L}"
         )
     acov = _autocovariances(rows, parzen_L)
-    lags = np.arange(parzen_L + 1)
-    weights = parzen_window(lags / parzen_L)
-    dt = 1.0 / fs
-    grid = estimator_grid(fs, n_freq)
-    # cos(omega * h * dt) table: (n_lags, n_freq)
-    cos_table = np.cos(np.outer(lags * dt, grid.points))
-    coeffs = acov * weights
-    coeffs[:, 1:] *= 2.0
-    s = (dt / np.pi) * (coeffs @ cos_table)
+    grid, table = _parzen_map(float(fs), int(parzen_L), int(n_freq))
+    s = acov @ table
     floor = -1e-12 * (1.0 + np.max(np.abs(s)))
     if np.min(s) < floor:
-        raise AssertionError("Parzen estimate unexpectedly negative")
+        raise NegativeEstimate(f"Parzen estimate {np.min(s):.3e} is negative beyond round-off")
     s = np.clip(s, 0.0, None)
     # Exact variance normalization removes any residual convention slack.
     variance = acov[:, 0]

@@ -13,7 +13,7 @@ from fda2s.io import (
     write_functional_sample,
     write_record,
 )
-from fda2s import FunctionalSample, Interval, TimeSeriesRecord, uniform_grid
+from fda2s import FunctionalSample, Interval, TimeSeriesRecord, sea, uniform_grid
 
 from conftest import smooth_curves
 
@@ -75,6 +75,13 @@ class TestSpectrum:
         s = read_spectrum(out)
         biased = float(np.mean((rec.values - rec.values.mean()) ** 2))
         assert abs(s.sigma2 - biased) / biased < 0.02
+
+    def test_negative_estimate_exits_2(self, record_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sea, "_autocovariances", lambda rows, L: np.eye(1, L + 1, 1))
+        out = tmp_path / "s.csv"
+        assert run("spectrum", "--input", record_file, "-o", out) == 2
+        assert "is negative beyond round-off" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_short_record_exits_2(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -170,6 +177,25 @@ class TestTest:
         assert run("test", "--x", xp, "--y", yp, "--basis", "indicator:k=4",
                    "-o", out2) == 0
         assert json.loads(out1.read_text())["qn"] == json.loads(out2.read_text())["qn"]
+
+    def test_unknown_config_key_exits_2(self, tmp_path, rng, capsys):
+        xp, yp = self._write_pair(tmp_path, rng)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"basiss": "indicator:k=4"}))
+        out = tmp_path / "r.json"
+        assert run("test", "--x", xp, "--y", yp, "--config", config, "-o", out) == 2
+        assert "'basiss'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("basis,key", [
+        ("trig:kk=1", "kk"), ("indicator:d=2", "d"), ("pca:weights=equal", "weights"),
+    ])
+    def test_unknown_basis_parameter_exits_2(self, tmp_path, rng, capsys, basis, key):
+        xp, yp = self._write_pair(tmp_path, rng)
+        out = tmp_path / "r.json"
+        assert run("test", "--x", xp, "--y", yp, "--basis", basis, "-o", out) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
     def test_bad_thread_count_exits_2(self, tmp_path, rng, monkeypatch, capsys, threads):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fda2s import (
     Curve,
@@ -23,6 +25,43 @@ from conftest import smooth_curves
 
 def unit_grid(n=1001):
     return uniform_grid(Interval(0.0, 1.0), n)
+
+
+def eigh_pca_oracle(values, w, d, sizes=None, weights="proportion"):
+    """Dense route: eigh of sqrt(w) C sqrt(w) on the grid, sign rule applied."""
+    if sizes is None:
+        c = values - values.mean(axis=0)
+        cov = c.T @ c / (values.shape[0] - 1)
+    else:
+        m, n = sizes
+        theta = m / (m + n) if weights == "proportion" else 0.5
+        cx = values[:m] - values[:m].mean(axis=0)
+        cy = values[m:] - values[m:].mean(axis=0)
+        cov = (1 - theta) * cx.T @ cx / (m - 1) + theta * cy.T @ cy / (n - 1)
+    sqrt_w = np.sqrt(w)
+    eigvals, eigvecs = np.linalg.eigh(sqrt_w[:, None] * cov * sqrt_w[None, :])
+    order = np.argsort(eigvals)[::-1][:d]
+    phis = (eigvecs[:, order] / sqrt_w[:, None]).T
+    for phi in phis:
+        integral = np.dot(w, phi)
+        if abs(integral) > 1e-10 * np.max(np.abs(phi)):
+            phi *= np.sign(integral)
+        else:
+            phi *= np.sign(phi[np.argmax(np.abs(phi))])
+    return eigvals[order], phis
+
+
+@st.composite
+def pca_problems(draw, n_curves, n_points):
+    """Curves with a few geometrically scaled random modes, so leading eigenvalues separate."""
+    n = draw(st.integers(*n_curves))
+    p = draw(st.integers(*n_points))
+    n_modes = draw(st.integers(1, min(4, p, n - 2)))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = data.normal(size=(n_modes, p)) * 3.0 ** -np.arange(n_modes)[:, None]
+    values = data.normal(size=(n, n_modes)) @ modes + data.normal(size=p)
+    grid = uniform_grid(Interval(0.0, 1.0), p)
+    return FunctionalSample(grid, values), draw(st.integers(1, n_modes))
 
 
 class TestIndicatorBasis:
@@ -229,6 +268,35 @@ class TestPcaBasis:
         oracle = np.linalg.eigvalsh(sym).max()
         assert prop.eigenvalues[0] == pytest.approx(oracle, rel=1e-10)
 
+    @pytest.mark.parametrize("n_curves,n_points", [((4, 12), (20, 60)), ((25, 60), (3, 15))],
+                             ids=["N<P", "N>P"])
+    @pytest.mark.parametrize("sizes", [None, "proportion", "equal"])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_dense_eigh_oracle(self, n_curves, n_points, sizes, data):
+        joint, d = data.draw(pca_problems(n_curves, n_points))
+        kwargs = {}
+        if sizes is not None:
+            m = data.draw(st.integers(2, joint.n_curves - 2))
+            kwargs = {"weights": sizes, "sizes": (m, joint.n_curves - m)}
+        basis = pca_basis(joint, d, **kwargs)
+        eigvals, phis = eigh_pca_oracle(
+            joint.values, joint.grid.weights, d, kwargs.get("sizes"), sizes or "proportion"
+        )
+        assert np.max(np.abs(basis.eigenvalues - eigvals)) <= 1e-10 * eigvals[0]
+        assert np.max(np.abs(basis.eigenfunctions - phis)) <= 1e-10 * np.max(np.abs(phis))
+
+    @pytest.mark.parametrize("n_curves,n_points,rank,d", [
+        (10, 30, 2, 3),  # d > rank, d < min(N, P)
+        (5, 30, 30, 5),  # d = N: centring leaves rank N - 1
+        (5, 30, 30, 6),  # d > min(N, P) = N
+        (40, 6, 3, 6),  # d = P > rank
+    ])
+    def test_d_beyond_rank_is_degenerate(self, rng, n_curves, n_points, rank, d):
+        values = rng.normal(size=(n_curves, rank)) @ rng.normal(size=(rank, n_points))
+        with pytest.raises(DegenerateCovariance):
+            pca_basis(FunctionalSample(unit_grid(n_points), values), d)
+
 
 class TestBasisSpec:
     def test_parse_round_trip(self):
@@ -245,6 +313,28 @@ class TestBasisSpec:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             BasisSpec.parse("wavelet:j=2")
+
+    @pytest.mark.parametrize("text,key", [
+        ("trig:kk=1", "kk"),
+        ("indicator:d=2", "d"),
+        ("pca:d=2,weights=equal", "weights"),
+    ])
+    def test_unknown_parameter_rejected(self, text, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            BasisSpec.parse(text)
+        scheme, _, rest = text.partition(":")
+        params = dict(item.split("=") for item in rest.split(","))
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            BasisSpec(scheme, params)
+
+    @pytest.mark.parametrize("text", [
+        "indicator", "indicator:k=8", "bspline:interior=7,order=5", "trig:k=3,parts=odd",
+        "trig:k_max=2,parts=both", "pca:d=2",
+    ])
+    def test_valid_specs_round_trip(self, text):
+        spec = BasisSpec.parse(text)
+        assert str(spec) == text
+        assert BasisSpec.parse(str(spec)) == spec
 
     def test_build_all_schemes(self, rng):
         grid = unit_grid(101)

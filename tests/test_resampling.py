@@ -33,6 +33,7 @@ from fda2s.grids import sample_inner_products
 from fda2s.projections import trig_g_functions
 from fda2s.resampling import PERMUTATION_CHUNK, _SplitStatistic
 from fda2s.rng import substream
+from fda2s.sea import GaussianSynthesizer, estimate_spectra
 
 from conftest import smooth_curves
 
@@ -244,20 +245,43 @@ class TestSpectralMcNull:
         avg = average_spectrum([s, s, s])
         assert np.array_equal(avg.values, s.values)
 
-    def test_deterministic_across_thread_counts(self):
+    @staticmethod
+    def _spectra(count, duration, first_seed):
         fs = 1.28
         grid = default_frequency_grid(fs, tp=4.0)
         s = torsethaugen_spectrum(TorsethaugenParams(2.0, 4.0), grid)
-        spectra = [
-            estimate_spectrum(simulate_gaussian(s, 900.0, fs, seed=10 + i), 60)
-            for i in range(8)
+        return [
+            estimate_spectrum(simulate_gaussian(s, duration, fs, seed=first_seed + i), 60)
+            for i in range(count)
         ]
-        sim = SimConfig(duration=900.0, fs=fs, parzen_L=60, n_freq=481)
+
+    def test_deterministic_across_thread_counts(self):
+        spectra = self._spectra(8, 900.0, 10)
+        sim = SimConfig(duration=900.0, fs=1.28, parzen_L=60, n_freq=481)
         plan = ResamplingPlan("spectral-mc", 16, 21, (4, 4))
-        basis = BasisSpec("indicator", {"k": 3})
-        serial = spectral_mc_null(spectra[:4], spectra[4:], sim, basis, plan, n_jobs=1)
-        threaded = spectral_mc_null(spectra[:4], spectra[4:], sim, basis, plan, n_jobs=3)
-        assert np.array_equal(serial.values, threaded.values)
+        for text in ("indicator:k=3", "pca:d=2"):
+            basis = BasisSpec.parse(text)
+            serial = spectral_mc_null(spectra[:4], spectra[4:], sim, basis, plan, n_jobs=1)
+            threaded = spectral_mc_null(spectra[:4], spectra[4:], sim, basis, plan, n_jobs=3)
+            assert np.array_equal(serial.values, threaded.values), text
+
+    @pytest.mark.parametrize("basis", ["indicator:k=8", "pca:d=2"])
+    def test_replicate_matches_its_definition(self, basis):
+        spectra = self._spectra(10, 600.0, 40)
+        sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
+        plan = ResamplingPlan("spectral-mc", 4, 9, (5, 5))
+        basis = BasisSpec.parse(basis)
+        null = spectral_mc_null(spectra[:5], spectra[5:], sim, basis, plan)
+        assert null.n_failed == 0
+        s_avg = average_spectrum(spectra)
+        synth = GaussianSynthesizer(int(round(sim.duration * sim.fs)), sim.fs)
+        for r in range(plan.B):
+            records = synth.simulate(s_avg, substream(plan.seed, r), 10)
+            grid, est = estimate_spectra(records, sim.fs, sim.parzen_L, sim.n_freq)
+            joint = FunctionalSample(grid, est)
+            scores = sample_inner_products(joint, basis.build(joint).functions)
+            qn = qn_statistic(ScoreMatrix(scores[:5]), ScoreMatrix(scores[5:])).qn
+            assert null.values[r] == pytest.approx(qn, rel=1e-10)
 
 
 class TestQuantileTable:

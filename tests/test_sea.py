@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fda2s import sea
 from fda2s import (
     Grid,
     SpectralDensity,
@@ -15,7 +16,19 @@ from fda2s import (
     simulate_gaussian,
     torsethaugen_spectrum,
 )
-from fda2s.errors import InvalidParams, NyquistViolation, RecordTooShort
+from fda2s.errors import (
+    InvalidParams,
+    NegativeEstimate,
+    NyquistViolation,
+    RecordTooShort,
+)
+
+
+def lag_sum_autocovariances(row, max_lag):
+    """Direct O(n L) biased autocovariances of the mean-subtracted row."""
+    x = row - row.mean()
+    n = x.size
+    return np.array([np.dot(x[: n - h], x[h:]) / n for h in range(max_lag + 1)])
 
 
 class TestTorsethaugen:
@@ -161,6 +174,30 @@ class TestEstimateSpectrum:
     def test_record_too_short(self):
         rec = TimeSeriesRecord(1.0, np.arange(100.0))
         with pytest.raises(RecordTooShort):
+            estimate_spectrum(rec, 60)
+
+    # FFT lengths next_fast_len(n + L + 1): 2400, 2400, 1080, 512, 200
+    @pytest.mark.parametrize("n,L", [(2304, 60), (2303, 60), (1001, 30), (500, 7), (131, 64)])
+    def test_matches_lag_sum_oracle(self, n, L):
+        fs, n_freq = 1.28, 97
+        rows = np.random.default_rng(n).normal(size=(3, n)).cumsum(axis=1)
+        acov = np.array([lag_sum_autocovariances(row, L) for row in rows])
+        assert np.max(np.abs(sea._autocovariances(rows, L) - acov)) <= 1e-12 * acov[:, 0].max()
+        # the Parzen lag-window sum, clipped and rescaled to the variance
+        dt, lags = 1.0 / fs, np.arange(L + 1)
+        omega = np.linspace(0.0, np.pi * fs, n_freq)
+        coeffs = acov * parzen_window(lags / L) * np.where(lags > 0, 2.0, 1.0)
+        dens = np.clip(dt / np.pi * coeffs @ np.cos(np.outer(lags * dt, omega)), 0.0, None)
+        dens *= (acov[:, 0] / (dens @ Grid(omega).weights))[:, None]
+        grid, values = sea.estimate_spectra(rows, fs, L, n_freq)
+        assert np.array_equal(grid.points, omega)
+        assert np.max(np.abs(values - dens)) <= 1e-12 * dens.max()
+
+    def test_negative_estimate_raises(self, monkeypatch):
+        # c(0) = 0, c(1) = 1 gives a density proportional to cos(omega dt)
+        monkeypatch.setattr(sea, "_autocovariances", lambda rows, L: np.eye(1, L + 1, 1))
+        rec = TimeSeriesRecord(1.0, np.random.default_rng(0).normal(size=500))
+        with pytest.raises(NegativeEstimate):
             estimate_spectrum(rec, 60)
 
     def test_nonnegative(self):

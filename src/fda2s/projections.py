@@ -8,12 +8,13 @@ joint (pooled) sample.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bsplines import basis_sample, spec_from_interior_nodes
-from .errors import DegenerateCovariance, InvalidK, WrongInterval
+from .errors import DegenerateCovariance, InvalidK, TooFewCurves, WrongInterval
 from .grids import FunctionalSample, Grid, Interval, sample_inner_products
 
 UNIT_INTERVAL_TOL = 1e-9
@@ -189,6 +190,8 @@ def pca_basis(
         raise InvalidK(f"need 1 <= d <= {n_pts}, got {d}")
     vals = joint.values
     if sizes is None:
+        if vals.shape[0] < 2:
+            raise TooFewCurves(f"pca needs at least 2 curves, got {vals.shape[0]}")
         data = (vals - vals.mean(axis=0)) / np.sqrt(vals.shape[0] - 1)
     else:
         m, n = sizes
@@ -235,6 +238,8 @@ class BasisSpec:
     # Parameters each scheme reads; any other key is an error, not a no-op.
     _KEYS = {"indicator": ("k",), "bspline": ("order", "interior"),
              "trig": ("k", "k_max", "parts"), "pca": ("d",)}
+    # Least value of each integer parameter, as the builders require.
+    _LEAST = {"k": 1, "k_max": 1, "d": 1, "order": 2, "interior": 0}
 
     def __post_init__(self):
         if self.scheme not in self._KEYS:
@@ -244,10 +249,24 @@ class BasisSpec:
         if unknown:
             raise ValueError(f"unknown {self.scheme} parameter {min(unknown)!r}; "
                              f"expected {', '.join(keys)}")
-        object.__setattr__(self, "params", {
-            key: value if key == "parts" else int(value)
-            for key, value in self.params.items()
-        })
+        params = {}
+        for key, value in self.params.items():
+            if key == "parts":
+                if value not in ("both", "odd"):
+                    raise ValueError(f"trig parameter 'parts' must be 'both' or 'odd', "
+                                     f"got {value!r}")
+                params[key] = value
+                continue
+            try:
+                number = int(value) if isinstance(value, str) else operator.index(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{self.scheme} parameter {key!r} must be an integer, "
+                                 f"got {value!r}") from None
+            if number < self._LEAST[key]:
+                raise ValueError(f"{self.scheme} parameter {key!r} must be >= "
+                                 f"{self._LEAST[key]}, got {number}")
+            params[key] = number
+        object.__setattr__(self, "params", params)
 
     @property
     def data_driven(self) -> bool:

@@ -12,12 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .bsplines import basis_matrix, equidistant_spec
 from .errors import NoUpcrossing, NoWaves, ZeroVariance
-from .grids import Curve, FunctionalSample, Grid, Interval, uniform_grid
+from .grids import Curve, FunctionalSample, Interval, uniform_grid
 from .sea import TimeSeriesRecord
+
+# Waves of one size interpolated together; bounds the (chunk, n_grid, 2k) temporaries.
+REGISTER_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -81,16 +83,6 @@ def downcrossings(rec: TimeSeriesRecord, level: float) -> np.ndarray:
     return t[idx] + frac * (t[idx + 1] - t[idx])
 
 
-def upcrossings(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Interpolated times where the series rises through 0 (from <= 0 to > 0)."""
-    below = values <= 0.0
-    idx = np.where(below[:-1] & ~below[1:])[0]
-    if idx.size == 0:
-        return np.empty(0)
-    frac = (0.0 - values[idx]) / (values[idx + 1] - values[idx])
-    return times[idx] + frac * (times[idx + 1] - times[idx])
-
-
 def segment_waves(rec: TimeSeriesRecord) -> list[WaveRecord]:
     """Split a record into mean-level downcrossing waves.
 
@@ -106,11 +98,13 @@ def segment_waves(rec: TimeSeriesRecord) -> list[WaveRecord]:
         raise NoWaves(
             f"record has {crossings.size} mean-level downcrossings; need >= 2"
         )
+    # Samples strictly between consecutive crossings: one binary search per end.
+    starts = np.searchsorted(times, crossings[:-1], "right")
+    stops = np.searchsorted(times, crossings[1:], "left")
     waves = []
-    for t_start, t_end in zip(crossings[:-1], crossings[1:]):
-        inside = np.where((times > t_start) & (times < t_end))[0]
-        raw_t = np.concatenate([[t_start], times[inside], [t_end]])
-        raw_v = np.concatenate([[0.0], centered[inside], [0.0]])
+    for t_start, t_end, lo, hi in zip(crossings[:-1], crossings[1:], starts, stops):
+        raw_t = np.concatenate([[t_start], times[lo:hi], [t_end]])
+        raw_v = np.concatenate([[0.0], centered[lo:hi], [0.0]])
         waves.append(WaveRecord(raw_t, raw_v, float(t_end - t_start)))
     return waves
 
@@ -124,31 +118,102 @@ def _registration_basis(spec: RegistrationSpec):
     return grid, projector
 
 
-def _warp_times(w: WaveRecord, constrain: bool) -> tuple[np.ndarray, float]:
-    t = w.raw_times
-    t_start, t_end = t[0], t[-1]
-    ups = upcrossings(t, w.raw_values)
-    ups = ups[(ups > t_start) & (ups < t_end)]
-    t_up = float(ups[0]) if ups.size else float("nan")
+def _warp_times(
+    times: np.ndarray, values: np.ndarray, constrain: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time maps of a (G, n) batch of waves onto [0, 1].
+
+    Returns the warped times, each wave's upcrossing fraction and whether
+    the wave has an upcrossing strictly inside it.  Unconstrained, the map
+    is linear and the fraction is the first upcrossing's place (NaN when
+    there is none); constrained, the two-piece map sends (start, first
+    upcrossing, end) to (0, 0.5, 1), and a wave without an upcrossing gets
+    NaN times and fraction.
+    """
+    t_start, t_end = times[:, :1], times[:, -1:]
+    rise = (values[:, :-1] <= 0.0) & (values[:, 1:] > 0.0)
+    dv = np.where(rise, values[:, 1:] - values[:, :-1], 1.0)
+    ups = times[:, :-1] + (0.0 - values[:, :-1]) / dv * (times[:, 1:] - times[:, :-1])
+    inside = rise & (ups > t_start) & (ups < t_end)
+    has_up = inside.any(axis=1)
+    first = np.take_along_axis(ups, inside.argmax(axis=1)[:, None], axis=1)
+    t_up = np.where(has_up[:, None], first, np.nan)
     if not constrain:
-        u = (t - t_start) / (t_end - t_start)
-        frac = (t_up - t_start) / (t_end - t_start) if np.isfinite(t_up) else t_up
-        return u, frac
-    if not np.isfinite(t_up):
-        raise NoUpcrossing("wave never rises above the mean level")
+        frac = (t_up - t_start) / (t_end - t_start)
+        return (times - t_start) / (t_end - t_start), frac[:, 0], has_up
     u = np.where(
-        t <= t_up,
-        0.5 * (t - t_start) / (t_up - t_start),
-        0.5 + 0.5 * (t - t_up) / (t_end - t_up),
+        times <= t_up,
+        0.5 * (times - t_start) / (t_up - t_start),
+        0.5 + 0.5 * (times - t_up) / (t_end - t_up),
     )
-    return u, 0.5
+    return u, np.where(has_up, 0.5, np.nan), has_up
 
 
-def _dense_values(u: np.ndarray, values: np.ndarray, order: int,
-                  grid: Grid) -> np.ndarray:
-    k = min(order - 1, u.size - 1)
-    spline = make_interp_spline(u, values, k=k)
-    return spline(grid.points)
+def _not_a_knot(u: np.ndarray, k: int) -> np.ndarray:
+    """Knot vectors (G, n + k + 1) of the degree-k not-a-knot interpolant.
+
+    De Boor's rule as scipy's ``make_interp_spline`` applies it: odd k
+    drops (k + 1)/2 data sites at each end, even k uses the midpoints of
+    consecutive sites and drops k/2 of them at each end; the end sites are
+    repeated k + 1 times.
+    """
+    if k % 2:
+        drop, inner = (k + 1) // 2, u
+    else:
+        drop, inner = k // 2, (u[:, 1:] + u[:, :-1]) / 2
+    return np.hstack([np.repeat(u[:, :1], k + 1, axis=1),
+                      inner[:, drop:inner.shape[1] - drop],
+                      np.repeat(u[:, -1:], k + 1, axis=1)])
+
+
+def _bspline_basis(knots: np.ndarray, k: int, x: np.ndarray):
+    """The k + 1 B-splines of degree k that are non-zero at x (Cox–de Boor).
+
+    ``knots`` is (G, n + k + 1) and ``x`` is (G, P) inside
+    [knots[k], knots[n]].  Returns the knot interval ``l`` of each point,
+    knots[l] <= x < knots[l + 1] with the last interval closed, and the
+    values of B_{l-k}, ..., B_l at the points, shape (k + 1, G, P).
+    """
+    g, m = knots.shape
+    n = m - k - 1
+    # knots[:k + 1] lie at or below every point and knots[n:] at or above.
+    l = k + np.sum(knots[:, k + 1:n, None] <= x[:, None, :], axis=1)
+    # near[a] = knots[l + 1 - k + a], a = 0 .. 2k - 1
+    flat = np.arange(g)[:, None] * m + l
+    near = np.take(knots, flat + np.arange(1 - k, k + 1)[:, None, None])
+    to_right, from_left = near[k:] - x, x - near[:k]
+    vals = np.ones((1,) + x.shape)
+    for j in range(1, k + 1):
+        w = vals / (near[k:k + j] - near[k - j:k])
+        vals = np.empty((j + 1,) + x.shape)
+        np.multiply(w, to_right[:j], out=vals[:-1])
+        vals[-1] = 0.0
+        vals[1:] += w * from_left[k - j:]
+    return l, vals
+
+
+def _interpolate(u: np.ndarray, values: np.ndarray, order: int,
+                 points: np.ndarray) -> np.ndarray:
+    """Not-a-knot interpolants of a (G, n) batch of waves, evaluated at points.
+
+    The degree is k = min(order - 1, n - 1), so tiny waves fall back to a
+    lower order.  One collocation matrix per wave, one stacked solve.
+    """
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(values))):
+        raise ValueError("wave times and values must be finite")
+    if np.any(np.diff(u, axis=1) <= 0.0):
+        raise ValueError("wave times must be strictly increasing")
+    g, n = u.shape
+    k = min(order - 1, n - 1)
+    knots = _not_a_knot(u, k)
+    rows = np.arange(g)[:, None] * n
+    band = np.arange(-k, 1)[:, None, None]
+    l, basis = _bspline_basis(knots, k, u)
+    colloc = np.zeros((g, n, n))
+    colloc.reshape(g * n, n)[rows + np.arange(n), l + band] = basis
+    coef = np.linalg.solve(colloc, values[..., None])[..., 0]
+    l, basis = _bspline_basis(knots, k, np.broadcast_to(points, (g, points.size)))
+    return np.sum(basis * np.take(coef, rows + l + band), axis=0)
 
 
 def register_wave(w: WaveRecord, spec: RegistrationSpec) -> WaveRecord:
@@ -160,10 +225,12 @@ def register_wave(w: WaveRecord, spec: RegistrationSpec) -> WaveRecord:
     than the spline order use a reduced interpolation order.
     """
     grid, projector = _registration_basis(spec)
-    u, frac = _warp_times(w, spec.constrain_upcross)
-    dense = _dense_values(u, w.raw_values, spec.spline_order, grid)
-    fitted = projector @ dense
-    return replace(w, registered=Curve(grid, fitted), upcross_fraction=float(frac))
+    t, v = w.raw_times[None, :], w.raw_values[None, :]
+    u, frac, has_up = _warp_times(t, v, spec.constrain_upcross)
+    if spec.constrain_upcross and not has_up[0]:
+        raise NoUpcrossing("wave never rises above the mean level")
+    fitted = _interpolate(u, v, spec.spline_order, grid.points) @ projector.T
+    return replace(w, registered=Curve(grid, fitted[0]), upcross_fraction=float(frac[0]))
 
 
 def register_sample(
@@ -176,31 +243,34 @@ def register_sample(
 
     Waves with fewer than ``min_interior`` interior samples, and waves
     without an upcrossing when one is required, are dropped; the count of
-    dropped waves is returned alongside the sample.
+    dropped waves is returned alongside the sample.  Waves of equal sample
+    count are interpolated together; rows keep the input order.
     """
     grid, projector = _registration_basis(spec)
-    dense_rows = []
-    kept = []
-    dropped = 0
-    for w in waves:
-        if w.n_interior < min_interior:
-            dropped += 1
-            continue
-        try:
-            u, frac = _warp_times(w, spec.constrain_upcross)
-        except NoUpcrossing:
-            dropped += 1
-            continue
-        dense_rows.append(_dense_values(u, w.raw_values, spec.spline_order, grid))
-        kept.append((w, frac))
-    if not dense_rows:
+    sizes = np.array([w.raw_times.size for w in waves], dtype=int)
+    keep = sizes - 2 >= min_interior
+    dense = np.empty((sizes.size, spec.n_grid))
+    fracs = np.empty(sizes.size)
+    for n in np.unique(sizes[keep]):
+        group = np.flatnonzero(keep & (sizes == n))
+        for lo in range(0, group.size, REGISTER_CHUNK):
+            rows = group[lo:lo + REGISTER_CHUNK]
+            t = np.stack([waves[i].raw_times for i in rows])
+            v = np.stack([waves[i].raw_values for i in rows])
+            u, fracs[rows], has_up = _warp_times(t, v, spec.constrain_upcross)
+            if spec.constrain_upcross:
+                keep[rows[~has_up]] = False
+                rows, u, v = rows[has_up], u[has_up], v[has_up]
+            dense[rows] = _interpolate(u, v, spec.spline_order, grid.points)
+    kept = np.flatnonzero(keep)
+    if not kept.size:
         raise NoWaves("no waves survived registration")
-    fitted = np.asarray(dense_rows) @ projector.T
+    fitted = dense[kept] @ projector.T
     registered = [
-        replace(w, registered=Curve(grid, row), upcross_fraction=float(frac))
-        for (w, frac), row in zip(kept, fitted)
+        replace(waves[i], registered=Curve(grid, row), upcross_fraction=float(fracs[i]))
+        for i, row in zip(kept, fitted)
     ]
-    return FunctionalSample(grid, fitted, label), registered, dropped
+    return FunctionalSample(grid, fitted, label), registered, sizes.size - kept.size
 
 
 def normalize_sample(

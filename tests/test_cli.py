@@ -197,6 +197,18 @@ class TestTest:
         assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("basis,key", [
+        ("indicator:k=abc", "k"), ("pca:d=0", "d"), ("indicator:k=-3", "k"),
+        ("trig:k=0", "k"), ("bspline:order=1", "order"), ("bspline:interior=-1", "interior"),
+        ("trig:k=3,parts=even", "parts"),
+    ])
+    def test_invalid_basis_value_exits_2(self, tmp_path, rng, capsys, basis, key):
+        xp, yp = self._write_pair(tmp_path, rng)
+        out = tmp_path / "r.json"
+        assert run("test", "--x", xp, "--y", yp, "--basis", basis, "-o", out) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
     def test_bad_thread_count_exits_2(self, tmp_path, rng, monkeypatch, capsys, threads):
         xp, yp = self._write_pair(tmp_path, rng)

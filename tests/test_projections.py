@@ -17,7 +17,7 @@ from fda2s import (
     trig_g_functions,
     uniform_grid,
 )
-from fda2s.errors import DegenerateCovariance, InvalidK, WrongInterval
+from fda2s.errors import DegenerateCovariance, InvalidK, TooFewCurves, WrongInterval
 from fda2s.projections import BasisSpec
 
 from conftest import smooth_curves
@@ -297,6 +297,13 @@ class TestPcaBasis:
         with pytest.raises(DegenerateCovariance):
             pca_basis(FunctionalSample(unit_grid(n_points), values), d)
 
+    def test_one_curve_is_too_few(self, rng):
+        joint = FunctionalSample(unit_grid(41), rng.normal(size=(1, 41)))
+        with pytest.raises(TooFewCurves):
+            pca_basis(joint, 1)
+        with pytest.raises(TooFewCurves):
+            BasisSpec.parse("pca:d=1").build(joint)
+
 
 class TestBasisSpec:
     def test_parse_round_trip(self):
@@ -327,9 +334,25 @@ class TestBasisSpec:
         with pytest.raises(ValueError, match=f"'{key}'"):
             BasisSpec(scheme, params)
 
+    @pytest.mark.parametrize("text,key", [
+        ("indicator:k=abc", "k"), ("trig:k_max=2.5", "k_max"), ("pca:d=", "d"),
+        ("pca:d=0", "d"), ("indicator:k=-3", "k"), ("trig:k=0", "k"),
+        ("trig:k_max=0", "k_max"), ("bspline:order=1", "order"),
+        ("bspline:interior=-1", "interior"), ("trig:parts=even", "parts"),
+    ])
+    def test_invalid_value_rejected(self, text, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            BasisSpec.parse(text)
+
+    def test_non_integer_library_value_rejected(self):
+        with pytest.raises(ValueError, match="'k'"):
+            BasisSpec("trig", {"k": 2.5})
+        assert BasisSpec("trig", {"k": np.int64(2)}).params == {"k": 2}
+
     @pytest.mark.parametrize("text", [
         "indicator", "indicator:k=8", "bspline:interior=7,order=5", "trig:k=3,parts=odd",
-        "trig:k_max=2,parts=both", "pca:d=2",
+        "trig:k_max=2,parts=both", "pca:d=2", "pca:d=1", "bspline:interior=0,order=2",
+        "trig:k=1",
     ])
     def test_valid_specs_round_trip(self, text):
         spec = BasisSpec.parse(text)

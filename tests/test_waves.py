@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import make_interp_spline
 
 from fda2s import (
     RegistrationSpec,
@@ -18,13 +21,58 @@ from fda2s import (
     torsethaugen_spectrum,
 )
 from fda2s.errors import NoUpcrossing, NoWaves, ZeroVariance
-from fda2s.waves import _warp_times
+from fda2s import waves as waves_module
+from fda2s.waves import _registration_basis, _warp_times
 
 
 def simulated_record(seed=3, duration=1800.0, tp=4.0):
     grid = default_frequency_grid(1.28, tp=tp)
     s = torsethaugen_spectrum(TorsethaugenParams(2.0, tp), grid)
     return simulate_gaussian(s, duration, 1.28, seed=seed)
+
+
+def where_oracle(rec):
+    """Waves by a full-record mask per wave: (raw_times, raw_values, period)."""
+    centered = rec.values - rec.values.mean()
+    times = rec.times
+    crossings = downcrossings(TimeSeriesRecord(rec.fs, centered, rec.t0), 0.0)
+    waves = []
+    for a, b in zip(crossings[:-1], crossings[1:]):
+        inside = np.where((times > a) & (times < b))[0]
+        waves.append((np.concatenate([[a], times[inside], [b]]),
+                      np.concatenate([[0.0], centered[inside], [0.0]]), float(b - a)))
+    return waves
+
+
+def spline_oracle(wave, spec):
+    """One wave through make_interp_spline and the projector; None when dropped."""
+    t, v = wave.raw_times, wave.raw_values
+    ups = [t[i] + (0.0 - v[i]) / (v[i + 1] - v[i]) * (t[i + 1] - t[i])
+           for i in range(t.size - 1) if v[i] <= 0.0 < v[i + 1]]
+    ups = [x for x in ups if t[0] < x < t[-1]]
+    if spec.constrain_upcross:
+        if not ups:
+            return None
+        t_up = ups[0]
+        u = np.array([0.5 * (x - t[0]) / (t_up - t[0]) if x <= t_up
+                      else 0.5 + 0.5 * (x - t_up) / (t[-1] - t_up) for x in t])
+        frac = 0.5
+    else:
+        u = (t - t[0]) / (t[-1] - t[0])
+        frac = (ups[0] - t[0]) / (t[-1] - t[0]) if ups else float("nan")
+    grid, projector = _registration_basis(spec)
+    k = min(spec.spline_order - 1, t.size - 1)
+    return projector @ make_interp_spline(u, v, k=k)(grid.points), frac
+
+
+def random_waves(rng, sizes):
+    waves = []
+    for n in sizes:
+        t = 3.0 + np.cumsum(rng.uniform(0.2, 1.5, n))
+        v = rng.normal(size=n)
+        v[0] = v[-1] = 0.0
+        waves.append(WaveRecord(t, v, float(t[-1] - t[0])))
+    return waves
 
 
 class TestDowncrossings:
@@ -88,6 +136,21 @@ class TestSegmentWaves:
         with pytest.raises(NoWaves):
             segment_waves(rec)
 
+    @pytest.mark.parametrize("rec", [
+        TimeSeriesRecord(1.28, simulated_record(seed=14, duration=900.0).values, t0=-417.3),
+        # mean exactly 0 and samples exactly on it, at and between crossings
+        TimeSeriesRecord(1.0, np.tile([1.0, 0.0, -1.0, 0.0, 2.0, 0.0, 0.0, -2.0], 5)),
+        TimeSeriesRecord(1.28, np.tile([1.0, 0.0, -1.0, 0.0], 9), t0=12.5),
+    ])
+    def test_bit_identical_to_mask_oracle(self, rec):
+        waves = segment_waves(rec)
+        expected = where_oracle(rec)
+        assert len(waves) == len(expected) >= 2
+        for w, (t, v, period) in zip(waves, expected):
+            assert np.array_equal(w.raw_times, t)
+            assert np.array_equal(w.raw_values, v)
+            assert w.period == period
+
     def test_partition_no_gaps_no_overlaps(self):
         waves = segment_waves(simulated_record(seed=4, duration=900.0))
         for prev, nxt in zip(waves[:-1], waves[1:]):
@@ -119,8 +182,9 @@ class TestRegisterWave:
         t = np.linspace(0.0, 1.0, 201)
         v = np.where(t <= 0.4, -np.sin(np.pi * t / 0.4), np.sin(np.pi * (t - 0.4) / 0.6))
         wave = WaveRecord(t, v, 1.0)
-        u, frac = _warp_times(wave, True)
-        assert frac == 0.5
+        u, frac, has_up = _warp_times(t[None, :], v[None, :], True)
+        assert has_up[0] and frac[0] == 0.5
+        u = u[0]
         t_up = 0.4
 
         def analytic(ti):
@@ -162,6 +226,66 @@ class TestRegisterWave:
         wave = WaveRecord(np.array([0.0, 0.4, 1.0]), np.array([0.0, -1.0, 0.0]), 1.0)
         out = register_wave(wave, RegistrationSpec())
         assert np.all(np.isfinite(out.registered.values))
+
+
+class TestBatchedRegistration:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 30), min_size=1, max_size=12),
+        order=st.integers(2, 8),
+        constrain=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_make_interp_spline_oracle(self, sizes, order, constrain, seed):
+        waves = random_waves(np.random.default_rng(seed), sizes)
+        spec = RegistrationSpec(spline_order=order, constrain_upcross=constrain)
+        expected = [spline_oracle(w, spec) for w in waves]
+        kept = [e for e in expected if e is not None]
+        if not kept:
+            with pytest.raises(NoWaves):
+                register_sample(waves, spec, min_interior=0)
+            return
+        sample, registered, dropped = register_sample(waves, spec, min_interior=0)
+        assert dropped == len(waves) - len(kept)
+        assert sample.n_curves == len(registered) == len(kept)
+        for row, w, (values, frac) in zip(sample.values, registered, kept):
+            assert np.max(np.abs(row - values)) <= 1e-10 * np.max(np.abs(values))
+            assert np.array_equal(w.registered.values, row)
+            assert w.upcross_fraction == frac or (np.isnan(frac) and np.isnan(w.upcross_fraction))
+
+    def test_rows_follow_input_order_with_mixed_sizes(self, monkeypatch):
+        waves = random_waves(np.random.default_rng(21), [12, 7, 30, 12, 9, 7, 2, 12, 12, 7])
+        spec = RegistrationSpec()
+        whole, _, _ = register_sample(waves, spec, min_interior=0)
+        # four waves of 12 samples split across two batches
+        monkeypatch.setattr(waves_module, "REGISTER_CHUNK", 3)
+        sample, registered, dropped = register_sample(waves, spec, min_interior=0)
+        assert dropped == 0
+        assert np.array_equal(sample.values, whole.values)
+        for row, w, wave in zip(sample.values, registered, waves):
+            assert np.array_equal(w.raw_times, wave.raw_times)
+            single = register_wave(wave, spec).registered.values
+            assert np.max(np.abs(row - single)) <= 1e-12 * np.max(np.abs(single))
+
+    @pytest.mark.parametrize("times,values,message", [
+        ([0.0, 0.2, 0.2, 0.5, 0.7, 0.9, 1.0], [0.0, -1.0, -0.5, 0.5, 1.0, 0.3, 0.0],
+         "strictly increasing"),
+        ([0.0, 0.3, 0.2, 0.5, 0.7, 0.9, 1.0], [0.0, -1.0, -0.5, 0.5, 1.0, 0.3, 0.0],
+         "strictly increasing"),
+        ([0.0, 0.1, 0.2, np.nan, 0.7, 0.9, 1.0], [0.0, -1.0, -0.5, 0.5, 1.0, 0.3, 0.0],
+         "wave times and values must be finite"),
+        ([0.0, 0.1, 0.2, 0.5, 0.7, 0.9, 1.0], [0.0, -1.0, -0.5, 0.5, np.inf, 0.3, 0.0],
+         "wave times and values must be finite"),
+        ([0.0, 0.1, 0.2, 0.5, 0.7, 0.9, 1.0], [0.0, -1.0, np.nan, 0.5, 1.0, 0.3, 0.0],
+         "wave times and values must be finite"),
+    ])
+    def test_bad_times_or_values_raise(self, times, values, message):
+        bad = WaveRecord(np.array(times), np.array(values), 1.0)
+        good = random_waves(np.random.default_rng(5), [7, 7])
+        with pytest.raises(ValueError, match=message):
+            register_sample([good[0], bad, good[1]], RegistrationSpec())
+        with pytest.raises(ValueError, match=message):
+            register_wave(bad, RegistrationSpec())
 
 
 class TestRegistrationInvariances:

@@ -12,14 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .bsplines import basis_matrix, equidistant_spec
 from .errors import NoUpcrossing, NoWaves, ZeroVariance
 from .grids import Curve, FunctionalSample, Interval, uniform_grid
 from .sea import TimeSeriesRecord
 
-# Waves of one size interpolated together; bounds the (chunk, n_grid, 2k) temporaries.
-REGISTER_CHUNK = 128
+# Wave samples plus common-grid points per registration batch; bounds the
+# (2k, points) basis temporaries and the banded system, so memory stays flat
+# however long the waves are.
+REGISTER_POINTS = 2**13
 
 
 @dataclass(frozen=True)
@@ -119,68 +122,70 @@ def _registration_basis(spec: RegistrationSpec):
 
 
 def _warp_times(
-    times: np.ndarray, values: np.ndarray, constrain: bool
+    times: np.ndarray, values: np.ndarray, lengths: np.ndarray, constrain: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time maps of a (G, n) batch of waves onto [0, 1].
+    """Time maps of a batch of waves onto [0, 1].
 
-    Returns the warped times, each wave's upcrossing fraction and whether
-    the wave has an upcrossing strictly inside it.  Unconstrained, the map
-    is linear and the fraction is the first upcrossing's place (NaN when
-    there is none); constrained, the two-piece map sends (start, first
-    upcrossing, end) to (0, 0.5, 1), and a wave without an upcrossing gets
-    NaN times and fraction.
+    ``times`` and ``values`` hold the waves' samples end to end and
+    ``lengths`` the sample count of each wave.  Returns the warped times,
+    each wave's upcrossing fraction and whether the wave has an upcrossing
+    strictly inside it.  Unconstrained, the map is linear and the fraction
+    is the first upcrossing's place (NaN when there is none); constrained,
+    the two-piece map sends (start, first upcrossing, end) to (0, 0.5, 1),
+    and a wave without an upcrossing gets NaN times and fraction.
     """
-    t_start, t_end = times[:, :1], times[:, -1:]
-    rise = (values[:, :-1] <= 0.0) & (values[:, 1:] > 0.0)
-    dv = np.where(rise, values[:, 1:] - values[:, :-1], 1.0)
-    ups = times[:, :-1] + (0.0 - values[:, :-1]) / dv * (times[:, 1:] - times[:, :-1])
-    inside = rise & (ups > t_start) & (ups < t_end)
-    has_up = inside.any(axis=1)
-    first = np.take_along_axis(ups, inside.argmax(axis=1)[:, None], axis=1)
-    t_up = np.where(has_up[:, None], first, np.nan)
+    starts = np.cumsum(lengths) - lengths
+    wave = np.repeat(np.arange(lengths.size), lengths)
+    ts, te = times[starts], times[starts + lengths - 1]
+    rise = (wave[:-1] == wave[1:]) & (values[:-1] <= 0.0) & (values[1:] > 0.0)
+    dv = np.where(rise, values[1:] - values[:-1], 1.0)
+    ups = times[:-1] + (0.0 - values[:-1]) / dv * (times[1:] - times[:-1])
+    hits = np.flatnonzero(rise & (ups > ts[wave[:-1]]) & (ups < te[wave[:-1]]))
+    first = hits[np.diff(wave[hits], prepend=-1) != 0]
+    has_up = np.zeros(lengths.size, dtype=bool)
+    has_up[wave[first]] = True
+    t_up = np.full(lengths.size, np.nan)
+    t_up[wave[first]] = ups[first]
     if not constrain:
-        frac = (t_up - t_start) / (t_end - t_start)
-        return (times - t_start) / (t_end - t_start), frac[:, 0], has_up
+        return (times - ts[wave]) / (te - ts)[wave], (t_up - ts) / (te - ts), has_up
+    t0, t1, tu = ts[wave], te[wave], t_up[wave]
     u = np.where(
-        times <= t_up,
-        0.5 * (times - t_start) / (t_up - t_start),
-        0.5 + 0.5 * (times - t_up) / (t_end - t_up),
+        times <= tu,
+        0.5 * (times - t0) / (tu - t0),
+        0.5 + 0.5 * (times - tu) / (t1 - tu),
     )
     return u, np.where(has_up, 0.5, np.nan), has_up
 
 
-def _not_a_knot(u: np.ndarray, k: int) -> np.ndarray:
-    """Knot vectors (G, n + k + 1) of the degree-k not-a-knot interpolant.
+def _not_a_knot(u: np.ndarray, lengths: np.ndarray, k: int):
+    """Knot vectors of the degree-k not-a-knot interpolants, end to end.
 
     De Boor's rule as scipy's ``make_interp_spline`` applies it: odd k
     drops (k + 1)/2 data sites at each end, even k uses the midpoints of
     consecutive sites and drops k/2 of them at each end; the end sites are
-    repeated k + 1 times.
+    repeated k + 1 times.  A wave of n sites gets n + k + 1 knots.  Returns
+    the knots, each knot's wave, each wave's first knot index and the mask
+    of interior knots.
     """
-    if k % 2:
-        drop, inner = (k + 1) // 2, u
-    else:
-        drop, inner = k // 2, (u[:, 1:] + u[:, :-1]) / 2
-    return np.hstack([np.repeat(u[:, :1], k + 1, axis=1),
-                      inner[:, drop:inner.shape[1] - drop],
-                      np.repeat(u[:, -1:], k + 1, axis=1)])
+    counts = lengths + k + 1
+    kstart = np.cumsum(counts) - counts
+    wave = np.repeat(np.arange(lengths.size), counts)
+    j = np.arange(wave.size) - kstart[wave]
+    first, n = (np.cumsum(lengths) - lengths)[wave], lengths[wave]
+    i = first + np.clip(j - k - 1 + (k + 1) // 2, 0, n - 2)
+    inner = u[i] if k % 2 else (u[i + 1] + u[i]) / 2
+    knots = np.where(j <= k, u[first], np.where(j >= n, u[first + n - 1], inner))
+    return knots, wave, kstart, (j > k) & (j < n)
 
 
-def _bspline_basis(knots: np.ndarray, k: int, x: np.ndarray):
-    """The k + 1 B-splines of degree k that are non-zero at x (Cox–de Boor).
+def _bspline_basis(knots: np.ndarray, k: int, l: np.ndarray, x: np.ndarray):
+    """Values of the degree-k B-splines B_{l-k}, ..., B_l at x (Cox–de Boor).
 
-    ``knots`` is (G, n + k + 1) and ``x`` is (G, P) inside
-    [knots[k], knots[n]].  Returns the knot interval ``l`` of each point,
-    knots[l] <= x < knots[l + 1] with the last interval closed, and the
-    values of B_{l-k}, ..., B_l at the points, shape (k + 1, G, P).
+    ``l`` is the knot interval of each point, knots[l] <= x < knots[l + 1];
+    returns shape (k + 1, P).
     """
-    g, m = knots.shape
-    n = m - k - 1
-    # knots[:k + 1] lie at or below every point and knots[n:] at or above.
-    l = k + np.sum(knots[:, k + 1:n, None] <= x[:, None, :], axis=1)
     # near[a] = knots[l + 1 - k + a], a = 0 .. 2k - 1
-    flat = np.arange(g)[:, None] * m + l
-    near = np.take(knots, flat + np.arange(1 - k, k + 1)[:, None, None])
+    near = knots[l + np.arange(1 - k, k + 1)[:, None]]
     to_right, from_left = near[k:] - x, x - near[:k]
     vals = np.ones((1,) + x.shape)
     for j in range(1, k + 1):
@@ -189,31 +194,46 @@ def _bspline_basis(knots: np.ndarray, k: int, x: np.ndarray):
         np.multiply(w, to_right[:j], out=vals[:-1])
         vals[-1] = 0.0
         vals[1:] += w * from_left[k - j:]
-    return l, vals
+    return vals
 
 
-def _interpolate(u: np.ndarray, values: np.ndarray, order: int,
-                 points: np.ndarray) -> np.ndarray:
-    """Not-a-knot interpolants of a (G, n) batch of waves, evaluated at points.
+def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
+                 k: int, points: np.ndarray) -> np.ndarray:
+    """Degree-k not-a-knot interpolants of a batch of waves, evaluated at points.
 
-    The degree is k = min(order - 1, n - 1), so tiny waves fall back to a
-    lower order.  One collocation matrix per wave, one stacked solve.
+    ``u`` and ``values`` hold the waves' sites and values end to end and
+    ``lengths`` the sample count of each wave; returns (waves, points).
+    Each wave's collocation matrix has lower and upper bandwidth k, so the
+    batch is one block-diagonal banded system of the same bandwidth, solved
+    by one LAPACK ``gbsv`` call (the solve ``make_interp_spline`` runs per
+    wave): time and memory are linear in the number of samples.
     """
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(values))):
         raise ValueError("wave times and values must be finite")
-    if np.any(np.diff(u, axis=1) <= 0.0):
+    n_waves, n_sites = lengths.size, u.size
+    wave = np.repeat(np.arange(n_waves), lengths)
+    if np.any(np.diff(u)[wave[:-1] == wave[1:]] <= 0.0):
         raise ValueError("wave times must be strictly increasing")
-    g, n = u.shape
-    k = min(order - 1, n - 1)
-    knots = _not_a_knot(u, k)
-    rows = np.arange(g)[:, None] * n
-    band = np.arange(-k, 1)[:, None, None]
-    l, basis = _bspline_basis(knots, k, u)
-    colloc = np.zeros((g, n, n))
-    colloc.reshape(g * n, n)[rows + np.arange(n), l + band] = basis
-    coef = np.linalg.solve(colloc, values[..., None])[..., 0]
-    l, basis = _bspline_basis(knots, k, np.broadcast_to(points, (g, points.size)))
-    return np.sum(basis * np.take(coef, rows + l + band), axis=0)
+    knots, knot_wave, kstart, inner = _not_a_knot(u, lengths, k)
+    # the data sites, then the common grid of every wave
+    x = np.concatenate([u, np.tile(points, n_waves)])
+    xw = np.concatenate([wave, np.repeat(np.arange(n_waves), points.size)])
+    # Knot interval l, knots[l] <= x < knots[l + 1] (the last one closed): k
+    # plus the wave's interior knots at or below x, counted by one binary
+    # search over (wave, knot) pairs, which complex numbers order
+    # lexicographically (wave + 1j * knot is exact).
+    n_inner = lengths - k - 1
+    below = np.searchsorted(knot_wave[inner] + 1j * knots[inner], xw + 1j * x, "right")
+    l = kstart[xw] + k + below - (np.cumsum(n_inner) - n_inner)[xw]
+    basis = _bspline_basis(knots, k, l, x)
+    # column of B_{l-k+a} in the stacked system
+    offset = np.cumsum(lengths) - lengths - kstart - k
+    cols = l + offset[xw] + np.arange(k + 1)[:, None]
+    ab = np.zeros((2 * k + 1, n_sites))
+    ab[k + np.arange(n_sites) - cols[:, :n_sites], cols[:, :n_sites]] = basis[:, :n_sites]
+    coef = scipy.linalg.solve_banded((k, k), ab, values, check_finite=False)
+    dense = np.sum(basis[:, n_sites:] * coef[cols[:, n_sites:]], axis=0)
+    return dense.reshape(n_waves, points.size)
 
 
 def register_wave(w: WaveRecord, spec: RegistrationSpec) -> WaveRecord:
@@ -225,11 +245,12 @@ def register_wave(w: WaveRecord, spec: RegistrationSpec) -> WaveRecord:
     than the spline order use a reduced interpolation order.
     """
     grid, projector = _registration_basis(spec)
-    t, v = w.raw_times[None, :], w.raw_values[None, :]
-    u, frac, has_up = _warp_times(t, v, spec.constrain_upcross)
+    n = np.array([w.raw_times.size])
+    u, frac, has_up = _warp_times(w.raw_times, w.raw_values, n, spec.constrain_upcross)
     if spec.constrain_upcross and not has_up[0]:
         raise NoUpcrossing("wave never rises above the mean level")
-    fitted = _interpolate(u, v, spec.spline_order, grid.points) @ projector.T
+    k = min(spec.spline_order - 1, n[0] - 1)
+    fitted = _interpolate(u, w.raw_values, n, k, grid.points) @ projector.T
     return replace(w, registered=Curve(grid, fitted[0]), upcross_fraction=float(frac[0]))
 
 
@@ -243,25 +264,28 @@ def register_sample(
 
     Waves with fewer than ``min_interior`` interior samples, and waves
     without an upcrossing when one is required, are dropped; the count of
-    dropped waves is returned alongside the sample.  Waves of equal sample
-    count are interpolated together; rows keep the input order.
+    dropped waves is returned alongside the sample.  Waves of equal spline
+    degree are interpolated together, in batches of about
+    ``REGISTER_POINTS`` samples and grid points; rows keep the input order.
     """
     grid, projector = _registration_basis(spec)
     sizes = np.array([w.raw_times.size for w in waves], dtype=int)
     keep = sizes - 2 >= min_interior
+    degree = np.minimum(spec.spline_order - 1, sizes - 1)
     dense = np.empty((sizes.size, spec.n_grid))
     fracs = np.empty(sizes.size)
-    for n in np.unique(sizes[keep]):
-        group = np.flatnonzero(keep & (sizes == n))
-        for lo in range(0, group.size, REGISTER_CHUNK):
-            rows = group[lo:lo + REGISTER_CHUNK]
-            t = np.stack([waves[i].raw_times for i in rows])
-            v = np.stack([waves[i].raw_values for i in rows])
-            u, fracs[rows], has_up = _warp_times(t, v, spec.constrain_upcross)
+    for k in np.unique(degree[keep]):
+        group = np.flatnonzero(keep & (degree == k))
+        batch = (np.cumsum(sizes[group] + spec.n_grid) - 1) // REGISTER_POINTS
+        for rows in np.split(group, np.flatnonzero(np.diff(batch)) + 1):
+            t = np.concatenate([waves[i].raw_times for i in rows])
+            v = np.concatenate([waves[i].raw_values for i in rows])
+            u, fracs[rows], has_up = _warp_times(t, v, sizes[rows], spec.constrain_upcross)
             if spec.constrain_upcross:
                 keep[rows[~has_up]] = False
-                rows, u, v = rows[has_up], u[has_up], v[has_up]
-            dense[rows] = _interpolate(u, v, spec.spline_order, grid.points)
+                inside = np.repeat(has_up, sizes[rows])
+                rows, u, v = rows[has_up], u[inside], v[inside]
+            dense[rows] = _interpolate(u, v, sizes[rows], k, grid.points)
     kept = np.flatnonzero(keep)
     if not kept.size:
         raise NoWaves("no waves survived registration")

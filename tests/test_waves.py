@@ -1,5 +1,7 @@
 """Downcrossing segmentation, registration to [0, 1], and normalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,9 +184,8 @@ class TestRegisterWave:
         t = np.linspace(0.0, 1.0, 201)
         v = np.where(t <= 0.4, -np.sin(np.pi * t / 0.4), np.sin(np.pi * (t - 0.4) / 0.6))
         wave = WaveRecord(t, v, 1.0)
-        u, frac, has_up = _warp_times(t[None, :], v[None, :], True)
+        u, frac, has_up = _warp_times(t, v, np.array([t.size]), True)
         assert has_up[0] and frac[0] == 0.5
-        u = u[0]
         t_up = 0.4
 
         def analytic(ti):
@@ -253,12 +254,52 @@ class TestBatchedRegistration:
             assert np.array_equal(w.registered.values, row)
             assert w.upcross_fraction == frac or (np.isnan(frac) and np.isnan(w.upcross_fraction))
 
+    @pytest.mark.parametrize("spec", [
+        RegistrationSpec(), RegistrationSpec(spline_order=5, constrain_upcross=True),
+    ])
+    @pytest.mark.parametrize("budget", [waves_module.REGISTER_POINTS, 300])
+    def test_long_waves_match_oracle(self, monkeypatch, spec, budget):
+        # waves of a few hundred samples, as records sampled at 64 Hz give;
+        # a budget of 300 points puts every wave in a batch of its own
+        monkeypatch.setattr(waves_module, "REGISTER_POINTS", budget)
+        waves = random_waves(np.random.default_rng(8), [400, 650, 3, 400, 512])
+        expected = [spline_oracle(w, spec) for w in waves]
+        kept = [e for e in expected if e is not None]
+        sample, registered, dropped = register_sample(waves, spec, min_interior=0)
+        assert dropped == len(waves) - len(kept)
+        for row, w, (values, frac) in zip(sample.values, registered, kept):
+            assert np.max(np.abs(row - values)) <= 1e-10 * np.max(np.abs(values))
+            assert w.upcross_fraction == frac or (np.isnan(frac) and np.isnan(w.upcross_fraction))
+
+    def test_upcrossing_stays_inside_its_wave(self):
+        # the step from one wave's last sample (below zero) to the next
+        # wave's first (above it) is no upcrossing of either wave
+        below = WaveRecord(np.linspace(0.0, 10.0, 8), -np.linspace(1.0, 2.0, 8), 10.0)
+        above = WaveRecord(np.linspace(1.0, 5.0, 8), np.linspace(1.0, 2.0, 8), 4.0)
+        spec = RegistrationSpec(constrain_upcross=True)
+        with pytest.raises(NoWaves):
+            register_sample([below, above], spec, min_interior=0)
+        _, registered, dropped = register_sample([below, above], RegistrationSpec())
+        assert dropped == 0
+        assert all(np.isnan(w.upcross_fraction) for w in registered)
+
+    def test_memory_is_linear_in_wave_length(self):
+        # a dense collocation matrix for 4000 samples alone takes 128 MB
+        wave = random_waves(np.random.default_rng(9), [4000])[0]
+        tracemalloc.start()
+        try:
+            register_wave(wave, RegistrationSpec())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_rows_follow_input_order_with_mixed_sizes(self, monkeypatch):
         waves = random_waves(np.random.default_rng(21), [12, 7, 30, 12, 9, 7, 2, 12, 12, 7])
         spec = RegistrationSpec()
         whole, _, _ = register_sample(waves, spec, min_interior=0)
-        # four waves of 12 samples split across two batches
-        monkeypatch.setattr(waves_module, "REGISTER_CHUNK", 3)
+        # the nine waves of degree 5 split across batches of two or three
+        monkeypatch.setattr(waves_module, "REGISTER_POINTS", 3 * (12 + spec.n_grid))
         sample, registered, dropped = register_sample(waves, spec, min_interior=0)
         assert dropped == 0
         assert np.array_equal(sample.values, whole.values)

@@ -89,6 +89,7 @@ class TestResult:
             "p_asymptotic": self.p_asymptotic,
             "p_resampled": self.p_resampled,
             "n_resamples": self.n_resamples,
+            "n_failed_resamples": self.n_failed_resamples,
             "scheme": (self.scheme or {}).get("scheme"),
             "params": (self.scheme or {}).get("params"),
             "seed": self.seed,
@@ -166,6 +167,49 @@ def quadratic_form(eta: np.ndarray, cov: np.ndarray) -> float:
         raise SingularCovariance(f"factorization failed: {exc}") from exc
     solved = scipy.linalg.cho_solve(factor, eta)
     return float(max(eta @ solved, 0.0))
+
+
+def qn_batch(scores: np.ndarray, m: int) -> np.ndarray:
+    """Qn of the (m, N - m) row split of every score matrix in a (C, N, k) stack.
+
+    The same statistic as `qn_statistic` on each matrix, with the same
+    failure rule: a matrix whose pooled covariance has condition number
+    above CONDITION_BOUND (or not finite), or fails its Cholesky
+    factorization, gives NaN.  Non-finite scores raise ValueError.
+    """
+    scores = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    N = scores.shape[1]
+    n = N - m
+    if m < 2 or n < 2:
+        raise TooFewCurves("sample covariances need at least two curves per sample")
+    sx, sy = scores[:, :m], scores[:, m:]
+    mean_x, mean_y = sx.mean(axis=1), sy.mean(axis=1)
+    eta = np.sqrt(N) * (mean_x - mean_y)
+    cx, cy = sx - mean_x[:, None], sy - mean_y[:, None]
+    scatter = np.swapaxes(cx, 1, 2) @ cx + np.swapaxes(cy, 1, 2) @ cy
+    pooled = (N / m + N / n) / (N - 2) * scatter
+    pooled = 0.5 * (pooled + np.swapaxes(pooled, 1, 2))
+    cond = np.linalg.cond(pooled)
+    ok = np.flatnonzero(np.isfinite(cond) & (cond <= CONDITION_BOUND))
+    try:
+        chol = np.linalg.cholesky(pooled[ok])
+    except np.linalg.LinAlgError:  # some matrix does not factor: find which
+        ok = np.array([i for i in ok if _factors(pooled[i])], dtype=int)
+        chol = np.linalg.cholesky(pooled[ok])
+    out = np.full(scores.shape[0], np.nan)
+    # eta' C^-1 eta = |L^-1 eta|^2 with C = L L'
+    out[ok] = np.sum(np.linalg.solve(chol, eta[ok][..., None])[..., 0] ** 2, axis=-1)
+    return out
+
+
+def _factors(matrix: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def chi_square_sf(q: float, k: int) -> float:

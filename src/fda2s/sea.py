@@ -248,6 +248,56 @@ class GaussianSynthesizer:
             spectrum[:, -1] = self.n * a[:, -1]
         return np.fft.irfft(spectrum, self.n, axis=1)
 
+    def autocovariances(self, std: np.ndarray, rngs, n_records: int,
+                        max_lag: int) -> np.ndarray:
+        """Biased autocovariances c(0..max_lag) of the records `simulate` draws.
+
+        ``std`` is the square root of `amplitude_variances`; each generator
+        in ``rngs`` makes the draw `simulate` makes for ``n_records``
+        records.  Returns shape (len(rngs), n_records, max_lag + 1).  No
+        record is built: with a_k, b_k the scaled amplitudes, the
+        mean-removed record is x_t = sum_{k>=1} a_k cos(w_k t) + b_k sin(w_k t)
+        (only a_k (-1)^t at an even n's Nyquist cell), so its circular
+        autocovariance is sum_k (a_k^2 + b_k^2)/2 cos(w_k h) (a_k^2 at
+        Nyquist); the biased one drops the h wrapped products
+        x_{s-h} x_s, s < h, which need x_t for |t| <= max_lag only.
+        """
+        z = np.empty((len(rngs), 2, n_records, std.size))
+        for rng, out in zip(rngs, z):
+            rng.standard_normal(out=out)
+        # a = z[:, 0] * std and b = z[:, 1] * std; the scaling goes into the tables
+        cos, sin = _lag_tables(self.n, max_lag)
+        even = z[:, 0] @ (std[:, None] * cos)  # x_t = even_t + odd_t, x_-t = even_t - odd_t
+        odd = z[:, 1] @ (std[:, None] * sin)
+        np.square(z, out=z)
+        power = z[:, 0] + z[:, 1]
+        if self.n % 2 == 0:
+            power[..., -1] = 2.0 * z[:, 0, :, -1]
+        # wrapped[h] = sum_s tail[max_lag - h + s] head[s] over the samples
+        # tail = x_-L..x_-1 and head = x_0..x_L-1: a Toeplitz product
+        tail = (even[..., 1:] - odd)[..., ::-1]
+        head = np.concatenate([even[..., :1], even[..., 1:max_lag] + odd[..., :-1]], axis=-1)
+        padded = np.concatenate([tail, np.zeros_like(tail)], axis=-1)
+        toeplitz = np.lib.stride_tricks.sliding_window_view(padded, max_lag, axis=-1)
+        wrapped = np.einsum("...hs,...s->...h", toeplitz[..., ::-1, :], head)
+        return power @ ((0.5 * std**2)[:, None] * cos) - wrapped / self.n
+
+
+@lru_cache(maxsize=16)
+def _lag_tables(n: int, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(2 pi k h / n) for h = 0..max_lag and sin(2 pi k h / n) for
+    h = 1..max_lag, k = 0..n//2, read-only.  Rows that drop a term are 0:
+    k = 0 (the record mean, which the autocovariances remove) and an even
+    n's Nyquist sine (`irfft` ignores that cell's imaginary part)."""
+    phase = 2.0 * np.pi / n * (np.outer(np.arange(n // 2 + 1), np.arange(max_lag + 1)) % n)
+    cos, sin = np.cos(phase), np.sin(phase[:, 1:])
+    cos[0] = 0.0
+    if n % 2 == 0:
+        sin[-1] = 0.0
+    cos.flags.writeable = False
+    sin.flags.writeable = False
+    return cos, sin
+
 
 def simulate_gaussian(
     s: SpectralDensity,
@@ -321,30 +371,44 @@ def _parzen_map(fs: float, parzen_L: int, n_freq: int) -> tuple[Grid, np.ndarray
     return grid, table
 
 
+def check_lag_window(n_samples: int, parzen_L: int):
+    """Reject a Parzen window length below 1 or not below half the record."""
+    if parzen_L < 1:
+        raise InvalidParams("Parzen window length must be >= 1")
+    if n_samples <= 2 * parzen_L:
+        raise RecordTooShort(
+            f"record of {n_samples} samples too short for Parzen length {parzen_L}"
+        )
+
+
 def estimate_spectra(
     rows: np.ndarray, fs: float, parzen_L: int = 60, n_freq: int = 481
 ) -> tuple[Grid, np.ndarray]:
     """Vectorized Parzen estimates for a batch of records (one per row)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    n = rows.shape[1]
-    if parzen_L < 1:
-        raise InvalidParams("Parzen window length must be >= 1")
-    if n <= 2 * parzen_L:
-        raise RecordTooShort(
-            f"record of {n} samples too short for Parzen length {parzen_L}"
-        )
-    acov = _autocovariances(rows, parzen_L)
-    grid, table = _parzen_map(float(fs), int(parzen_L), int(n_freq))
+    check_lag_window(rows.shape[1], parzen_L)
+    return parzen_estimates(_autocovariances(rows, parzen_L), fs, n_freq)
+
+
+def parzen_estimates(acov: np.ndarray, fs: float, n_freq: int) -> tuple[Grid, np.ndarray]:
+    """Parzen estimates from autocovariances c(0..L) in the last axis.
+
+    ``acov`` holds one batch of rows (R, L+1) or a stack of batches
+    (C, R, L+1); a batch whose estimate is negative beyond round-off of its
+    own largest value raises `NegativeEstimate`.  The estimate is clipped
+    at 0 and rescaled so that its integral equals c(0) exactly.
+    """
+    grid, table = _parzen_map(float(fs), acov.shape[-1] - 1, int(n_freq))
     s = acov @ table
-    floor = -1e-12 * (1.0 + np.max(np.abs(s)))
-    if np.min(s) < floor:
+    floor = -1e-12 * (1.0 + np.max(np.abs(s), axis=(-2, -1), keepdims=True))
+    if np.any(s < floor):
         raise NegativeEstimate(f"Parzen estimate {np.min(s):.3e} is negative beyond round-off")
     s = np.clip(s, 0.0, None)
     # Exact variance normalization removes any residual convention slack.
-    variance = acov[:, 0]
+    variance = acov[..., 0]
     integrals = s @ grid.weights
     scale = np.where(integrals > 0, variance / np.where(integrals > 0, integrals, 1.0), 0.0)
-    return grid, s * scale[:, None]
+    return grid, s * scale[..., None]
 
 
 def default_frequency_grid(fs: float, tp: float | None = None, n_freq: int = 481) -> Grid:

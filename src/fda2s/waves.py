@@ -9,14 +9,15 @@ clamped B-spline basis with endpoints held at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
 from .bsplines import basis_matrix, equidistant_spec
 from .errors import NoUpcrossing, NoWaves, ZeroVariance
-from .grids import Curve, FunctionalSample, Interval, uniform_grid
+from .grids import Curve, FunctionalSample, Grid, Interval, _unchecked, uniform_grid
 from .sea import TimeSeriesRecord
 
 # Wave samples plus common-grid points per registration batch; bounds the
@@ -69,6 +70,12 @@ class WaveRecord:
     def n_interior(self) -> int:
         return self.raw_times.size - 2
 
+    def _registered(self, curve: Curve, upcross_fraction: float) -> "WaveRecord":
+        """This wave with its registered curve; the validated raw arrays are
+        shared, not copied and checked again."""
+        return _unchecked(WaveRecord, **{**vars(self), "registered": curve,
+                                         "upcross_fraction": upcross_fraction})
+
 
 def downcrossings(rec: TimeSeriesRecord, level: float) -> np.ndarray:
     """Interpolated times where the record crosses `level` from above.
@@ -112,12 +119,16 @@ def segment_waves(rec: TimeSeriesRecord) -> list[WaveRecord]:
     return waves
 
 
-def _registration_basis(spec: RegistrationSpec):
+@lru_cache(maxsize=16)
+def _registration_basis(spec: RegistrationSpec) -> tuple[Grid, np.ndarray]:
+    """Common grid and the read-only least-squares projector onto the spline
+    basis with both end coefficients pinned to 0, built once per spec."""
     grid = uniform_grid(Interval(0.0, 1.0), spec.n_grid)
     bspec = equidistant_spec(Interval(0.0, 1.0), spec.spline_order, spec.n_knots)
     design = basis_matrix(bspec, grid.points)[:, 1:-1]  # end coefficients pinned to 0
     gram = design.T @ design
     projector = design @ np.linalg.solve(gram, design.T)
+    projector.flags.writeable = False
     return grid, projector
 
 
@@ -251,7 +262,7 @@ def register_wave(w: WaveRecord, spec: RegistrationSpec) -> WaveRecord:
         raise NoUpcrossing("wave never rises above the mean level")
     k = min(spec.spline_order - 1, n[0] - 1)
     fitted = _interpolate(u, w.raw_values, n, k, grid.points) @ projector.T
-    return replace(w, registered=Curve(grid, fitted[0]), upcross_fraction=float(frac[0]))
+    return w._registered(Curve(grid, fitted[0]), float(frac[0]))
 
 
 def register_sample(
@@ -289,12 +300,13 @@ def register_sample(
     kept = np.flatnonzero(keep)
     if not kept.size:
         raise NoWaves("no waves survived registration")
-    fitted = dense[kept] @ projector.T
+    sample = FunctionalSample(grid, dense[kept] @ projector.T, label)
+    # the curves are the sample's validated, read-only rows
     registered = [
-        replace(waves[i], registered=Curve(grid, row), upcross_fraction=float(fracs[i]))
-        for i, row in zip(kept, fitted)
+        waves[i]._registered(_unchecked(Curve, grid=grid, values=row), float(fracs[i]))
+        for i, row in zip(kept, sample.values)
     ]
-    return FunctionalSample(grid, fitted, label), registered, sizes.size - kept.size
+    return sample, registered, sizes.size - kept.size
 
 
 def normalize_sample(

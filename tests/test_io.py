@@ -132,7 +132,7 @@ class TestReports:
         payload = json.loads(format_test_result(res))
         assert set(payload) == {
             "qn", "k", "p_asymptotic", "p_resampled", "n_resamples",
-            "scheme", "params", "seed", "m", "n",
+            "n_failed_resamples", "scheme", "params", "seed", "m", "n",
         }
         assert payload["m"] == 2 and payload["n"] == 2
 

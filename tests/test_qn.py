@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from fda2s import (
@@ -21,6 +23,7 @@ from fda2s import (
     uniform_grid,
 )
 from fda2s.errors import DimensionMismatch, InvalidDF, SingularCovariance, TooFewCurves
+from fda2s.qn import qn_batch
 
 from conftest import random_sample_pair, smooth_curves
 
@@ -210,6 +213,116 @@ class TestInvariances:
         qs = np.arange(0.0, 12.0, 0.5)
         ps = [chi_square_sf(float(q), 3) for q in qs]
         assert np.all(np.diff(ps) < 0)
+
+
+def per_matrix_qn(scores, m):
+    """qn_statistic on each matrix of a (C, N, k) stack; NaN where it raises."""
+    out = []
+    for s in scores:
+        try:
+            out.append(qn_statistic(ScoreMatrix(s[:m]), ScoreMatrix(s[m:])).qn)
+        except SingularCovariance:
+            out.append(np.nan)
+    return np.array(out)
+
+
+class TestQnBatch:
+    def test_matches_qn_statistic_per_matrix(self, rng):
+        for m, n, k in [(2, 2, 1), (5, 4, 3), (10, 10, 8), (3, 12, 6)]:
+            scores = rng.normal(size=(7, m + n, k)) * rng.uniform(0.1, 10.0, k)
+            want = per_matrix_qn(scores, m)
+            got = qn_batch(scores, m)
+            assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(want, 1.0))
+
+    def test_singular_matrices_give_nan(self, rng):
+        scores = rng.normal(size=(4, 9, 3))
+        scores[1, :, 2] = scores[1, :, 0]  # two equal columns: singular
+        scores[3] = 1.0  # no spread at all
+        scores[2, :, 1] = scores[2, :, 0] * (1.0 + 1e-9)  # condition ~1e19
+        got = qn_batch(scores, 4)
+        assert np.array_equal(np.isnan(got), [False, True, True, True])
+        assert np.array_equal(np.isnan(per_matrix_qn(scores, 4)), np.isnan(got))
+
+    def test_failed_factorization_gives_nan(self, monkeypatch, rng):
+        scores = rng.normal(size=(3, 8, 2))
+        scores[1] *= 1e3  # the only pooled covariance with entries above 1e4
+        want = qn_batch(scores, 4)
+        cholesky = np.linalg.cholesky
+
+        def fails_on_large(a):
+            if np.any(a[..., 0, 0] > 1e4):
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails_on_large)
+        got = qn_batch(scores, 4)
+        assert np.isnan(got[1]) and not np.isnan(want[1])
+        assert got[0] == want[0] and got[2] == want[2]
+
+    def test_nonfinite_scores_rejected(self, rng):
+        scores = rng.normal(size=(2, 6, 2))
+        scores[1, 3, 0] = np.inf
+        with pytest.raises(ValueError):
+            qn_batch(scores, 3)
+
+
+@st.composite
+def score_stacks(draw):
+    """A (C, N, k) stack of well-spread random scores and the split size m."""
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(max(2, k + 1 - m + 2), 10))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** data.uniform(-2, 2, k)
+    return data.normal(size=(3, m + n, k)) * scale, m, data
+
+
+INVARIANCE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def both_statistics(scores, m):
+    return per_matrix_qn(scores, m), qn_batch(scores, m)
+
+
+def assert_same_qn(got, want, rtol):
+    assert np.all(np.abs(got - want) <= rtol * np.maximum(np.abs(want), 1.0))
+
+
+class TestInvarianceProperties:
+    """Qn is a function of the two samples' score clouds up to affine maps."""
+
+    @INVARIANCE
+    @given(score_stacks())
+    def test_sample_swap(self, stack):
+        scores, m, _ = stack
+        swapped = np.concatenate([scores[:, m:], scores[:, :m]], axis=1)
+        n = scores.shape[1] - m
+        for before, after in zip(both_statistics(scores, m), both_statistics(swapped, n)):
+            assert_same_qn(after, before, 1e-10)
+
+    @INVARIANCE
+    @given(score_stacks())
+    def test_common_shift(self, stack):
+        scores, m, data = stack
+        shift = data.normal(size=scores.shape[2]) * 10.0 * scores.std(axis=(0, 1))
+        for before, after in zip(both_statistics(scores, m),
+                                 both_statistics(scores + shift, m)):
+            assert_same_qn(after, before, 1e-9)
+
+    @INVARIANCE
+    @given(score_stacks())
+    def test_invertible_recombination(self, stack):
+        scores, m, data = stack
+        k = scores.shape[2]
+        while True:
+            B = data.normal(size=(k, k))
+            if np.linalg.cond(B) <= 1e3:
+                break
+        # mixes columns of unequal scale into ones of comparable scale
+        A = B / scores.std(axis=(0, 1))[:, None]
+        for before, after in zip(both_statistics(scores, m),
+                                 both_statistics(scores @ A, m)):
+            assert_same_qn(after, before, 1e-8)
 
 
 class TestNullCalibration:

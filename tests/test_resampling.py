@@ -28,10 +28,17 @@ from fda2s import (
     default_frequency_grid,
     uniform_grid,
 )
-from fda2s.errors import SingularCovariance, TooFewReplicates
+from fda2s import resampling
+from fda2s.errors import (
+    InvalidParams,
+    NegativeEstimate,
+    RecordTooShort,
+    SingularCovariance,
+    TooFewReplicates,
+)
 from fda2s.grids import sample_inner_products
 from fda2s.projections import trig_g_functions
-from fda2s.resampling import PERMUTATION_CHUNK, _SplitStatistic
+from fda2s.resampling import PERMUTATION_CHUNK, SPECTRAL_MC_CHUNK, _SplitStatistic
 from fda2s.rng import substream
 from fda2s.sea import GaussianSynthesizer, estimate_spectra
 
@@ -258,7 +265,7 @@ class TestSpectralMcNull:
     def test_deterministic_across_thread_counts(self):
         spectra = self._spectra(8, 900.0, 10)
         sim = SimConfig(duration=900.0, fs=1.28, parzen_L=60, n_freq=481)
-        plan = ResamplingPlan("spectral-mc", 16, 21, (4, 4))
+        plan = ResamplingPlan("spectral-mc", 4 * SPECTRAL_MC_CHUNK + 1, 21, (4, 4))
         for text in ("indicator:k=3", "pca:d=2"):
             basis = BasisSpec.parse(text)
             serial = spectral_mc_null(spectra[:4], spectra[4:], sim, basis, plan, n_jobs=1)
@@ -269,7 +276,7 @@ class TestSpectralMcNull:
     def test_replicate_matches_its_definition(self, basis):
         spectra = self._spectra(10, 600.0, 40)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
-        plan = ResamplingPlan("spectral-mc", 4, 9, (5, 5))
+        plan = ResamplingPlan("spectral-mc", SPECTRAL_MC_CHUNK + 2, 9, (5, 5))  # 2 in a partial chunk
         basis = BasisSpec.parse(basis)
         null = spectral_mc_null(spectra[:5], spectra[5:], sim, basis, plan)
         assert null.n_failed == 0
@@ -282,6 +289,38 @@ class TestSpectralMcNull:
             scores = sample_inner_products(joint, basis.build(joint).functions)
             qn = qn_statistic(ScoreMatrix(scores[:5]), ScoreMatrix(scores[5:])).qn
             assert null.values[r] == pytest.approx(qn, rel=1e-10)
+
+
+    def test_chunk_size_does_not_change_values(self, monkeypatch):
+        spectra = self._spectra(6, 600.0, 60)
+        sim = SimConfig(duration=600.0, fs=1.28, parzen_L=40, n_freq=241)
+        plan = ResamplingPlan("spectral-mc", 7, 3, (3, 3))
+        basis = BasisSpec.parse("indicator:k=2")
+        values = []
+        for chunk in (1, 3, 7):
+            monkeypatch.setattr(resampling, "SPECTRAL_MC_CHUNK", chunk)
+            values.append(spectral_mc_null(spectra[:3], spectra[3:], sim, basis, plan).values)
+        assert np.array_equal(values[0], values[1]) and np.array_equal(values[0], values[2])
+
+    def test_negative_estimate_raises(self, monkeypatch):
+        # c(0) = 0, c(1) = 1 gives a density proportional to cos(omega dt)
+        def acov(self, std, rngs, n_records, max_lag):
+            return np.broadcast_to(np.eye(1, max_lag + 1, 1), (len(rngs), n_records, max_lag + 1))
+
+        monkeypatch.setattr(GaussianSynthesizer, "autocovariances", acov)
+        spectra = self._spectra(4, 600.0, 70)
+        sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
+        plan = ResamplingPlan("spectral-mc", 3, 1, (2, 2))
+        with pytest.raises(NegativeEstimate):
+            spectral_mc_null(spectra[:2], spectra[2:], sim, BasisSpec.parse("indicator:k=2"), plan)
+
+    def test_window_longer_than_half_the_record_rejected(self):
+        spectra = self._spectra(4, 600.0, 70)
+        plan = ResamplingPlan("spectral-mc", 3, 1, (2, 2))
+        for L, error in ((0, InvalidParams), (400, RecordTooShort)):
+            sim = SimConfig(duration=600.0, fs=1.28, parzen_L=L, n_freq=481)
+            with pytest.raises(error):
+                spectral_mc_null(spectra[:2], spectra[2:], sim, BasisSpec.parse("indicator:k=2"), plan)
 
 
 class TestQuantileTable:

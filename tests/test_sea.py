@@ -16,6 +16,7 @@ from fda2s import (
     simulate_gaussian,
     torsethaugen_spectrum,
 )
+from fda2s.rng import substream
 from fda2s.errors import (
     InvalidParams,
     NegativeEstimate,
@@ -130,6 +131,46 @@ class TestSimulateGaussian:
         s = SpectralDensity(Grid(np.linspace(0.0, 1.0, 11)), np.ones(11))
         with pytest.raises(InvalidParams):
             simulate_gaussian(s, 0.1, 2.0, seed=0)
+
+
+class TestSimulatedAutocovariances:
+    """Lag-domain autocovariances against those of the records `simulate` makes."""
+
+    @staticmethod
+    def _spectra(fs):
+        # a flat band (every cell, Nyquist included) and a peaked sea spectrum
+        flat = SpectralDensity(Grid(np.linspace(0.0, np.pi * fs, 65)), np.ones(65))
+        sea_state = torsethaugen_spectrum(
+            TorsethaugenParams(2.0, 4.0), default_frequency_grid(fs, tp=4.0))
+        return flat, sea_state
+
+    @pytest.mark.parametrize("n", [2304, 2303, 200, 201])
+    @pytest.mark.parametrize("L", [1, 60, "half"])
+    def test_match_the_simulated_records(self, n, L):
+        fs = 1.28
+        L = (n - 1) // 2 if L == "half" else L
+        synth = sea.GaussianSynthesizer(n, fs)
+        for s in self._spectra(fs):
+            std = np.sqrt(synth.amplitude_variances(s))
+            got = synth.autocovariances(std, [substream(5, r) for r in range(3)], 4, L)
+            want = np.stack([
+                sea._autocovariances(synth.simulate(s, substream(5, r), 4), L)
+                for r in range(3)
+            ])
+            assert got.shape == (3, 4, L + 1)
+            assert np.max(np.abs(got - want)) <= 1e-12 * want[..., 0].max()
+
+    def test_each_generator_is_its_own_block(self):
+        synth = sea.GaussianSynthesizer(500, 1.28)
+        std = np.sqrt(synth.amplitude_variances(self._spectra(1.28)[1]))
+        together = synth.autocovariances(std, [substream(2, r) for r in range(5)], 3, 30)
+        one_by_one = [synth.autocovariances(std, [substream(2, r)], 3, 30)[0] for r in range(5)]
+        assert np.array_equal(together, np.stack(one_by_one))
+
+    def test_lag_tables_are_read_only(self):
+        for table in sea._lag_tables(64, 5):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
 
 
 class TestParzenWindow:

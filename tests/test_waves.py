@@ -329,6 +329,39 @@ class TestBatchedRegistration:
             register_wave(bad, RegistrationSpec())
 
 
+class TestRegistrationObjects:
+    def test_projector_is_cached_and_read_only(self):
+        spec = RegistrationSpec(constrain_upcross=True)
+        grid, projector = _registration_basis(spec)
+        assert _registration_basis(RegistrationSpec(constrain_upcross=True))[1] is projector
+        with pytest.raises(ValueError):
+            projector[0, 0] = 1.0
+        wave = random_waves(np.random.default_rng(8), [12])[0]
+        first = register_wave(wave, RegistrationSpec()).registered.values
+        again = register_wave(wave, RegistrationSpec()).registered.values
+        assert np.array_equal(first, again)
+
+    def test_registered_waves_stay_read_only_with_their_values(self):
+        waves = random_waves(np.random.default_rng(9), [3, 9, 14, 2, 11])
+        kept = [w for w in waves if w.n_interior >= 4]
+        copies = [(w.raw_times.copy(), w.raw_values.copy(), w.period) for w in kept]
+        sample, registered, dropped = register_sample(waves, RegistrationSpec())
+        assert dropped == 2 and len(registered) == len(kept)
+        for w, (t, v, period), row, one in zip(registered, copies, sample.values, kept):
+            assert isinstance(w, WaveRecord)
+            assert np.array_equal(w.raw_times, t) and np.array_equal(w.raw_values, v)
+            alone = register_wave(one, RegistrationSpec())
+            assert w.period == period
+            assert np.array_equal(w.upcross_fraction, alone.upcross_fraction, equal_nan=True)
+            assert np.array_equal(w.registered.values, row)
+            assert w.registered.grid is sample.grid
+            for arr in (w.raw_times, w.raw_values, w.registered.values):
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+        # the input waves are left as they were
+        assert all(w.registered is None for w in waves)
+
+
 class TestRegistrationInvariances:
     def test_time_shift_invariance(self):
         rec = simulated_record(seed=7, duration=600.0)

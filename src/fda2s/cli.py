@@ -71,18 +71,34 @@ def _parse_calibration(text: str) -> tuple[str, int]:
     return head, b
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A config-file value converted as the same value on the command line would be."""
+    if action.nargs == 0:  # a flag: only JSON true/false
+        if not isinstance(value, bool):
+            raise FdaError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    if isinstance(value, (bool, list, dict)) or value is None:
+        raise FdaError(f"config key {key!r} must be a string or a number, got {value!r}")
+    convert = action.type or str
+    try:
+        return convert(str(value))
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise FdaError(f"invalid value {value!r} for config key {key!r}") from None
+
+
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
     """Config-file values fill in any argument left at its parser default."""
     if not getattr(args, "config", None):
         return
     with open(args.config, encoding="utf-8") as fh:
         config = json.load(fh)
+    actions = {a.dest: a for a in parser._actions}
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if not hasattr(args, attr) or attr not in actions:
             raise FdaError(f"unknown config key {key!r} for {args.command}")
         if getattr(args, attr) == parser.get_default(attr):
-            setattr(args, attr, value)
+            setattr(args, attr, _config_value(actions[attr], key, value))
 
 
 def cmd_simulate(args, parser) -> int:

@@ -19,7 +19,7 @@ from .errors import SingularCovariance, TooFewReplicates
 from .grids import FunctionalSample, sample_inner_products
 from .projections import BasisSpec, GVector
 from .qn import chi_square_isf, qn_batch
-from .rng import substream
+from .rng import rekeyed, substream
 from .sea import (
     GaussianSynthesizer,
     SpectralDensity,
@@ -181,7 +181,9 @@ def permutation_null(
     per replicate would change nothing.  Replicate r takes the first m
     entries of `substream(seed, r).permutation(N)` as its x-sample and is
     evaluated in closed form from one factorization (`_SplitStatistic`),
-    PERMUTATION_CHUNK replicates at a time.
+    PERMUTATION_CHUNK replicates at a time.  Each chunk builds one
+    generator and re-keys it for each of its replicates (`rekeyed`), which
+    draws the same streams.
     """
     m, n = plan.sizes
     if m + n != joint.n_curves:
@@ -192,7 +194,8 @@ def permutation_null(
     split = _SplitStatistic(sample_inner_products(joint, g.functions), m)
 
     def evaluate(rs: range) -> np.ndarray:
-        x_rows = np.array([substream(plan.seed, r).permutation(split.N)[:m] for r in rs])
+        rng = substream(plan.seed, rs.start)
+        x_rows = np.array([g.permutation(split.N)[:m] for g in rekeyed(rng, rs)])
         return split.values(x_rows)
 
     return _run_replicates(evaluate, plan, n_jobs, PERMUTATION_CHUNK)

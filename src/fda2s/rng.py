@@ -8,18 +8,50 @@ other replicates ran before it or on which thread ran it.
 from __future__ import annotations
 
 import secrets
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+_WORD = 1 << 64
+_ZEROS = (0, 0, 0, 0)
+
+
+def _check_key(seed: int, index: int) -> None:
+    if not (0 <= seed < _WORD and 0 <= index < _WORD):
+        raise ValueError(
+            f"seed and replicate index must lie in [0, 2**64), got {seed} and {index}"
+        )
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one replicate of a seeded run."""
-    if seed < 0 or index < 0:
-        raise ValueError("seed and replicate index must be non-negative")
-    key = [np.uint64(seed & _MASK64), np.uint64(index & _MASK64)]
-    return np.random.Generator(np.random.Philox(key=key))
+    _check_key(seed, index)
+    return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(index)]))
+
+
+def rekeyed(rng: np.random.Generator, indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    """Yield `rng` re-keyed in place as `substream(seed, r)` for each r in `indices`.
+
+    `rng` must be a generator from `substream(seed, ...)`; the seed is read
+    from its key.  A Philox stream is fully set by its state -- counter 0,
+    key [seed, r], an empty buffer and no cached 32-bit half -- so setting
+    that state gives the draws a freshly built `substream(seed, r)` gives,
+    without building a new generator.  The same generator is yielded each
+    time: take all of replicate r's draws before advancing to the next.
+    """
+    bit_generator = rng.bit_generator
+    seed = int(bit_generator.state["state"]["key"][0])
+    for index in indices:
+        _check_key(seed, index)
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZEROS, "key": (seed, index)},
+            "buffer": _ZEROS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def fresh_seed() -> int:

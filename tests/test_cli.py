@@ -52,6 +52,13 @@ class TestSimulate:
         assert run(*args, "-o", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run("simulate", "--hs", 2, "--tp", 4.0, "--duration", 60,
+                   "--seed", 2**64, "-o", out) == 2
+        assert "2**64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_seed_prints_one(self, tmp_path, capsys):
         assert run("simulate", "--hs", 1, "--tp", 5.0, "--duration", 300,
                    "-o", tmp_path / "r.csv") == 0
@@ -111,6 +118,26 @@ class TestSegment:
         assert run("segment", "--input", record_file, "--order", 6,
                    "--knots", 61, "--grid", 101, "-o", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_config_string_value_converts_like_the_option(self, record_file, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": "51", "normalize": True}))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("segment", "--input", record_file, "--config", config, "-o", a) == 0
+        assert run("segment", "--input", record_file, "--grid", 51, "--normalize",
+                   "-o", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert read_functional_sample(a).grid.points.size == 51
+
+    @pytest.mark.parametrize("config", [{"grid": 51.5}, {"normalize": "yes"}])
+    def test_config_value_the_option_rejects_exits_2(self, record_file, tmp_path,
+                                                     capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "w.csv"
+        assert run("segment", "--input", record_file, "--config", path, "-o", out) == 2
+        assert repr(next(iter(config))) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_constrain_upcross(self, record_file, tmp_path):
         out = tmp_path / "waves.csv"
@@ -185,6 +212,37 @@ class TestTest:
         out = tmp_path / "r.json"
         assert run("test", "--x", xp, "--y", yp, "--config", config, "-o", out) == 2
         assert "'basiss'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_string_seed_converts_like_the_option(self, tmp_path, rng):
+        xp, yp = self._write_pair(tmp_path, rng)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": "7"}))
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert run("test", "--x", xp, "--y", yp, "--calibration", "permutation:B=20",
+                   "--config", config, "-o", out1) == 0
+        assert run("test", "--x", xp, "--y", yp, "--calibration", "permutation:B=20",
+                   "--seed", 7, "-o", out2) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("seed", ["abc", 7.5, "7.5", None, [7]])
+    def test_config_seed_the_option_rejects_exits_2(self, tmp_path, rng, capsys, seed):
+        xp, yp = self._write_pair(tmp_path, rng)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": seed}))
+        out = tmp_path / "r.json"
+        assert run("test", "--x", xp, "--y", yp, "--calibration", "permutation:B=20",
+                   "--config", config, "-o", out) == 2
+        assert "'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 5, -1])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, rng, capsys, seed):
+        xp, yp = self._write_pair(tmp_path, rng)
+        out = tmp_path / "r.json"
+        assert run("test", "--x", xp, "--y", yp, "--calibration", "permutation:B=20",
+                   "--seed", seed, "-o", out) == 2
+        assert "2**64" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("basis,key", [

@@ -209,6 +209,23 @@ class TestClosedFormNull:
         assert_matches_oracle(serial.values, oracle)
         assert serial.values.tobytes() == threaded.values.tobytes()
 
+    @settings(PROPERTY, max_examples=5)
+    @given(small_problems())
+    def test_values_bit_identical_to_per_replicate_substreams(self, problem):
+        joint, basis, m, seed = problem
+        plan = ResamplingPlan(
+            "permutation", 2 * PERMUTATION_CHUNK + 5, seed, (m, joint.n_curves - m)
+        )
+        split = _SplitStatistic(sample_inner_products(joint, basis.build(joint).functions), m)
+        x_rows = np.array(
+            [substream(seed, r).permutation(joint.n_curves)[:m] for r in range(plan.B)]
+        )
+        expected = split.values(x_rows)
+        for n_jobs in (1, 3):
+            null = permutation_null(joint, basis, plan, n_jobs=n_jobs)
+            assert null.n_failed == 0
+            assert null.values.tobytes() == expected.tobytes()
+
 
 class TestPermutationPvalue:
     def test_add_one_estimator(self):

@@ -1,0 +1,79 @@
+"""Replicate substreams: range checks and re-keying one generator in place."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fda2s.rng import rekeyed, substream
+
+SEEDS = [0, 1, 2**40 + 3, 2**64 - 1]
+
+
+def draw(rng, kind, size):
+    if kind == "permutation":
+        return rng.permutation(size)
+    if kind == "standard_normal":
+        return rng.standard_normal(size)
+    if kind == "random":
+        return rng.random(size)
+    return rng.integers(0, 2**31 + size, size=size)  # 32-bit draws, half words
+
+
+DRAWS = st.lists(
+    st.tuples(
+        st.integers(0, 2**63),
+        st.sampled_from(["permutation", "standard_normal", "random", "integers"]),
+        st.integers(1, 40),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+class TestRekeyed:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(SEEDS), st.integers(0, 2**63), DRAWS)
+    def test_draws_equal_a_fresh_substream(self, seed, start, replicates):
+        # each replicate's draws leave the buffer and the 32-bit half in
+        # whatever state they happen to; the next re-key must clear it
+        indices = [r for r, _, _ in replicates]
+        for g, (r, kind, size) in zip(rekeyed(substream(seed, start), indices), replicates):
+            got = draw(g, kind, size)
+            want = draw(substream(seed, r), kind, size)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_half_used_word_and_partial_buffer_are_cleared(self, seed):
+        rng = substream(seed, 0)
+        rekeys = rekeyed(rng, [5, 6, 2**63])
+        g = next(rekeys)
+        g.integers(0, 10)  # one 32-bit half of a 64-bit word, three words left
+        state = g.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        for r in (6, 2**63):
+            g = next(rekeys)
+            assert repr(g.bit_generator.state) == repr(substream(seed, r).bit_generator.state)
+            assert g.integers(0, 10, size=5).tobytes() == (
+                substream(seed, r).integers(0, 10, size=5).tobytes())
+            g.standard_normal(3)
+
+    def test_yields_the_same_generator(self):
+        rng = substream(3, 0)
+        assert all(g is rng for g in rekeyed(rng, range(4)))
+
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    def test_index_outside_64_bits_rejected(self, index):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            list(rekeyed(substream(3, 0), [1, index]))
+
+
+class TestSubstream:
+    @pytest.mark.parametrize("seed,index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64),
+                                            (2**64 + 5, 3)])
+    def test_key_outside_64_bits_rejected(self, seed, index):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            substream(seed, index)
+
+    def test_largest_key_accepted(self):
+        key = substream(2**64 - 1, 2**64 - 1).bit_generator.state["state"]["key"]
+        assert key.tolist() == [2**64 - 1, 2**64 - 1]

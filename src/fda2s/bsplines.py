@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import IllConditioned, InvalidOrder, WrongInterval
 from .grids import FunctionalSample, Grid, Interval
@@ -79,61 +78,44 @@ def spec_from_interior_nodes(
     return equidistant_spec(interval, order, interior_nodes + 2)
 
 
+def bspline_values(knots: np.ndarray, k: int, l: np.ndarray, x: np.ndarray):
+    """Values of the degree-k B-splines B_{l-k}, ..., B_l at x (Cox–de Boor).
+
+    ``l`` is the knot interval of each point, knots[l] <= x < knots[l + 1]
+    (de Boor's BSPLVB recursion, *A Practical Guide to Splines*, 1978);
+    returns shape (k + 1, P).
+    """
+    # near[a] = knots[l + 1 - k + a], a = 0 .. 2k - 1
+    near = knots[l + np.arange(1 - k, k + 1)[:, None]]
+    to_right, from_left = near[k:] - x, x - near[:k]
+    vals = np.ones((1,) + x.shape)
+    for j in range(1, k + 1):
+        w = vals / (near[k:k + j] - near[k - j:k])
+        vals = np.empty((j + 1,) + x.shape)
+        np.multiply(w, to_right[:j], out=vals[:-1])
+        vals[-1] = 0.0
+        vals[1:] += w * from_left[k - j:]
+    return vals
+
+
 def basis_matrix(spec: BSplineSpec, x: np.ndarray) -> np.ndarray:
     """Dense matrix of all basis functions evaluated at x: shape (len(x), n_basis).
 
-    The last basis function is set to 1 at the right endpoint (closed
-    interval convention).
+    The last basis function is 1 at the right endpoint (closed interval
+    convention); points that are not finite or lie outside the interval
+    raise ValueError.
     """
     x = np.asarray(x, dtype=float)
-    dm = BSpline.design_matrix(x, spec.knots, spec.degree, extrapolate=False)
-    return dm.toarray()
-
-
-def fit_coefficients(
-    spec: BSplineSpec,
-    x: np.ndarray,
-    data: np.ndarray,
-    weights: np.ndarray | None = None,
-    pin_ends_to_zero: bool = False,
-) -> np.ndarray:
-    """Least-squares spline coefficients for each row of ``data``.
-
-    data is (n_rows, len(x)); returns (n_rows, n_basis).  With
-    ``pin_ends_to_zero`` the first and last coefficients are fixed at 0,
-    which pins the fitted curves to 0 at both interval endpoints.
-    """
-    B = basis_matrix(spec, x)
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if pin_ends_to_zero:
-        Bi = B[:, 1:-1]
-    else:
-        Bi = B
-    if weights is not None:
-        w = np.sqrt(np.asarray(weights, dtype=float))
-        Bw = Bi * w[:, None]
-        yw = data * w
-    else:
-        Bw = Bi
-        yw = data
-    gram = Bw.T @ Bw
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > CONDITION_BOUND:
-        raise IllConditioned(
-            f"normal system condition {cond:.3e} exceeds {CONDITION_BOUND:.0e}"
-        )
-    coef_inner = np.linalg.solve(gram, Bw.T @ yw.T).T
-    if pin_ends_to_zero:
-        coef = np.zeros((data.shape[0], spec.n_basis))
-        coef[:, 1:-1] = coef_inner
-        return coef
-    return coef_inner
-
-
-def evaluate(spec: BSplineSpec, coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate spline(s) with given coefficient rows at points x."""
-    B = basis_matrix(spec, x)
-    return np.atleast_2d(coefficients) @ B.T
+    knots, k = spec.knots, spec.degree
+    if not np.all(np.isfinite(x)):
+        raise ValueError("spline evaluation points must be finite")
+    if np.any((x < knots[0]) | (x > knots[-1])):
+        raise ValueError(f"spline evaluation points outside [{knots[0]}, {knots[-1]}]")
+    # the right endpoint belongs to the last non-empty knot interval
+    l = np.clip(np.searchsorted(knots, x, "right") - 1, k, spec.n_basis - 1)
+    B = np.zeros((x.size, spec.n_basis))
+    B[np.arange(x.size), l - k + np.arange(k + 1)[:, None]] = bspline_values(knots, k, l, x)
+    return B
 
 
 def to_bspline(sample: FunctionalSample, spec: BSplineSpec) -> FunctionalSample:
@@ -148,9 +130,15 @@ def to_bspline(sample: FunctionalSample, spec: BSplineSpec) -> FunctionalSample:
         raise IllConditioned(
             f"{spec.n_basis} basis functions exceed {len(sample.grid)} grid points"
         )
-    coef = fit_coefficients(spec, sample.grid.points, sample.values)
-    values = evaluate(spec, coef, sample.grid.points)
-    return FunctionalSample(sample.grid, values, sample.label)
+    B = basis_matrix(spec, sample.grid.points)
+    gram = B.T @ B
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > CONDITION_BOUND:
+        raise IllConditioned(
+            f"normal system condition {cond:.3e} exceeds {CONDITION_BOUND:.0e}"
+        )
+    coef = np.linalg.solve(gram, B.T @ sample.values.T).T
+    return FunctionalSample(sample.grid, coef @ B.T, sample.label)
 
 
 def basis_sample(spec: BSplineSpec, grid: Grid) -> np.ndarray:

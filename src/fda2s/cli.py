@@ -67,7 +67,15 @@ def _parse_calibration(text: str) -> tuple[str, int]:
         key, _, value = rest.partition("=")
         if key.strip().lower() != "b":
             raise FdaError(f"unknown calibration parameter {key!r}")
-        b = int(value)
+        try:
+            b = int(value)
+        except ValueError:
+            b = 0
+        if b < 1:
+            raise FdaError(
+                f"calibration parameter 'B' must be a positive integer, got {value!r} "
+                f"in {text!r}"
+            )
     return head, b
 
 
@@ -172,8 +180,12 @@ def cmd_test(args, parser) -> int:
     y = io.read_functional_sample(args.y, label="y")
     n_jobs = _threads()
     if method == "spectral-mc":
-        reference = estimator_grid(args.mc_fs, args.mc_nfreq)
-        if not np.allclose(x.grid.points, reference.points, rtol=1e-9, atol=1e-9):
+        reference = estimator_grid(args.mc_fs, args.mc_nfreq).points
+        if not all(
+            len(s.grid) == reference.size
+            and np.allclose(s.grid.points, reference, rtol=1e-9, atol=1e-9)
+            for s in (x, y)
+        ):
             raise FdaError(
                 "spectral-mc inputs must be spectra on the estimator grid "
                 f"[0, pi*{args.mc_fs}] with {args.mc_nfreq} points; "

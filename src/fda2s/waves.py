@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .bsplines import basis_matrix, equidistant_spec
+from .bsplines import basis_matrix, bspline_values, equidistant_spec
 from .errors import NoUpcrossing, NoWaves, ZeroVariance
 from .grids import Curve, FunctionalSample, Grid, Interval, _unchecked, uniform_grid
 from .sea import TimeSeriesRecord
@@ -189,25 +189,6 @@ def _not_a_knot(u: np.ndarray, lengths: np.ndarray, k: int):
     return knots, wave, kstart, (j > k) & (j < n)
 
 
-def _bspline_basis(knots: np.ndarray, k: int, l: np.ndarray, x: np.ndarray):
-    """Values of the degree-k B-splines B_{l-k}, ..., B_l at x (Cox–de Boor).
-
-    ``l`` is the knot interval of each point, knots[l] <= x < knots[l + 1];
-    returns shape (k + 1, P).
-    """
-    # near[a] = knots[l + 1 - k + a], a = 0 .. 2k - 1
-    near = knots[l + np.arange(1 - k, k + 1)[:, None]]
-    to_right, from_left = near[k:] - x, x - near[:k]
-    vals = np.ones((1,) + x.shape)
-    for j in range(1, k + 1):
-        w = vals / (near[k:k + j] - near[k - j:k])
-        vals = np.empty((j + 1,) + x.shape)
-        np.multiply(w, to_right[:j], out=vals[:-1])
-        vals[-1] = 0.0
-        vals[1:] += w * from_left[k - j:]
-    return vals
-
-
 def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
                  k: int, points: np.ndarray) -> np.ndarray:
     """Degree-k not-a-knot interpolants of a batch of waves, evaluated at points.
@@ -236,7 +217,7 @@ def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
     n_inner = lengths - k - 1
     below = np.searchsorted(knot_wave[inner] + 1j * knots[inner], xw + 1j * x, "right")
     l = kstart[xw] + k + below - (np.cumsum(n_inner) - n_inner)[xw]
-    basis = _bspline_basis(knots, k, l, x)
+    basis = bspline_values(knots, k, l, x)
     # column of B_{l-k+a} in the stacked system
     offset = np.cumsum(lengths) - lengths - kstart - k
     cols = l + offset[xw] + np.arange(k + 1)[:, None]

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from fda2s import FunctionalSample, Interval, equidistant_spec, to_bspline, uniform_grid
-from fda2s.bsplines import basis_matrix, fit_coefficients, spec_from_interior_nodes
+from fda2s.bsplines import basis_matrix, spec_from_interior_nodes
 from fda2s.errors import IllConditioned, InvalidOrder, WrongInterval
 
 
@@ -84,10 +87,25 @@ class TestToBspline:
             to_bspline(sample, spec)
 
 
-class TestFitCoefficients:
-    def test_pinned_ends_are_zero(self, rng):
-        grid = unit_grid(101)
-        spec = equidistant_spec(Interval(0.0, 1.0), 6, 31)
-        data = np.sin(np.pi * grid.points) * rng.normal(1.0, 0.1, (4, 1))
-        coef = fit_coefficients(spec, grid.points, data, pin_ends_to_zero=True)
-        assert np.all(coef[:, 0] == 0.0) and np.all(coef[:, -1] == 0.0)
+class TestBasisMatrix:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        order=st.integers(2, 6),
+        n_sites=st.integers(2, 61),
+        a=st.floats(-100.0, 100.0),
+        length=st.floats(1e-3, 1e3),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=40),
+    )
+    def test_matches_scipy_design_matrix(self, order, n_sites, a, length, fractions):
+        spec = equidistant_spec(Interval(a, a + length), order, n_sites)
+        lo, hi = spec.knots[0], spec.knots[-1]
+        # every knot (both endpoints among them) and points anywhere in between
+        x = np.concatenate([spec.knots, np.clip(lo + np.array(fractions) * length, lo, hi)])
+        oracle = BSpline.design_matrix(x, spec.knots, spec.degree, extrapolate=False)
+        np.testing.assert_array_equal(basis_matrix(spec, x), oracle.toarray())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-9, 1.0 + 1e-9])
+    def test_bad_points_rejected(self, bad):
+        spec = equidistant_spec(Interval(0.0, 1.0), 6, 61)
+        with pytest.raises(ValueError):
+            basis_matrix(spec, [0.0, bad, 0.5])

@@ -267,6 +267,45 @@ class TestTest:
         assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["abc", "7.5", "0", "-3"])
+    def test_bad_resample_count_exits_2(self, tmp_path, rng, capsys, value):
+        xp, yp = self._write_pair(tmp_path, rng)
+        out = tmp_path / "r.json"
+        calibration = f"permutation:B={value}"
+        assert run("test", "--x", xp, "--y", yp, "--calibration", calibration,
+                   "--seed", 1, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert "'B'" in err and calibration in err
+        assert not out.exists()
+
+    def test_spectral_mc_on_wave_sample_exits_2(self, record_file, tmp_path, capsys):
+        waves = tmp_path / "waves.csv"
+        assert run("segment", "--input", record_file, "-o", waves) == 0
+        assert read_functional_sample(waves).grid.points.size == 101
+        out = tmp_path / "r.json"
+        assert run("test", "--x", waves, "--y", waves, "--calibration", "spectral-mc:B=2",
+                   "--seed", 1, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert "estimator grid" in err and "broadcast" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("off_grid", ["x", "y"])
+    def test_spectral_mc_checks_both_grids(self, tmp_path, rng, capsys, off_grid):
+        good = sea.estimator_grid(1.28, 481)
+        bad = sea.estimator_grid(2.56, 481)  # same size, other interval
+        paths = {}
+        for name in ("x", "y"):
+            grid = bad if name == off_grid else good
+            paths[name] = tmp_path / f"{name}.csv"
+            write_functional_sample(
+                FunctionalSample(grid, rng.uniform(0.5, 1.5, (3, 481))), paths[name]
+            )
+        out = tmp_path / "r.json"
+        assert run("test", "--x", paths["x"], "--y", paths["y"],
+                   "--calibration", "spectral-mc:B=2", "--seed", 1, "-o", out) == 2
+        assert "estimator grid" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
     def test_bad_thread_count_exits_2(self, tmp_path, rng, monkeypatch, capsys, threads):
         xp, yp = self._write_pair(tmp_path, rng)

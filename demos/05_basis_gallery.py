@@ -32,7 +32,7 @@ for text in ("indicator:k=8", "bspline:order=5,interior=7", "pca:d=2"):
     g = f.BasisSpec.parse(text).build(density_sample)
     scores = f.score_matrix(density_sample, g)
     print(f"{text:26s} k={g.k:2d}  provenance={g.provenance:11s} "
-          f"score row 0: {np.round(scores.scores[0], 4)}")
+          f"score row 0: {np.round(scores[0], 4)}")
 
 # the trigonometric family lives on [0, 1]: demonstrate it on registered waves
 record = f.simulate_gaussian(target, 900.0, FS, seed=77)

@@ -8,37 +8,17 @@ estimation, downcrossing wave extraction and registration).
 
 from .bsplines import BSplineSpec, equidistant_spec, spec_from_interior_nodes, to_bspline
 from .errors import FdaError
-from .grids import (
-    Curve,
-    FunctionalSample,
-    Grid,
-    Interval,
-    inner_product,
-    make_sample,
-    uniform_grid,
-)
+from .grids import FunctionalSample, Grid, Interval, uniform_grid
 from .projections import (
     BasisSpec,
-    FourierCoefficients,
     GVector,
-    PCABasis,
     bspline_basis_g,
     fourier_coefficients,
     indicator_basis,
     pca_basis,
     trig_g_functions,
 )
-from .qn import (
-    PooledCovariance,
-    ScoreMatrix,
-    TestResult,
-    chi_square_isf,
-    chi_square_sf,
-    eta_vector,
-    pooled_covariance,
-    qn_statistic,
-    score_matrix,
-)
+from .qn import TestResult, chi_square_isf, chi_square_sf, qn_statistic, score_matrix
 from .resampling import (
     NullDistribution,
     QuantileTable,
@@ -86,21 +66,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BSplineSpec",
     "BasisSpec",
-    "Curve",
     "FdaError",
-    "FourierCoefficients",
     "FunctionalSample",
     "GVector",
     "GaussianSynthesizer",
     "Grid",
     "Interval",
     "NullDistribution",
-    "PCABasis",
-    "PooledCovariance",
     "QuantileTable",
     "RegistrationSpec",
     "ResamplingPlan",
-    "ScoreMatrix",
     "SimConfig",
     "SpectralDensity",
     "TestResult",
@@ -117,18 +92,14 @@ __all__ = [
     "equidistant_spec",
     "estimate_spectrum",
     "estimator_grid",
-    "eta_vector",
     "fourier_coefficients",
     "fresh_seed",
     "indicator_basis",
-    "inner_product",
-    "make_sample",
     "normalize_sample",
     "parzen_window",
     "pca_basis",
     "permutation_null",
     "permutation_pvalue",
-    "pooled_covariance",
     "qn_statistic",
     "quantile_table",
     "register_sample",

@@ -18,14 +18,19 @@ import numpy as np
 from . import io
 from .errors import FdaError, NoWaves
 from .projections import BasisSpec
-from .resampling import ResamplingPlan, SimConfig, permutation_null, quantile_table
+from .resampling import (
+    ResamplingPlan,
+    SimConfig,
+    check_estimator_grid,
+    permutation_null,
+    quantile_table,
+)
 from .rng import fresh_seed
 from .runner import concatenate_samples, run_test, sample_to_spectra, spectral_mc_test
 from .sea import (
     TorsethaugenParams,
     default_frequency_grid,
     estimate_spectrum,
-    estimator_grid,
     simulate_gaussian,
     torsethaugen_spectrum,
 )
@@ -137,25 +142,7 @@ def cmd_segment(args, parser) -> int:
         n_knots=args.knots,
         constrain_upcross=args.constrain_upcross,
     )
-    if args.register:
-        sample, registered, dropped = register_sample(waves, spec, label="waves")
-        periods = [w.period for w in registered]
-    else:
-        # Raw mode: linear time map onto the common grid, no spline smoothing.
-        grid = np.linspace(0.0, 1.0, args.grid)
-        rows, periods, dropped = [], [], 0
-        for w in waves:
-            if w.n_interior < 4:
-                dropped += 1
-                continue
-            u = (w.raw_times - w.raw_times[0]) / w.period
-            rows.append(np.interp(grid, u, w.raw_values))
-            periods.append(w.period)
-        if not rows:
-            raise NoWaves("no waves survived segmentation")
-        from .grids import FunctionalSample, Grid
-
-        sample = FunctionalSample(Grid(grid), np.asarray(rows), "waves")
+    sample, registered, dropped = register_sample(waves, spec, label="waves")
     if args.normalize:
         sample = normalize_sample(sample, record)
     std = float(np.std(record.values - record.values.mean(), ddof=1))
@@ -163,7 +150,7 @@ def cmd_segment(args, parser) -> int:
     sidecar = {
         "n_waves": sample.n_curves,
         "dropped": dropped,
-        "periods": [float(p) for p in periods],
+        "periods": [float(w.period) for w in registered],
         "record_std": std,
         "hs_interval": 4.0 * std,
     }
@@ -180,19 +167,11 @@ def cmd_test(args, parser) -> int:
     y = io.read_functional_sample(args.y, label="y")
     n_jobs = _threads()
     if method == "spectral-mc":
-        reference = estimator_grid(args.mc_fs, args.mc_nfreq).points
-        if not all(
-            len(s.grid) == reference.size
-            and np.allclose(s.grid.points, reference, rtol=1e-9, atol=1e-9)
-            for s in (x, y)
-        ):
-            raise FdaError(
-                "spectral-mc inputs must be spectra on the estimator grid "
-                f"[0, pi*{args.mc_fs}] with {args.mc_nfreq} points; "
-                "re-estimate with matching --mc-fs/--mc-nfreq"
-            )
-        seed = _resolve_seed(args.seed)
         sim = SimConfig(args.mc_duration, args.mc_fs, args.mc_parzen, args.mc_nfreq)
+        # before the samples become densities, which reject a wave sample's
+        # negative values without naming the grid
+        check_estimator_grid((x.grid, y.grid), sim)
+        seed = _resolve_seed(args.seed)
         result = spectral_mc_test(
             sample_to_spectra(x), sample_to_spectra(y), basis, sim,
             B=B, seed=seed, n_jobs=n_jobs,
@@ -266,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", help="extract and register downcrossing waves")
     p.add_argument("--input", required=True)
-    p.add_argument("--register", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--constrain-upcross", action="store_true")
     p.add_argument("--grid", type=int, default=101, help="common grid size")
     p.add_argument("--order", type=int, default=6, help="spline order")

@@ -100,24 +100,6 @@ def uniform_grid(interval: Interval, n: int) -> Grid:
 
 
 @dataclass(frozen=True, eq=False)
-class Curve:
-    """One real-valued function sampled on a grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _frozen_array(self.values)
-        if vals.ndim != 1 or vals.size != len(self.grid):
-            raise DimensionMismatch(
-                f"curve has {vals.size} values for a grid of {len(self.grid)} points"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteValue("curve values must be finite")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True, eq=False)
 class FunctionalSample:
     """A set of curves sharing one grid, stored as a (n_curves, n_points) matrix."""
 
@@ -148,37 +130,6 @@ class FunctionalSample:
     @property
     def interval(self) -> Interval:
         return self.grid.interval
-
-    def curve(self, i: int) -> Curve:
-        return Curve(self.grid, self.values[i])
-
-    @property
-    def curves(self) -> list[Curve]:
-        return [self.curve(i) for i in range(self.n_curves)]
-
-    def relabeled(self, label: str) -> "FunctionalSample":
-        return FunctionalSample(self.grid, self.values, label)
-
-
-def make_sample(grid: Grid, values, label: str = "") -> FunctionalSample:
-    """Build a FunctionalSample from a matrix with one curve per row."""
-    rows = list(values)
-    for i, row in enumerate(rows):
-        arr = np.asarray(row, dtype=float)
-        if arr.ndim != 1 or arr.size != len(grid):
-            raise DimensionMismatch(
-                f"row {i} has {arr.size} entries, expected {len(grid)}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValue(f"row {i} contains NaN or Inf")
-    return FunctionalSample(grid, np.asarray(rows, dtype=float), label)
-
-
-def inner_product(f: Curve, g: Curve) -> float:
-    """Trapezoidal approximation of the L2 inner product of two curves."""
-    if not f.grid.matches(g.grid):
-        raise GridMismatch("curves live on different grids")
-    return float(np.dot(f.grid.weights, f.values * g.values))
 
 
 def sample_inner_products(sample: FunctionalSample, funcs: np.ndarray) -> np.ndarray:

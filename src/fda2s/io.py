@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import MalformedFile
 from .grids import FunctionalSample, Grid
-from .projections import GVector
 from .qn import TestResult
 from .resampling import QuantileTable
 from .sea import SpectralDensity, TimeSeriesRecord
@@ -63,29 +62,6 @@ def read_functional_sample(path, label: str | None = None) -> FunctionalSample:
         rows.append(row)
     name = label if label is not None else Path(path).stem
     return FunctionalSample(grid, np.asarray(rows), name)
-
-
-# g-function vectors -----------------------------------------------------------
-
-
-def write_gvector(g: GVector, path) -> None:
-    """Functional-sample CSV plus a JSON sidecar with the scheme metadata."""
-    write_functional_sample(FunctionalSample(g.grid, g.functions, g.scheme), path)
-    sidecar = Path(str(path) + ".json")
-    sidecar.write_text(canonical_json(g.metadata()), encoding="utf-8")
-
-
-def read_gvector(path) -> GVector:
-    sample = read_functional_sample(path)
-    sidecar = Path(str(path) + ".json")
-    meta = json.loads(sidecar.read_text(encoding="utf-8"))
-    return GVector(
-        sample.grid,
-        sample.values,
-        meta["scheme"],
-        meta.get("params", {}),
-        meta.get("provenance", "fixed"),
-    )
 
 
 # Time series records ----------------------------------------------------------

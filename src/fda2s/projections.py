@@ -53,38 +53,6 @@ class GVector:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class FourierCoefficients:
-    """Per-curve sine (a) and cosine (b) coefficients, (n_curves, k_max)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    k_max: int
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.shape != b.shape or a.ndim != 2 or a.shape[1] != self.k_max:
-            raise ValueError("coefficient matrices must share shape (n, k_max)")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("coefficients must be finite")
-
-
-@dataclass(frozen=True, eq=False)
-class PCABasis:
-    """Leading eigenpairs of the discretized pooled covariance operator."""
-
-    grid: Grid
-    eigenfunctions: np.ndarray  # (d, n_points), unit L2 norm
-    eigenvalues: np.ndarray  # non-increasing, >= 0
-    d: int
-
-    def to_gvector(self) -> GVector:
-        return GVector(
-            self.grid, self.eigenfunctions, "pca", {"d": self.d}, provenance="data-driven"
-        )
-
-
 def indicator_basis(interval: Interval, k: int, grid: Grid) -> GVector:
     """Indicators of k equal subintervals, right-open except the last."""
     if k < 1:
@@ -126,15 +94,18 @@ def _require_unit_interval(sample: FunctionalSample):
         )
 
 
-def fourier_coefficients(joint: FunctionalSample, k_max: int) -> FourierCoefficients:
-    """Sine/cosine coefficients of each curve at harmonics l = 1..k_max."""
+def fourier_coefficients(
+    joint: FunctionalSample, k_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sine (a) and cosine (b) coefficients of each curve at harmonics l = 1..k_max.
+
+    Both are (n_curves, k_max) matrices.
+    """
     if k_max < 1:
         raise InvalidK(f"k_max must be >= 1, got {k_max}")
     _require_unit_interval(joint)
     sines, cosines = _harmonics(joint.grid, k_max)
-    a = sample_inner_products(joint, sines)
-    b = sample_inner_products(joint, cosines)
-    return FourierCoefficients(a, b, k_max)
+    return sample_inner_products(joint, sines), sample_inner_products(joint, cosines)
 
 
 def trig_g_functions(
@@ -148,9 +119,9 @@ def trig_g_functions(
     """
     if parts not in ("both", "odd"):
         raise ValueError(f"parts must be 'both' or 'odd', got {parts!r}")
-    coef = fourier_coefficients(joint, k_max)
-    a_bar = np.mean(np.abs(coef.a), axis=0)
-    b_bar = np.mean(np.abs(coef.b), axis=0)
+    a, b = fourier_coefficients(joint, k_max)
+    a_bar = np.mean(np.abs(a), axis=0)
+    b_bar = np.mean(np.abs(b), axis=0)
     sines, cosines = _harmonics(joint.grid, k_max)
     g1 = a_bar @ sines
     if parts == "odd":
@@ -173,8 +144,11 @@ def pca_basis(
     d: int,
     weights: str = "proportion",
     sizes: tuple[int, int] | None = None,
-) -> PCABasis:
+) -> tuple[GVector, np.ndarray]:
     """Top-d eigenpairs of the pooled covariance operator on the grid.
+
+    Returns the eigenfunctions, unit L2 norm, as a ``pca`` GVector and the
+    eigenvalues, non-increasing and >= 0.
 
     Without ``sizes`` the covariance of the pooled sample about the pooled
     mean is used; this depends only on the unlabeled joint sample, which is
@@ -221,7 +195,7 @@ def pca_basis(
                 phis[i] = -phis[i]
         elif phis[i][np.argmax(np.abs(phis[i]))] < 0:
             phis[i] = -phis[i]
-    return PCABasis(joint.grid, phis, eigvals[:d], d)
+    return GVector(joint.grid, phis, "pca", {"d": d}, provenance="data-driven"), eigvals[:d]
 
 
 @dataclass(frozen=True)
@@ -286,7 +260,7 @@ class BasisSpec:
                 self.params.get("k", self.params.get("k_max", 3)),
                 self.params.get("parts", "both"),
             )
-        return pca_basis(joint, self.params.get("d", 2)).to_gvector()
+        return pca_basis(joint, self.params.get("d", 2))[0]
 
     @classmethod
     def parse(cls, text: str) -> "BasisSpec":

@@ -15,10 +15,10 @@ import numpy as np
 import scipy.linalg
 
 from .bsplines import CONDITION_BOUND
-from .errors import SingularCovariance, TooFewReplicates
-from .grids import FunctionalSample, sample_inner_products
+from .errors import GridMismatch, SingularCovariance, TooFewReplicates
+from .grids import FunctionalSample
 from .projections import BasisSpec, GVector
-from .qn import chi_square_isf, qn_batch
+from .qn import chi_square_isf, qn_batch, score_matrix
 from .rng import rekeyed, substream
 from .sea import (
     GaussianSynthesizer,
@@ -191,7 +191,7 @@ def permutation_null(
             f"split sizes {plan.sizes} do not add up to {joint.n_curves} curves"
         )
     g = basis.build(joint) if isinstance(basis, BasisSpec) else basis
-    split = _SplitStatistic(sample_inner_products(joint, g.functions), m)
+    split = _SplitStatistic(score_matrix(joint, g), m)
 
     def evaluate(rs: range) -> np.ndarray:
         rng = substream(plan.seed, rs.start)
@@ -227,6 +227,21 @@ def average_spectrum(spectra: list[SpectralDensity]) -> SpectralDensity:
     return SpectralDensity(grid, np.clip(anchor + offsets, 0.0, None))
 
 
+def check_estimator_grid(grids, sim: SimConfig) -> None:
+    """Raise GridMismatch unless every grid is the one the MC null estimates on."""
+    reference = estimator_grid(sim.fs, sim.n_freq).points
+    if not all(
+        len(grid) == reference.size
+        and np.allclose(grid.points, reference, rtol=1e-9, atol=1e-9)
+        for grid in grids
+    ):
+        raise GridMismatch(
+            "spectral-mc inputs must be spectra on the estimator grid "
+            f"[0, pi*{sim.fs}] with {sim.n_freq} points; "
+            "re-estimate with matching --mc-fs/--mc-nfreq"
+        )
+
+
 def spectral_mc_null(
     spectra_x: list[SpectralDensity],
     spectra_y: list[SpectralDensity],
@@ -245,6 +260,7 @@ def spectral_mc_null(
     (`GaussianSynthesizer.autocovariances`), and SPECTRAL_MC_CHUNK
     replicates at a time go through one Parzen, score and Qn computation.
     """
+    check_estimator_grid([s.freq for s in [*spectra_x, *spectra_y]], sim)
     m, n = plan.sizes
     if (len(spectra_x), len(spectra_y)) != (m, n):
         raise ValueError("plan sizes must match the numbers of input spectra")

@@ -58,9 +58,3 @@ def fresh_seed() -> int:
     """Entropy-derived 63-bit seed for runs where none was supplied."""
     return secrets.randbits(63)
 
-
-def as_generator(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
-    """Accept either a seed (stream 0 of that seed) or an existing generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return substream(int(seed_or_rng), 0)

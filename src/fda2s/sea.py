@@ -21,7 +21,7 @@ from .errors import (
     RecordTooShort,
 )
 from .grids import Grid
-from .rng import as_generator
+from .rng import substream
 
 GRAVITY = 9.81
 
@@ -310,11 +310,13 @@ def simulate_gaussian(
 
     Spectral synthesis with independent Gaussian amplitudes per frequency
     cell; the sample-path variance converges to the density's integral as
-    the record lengthens.  Deterministic per seed.
+    the record lengthens.  Deterministic per seed: an integer seed draws
+    from `substream(seed, 0)`, a generator is drawn from as given.
     """
     n = int(round(duration * fs))
     synth = GaussianSynthesizer(n, fs)
-    values = synth.simulate(s, as_generator(seed))[0]
+    rng = seed if isinstance(seed, np.random.Generator) else substream(int(seed), 0)
+    values = synth.simulate(s, rng)[0]
     return TimeSeriesRecord(fs, values, t0)
 
 

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .bsplines import basis_matrix, bspline_values, equidistant_spec
 from .errors import NoUpcrossing, NoWaves, ZeroVariance
-from .grids import Curve, FunctionalSample, Grid, Interval, _unchecked, uniform_grid
+from .grids import FunctionalSample, Grid, Interval, _unchecked, uniform_grid
 from .sea import TimeSeriesRecord
 
 # Wave samples plus common-grid points per registration batch; bounds the
@@ -46,12 +46,16 @@ class RegistrationSpec:
 
 @dataclass(frozen=True, eq=False)
 class WaveRecord:
-    """One wave: raw samples with interpolated zero endpoints."""
+    """One wave: raw samples with interpolated zero endpoints.
+
+    Once registered, ``registered`` holds its read-only values on the
+    registration grid.
+    """
 
     raw_times: np.ndarray
     raw_values: np.ndarray
     period: float
-    registered: Curve | None = None
+    registered: np.ndarray | None = None
     upcross_fraction: float = float("nan")
 
     def __post_init__(self):
@@ -70,10 +74,10 @@ class WaveRecord:
     def n_interior(self) -> int:
         return self.raw_times.size - 2
 
-    def _registered(self, curve: Curve, upcross_fraction: float) -> "WaveRecord":
-        """This wave with its registered curve; the validated raw arrays are
-        shared, not copied and checked again."""
-        return _unchecked(WaveRecord, **{**vars(self), "registered": curve,
+    def _registered(self, values: np.ndarray, upcross_fraction: float) -> "WaveRecord":
+        """This wave with its read-only registered values; the validated raw
+        arrays are shared, not copied and checked again."""
+        return _unchecked(WaveRecord, **{**vars(self), "registered": values,
                                          "upcross_fraction": upcross_fraction})
 
 
@@ -243,7 +247,8 @@ def register_wave(w: WaveRecord, spec: RegistrationSpec) -> WaveRecord:
         raise NoUpcrossing("wave never rises above the mean level")
     k = min(spec.spline_order - 1, n[0] - 1)
     fitted = _interpolate(u, w.raw_values, n, k, grid.points) @ projector.T
-    return w._registered(Curve(grid, fitted[0]), float(frac[0]))
+    fitted.flags.writeable = False
+    return w._registered(fitted[0], float(frac[0]))
 
 
 def register_sample(
@@ -282,10 +287,9 @@ def register_sample(
     if not kept.size:
         raise NoWaves("no waves survived registration")
     sample = FunctionalSample(grid, dense[kept] @ projector.T, label)
-    # the curves are the sample's validated, read-only rows
+    # the registered values are the sample's validated, read-only rows
     registered = [
-        waves[i]._registered(_unchecked(Curve, grid=grid, values=row), float(fracs[i]))
-        for i, row in zip(kept, sample.values)
+        waves[i]._registered(row, float(fracs[i])) for i, row in zip(kept, sample.values)
     ]
     return sample, registered, sizes.size - kept.size
 

@@ -13,7 +13,6 @@ import pytest
 
 import fda2s as f
 from fda2s.grids import sample_inner_products
-from fda2s.qn import ScoreMatrix
 
 from test_qn import oracle_qn
 from conftest import smooth_curves
@@ -81,9 +80,7 @@ def test_criterion_2_invariance_suite():
                 T = rng.normal(size=(3, 3))
                 if np.linalg.cond(T) <= 1e6:
                     break
-            recombined = f.qn_statistic(
-                ScoreMatrix(sx.scores @ T), ScoreMatrix(sy.scores @ T)
-            ).qn
+            recombined = f.qn_statistic(sx @ T, sy @ T).qn
             assert recombined == pytest.approx(base, rel=1e-6, abs=1e-6)
 
             perm = rng.permutation(x.n_curves)

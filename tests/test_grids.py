@@ -1,10 +1,16 @@
-"""Core types: grids, curves, samples, and the trapezoid inner product."""
+"""Core types: grids, samples, and the trapezoid inner products."""
 
 import numpy as np
 import pytest
 
-from fda2s import Curve, FunctionalSample, Grid, Interval, inner_product, make_sample, uniform_grid
+from fda2s import FunctionalSample, Grid, Interval, uniform_grid
 from fda2s.errors import DimensionMismatch, GridMismatch, NonFiniteValue
+from fda2s.grids import sample_inner_products
+
+
+def inner(grid, f, g):
+    """Trapezoid inner product of two functions on ``grid``, as a one-by-one score."""
+    return float(sample_inner_products(FunctionalSample(grid, [f]), np.array([g]))[0, 0])
 
 
 class TestInterval:
@@ -44,64 +50,58 @@ class TestGrid:
 class TestMakeSample:
     def test_identity_construction(self):
         grid = Grid(np.array([0.0, 0.5, 1.0]))
-        sample = make_sample(grid, [[1.0, 1.0, 1.0]], "const")
-        assert sample.n_curves == 1
-        assert np.array_equal(sample.curve(0).values, [1.0, 1.0, 1.0])
+        sample = FunctionalSample(grid, [[1.0, 1.0, 1.0]], "const")
+        assert sample.n_curves == 1 and sample.label == "const"
+        assert np.array_equal(sample.values[0], [1.0, 1.0, 1.0])
 
     def test_row_length_mismatch(self):
         grid = Grid(np.array([0.0, 1.0]))
         with pytest.raises(DimensionMismatch):
-            make_sample(grid, [[1.0, 2.0, 3.0]])
+            FunctionalSample(grid, [[1.0, 2.0, 3.0]])
 
     def test_thirty_minute_record_at_1_28_hz(self):
         # 30 * 60 * 1.28 = 2304 samples
         grid = uniform_grid(Interval(0.0, 1800.0), 2304)
-        sample = make_sample(grid, np.zeros((1, 2304)))
+        sample = FunctionalSample(grid, np.zeros((1, 2304)))
         assert sample.n_curves == 1 and len(sample.grid) == 2304
 
     def test_rejects_non_finite(self):
         grid = Grid(np.array([0.0, 1.0]))
         with pytest.raises(NonFiniteValue):
-            make_sample(grid, [[np.nan, 1.0]])
+            FunctionalSample(grid, [[np.nan, 1.0]])
 
 
 class TestInnerProduct:
     def test_unit_square(self):
         grid = uniform_grid(Interval(0.0, 1.0), 11)
-        one = Curve(grid, np.ones(11))
-        assert inner_product(one, one) == pytest.approx(1.0, abs=1e-14)
+        assert inner(grid, np.ones(11), np.ones(11)) == pytest.approx(1.0, abs=1e-14)
 
     def test_sin_squared_half(self):
         grid = uniform_grid(Interval(0.0, 1.0), 1001)
-        s = Curve(grid, np.sin(2 * np.pi * grid.points))
-        assert inner_product(s, s) == pytest.approx(0.5, abs=1e-6)
+        s = np.sin(2 * np.pi * grid.points)
+        assert inner(grid, s, s) == pytest.approx(0.5, abs=1e-6)
 
     def test_against_fine_grid_oracle(self):
         # integral of t * t^2 over [0,1]: refine the quadrature independently
         fine = np.linspace(0.0, 1.0, 10**6 + 1)
         oracle = np.trapezoid(fine * fine**2, fine)
         grid = uniform_grid(Interval(0.0, 1.0), 101)
-        f = Curve(grid, grid.points)
-        g = Curve(grid, grid.points**2)
-        assert inner_product(f, g) == pytest.approx(oracle, abs=1e-4)
+        assert inner(grid, grid.points, grid.points**2) == pytest.approx(oracle, abs=1e-4)
 
     def test_grid_mismatch(self):
-        a = Curve(uniform_grid(Interval(0.0, 1.0), 5), np.ones(5))
-        b = Curve(uniform_grid(Interval(0.0, 1.0), 6), np.ones(6))
+        sample = FunctionalSample(uniform_grid(Interval(0.0, 1.0), 5), np.ones((1, 5)))
         with pytest.raises(GridMismatch):
-            inner_product(a, b)
+            sample_inner_products(sample, np.ones((1, 6)))
 
     def test_symmetric_bilinear_nonnegative(self, rng):
         grid = uniform_grid(Interval(0.0, 2.0), 57)
         for _ in range(20):
-            f = Curve(grid, rng.normal(size=57))
-            g = Curve(grid, rng.normal(size=57))
-            h = Curve(grid, rng.normal(size=57))
-            assert inner_product(f, g) == pytest.approx(inner_product(g, f), abs=1e-12)
-            lhs = inner_product(Curve(grid, 2.0 * f.values + g.values), h)
-            rhs = 2.0 * inner_product(f, h) + inner_product(g, h)
+            f, g, h = rng.normal(size=(3, 57))
+            assert inner(grid, f, g) == pytest.approx(inner(grid, g, f), abs=1e-12)
+            lhs = inner(grid, 2.0 * f + g, h)
+            rhs = 2.0 * inner(grid, f, h) + inner(grid, g, h)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-            assert inner_product(f, f) >= 0.0
+            assert inner(grid, f, f) >= 0.0
 
     def test_quadrature_second_order(self):
         # halving h must shrink the error by ~4 on a C^2 integrand
@@ -109,9 +109,7 @@ class TestInnerProduct:
         errors = []
         for n in (65, 129):
             grid = uniform_grid(Interval(0.0, 1.0), n)
-            f = Curve(grid, np.exp(grid.points))
-            one = Curve(grid, np.ones(n))
-            errors.append(abs(inner_product(f, one) - exact))
+            errors.append(abs(inner(grid, np.exp(grid.points), np.ones(n)) - exact))
         ratio = errors[0] / errors[1]
         assert 3.2 <= ratio <= 4.8
 
@@ -120,7 +118,9 @@ class TestFunctionalSample:
     def test_all_curves_share_grid(self):
         grid = uniform_grid(Interval(0.0, 1.0), 4)
         sample = FunctionalSample(grid, np.arange(12.0).reshape(3, 4))
-        assert all(c.grid is grid for c in sample.curves)
+        assert sample.grid is grid and sample.values.shape == (3, len(grid))
+        with pytest.raises(ValueError):
+            sample.values[0, 0] = 1.0
 
     def test_non_empty(self):
         grid = uniform_grid(Interval(0.0, 1.0), 4)

@@ -1,4 +1,4 @@
-"""The import graph: the package and its CLI load no SciPy module they do not use."""
+"""The import graph and the public API: what `import fda2s` loads and exports."""
 
 import os
 import subprocess
@@ -18,3 +18,11 @@ def test_cli_import_skips_scipy_interpolate_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    import fda2s
+
+    namespace = {}
+    exec("from fda2s import *", namespace)  # AttributeError on a stale export
+    assert sorted(set(fda2s.__all__) - set(namespace)) == []

@@ -8,32 +8,25 @@ import pytest
 from fda2s import (
     FunctionalSample,
     Grid,
-    Interval,
     SpectralDensity,
     TimeSeriesRecord,
-    indicator_basis,
     qn_statistic,
     quantile_table,
-    uniform_grid,
 )
 from fda2s.errors import MalformedFile
 from fda2s.io import (
     canonical_json,
     quantile_table_csv,
     read_functional_sample,
-    read_gvector,
     read_null_values,
     read_record,
     read_spectrum,
     format_test_result,
     write_functional_sample,
-    write_gvector,
     write_null_values,
     write_record,
     write_spectrum,
 )
-from fda2s.qn import ScoreMatrix
-
 from conftest import random_sample
 
 
@@ -95,19 +88,6 @@ class TestSpectrumCsv:
         assert path.read_text().splitlines()[0] == "omega_rad_s,s"
 
 
-class TestGVectorCsv:
-    def test_round_trip_with_sidecar(self, tmp_path):
-        grid = uniform_grid(Interval(0.0, 1.0), 21)
-        g = indicator_basis(Interval(0.0, 1.0), 4, grid)
-        path = tmp_path / "g.csv"
-        write_gvector(g, path)
-        meta = json.loads((tmp_path / "g.csv.json").read_text())
-        assert meta["scheme"] == "indicator" and meta["params"] == {"k": 4}
-        back = read_gvector(path)
-        assert back.scheme == "indicator"
-        assert np.array_equal(back.functions, g.functions)
-
-
 class TestNullValues:
     def test_round_trip(self, rng, tmp_path):
         values = rng.chisquare(2, 17)
@@ -118,17 +98,13 @@ class TestNullValues:
 
 class TestReports:
     def test_test_result_json_round_trip_bytes(self):
-        res = qn_statistic(
-            ScoreMatrix([[0.0], [2.0], [1.0]]), ScoreMatrix([[1.0], [3.0]])
-        )
+        res = qn_statistic([[0.0], [2.0], [1.0]], [[1.0], [3.0]])
         text = format_test_result(res)
         again = canonical_json(json.loads(text))
         assert again == text
 
     def test_result_fields(self):
-        res = qn_statistic(
-            ScoreMatrix([[0.0], [2.0]]), ScoreMatrix([[1.0], [3.0]])
-        )
+        res = qn_statistic([[0.0], [2.0]], [[1.0], [3.0]])
         payload = json.loads(format_test_result(res))
         assert set(payload) == {
             "qn", "k", "p_asymptotic", "p_resampled", "n_resamples",

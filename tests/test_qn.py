@@ -1,7 +1,5 @@
 """The quadratic-form statistic: scores, eta, pooled covariance, chi-square."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,16 +10,14 @@ from fda2s import (
     BasisSpec,
     FunctionalSample,
     Interval,
-    ScoreMatrix,
     chi_square_isf,
     chi_square_sf,
-    eta_vector,
     indicator_basis,
-    pooled_covariance,
     qn_statistic,
     score_matrix,
     uniform_grid,
 )
+from fda2s import qn
 from fda2s.errors import DimensionMismatch, InvalidDF, SingularCovariance, TooFewCurves
 from fda2s.qn import qn_batch
 
@@ -51,6 +47,20 @@ def oracle_qn(grid_points, x_rows, y_rows, g_rows):
     return float(eta @ np.linalg.inv(pooled) @ eta)
 
 
+def solve_oracle(scores, m):
+    """eta' C^-1 eta of every matrix in a (C, N, k) score stack by a plain linear solve."""
+    out = []
+    for s in scores:
+        sx, sy = s[:m], s[m:]
+        n = sy.shape[0]
+        eta = (np.sqrt(m + n) / m) * sx.sum(axis=0) - (np.sqrt(m + n) / n) * sy.sum(axis=0)
+        cx = np.atleast_2d(np.cov(sx.T, ddof=1))
+        cy = np.atleast_2d(np.cov(sy.T, ddof=1))
+        pooled = ((m + n) / m + (m + n) / n) / (m + n - 2) * ((m - 1) * cx + (n - 1) * cy)
+        out.append(eta @ np.linalg.solve(pooled, eta))
+    return np.array(out)
+
+
 class TestScoreMatrix:
     def test_constant_and_line_against_half_interval_indicators(self):
         # need a fine grid: the sampled indicator's jump costs h/2 in the quadrature
@@ -59,7 +69,7 @@ class TestScoreMatrix:
         sample = FunctionalSample(grid, rows)
         g = indicator_basis(Interval(0.0, 1.0), 2, grid)
         s = score_matrix(sample, g)
-        assert np.allclose(s.scores, [[0.5, 0.5], [0.125, 0.375]], atol=1e-6)
+        assert np.allclose(s, [[0.5, 0.5], [0.125, 0.375]], atol=1e-6)
 
     def test_matches_bruteforce_quadrature(self, rng):
         x, _ = random_sample_pair(rng, m=5, n=2)
@@ -72,7 +82,25 @@ class TestScoreMatrix:
         brute = np.array(
             [[np.sum(w * xi * gj) for gj in g.functions] for xi in x.values]
         )
-        assert np.max(np.abs(s.scores - brute)) < 1e-10
+        assert np.max(np.abs(s - brute)) < 1e-10
+
+
+def eta_and_pooled(sx, sy):
+    """The eta vector and pooled covariance `qn_statistic` hands to `quadratic_form`."""
+    seen = []
+    original = qn.quadratic_form
+
+    def spy(eta, cov):
+        seen.append((eta[0], cov[0]))
+        return original(eta, cov)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qn, "quadratic_form", spy)
+        try:
+            qn_statistic(sx, sy)
+        except SingularCovariance:
+            pass
+    return seen[0]
 
 
 class TestEtaVector:
@@ -80,56 +108,55 @@ class TestEtaVector:
         x, _ = random_sample_pair(rng)
         g = indicator_basis(x.interval, 3, x.grid)
         s = score_matrix(x, g)
-        assert np.allclose(eta_vector(s, s), 0.0, atol=1e-12)
+        eta, _ = eta_and_pooled(s, s)
+        assert np.allclose(eta, 0.0, atol=1e-12)
 
     def test_single_curves(self):
-        eta = eta_vector(ScoreMatrix([[1.0]]), ScoreMatrix([[0.0]]))
-        assert eta[0] == pytest.approx(np.sqrt(2.0))
+        with pytest.raises(TooFewCurves):
+            qn_statistic([[1.0]], [[0.0]])
 
     def test_two_term_display_formula(self, rng):
-        sx = ScoreMatrix(rng.normal(size=(2, 3)))
-        sy = ScoreMatrix(rng.normal(size=(3, 3)))
-        eta = eta_vector(sx, sy)
+        sx = rng.normal(size=(2, 3))
+        sy = rng.normal(size=(3, 3))
+        eta, _ = eta_and_pooled(sx, sy)
         root = np.sqrt(5.0)
-        explicit = root / 2 * sx.scores.sum(axis=0) - root / 3 * sy.scores.sum(axis=0)
+        explicit = root / 2 * sx.sum(axis=0) - root / 3 * sy.sum(axis=0)
         assert np.allclose(eta, explicit, atol=1e-12)
 
     def test_column_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            eta_vector(ScoreMatrix([[1.0, 2.0]]), ScoreMatrix([[1.0]]))
+            qn_statistic([[1.0, 2.0], [0.0, 1.0]], [[1.0], [2.0]])
+        with pytest.raises(DimensionMismatch):
+            qn_statistic([1.0, 2.0, 3.0], [[1.0], [2.0]])
 
 
 class TestPooledCovariance:
     def test_zero_variance_gives_zero_matrix(self):
-        sx = ScoreMatrix([[1.0], [1.0]])
-        sy = ScoreMatrix([[2.0], [2.0]])
-        assert np.allclose(pooled_covariance(sx, sy).matrix, 0.0)
+        sx = [[1.0], [1.0]]
+        sy = [[2.0], [2.0]]
+        _, cov = eta_and_pooled(sx, sy)
+        assert np.allclose(cov, 0.0)
+        with pytest.raises(SingularCovariance):
+            qn_statistic(sx, sy)
 
     def test_hand_example(self):
-        sx = ScoreMatrix([[0.0], [2.0]])
-        sy = ScoreMatrix([[0.0], [2.0]])
-        cov = pooled_covariance(sx, sy)
-        assert cov.matrix[0, 0] == pytest.approx(8.0)
-        assert cov.alpha == pytest.approx(np.sqrt(2.0))
-        assert cov.beta == pytest.approx(np.sqrt(2.0))
+        _, cov = eta_and_pooled([[0.0], [2.0]], [[0.0], [2.0]])
+        assert cov[0, 0] == pytest.approx(8.0)
 
     def test_symmetric_psd_on_random_scores(self, rng):
         for _ in range(10):
-            sx = ScoreMatrix(rng.normal(size=(6, 3)))
-            sy = ScoreMatrix(rng.normal(size=(5, 3)))
-            c = pooled_covariance(sx, sy).matrix
+            _, c = eta_and_pooled(rng.normal(size=(6, 3)), rng.normal(size=(5, 3)))
             assert np.max(np.abs(c - c.T)) < 1e-12
             assert np.linalg.eigvalsh(c).min() >= -1e-10 * np.trace(c)
 
     def test_too_few_curves(self):
         with pytest.raises(TooFewCurves):
-            pooled_covariance(ScoreMatrix([[1.0]]), ScoreMatrix([[1.0], [2.0]]))
+            qn_statistic([[1.0]], [[1.0], [2.0]])
 
-    def test_rank_deficiency_warns(self, rng):
-        sx = ScoreMatrix(rng.normal(size=(2, 4)))
-        sy = ScoreMatrix(rng.normal(size=(2, 4)))
-        with pytest.warns(UserWarning):
-            pooled_covariance(sx, sy)
+    def test_rank_deficiency_is_singular(self, rng):
+        # m + n - 2 = 2 < k = 4: the pooled covariance has rank 2 at most
+        with pytest.raises(SingularCovariance, match="1e\\+12"):
+            qn_statistic(rng.normal(size=(2, 4)), rng.normal(size=(2, 4)))
 
 
 class TestQnStatistic:
@@ -142,9 +169,10 @@ class TestQnStatistic:
         assert res.p_asymptotic == pytest.approx(1.0)
 
     def test_hand_example_half(self):
-        res = qn_statistic(ScoreMatrix([[0.0], [2.0]]), ScoreMatrix([[1.0], [3.0]]))
+        # eta = 2 (1 - 2) = -2 and pooled covariance (2 + 2) / 2 * (2 + 2) = 8
+        res = qn_statistic([[0.0], [2.0]], [[1.0], [3.0]])
         assert res.qn == pytest.approx(0.5, rel=1e-12)
-        assert res.eta[0] == pytest.approx(-2.0)
+        assert (res.k, res.m, res.n) == (1, 2, 2)
 
     def test_monolithic_oracle_five_vs_four(self, rng):
         x, y = random_sample_pair(rng, m=5, n=4)
@@ -159,9 +187,7 @@ class TestQnStatistic:
         base = np.array([[0.0], [1.0], [2.0], [3.0]])
         scores = np.hstack([base, 2 * base])
         with pytest.raises(SingularCovariance):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                qn_statistic(ScoreMatrix(scores[:2]), ScoreMatrix(scores[2:]))
+            qn_statistic(scores[:2], scores[2:])
 
 
 class TestInvariances:
@@ -195,9 +221,7 @@ class TestInvariances:
                 if np.linalg.cond(T) <= 1e6:
                     break
             a = qn_statistic(sx, sy).qn
-            b = qn_statistic(
-                ScoreMatrix(sx.scores @ T), ScoreMatrix(sy.scores @ T)
-            ).qn
+            b = qn_statistic(sx @ T, sy @ T).qn
             assert a == pytest.approx(b, rel=1e-6, abs=1e-6)
 
     def test_permutation_within_sample(self, rng):
@@ -215,24 +239,15 @@ class TestInvariances:
         assert np.all(np.diff(ps) < 0)
 
 
-def per_matrix_qn(scores, m):
-    """qn_statistic on each matrix of a (C, N, k) stack; NaN where it raises."""
-    out = []
-    for s in scores:
-        try:
-            out.append(qn_statistic(ScoreMatrix(s[:m]), ScoreMatrix(s[m:])).qn)
-        except SingularCovariance:
-            out.append(np.nan)
-    return np.array(out)
-
-
 class TestQnBatch:
     def test_matches_qn_statistic_per_matrix(self, rng):
         for m, n, k in [(2, 2, 1), (5, 4, 3), (10, 10, 8), (3, 12, 6)]:
             scores = rng.normal(size=(7, m + n, k)) * rng.uniform(0.1, 10.0, k)
-            want = per_matrix_qn(scores, m)
+            want = solve_oracle(scores, m)
             got = qn_batch(scores, m)
             assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(want, 1.0))
+            alone = [qn_statistic(s[:m], s[m:]).qn for s in scores]
+            assert np.array_equal(alone, got)
 
     def test_singular_matrices_give_nan(self, rng):
         scores = rng.normal(size=(4, 9, 3))
@@ -241,7 +256,9 @@ class TestQnBatch:
         scores[2, :, 1] = scores[2, :, 0] * (1.0 + 1e-9)  # condition ~1e19
         got = qn_batch(scores, 4)
         assert np.array_equal(np.isnan(got), [False, True, True, True])
-        assert np.array_equal(np.isnan(per_matrix_qn(scores, 4)), np.isnan(got))
+        for s in scores[1:]:
+            with pytest.raises(SingularCovariance):
+                qn_statistic(s[:4], s[4:])
 
     def test_failed_factorization_gives_nan(self, monkeypatch, rng):
         scores = rng.normal(size=(3, 8, 2))
@@ -281,7 +298,7 @@ INVARIANCE = settings(max_examples=60, deadline=None, derandomize=True, database
 
 
 def both_statistics(scores, m):
-    return per_matrix_qn(scores, m), qn_batch(scores, m)
+    return solve_oracle(scores, m), qn_batch(scores, m)
 
 
 def assert_same_qn(got, want, rtol):

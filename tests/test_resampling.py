@@ -13,7 +13,6 @@ from fda2s import (
     FunctionalSample,
     Interval,
     ResamplingPlan,
-    ScoreMatrix,
     SimConfig,
     average_spectrum,
     estimate_spectrum,
@@ -23,6 +22,7 @@ from fda2s import (
     quantile_table,
     simulate_gaussian,
     spectral_mc_null,
+    spectral_mc_test,
     torsethaugen_spectrum,
     TorsethaugenParams,
     default_frequency_grid,
@@ -30,6 +30,7 @@ from fda2s import (
 )
 from fda2s import resampling
 from fda2s.errors import (
+    GridMismatch,
     InvalidParams,
     NegativeEstimate,
     RecordTooShort,
@@ -96,18 +97,25 @@ class TestPermutationNull:
             relabeled = FunctionalSample(joint.grid, joint.values[perm])
             g_rebuilt = trig_g_functions(relabeled, 3)
             s2 = sample_inner_products(relabeled, g_rebuilt.functions)
-            q1 = qn_statistic(ScoreMatrix(scores[perm][:18]), ScoreMatrix(scores[perm][18:])).qn
-            q2 = qn_statistic(ScoreMatrix(s2[:18]), ScoreMatrix(s2[18:])).qn
+            q1 = qn_statistic(scores[perm][:18], scores[perm][18:]).qn
+            q2 = qn_statistic(s2[:18], s2[18:]).qn
             assert q1 == pytest.approx(q2, abs=1e-10, rel=1e-10)
 
     def test_too_many_failures_raise(self, rng):
         # k = 8 indicators from 3+3 curves: every replicate is singular
         joint = gaussian_joint(rng, n_curves=6)
         plan = ResamplingPlan("permutation", 20, 1, (3, 3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(SingularCovariance):
-                permutation_null(joint, BasisSpec("indicator", {"k": 8}), plan)
+        with pytest.raises(SingularCovariance):
+            permutation_null(joint, BasisSpec("indicator", {"k": 8}), plan)
+
+    def test_projection_functions_on_another_grid_rejected(self, rng):
+        # same point count as the sample's [0, 1] grid, but on [0, 2]
+        joint = gaussian_joint(rng, n_curves=12)
+        other = uniform_grid(Interval(0.0, 2.0), len(joint.grid))
+        g = BasisSpec.parse("indicator:k=2").build(FunctionalSample(other, joint.values))
+        plan = ResamplingPlan("permutation", 5, 1, (6, 6))
+        with pytest.raises(GridMismatch):
+            permutation_null(joint, g, plan)
 
     def test_super_uniform_under_exchangeability(self):
         rng = np.random.default_rng(314)
@@ -120,9 +128,7 @@ class TestPermutationNull:
             null = permutation_null(joint, basis, plan)
             g = trig_g_functions(joint, 3)
             scores = sample_inner_products(joint, g.functions)
-            observed = qn_statistic(
-                ScoreMatrix(scores[:25]), ScoreMatrix(scores[25:])
-            ).qn
+            observed = qn_statistic(scores[:25], scores[25:]).qn
             hits += permutation_pvalue(observed, null.values) <= 0.05
         assert 0.02 <= hits / 200 <= 0.09
 
@@ -135,7 +141,7 @@ def per_replicate_null(joint, basis, plan):
     for r in range(plan.B):
         perm = substream(plan.seed, r).permutation(joint.n_curves)
         values.append(
-            qn_statistic(ScoreMatrix(scores[perm[:m]]), ScoreMatrix(scores[perm[m:]])).qn
+            qn_statistic(scores[perm[:m]], scores[perm[m:]]).qn
         )
     return np.array(values)
 
@@ -192,8 +198,8 @@ class TestClosedFormNull:
         for x in ([0, 1, 2], [3, 4, 5]):
             y = [i for i in range(6) if i not in x]
             with pytest.raises(SingularCovariance):
-                qn_statistic(ScoreMatrix(scores[x]), ScoreMatrix(scores[y]))
-        direct = qn_statistic(ScoreMatrix(scores[[0, 1, 3]]), ScoreMatrix(scores[[2, 4, 5]]))
+                qn_statistic(scores[x], scores[y])
+        direct = qn_statistic(scores[[0, 1, 3]], scores[[2, 4, 5]])
         assert values[2] == pytest.approx(direct.qn, rel=1e-12)
 
     @settings(PROPERTY, max_examples=10)
@@ -256,11 +262,9 @@ class TestSpectralMcNull:
         ]
         sim = SimConfig(duration=600.0, fs=fs, parzen_L=60, n_freq=481)
         plan = ResamplingPlan("spectral-mc", 1, 5, (2, 2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            null = spectral_mc_null(
-                spectra[:2], spectra[2:], sim, BasisSpec("indicator", {"k": 2}), plan
-            )
+        null = spectral_mc_null(
+            spectra[:2], spectra[2:], sim, BasisSpec("indicator", {"k": 2}), plan
+        )
         assert null.values.shape == (1,) and null.values[0] >= 0.0
 
     def test_average_of_identical_spectra(self):
@@ -270,12 +274,12 @@ class TestSpectralMcNull:
         assert np.array_equal(avg.values, s.values)
 
     @staticmethod
-    def _spectra(count, duration, first_seed):
-        fs = 1.28
+    def _spectra(count, duration, first_seed, fs=1.28, n_freq=481):
         grid = default_frequency_grid(fs, tp=4.0)
         s = torsethaugen_spectrum(TorsethaugenParams(2.0, 4.0), grid)
         return [
-            estimate_spectrum(simulate_gaussian(s, duration, fs, seed=first_seed + i), 60)
+            estimate_spectrum(simulate_gaussian(s, duration, fs, seed=first_seed + i), 60,
+                              n_freq)
             for i in range(count)
         ]
 
@@ -304,12 +308,12 @@ class TestSpectralMcNull:
             grid, est = estimate_spectra(records, sim.fs, sim.parzen_L, sim.n_freq)
             joint = FunctionalSample(grid, est)
             scores = sample_inner_products(joint, basis.build(joint).functions)
-            qn = qn_statistic(ScoreMatrix(scores[:5]), ScoreMatrix(scores[5:])).qn
+            qn = qn_statistic(scores[:5], scores[5:]).qn
             assert null.values[r] == pytest.approx(qn, rel=1e-10)
 
 
     def test_chunk_size_does_not_change_values(self, monkeypatch):
-        spectra = self._spectra(6, 600.0, 60)
+        spectra = self._spectra(6, 600.0, 60, n_freq=241)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=40, n_freq=241)
         plan = ResamplingPlan("spectral-mc", 7, 3, (3, 3))
         basis = BasisSpec.parse("indicator:k=2")
@@ -330,6 +334,19 @@ class TestSpectralMcNull:
         plan = ResamplingPlan("spectral-mc", 3, 1, (2, 2))
         with pytest.raises(NegativeEstimate):
             spectral_mc_null(spectra[:2], spectra[2:], sim, BasisSpec.parse("indicator:k=2"), plan)
+
+    @pytest.mark.parametrize("fs,n_freq", [(1.28, 241), (2.56, 481)])
+    def test_spectra_off_the_estimator_grid_rejected(self, fs, n_freq):
+        # the null estimates on estimator_grid(1.28, 481): a grid of another
+        # size, or of the same size over another band, is refused up front
+        spectra = self._spectra(4, 600.0, 70, fs=fs, n_freq=n_freq)
+        sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
+        plan = ResamplingPlan("spectral-mc", 3, 1, (2, 2))
+        basis = BasisSpec.parse("indicator:k=2")
+        with pytest.raises(GridMismatch, match="estimator grid"):
+            spectral_mc_null(spectra[:2], spectra[2:], sim, basis, plan)
+        with pytest.raises(GridMismatch, match="estimator grid"):
+            spectral_mc_test(spectra[:2], spectra[2:], basis, sim, B=3, seed=1)
 
     def test_window_longer_than_half_the_record_rejected(self):
         spectra = self._spectra(4, 600.0, 70)

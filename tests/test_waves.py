@@ -166,18 +166,19 @@ class TestRegisterWave:
         rec = TimeSeriesRecord(fs, -np.sin(2 * np.pi * t))
         wave = segment_waves(rec)[0]
         out = register_wave(wave, RegistrationSpec())
-        target = -np.sin(2 * np.pi * out.registered.grid.points)
-        assert np.max(np.abs(out.registered.values - target)) < 1e-3
+        grid, _ = _registration_basis(RegistrationSpec())
+        target = -np.sin(2 * np.pi * grid.points)
+        assert np.max(np.abs(out.registered - target)) < 1e-3
         assert out.upcross_fraction == pytest.approx(0.5, abs=1e-6)
 
     def test_linear_map_domain(self):
         t = np.linspace(10.0, 12.5, 11)
         v = -np.sin(2 * np.pi * (t - 10.0) / 2.5)
         wave = WaveRecord(t, v, 2.5)
-        out = register_wave(wave, RegistrationSpec())
+        sample, (out,), _ = register_sample([wave], RegistrationSpec())
         assert out.period == 2.5
-        grid = out.registered.grid
-        assert grid.points[0] == 0.0 and grid.points[-1] == 1.0
+        assert np.array_equal(out.registered, sample.values[0])
+        assert sample.grid.points[0] == 0.0 and sample.grid.points[-1] == 1.0
 
     def test_two_piece_map_against_analytic_oracle(self):
         # closed-form wave with its upcrossing at 40% of the span
@@ -198,8 +199,8 @@ class TestRegisterWave:
         out = register_wave(wave, RegistrationSpec(constrain_upcross=True))
         assert out.upcross_fraction == 0.5
         # the registered curve crosses zero going up at 0.5 (spline-level)
-        g = out.registered.grid.points
-        vals = out.registered.values
+        g = _registration_basis(RegistrationSpec(constrain_upcross=True))[0].points
+        vals = out.registered
         sign_change = np.where((vals[:-1] <= 0) & (vals[1:] > 0))[0]
         crossing = g[sign_change[0]]
         assert abs(crossing - 0.5) < 0.02
@@ -226,7 +227,7 @@ class TestRegisterWave:
     def test_reduced_order_fallback_for_tiny_waves(self):
         wave = WaveRecord(np.array([0.0, 0.4, 1.0]), np.array([0.0, -1.0, 0.0]), 1.0)
         out = register_wave(wave, RegistrationSpec())
-        assert np.all(np.isfinite(out.registered.values))
+        assert np.all(np.isfinite(out.registered))
 
 
 class TestBatchedRegistration:
@@ -251,7 +252,7 @@ class TestBatchedRegistration:
         assert sample.n_curves == len(registered) == len(kept)
         for row, w, (values, frac) in zip(sample.values, registered, kept):
             assert np.max(np.abs(row - values)) <= 1e-10 * np.max(np.abs(values))
-            assert np.array_equal(w.registered.values, row)
+            assert np.array_equal(w.registered, row)
             assert w.upcross_fraction == frac or (np.isnan(frac) and np.isnan(w.upcross_fraction))
 
     @pytest.mark.parametrize("spec", [
@@ -305,7 +306,7 @@ class TestBatchedRegistration:
         assert np.array_equal(sample.values, whole.values)
         for row, w, wave in zip(sample.values, registered, waves):
             assert np.array_equal(w.raw_times, wave.raw_times)
-            single = register_wave(wave, spec).registered.values
+            single = register_wave(wave, spec).registered
             assert np.max(np.abs(row - single)) <= 1e-12 * np.max(np.abs(single))
 
     @pytest.mark.parametrize("times,values,message", [
@@ -337,9 +338,11 @@ class TestRegistrationObjects:
         with pytest.raises(ValueError):
             projector[0, 0] = 1.0
         wave = random_waves(np.random.default_rng(8), [12])[0]
-        first = register_wave(wave, RegistrationSpec()).registered.values
-        again = register_wave(wave, RegistrationSpec()).registered.values
+        first = register_wave(wave, RegistrationSpec()).registered
+        again = register_wave(wave, RegistrationSpec()).registered
         assert np.array_equal(first, again)
+        with pytest.raises(ValueError):
+            first[0] = 1.0
 
     def test_registered_waves_stay_read_only_with_their_values(self):
         waves = random_waves(np.random.default_rng(9), [3, 9, 14, 2, 11])
@@ -353,9 +356,9 @@ class TestRegistrationObjects:
             alone = register_wave(one, RegistrationSpec())
             assert w.period == period
             assert np.array_equal(w.upcross_fraction, alone.upcross_fraction, equal_nan=True)
-            assert np.array_equal(w.registered.values, row)
-            assert w.registered.grid is sample.grid
-            for arr in (w.raw_times, w.raw_values, w.registered.values):
+            assert np.array_equal(w.registered, row)
+            assert np.shares_memory(w.registered, sample.values)
+            for arr in (w.raw_times, w.raw_values, w.registered):
                 with pytest.raises(ValueError):
                     arr[0] = 1.0
         # the input waves are left as they were

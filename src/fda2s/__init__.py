@@ -57,7 +57,6 @@ from .waves import (
     downcrossings,
     normalize_sample,
     register_sample,
-    register_wave,
     segment_waves,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "qn_statistic",
     "quantile_table",
     "register_sample",
-    "register_wave",
     "run_test",
     "sample_to_spectra",
     "score_matrix",

@@ -142,7 +142,7 @@ def cmd_segment(args, parser) -> int:
         n_knots=args.knots,
         constrain_upcross=args.constrain_upcross,
     )
-    sample, registered, dropped = register_sample(waves, spec, label="waves")
+    sample, kept, dropped = register_sample(waves, spec, label="waves")
     if args.normalize:
         sample = normalize_sample(sample, record)
     std = float(np.std(record.values - record.values.mean(), ddof=1))
@@ -150,7 +150,7 @@ def cmd_segment(args, parser) -> int:
     sidecar = {
         "n_waves": sample.n_curves,
         "dropped": dropped,
-        "periods": [float(w.period) for w in registered],
+        "periods": [waves[i].period for i in kept],
         "record_std": std,
         "hs_interval": 4.0 * std,
     }
@@ -189,11 +189,17 @@ def cmd_quantiles(args, parser) -> int:
     _apply_config(args, parser)
     probs = tuple(float(p) for p in args.probs.split(","))
     if args.null_values:
+        clash = [f"--{name}" for name in ("generate", "x", "y", "basis", "seed")
+                 if getattr(args, name) != parser.get_default(name)]
+        if clash:
+            raise FdaError(f"--null-values does not combine with {', '.join(clash)}")
         if args.k is None:
             raise FdaError("--k is required with --null-values")
         values = io.read_null_values(args.null_values)
         k = args.k
     elif args.generate:
+        if args.k is not None:
+            raise FdaError("--k does not combine with --generate; the basis sets k")
         if not (args.x and args.y and args.basis):
             raise FdaError("--generate needs --x, --y and --basis")
         method, B = _parse_calibration(args.calibration)
@@ -205,7 +211,7 @@ def cmd_quantiles(args, parser) -> int:
         joint = concatenate_samples(x, y)
         basis = BasisSpec.parse(args.basis)
         g = basis.build(joint)
-        plan = ResamplingPlan("permutation", B, seed, (x.n_curves, y.n_curves))
+        plan = ResamplingPlan(B, seed, (x.n_curves, y.n_curves))
         null = permutation_null(joint, g, plan, n_jobs=_threads())
         values = null.values
         k = g.k

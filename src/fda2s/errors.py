@@ -73,10 +73,6 @@ class NoWaves(FdaError):
     """Record has fewer than two mean-level downcrossings."""
 
 
-class NoUpcrossing(FdaError):
-    """Wave never rises above the mean level; cannot pin the upcrossing."""
-
-
 class ZeroVariance(FdaError):
     """Record standard deviation is zero; cannot normalize."""
 

@@ -20,15 +20,6 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
-    given, without its checks and copies: only for values that already
-    passed them, such as the read-only rows of a validated sample."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [a, b] with a < b (time or frequency units)."""

@@ -211,9 +211,9 @@ class BasisSpec:
 
     # Parameters each scheme reads; any other key is an error, not a no-op.
     _KEYS = {"indicator": ("k",), "bspline": ("order", "interior"),
-             "trig": ("k", "k_max", "parts"), "pca": ("d",)}
+             "trig": ("k", "parts"), "pca": ("d",)}
     # Least value of each integer parameter, as the builders require.
-    _LEAST = {"k": 1, "k_max": 1, "d": 1, "order": 2, "interior": 0}
+    _LEAST = {"k": 1, "d": 1, "order": 2, "interior": 0}
 
     def __post_init__(self):
         if self.scheme not in self._KEYS:
@@ -256,9 +256,7 @@ class BasisSpec:
             )
         if self.scheme == "trig":
             return trig_g_functions(
-                joint,
-                self.params.get("k", self.params.get("k_max", 3)),
-                self.params.get("parts", "both"),
+                joint, self.params.get("k", 3), self.params.get("parts", "both")
             )
         return pca_basis(joint, self.params.get("d", 2))[0]
 

@@ -42,14 +42,11 @@ SPECTRAL_MC_CHUNK = 4
 class ResamplingPlan:
     """How many replicates to draw, from which seed, at which split sizes."""
 
-    method: str  # "permutation" or "spectral-mc"
     B: int
     seed: int
     sizes: tuple[int, int]
 
     def __post_init__(self):
-        if self.method not in ("permutation", "spectral-mc"):
-            raise ValueError(f"unknown resampling method {self.method!r}")
         if self.B < 1:
             raise ValueError("need at least one replicate")
         m, n = self.sizes
@@ -73,7 +70,6 @@ class NullDistribution:
 
     values: np.ndarray
     n_failed: int
-    plan: ResamplingPlan
 
     @property
     def n_effective(self) -> int:
@@ -112,7 +108,7 @@ def _run_replicates(
             f"{failed} of {plan.B} replicates failed; "
             "the scheme is too rich for these sample sizes"
         )
-    return NullDistribution(raw[~np.isnan(raw)], failed, plan)
+    return NullDistribution(raw[~np.isnan(raw)], failed)
 
 
 class _SplitStatistic:

@@ -68,7 +68,7 @@ def run_test(
             "(use spectral_mc_test for the Monte Carlo null)"
         )
     seed = fresh_seed() if seed is None else seed
-    plan = ResamplingPlan("permutation", B, seed, (x.n_curves, y.n_curves))
+    plan = ResamplingPlan(B, seed, (x.n_curves, y.n_curves))
     null = permutation_null(joint, g, plan, n_jobs=n_jobs)
     return _attach_null(result, null, seed)
 
@@ -106,6 +106,6 @@ def spectral_mc_test(
         qn_statistic(score_matrix(x, g), score_matrix(y, g)), scheme=g.metadata()
     )
     seed = fresh_seed() if seed is None else seed
-    plan = ResamplingPlan("spectral-mc", B, seed, (x.n_curves, y.n_curves))
+    plan = ResamplingPlan(B, seed, (x.n_curves, y.n_curves))
     null = spectral_mc_null(spectra_x, spectra_y, sim, basis, plan, n_jobs=n_jobs)
     return _attach_null(result, null, seed)

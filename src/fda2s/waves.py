@@ -16,8 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .bsplines import basis_matrix, bspline_values, equidistant_spec
-from .errors import NoUpcrossing, NoWaves, ZeroVariance
-from .grids import FunctionalSample, Grid, Interval, _unchecked, uniform_grid
+from .errors import NoWaves, ZeroVariance
+from .grids import FunctionalSample, Grid, Interval, uniform_grid
 from .sea import TimeSeriesRecord
 
 # Wave samples plus common-grid points per registration batch; bounds the
@@ -46,17 +46,11 @@ class RegistrationSpec:
 
 @dataclass(frozen=True, eq=False)
 class WaveRecord:
-    """One wave: raw samples with interpolated zero endpoints.
-
-    Once registered, ``registered`` holds its read-only values on the
-    registration grid.
-    """
+    """One wave: raw samples with interpolated zero endpoints."""
 
     raw_times: np.ndarray
     raw_values: np.ndarray
     period: float
-    registered: np.ndarray | None = None
-    upcross_fraction: float = float("nan")
 
     def __post_init__(self):
         t = np.array(self.raw_times, dtype=float)
@@ -69,16 +63,6 @@ class WaveRecord:
         v.flags.writeable = False
         object.__setattr__(self, "raw_times", t)
         object.__setattr__(self, "raw_values", v)
-
-    @property
-    def n_interior(self) -> int:
-        return self.raw_times.size - 2
-
-    def _registered(self, values: np.ndarray, upcross_fraction: float) -> "WaveRecord":
-        """This wave with its read-only registered values; the validated raw
-        arrays are shared, not copied and checked again."""
-        return _unchecked(WaveRecord, **{**vars(self), "registered": values,
-                                         "upcross_fraction": upcross_fraction})
 
 
 def downcrossings(rec: TimeSeriesRecord, level: float) -> np.ndarray:
@@ -138,20 +122,21 @@ def _registration_basis(spec: RegistrationSpec) -> tuple[Grid, np.ndarray]:
 
 def _warp_times(
     times: np.ndarray, values: np.ndarray, lengths: np.ndarray, constrain: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Time maps of a batch of waves onto [0, 1].
 
     ``times`` and ``values`` hold the waves' samples end to end and
-    ``lengths`` the sample count of each wave.  Returns the warped times,
-    each wave's upcrossing fraction and whether the wave has an upcrossing
-    strictly inside it.  Unconstrained, the map is linear and the fraction
-    is the first upcrossing's place (NaN when there is none); constrained,
-    the two-piece map sends (start, first upcrossing, end) to (0, 0.5, 1),
-    and a wave without an upcrossing gets NaN times and fraction.
+    ``lengths`` the sample count of each wave.  Returns the warped times and
+    whether each wave has an upcrossing strictly inside it.  Unconstrained,
+    the map is linear and every wave counts as having one; constrained, the
+    two-piece map sends (start, first upcrossing, end) to (0, 0.5, 1), and
+    a wave without an upcrossing gets NaN times.
     """
     starts = np.cumsum(lengths) - lengths
     wave = np.repeat(np.arange(lengths.size), lengths)
     ts, te = times[starts], times[starts + lengths - 1]
+    if not constrain:
+        return (times - ts[wave]) / (te - ts)[wave], np.ones(lengths.size, dtype=bool)
     rise = (wave[:-1] == wave[1:]) & (values[:-1] <= 0.0) & (values[1:] > 0.0)
     dv = np.where(rise, values[1:] - values[:-1], 1.0)
     ups = times[:-1] + (0.0 - values[:-1]) / dv * (times[1:] - times[:-1])
@@ -161,15 +146,13 @@ def _warp_times(
     has_up[wave[first]] = True
     t_up = np.full(lengths.size, np.nan)
     t_up[wave[first]] = ups[first]
-    if not constrain:
-        return (times - ts[wave]) / (te - ts)[wave], (t_up - ts) / (te - ts), has_up
     t0, t1, tu = ts[wave], te[wave], t_up[wave]
     u = np.where(
         times <= tu,
         0.5 * (times - t0) / (tu - t0),
         0.5 + 0.5 * (times - tu) / (t1 - tu),
     )
-    return u, np.where(has_up, 0.5, np.nan), has_up
+    return u, has_up
 
 
 def _not_a_knot(u: np.ndarray, lengths: np.ndarray, k: int):
@@ -232,53 +215,38 @@ def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
     return dense.reshape(n_waves, points.size)
 
 
-def register_wave(w: WaveRecord, spec: RegistrationSpec) -> WaveRecord:
-    """Map a wave onto [0, 1] and fit it in the common spline basis.
-
-    With ``constrain_upcross`` the two-piece linear time map sends
-    (start, first upcrossing, end) to (0, 0.5, 1).  The fitted curve is
-    exactly zero at both endpoints.  Waves with fewer interior samples
-    than the spline order use a reduced interpolation order.
-    """
-    grid, projector = _registration_basis(spec)
-    n = np.array([w.raw_times.size])
-    u, frac, has_up = _warp_times(w.raw_times, w.raw_values, n, spec.constrain_upcross)
-    if spec.constrain_upcross and not has_up[0]:
-        raise NoUpcrossing("wave never rises above the mean level")
-    k = min(spec.spline_order - 1, n[0] - 1)
-    fitted = _interpolate(u, w.raw_values, n, k, grid.points) @ projector.T
-    fitted.flags.writeable = False
-    return w._registered(fitted[0], float(frac[0]))
-
-
 def register_sample(
     waves: list[WaveRecord],
     spec: RegistrationSpec,
     min_interior: int = 4,
     label: str = "",
-) -> tuple[FunctionalSample, list[WaveRecord], int]:
+) -> tuple[FunctionalSample, np.ndarray, int]:
     """Register a batch of waves onto the common grid.
 
-    Waves with fewer than ``min_interior`` interior samples, and waves
-    without an upcrossing when one is required, are dropped; the count of
-    dropped waves is returned alongside the sample.  Waves of equal spline
-    degree are interpolated together, in batches of about
-    ``REGISTER_POINTS`` samples and grid points; rows keep the input order.
+    Each wave is mapped onto [0, 1] (with ``constrain_upcross``, the
+    two-piece linear map sends its start, first upcrossing and end to 0,
+    0.5 and 1) and fitted in the common spline basis; the fitted curve is
+    exactly zero at both endpoints, and waves with fewer samples than the
+    spline order use a reduced interpolation order.  Waves with fewer than
+    ``min_interior`` interior samples, and waves without an upcrossing when
+    one is required, are dropped.  Returns the sample, the indices of the
+    kept waves (row i is ``waves[kept[i]]``) and the count of dropped waves.
+    Waves of equal spline degree are interpolated together, in batches of
+    about ``REGISTER_POINTS`` samples and grid points.
     """
     grid, projector = _registration_basis(spec)
     sizes = np.array([w.raw_times.size for w in waves], dtype=int)
     keep = sizes - 2 >= min_interior
     degree = np.minimum(spec.spline_order - 1, sizes - 1)
     dense = np.empty((sizes.size, spec.n_grid))
-    fracs = np.empty(sizes.size)
     for k in np.unique(degree[keep]):
         group = np.flatnonzero(keep & (degree == k))
         batch = (np.cumsum(sizes[group] + spec.n_grid) - 1) // REGISTER_POINTS
         for rows in np.split(group, np.flatnonzero(np.diff(batch)) + 1):
             t = np.concatenate([waves[i].raw_times for i in rows])
             v = np.concatenate([waves[i].raw_values for i in rows])
-            u, fracs[rows], has_up = _warp_times(t, v, sizes[rows], spec.constrain_upcross)
-            if spec.constrain_upcross:
+            u, has_up = _warp_times(t, v, sizes[rows], spec.constrain_upcross)
+            if not has_up.all():
                 keep[rows[~has_up]] = False
                 inside = np.repeat(has_up, sizes[rows])
                 rows, u, v = rows[has_up], u[inside], v[inside]
@@ -287,11 +255,7 @@ def register_sample(
     if not kept.size:
         raise NoWaves("no waves survived registration")
     sample = FunctionalSample(grid, dense[kept] @ projector.T, label)
-    # the registered values are the sample's validated, read-only rows
-    registered = [
-        waves[i]._registered(row, float(fracs[i])) for i, row in zip(kept, sample.values)
-    ]
-    return sample, registered, sizes.size - kept.size
+    return sample, kept, sizes.size - kept.size
 
 
 def normalize_sample(

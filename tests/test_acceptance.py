@@ -92,7 +92,7 @@ def test_criterion_2_invariance_suite():
             f.uniform_grid(f.Interval(0.0, 1.0), 41),
             smooth_curves(rng, 40, f.uniform_grid(f.Interval(0.0, 1.0), 41)),
         )
-        plan = f.ResamplingPlan("permutation", 64, 123, (20, 20))
+        plan = f.ResamplingPlan(64, 123, (20, 20))
         basis = f.BasisSpec("trig", {"k": 3})
         serial = f.permutation_null(joint, basis, plan, n_jobs=1)
         threaded = f.permutation_null(joint, basis, plan, n_jobs=4)
@@ -119,7 +119,7 @@ def test_criterion_4_null_calibration_at_paper_scale():
         sample, _, _ = f.register_sample(waves, f.RegistrationSpec(), label="waves")
         assert sample.n_curves >= 166
         joint = f.FunctionalSample(sample.grid, sample.values[:166], "joint")
-        plan = f.ResamplingPlan("permutation", 2000, 0, (106, 60))
+        plan = f.ResamplingPlan(2000, 0, (106, 60))
         null = f.permutation_null(joint, f.BasisSpec("trig", {"k": 3}), plan)
         table = f.quantile_table(null.values, 2, (0.5, 0.9, 0.95, 0.975, 0.99))
         reference = np.array([1.386, 4.605, 5.992, 7.378, 9.21])
@@ -142,7 +142,7 @@ def test_criterion_5_small_sample_bias_sign():
                                         seed=f.substream(1000 + seed, i)), 60)
                 for i in range(20)
             ]
-            plan = f.ResamplingPlan("spectral-mc", 500, seed, (10, 10))
+            plan = f.ResamplingPlan(500, seed, (10, 10))
             null = f.spectral_mc_null(
                 spectra[:10], spectra[10:], sim, basis, plan, n_jobs=4
             )

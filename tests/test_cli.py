@@ -13,7 +13,14 @@ from fda2s.io import (
     write_functional_sample,
     write_record,
 )
-from fda2s import FunctionalSample, Interval, TimeSeriesRecord, sea, uniform_grid
+from fda2s import (
+    FunctionalSample,
+    Interval,
+    TimeSeriesRecord,
+    sea,
+    segment_waves,
+    uniform_grid,
+)
 
 from conftest import smooth_curves
 
@@ -106,6 +113,15 @@ class TestSegment:
         assert len(sidecar["periods"]) == sample.n_curves
         assert sidecar["record_std"] > 0
         assert sidecar["hs_interval"] == pytest.approx(4 * sidecar["record_std"])
+
+    def test_sidecar_periods_are_the_kept_waves(self, record_file, tmp_path):
+        out = tmp_path / "waves.csv"
+        assert run("segment", "--input", record_file, "-o", out) == 0
+        sidecar = json.loads((tmp_path / "waves.csv.json").read_text())
+        waves = segment_waves(read_record(record_file))
+        kept = [w.period for w in waves if w.raw_times.size - 2 >= 4]
+        assert sidecar["dropped"] == len(waves) - len(kept) > 0
+        assert sidecar["periods"] == kept
 
     def test_flat_record_exits_3(self, tmp_path):
         path = tmp_path / "flat.csv"
@@ -247,6 +263,7 @@ class TestTest:
 
     @pytest.mark.parametrize("basis,key", [
         ("trig:kk=1", "kk"), ("indicator:d=2", "d"), ("pca:weights=equal", "weights"),
+        ("trig:k_max=2", "k_max"),
     ])
     def test_unknown_basis_parameter_exits_2(self, tmp_path, rng, capsys, basis, key):
         xp, yp = self._write_pair(tmp_path, rng)
@@ -341,6 +358,30 @@ class TestQuantiles:
                    "--calibration", "permutation:B=400", "--seed", 2,
                    "-o", out) == 0
         assert out.exists()
+
+    def test_k_with_generate_exits_2(self, tmp_path, rng, capsys):
+        grid = uniform_grid(Interval(0.0, 1.0), 41)
+        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_functional_sample(FunctionalSample(grid, smooth_curves(rng, 20, grid)), xp)
+        write_functional_sample(FunctionalSample(grid, smooth_curves(rng, 20, grid)), yp)
+        out = tmp_path / "table.csv"
+        assert run("quantiles", "--generate", "--x", xp, "--y", yp,
+                   "--basis", "trig:k=3,parts=both", "--calibration", "permutation:B=50",
+                   "--seed", 2, "--k", 7, "-o", out) == 2
+        assert "--k" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        ("--generate",), ("--x", "x.csv"), ("--y", "y.csv"), ("--basis", "pca:d=2"),
+        ("--seed", 0), ("--generate", "--x", "x.csv", "--basis", "pca:d=2"),
+    ])
+    def test_null_values_with_generate_flags_exits_2(self, tmp_path, rng, capsys, extra):
+        path = tmp_path / "null.txt"
+        path.write_text("\n".join(repr(float(v)) for v in rng.chisquare(3, 200)) + "\n")
+        out = tmp_path / "table.csv"
+        assert run("quantiles", "--null-values", path, "--k", 3, *extra, "-o", out) == 2
+        assert f"does not combine with {extra[0]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requires_inputs(self, tmp_path):
         assert run("quantiles", "-o", tmp_path / "t.csv") == 2

@@ -333,10 +333,15 @@ class TestBasisSpec:
         with pytest.raises(ValueError, match=f"'{key}'"):
             BasisSpec(scheme, params)
 
+    @pytest.mark.parametrize("text", ["trig:k_max=2", "trig:k=2,k_max=5"])
+    def test_trig_k_max_is_not_an_alias_of_k(self, text):
+        with pytest.raises(ValueError, match="unknown trig parameter 'k_max'; expected k, parts"):
+            BasisSpec.parse(text)
+
     @pytest.mark.parametrize("text,key", [
-        ("indicator:k=abc", "k"), ("trig:k_max=2.5", "k_max"), ("pca:d=", "d"),
+        ("indicator:k=abc", "k"), ("trig:k=2.5", "k"), ("pca:d=", "d"),
         ("pca:d=0", "d"), ("indicator:k=-3", "k"), ("trig:k=0", "k"),
-        ("trig:k_max=0", "k_max"), ("bspline:order=1", "order"),
+        ("trig:k=-1", "k"), ("bspline:order=1", "order"),
         ("bspline:interior=-1", "interior"), ("trig:parts=even", "parts"),
     ])
     def test_invalid_value_rejected(self, text, key):
@@ -350,7 +355,7 @@ class TestBasisSpec:
 
     @pytest.mark.parametrize("text", [
         "indicator", "indicator:k=8", "bspline:interior=7,order=5", "trig:k=3,parts=odd",
-        "trig:k_max=2,parts=both", "pca:d=2", "pca:d=1", "bspline:interior=0,order=2",
+        "trig:k=2,parts=both", "pca:d=2", "pca:d=1", "bspline:interior=0,order=2",
         "trig:k=1",
     ])
     def test_valid_specs_round_trip(self, text):

@@ -51,17 +51,28 @@ def gaussian_joint(rng, n_curves=40, n_points=41):
     return FunctionalSample(grid, smooth_curves(rng, n_curves, grid), "joint")
 
 
+class TestResamplingPlan:
+    @pytest.mark.parametrize("args,error", [
+        ((0, 1, (20, 20)), ValueError), ((5, 1, (1, 20)), ValueError),
+        # the engine is the function called, so a method name is no argument
+        (("spectral-mc", 50, 1, (20, 20)), TypeError),
+    ])
+    def test_invalid_plan_rejected(self, args, error):
+        with pytest.raises(error):
+            ResamplingPlan(*args)
+
+
 class TestPermutationNull:
     def test_single_replicate_finite(self, rng):
         joint = gaussian_joint(rng)
-        plan = ResamplingPlan("permutation", 1, 3, (20, 20))
+        plan = ResamplingPlan(1, 3, (20, 20))
         null = permutation_null(joint, BasisSpec("trig", {"k": 3}), plan)
         assert null.values.shape == (1,)
         assert np.isfinite(null.values[0]) and null.values[0] >= 0.0
 
     def test_same_seed_same_sequence(self, rng):
         joint = gaussian_joint(rng)
-        plan = ResamplingPlan("permutation", 50, 12, (25, 15))
+        plan = ResamplingPlan(50, 12, (25, 15))
         basis = BasisSpec("indicator", {"k": 2})
         a = permutation_null(joint, basis, plan)
         b = permutation_null(joint, basis, plan)
@@ -69,7 +80,7 @@ class TestPermutationNull:
 
     def test_parallel_matches_serial_bitexact(self, rng):
         joint = gaussian_joint(rng)
-        plan = ResamplingPlan("permutation", 64, 9, (20, 20))
+        plan = ResamplingPlan(64, 9, (20, 20))
         basis = BasisSpec("pca", {"d": 2})
         serial = permutation_null(joint, basis, plan, n_jobs=1)
         threaded = permutation_null(joint, basis, plan, n_jobs=4)
@@ -78,7 +89,7 @@ class TestPermutationNull:
     def test_null_quantiles_near_chi2(self, rng):
         # synthetic Gaussian-curve joint sample, trig k=2, m=n=100
         joint = gaussian_joint(rng, n_curves=200, n_points=33)
-        plan = ResamplingPlan("permutation", 2000, 4, (100, 100))
+        plan = ResamplingPlan(2000, 4, (100, 100))
         null = permutation_null(joint, BasisSpec("trig", {"k": 3}), plan)
         emp = np.quantile(null.values, [0.5, 0.9, 0.95])
         ref = np.array([1.386, 4.605, 5.992])
@@ -104,7 +115,7 @@ class TestPermutationNull:
     def test_too_many_failures_raise(self, rng):
         # k = 8 indicators from 3+3 curves: every replicate is singular
         joint = gaussian_joint(rng, n_curves=6)
-        plan = ResamplingPlan("permutation", 20, 1, (3, 3))
+        plan = ResamplingPlan(20, 1, (3, 3))
         with pytest.raises(SingularCovariance):
             permutation_null(joint, BasisSpec("indicator", {"k": 8}), plan)
 
@@ -113,7 +124,7 @@ class TestPermutationNull:
         joint = gaussian_joint(rng, n_curves=12)
         other = uniform_grid(Interval(0.0, 2.0), len(joint.grid))
         g = BasisSpec.parse("indicator:k=2").build(FunctionalSample(other, joint.values))
-        plan = ResamplingPlan("permutation", 5, 1, (6, 6))
+        plan = ResamplingPlan(5, 1, (6, 6))
         with pytest.raises(GridMismatch):
             permutation_null(joint, g, plan)
 
@@ -124,7 +135,7 @@ class TestPermutationNull:
         hits = 0
         for i in range(200):
             joint = FunctionalSample(grid, smooth_curves(rng, 40, grid))
-            plan = ResamplingPlan("permutation", 99, 9000 + i, (25, 15))
+            plan = ResamplingPlan(99, 9000 + i, (25, 15))
             null = permutation_null(joint, basis, plan)
             g = trig_g_functions(joint, 3)
             scores = sample_inner_products(joint, g.functions)
@@ -173,7 +184,7 @@ class TestClosedFormNull:
     @given(small_problems(), st.integers(1, 60))
     def test_matches_per_replicate_oracle(self, problem, B):
         joint, basis, m, seed = problem
-        plan = ResamplingPlan("permutation", B, seed, (m, joint.n_curves - m))
+        plan = ResamplingPlan(B, seed, (m, joint.n_curves - m))
         null = permutation_null(joint, basis, plan)
         assert null.n_failed == 0
         assert_matches_oracle(null.values, per_replicate_null(joint, basis, plan))
@@ -206,9 +217,7 @@ class TestClosedFormNull:
     @given(small_problems(), st.integers(1, PERMUTATION_CHUNK - 1))
     def test_partial_last_chunk_matches_oracle_at_any_thread_count(self, problem, extra):
         joint, basis, m, seed = problem
-        plan = ResamplingPlan(
-            "permutation", PERMUTATION_CHUNK + extra, seed, (m, joint.n_curves - m)
-        )
+        plan = ResamplingPlan(PERMUTATION_CHUNK + extra, seed, (m, joint.n_curves - m))
         oracle = per_replicate_null(joint, basis, plan)
         serial = permutation_null(joint, basis, plan, n_jobs=1)
         threaded = permutation_null(joint, basis, plan, n_jobs=3)
@@ -219,9 +228,7 @@ class TestClosedFormNull:
     @given(small_problems())
     def test_values_bit_identical_to_per_replicate_substreams(self, problem):
         joint, basis, m, seed = problem
-        plan = ResamplingPlan(
-            "permutation", 2 * PERMUTATION_CHUNK + 5, seed, (m, joint.n_curves - m)
-        )
+        plan = ResamplingPlan(2 * PERMUTATION_CHUNK + 5, seed, (m, joint.n_curves - m))
         split = _SplitStatistic(sample_inner_products(joint, basis.build(joint).functions), m)
         x_rows = np.array(
             [substream(seed, r).permutation(joint.n_curves)[:m] for r in range(plan.B)]
@@ -261,7 +268,7 @@ class TestSpectralMcNull:
             for i in range(4)
         ]
         sim = SimConfig(duration=600.0, fs=fs, parzen_L=60, n_freq=481)
-        plan = ResamplingPlan("spectral-mc", 1, 5, (2, 2))
+        plan = ResamplingPlan(1, 5, (2, 2))
         null = spectral_mc_null(
             spectra[:2], spectra[2:], sim, BasisSpec("indicator", {"k": 2}), plan
         )
@@ -286,7 +293,7 @@ class TestSpectralMcNull:
     def test_deterministic_across_thread_counts(self):
         spectra = self._spectra(8, 900.0, 10)
         sim = SimConfig(duration=900.0, fs=1.28, parzen_L=60, n_freq=481)
-        plan = ResamplingPlan("spectral-mc", 4 * SPECTRAL_MC_CHUNK + 1, 21, (4, 4))
+        plan = ResamplingPlan(4 * SPECTRAL_MC_CHUNK + 1, 21, (4, 4))
         for text in ("indicator:k=3", "pca:d=2"):
             basis = BasisSpec.parse(text)
             serial = spectral_mc_null(spectra[:4], spectra[4:], sim, basis, plan, n_jobs=1)
@@ -297,7 +304,7 @@ class TestSpectralMcNull:
     def test_replicate_matches_its_definition(self, basis):
         spectra = self._spectra(10, 600.0, 40)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
-        plan = ResamplingPlan("spectral-mc", SPECTRAL_MC_CHUNK + 2, 9, (5, 5))  # 2 in a partial chunk
+        plan = ResamplingPlan(SPECTRAL_MC_CHUNK + 2, 9, (5, 5))  # 2 in a partial chunk
         basis = BasisSpec.parse(basis)
         null = spectral_mc_null(spectra[:5], spectra[5:], sim, basis, plan)
         assert null.n_failed == 0
@@ -315,7 +322,7 @@ class TestSpectralMcNull:
     def test_chunk_size_does_not_change_values(self, monkeypatch):
         spectra = self._spectra(6, 600.0, 60, n_freq=241)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=40, n_freq=241)
-        plan = ResamplingPlan("spectral-mc", 7, 3, (3, 3))
+        plan = ResamplingPlan(7, 3, (3, 3))
         basis = BasisSpec.parse("indicator:k=2")
         values = []
         for chunk in (1, 3, 7):
@@ -331,7 +338,7 @@ class TestSpectralMcNull:
         monkeypatch.setattr(GaussianSynthesizer, "autocovariances", acov)
         spectra = self._spectra(4, 600.0, 70)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
-        plan = ResamplingPlan("spectral-mc", 3, 1, (2, 2))
+        plan = ResamplingPlan(3, 1, (2, 2))
         with pytest.raises(NegativeEstimate):
             spectral_mc_null(spectra[:2], spectra[2:], sim, BasisSpec.parse("indicator:k=2"), plan)
 
@@ -341,7 +348,7 @@ class TestSpectralMcNull:
         # size, or of the same size over another band, is refused up front
         spectra = self._spectra(4, 600.0, 70, fs=fs, n_freq=n_freq)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
-        plan = ResamplingPlan("spectral-mc", 3, 1, (2, 2))
+        plan = ResamplingPlan(3, 1, (2, 2))
         basis = BasisSpec.parse("indicator:k=2")
         with pytest.raises(GridMismatch, match="estimator grid"):
             spectral_mc_null(spectra[:2], spectra[2:], sim, basis, plan)
@@ -350,7 +357,7 @@ class TestSpectralMcNull:
 
     def test_window_longer_than_half_the_record_rejected(self):
         spectra = self._spectra(4, 600.0, 70)
-        plan = ResamplingPlan("spectral-mc", 3, 1, (2, 2))
+        plan = ResamplingPlan(3, 1, (2, 2))
         for L, error in ((0, InvalidParams), (400, RecordTooShort)):
             sim = SimConfig(duration=600.0, fs=1.28, parzen_L=L, n_freq=481)
             with pytest.raises(error):

@@ -17,12 +17,11 @@ from fda2s import (
     downcrossings,
     normalize_sample,
     register_sample,
-    register_wave,
     segment_waves,
     simulate_gaussian,
     torsethaugen_spectrum,
 )
-from fda2s.errors import NoUpcrossing, NoWaves, ZeroVariance
+from fda2s.errors import NoWaves, ZeroVariance
 from fda2s import waves as waves_module
 from fda2s.waves import _registration_basis, _warp_times
 
@@ -49,22 +48,27 @@ def where_oracle(rec):
 def spline_oracle(wave, spec):
     """One wave through make_interp_spline and the projector; None when dropped."""
     t, v = wave.raw_times, wave.raw_values
-    ups = [t[i] + (0.0 - v[i]) / (v[i + 1] - v[i]) * (t[i + 1] - t[i])
-           for i in range(t.size - 1) if v[i] <= 0.0 < v[i + 1]]
-    ups = [x for x in ups if t[0] < x < t[-1]]
     if spec.constrain_upcross:
+        ups = [t[i] + (0.0 - v[i]) / (v[i + 1] - v[i]) * (t[i + 1] - t[i])
+               for i in range(t.size - 1) if v[i] <= 0.0 < v[i + 1]]
+        ups = [x for x in ups if t[0] < x < t[-1]]
         if not ups:
             return None
         t_up = ups[0]
         u = np.array([0.5 * (x - t[0]) / (t_up - t[0]) if x <= t_up
                       else 0.5 + 0.5 * (x - t_up) / (t[-1] - t_up) for x in t])
-        frac = 0.5
     else:
         u = (t - t[0]) / (t[-1] - t[0])
-        frac = (ups[0] - t[0]) / (t[-1] - t[0]) if ups else float("nan")
     grid, projector = _registration_basis(spec)
     k = min(spec.spline_order - 1, t.size - 1)
-    return projector @ make_interp_spline(u, v, k=k)(grid.points), frac
+    return projector @ make_interp_spline(u, v, k=k)(grid.points)
+
+
+def register_one(wave, spec):
+    """The registered values of one wave on its own."""
+    sample, kept, dropped = register_sample([wave], spec, min_interior=0)
+    assert kept.tolist() == [0] and dropped == 0
+    return sample.values[0]
 
 
 def random_waves(rng, sizes):
@@ -165,19 +169,17 @@ class TestRegisterWave:
         t = np.arange(0.0, 2.0, 1.0 / fs)
         rec = TimeSeriesRecord(fs, -np.sin(2 * np.pi * t))
         wave = segment_waves(rec)[0]
-        out = register_wave(wave, RegistrationSpec())
+        out = register_one(wave, RegistrationSpec())
         grid, _ = _registration_basis(RegistrationSpec())
         target = -np.sin(2 * np.pi * grid.points)
-        assert np.max(np.abs(out.registered - target)) < 1e-3
-        assert out.upcross_fraction == pytest.approx(0.5, abs=1e-6)
+        assert np.max(np.abs(out - target)) < 1e-3
 
     def test_linear_map_domain(self):
         t = np.linspace(10.0, 12.5, 11)
         v = -np.sin(2 * np.pi * (t - 10.0) / 2.5)
         wave = WaveRecord(t, v, 2.5)
-        sample, (out,), _ = register_sample([wave], RegistrationSpec())
-        assert out.period == 2.5
-        assert np.array_equal(out.registered, sample.values[0])
+        sample, kept, dropped = register_sample([wave], RegistrationSpec())
+        assert kept.tolist() == [0] and dropped == 0
         assert sample.grid.points[0] == 0.0 and sample.grid.points[-1] == 1.0
 
     def test_two_piece_map_against_analytic_oracle(self):
@@ -185,8 +187,8 @@ class TestRegisterWave:
         t = np.linspace(0.0, 1.0, 201)
         v = np.where(t <= 0.4, -np.sin(np.pi * t / 0.4), np.sin(np.pi * (t - 0.4) / 0.6))
         wave = WaveRecord(t, v, 1.0)
-        u, frac, has_up = _warp_times(t, v, np.array([t.size]), True)
-        assert has_up[0] and frac[0] == 0.5
+        u, has_up = _warp_times(t, v, np.array([t.size]), True)
+        assert has_up.tolist() == [True]
         t_up = 0.4
 
         def analytic(ti):
@@ -196,11 +198,9 @@ class TestRegisterWave:
 
         expected = np.array([analytic(ti) for ti in t])
         assert np.max(np.abs(u - expected)) < 1e-6
-        out = register_wave(wave, RegistrationSpec(constrain_upcross=True))
-        assert out.upcross_fraction == 0.5
+        vals = register_one(wave, RegistrationSpec(constrain_upcross=True))
         # the registered curve crosses zero going up at 0.5 (spline-level)
         g = _registration_basis(RegistrationSpec(constrain_upcross=True))[0].points
-        vals = out.registered
         sign_change = np.where((vals[:-1] <= 0) & (vals[1:] > 0))[0]
         crossing = g[sign_change[0]]
         assert abs(crossing - 0.5) < 0.02
@@ -211,23 +211,35 @@ class TestRegisterWave:
         assert np.max(np.abs(sample.values[:, [0, -1]])) <= 1e-8
 
     def test_no_upcrossing(self):
+        # a constrained wave without an upcrossing is dropped; alone, none survive
         t = np.linspace(0.0, 1.0, 21)
-        v = -np.sin(np.pi * t)  # never above zero
-        wave = WaveRecord(t, v, 1.0)
-        with pytest.raises(NoUpcrossing):
-            register_wave(wave, RegistrationSpec(constrain_upcross=True))
+        below = WaveRecord(t, -np.sin(np.pi * t), 1.0)  # never above zero
+        good = WaveRecord(t, -np.sin(2 * np.pi * t), 1.0)
+        spec = RegistrationSpec(constrain_upcross=True)
+        u, has_up = _warp_times(t, below.raw_values, np.array([t.size]), True)
+        assert has_up.tolist() == [False] and np.all(np.isnan(u))
+        sample, kept, dropped = register_sample([below, good], spec, min_interior=0)
+        assert dropped == 1 and kept.tolist() == [1]
+        assert np.array_equal(sample.values[0], register_one(good, spec))
+        with pytest.raises(NoWaves):
+            register_sample([below], spec, min_interior=0)
 
     def test_constrained_sample_all_at_half(self):
+        # kept: the waves with an upcrossing, pinned at 0.5 as the oracle pins it
         waves = segment_waves(simulated_record(seed=6, duration=900.0))
-        _, registered, _ = register_sample(
-            waves, RegistrationSpec(constrain_upcross=True)
-        )
-        assert all(w.upcross_fraction == 0.5 for w in registered)
+        spec = RegistrationSpec(constrain_upcross=True)
+        sample, kept, dropped = register_sample(waves, spec)
+        expected = [i for i, w in enumerate(waves)
+                    if w.raw_times.size - 2 >= 4 and spline_oracle(w, spec) is not None]
+        assert kept.tolist() == expected
+        assert dropped == len(waves) - len(expected)
+        for row, i in zip(sample.values, kept):
+            values = spline_oracle(waves[i], spec)
+            assert np.max(np.abs(row - values)) <= 1e-10 * np.max(np.abs(values))
 
     def test_reduced_order_fallback_for_tiny_waves(self):
         wave = WaveRecord(np.array([0.0, 0.4, 1.0]), np.array([0.0, -1.0, 0.0]), 1.0)
-        out = register_wave(wave, RegistrationSpec())
-        assert np.all(np.isfinite(out.registered))
+        assert np.all(np.isfinite(register_one(wave, RegistrationSpec())))
 
 
 class TestBatchedRegistration:
@@ -242,18 +254,18 @@ class TestBatchedRegistration:
         waves = random_waves(np.random.default_rng(seed), sizes)
         spec = RegistrationSpec(spline_order=order, constrain_upcross=constrain)
         expected = [spline_oracle(w, spec) for w in waves]
-        kept = [e for e in expected if e is not None]
-        if not kept:
+        survivors = [i for i, e in enumerate(expected) if e is not None]
+        if not survivors:
             with pytest.raises(NoWaves):
                 register_sample(waves, spec, min_interior=0)
             return
-        sample, registered, dropped = register_sample(waves, spec, min_interior=0)
-        assert dropped == len(waves) - len(kept)
-        assert sample.n_curves == len(registered) == len(kept)
-        for row, w, (values, frac) in zip(sample.values, registered, kept):
+        sample, kept, dropped = register_sample(waves, spec, min_interior=0)
+        assert kept.tolist() == survivors
+        assert dropped == len(waves) - len(survivors)
+        assert sample.n_curves == len(survivors)
+        for row, i in zip(sample.values, kept):
+            values = expected[i]
             assert np.max(np.abs(row - values)) <= 1e-10 * np.max(np.abs(values))
-            assert np.array_equal(w.registered, row)
-            assert w.upcross_fraction == frac or (np.isnan(frac) and np.isnan(w.upcross_fraction))
 
     @pytest.mark.parametrize("spec", [
         RegistrationSpec(), RegistrationSpec(spline_order=5, constrain_upcross=True),
@@ -265,12 +277,12 @@ class TestBatchedRegistration:
         monkeypatch.setattr(waves_module, "REGISTER_POINTS", budget)
         waves = random_waves(np.random.default_rng(8), [400, 650, 3, 400, 512])
         expected = [spline_oracle(w, spec) for w in waves]
-        kept = [e for e in expected if e is not None]
-        sample, registered, dropped = register_sample(waves, spec, min_interior=0)
-        assert dropped == len(waves) - len(kept)
-        for row, w, (values, frac) in zip(sample.values, registered, kept):
+        sample, kept, dropped = register_sample(waves, spec, min_interior=0)
+        assert kept.tolist() == [i for i, e in enumerate(expected) if e is not None]
+        assert dropped == len(waves) - kept.size
+        for row, i in zip(sample.values, kept):
+            values = expected[i]
             assert np.max(np.abs(row - values)) <= 1e-10 * np.max(np.abs(values))
-            assert w.upcross_fraction == frac or (np.isnan(frac) and np.isnan(w.upcross_fraction))
 
     def test_upcrossing_stays_inside_its_wave(self):
         # the step from one wave's last sample (below zero) to the next
@@ -280,16 +292,15 @@ class TestBatchedRegistration:
         spec = RegistrationSpec(constrain_upcross=True)
         with pytest.raises(NoWaves):
             register_sample([below, above], spec, min_interior=0)
-        _, registered, dropped = register_sample([below, above], RegistrationSpec())
-        assert dropped == 0
-        assert all(np.isnan(w.upcross_fraction) for w in registered)
+        _, kept, dropped = register_sample([below, above], RegistrationSpec())
+        assert dropped == 0 and kept.tolist() == [0, 1]
 
     def test_memory_is_linear_in_wave_length(self):
         # a dense collocation matrix for 4000 samples alone takes 128 MB
         wave = random_waves(np.random.default_rng(9), [4000])[0]
         tracemalloc.start()
         try:
-            register_wave(wave, RegistrationSpec())
+            register_sample([wave], RegistrationSpec(), min_interior=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -301,12 +312,11 @@ class TestBatchedRegistration:
         whole, _, _ = register_sample(waves, spec, min_interior=0)
         # the nine waves of degree 5 split across batches of two or three
         monkeypatch.setattr(waves_module, "REGISTER_POINTS", 3 * (12 + spec.n_grid))
-        sample, registered, dropped = register_sample(waves, spec, min_interior=0)
-        assert dropped == 0
+        sample, kept, dropped = register_sample(waves, spec, min_interior=0)
+        assert dropped == 0 and kept.tolist() == list(range(len(waves)))
         assert np.array_equal(sample.values, whole.values)
-        for row, w, wave in zip(sample.values, registered, waves):
-            assert np.array_equal(w.raw_times, wave.raw_times)
-            single = register_wave(wave, spec).registered
+        for row, wave in zip(sample.values, waves):
+            single = register_one(wave, spec)
             assert np.max(np.abs(row - single)) <= 1e-12 * np.max(np.abs(single))
 
     @pytest.mark.parametrize("times,values,message", [
@@ -327,7 +337,7 @@ class TestBatchedRegistration:
         with pytest.raises(ValueError, match=message):
             register_sample([good[0], bad, good[1]], RegistrationSpec())
         with pytest.raises(ValueError, match=message):
-            register_wave(bad, RegistrationSpec())
+            register_sample([bad], RegistrationSpec(), min_interior=0)
 
 
 class TestRegistrationObjects:
@@ -338,31 +348,30 @@ class TestRegistrationObjects:
         with pytest.raises(ValueError):
             projector[0, 0] = 1.0
         wave = random_waves(np.random.default_rng(8), [12])[0]
-        first = register_wave(wave, RegistrationSpec()).registered
-        again = register_wave(wave, RegistrationSpec()).registered
+        first = register_one(wave, RegistrationSpec())
+        again = register_one(wave, RegistrationSpec())
         assert np.array_equal(first, again)
         with pytest.raises(ValueError):
             first[0] = 1.0
 
     def test_registered_waves_stay_read_only_with_their_values(self):
         waves = random_waves(np.random.default_rng(9), [3, 9, 14, 2, 11])
-        kept = [w for w in waves if w.n_interior >= 4]
-        copies = [(w.raw_times.copy(), w.raw_values.copy(), w.period) for w in kept]
-        sample, registered, dropped = register_sample(waves, RegistrationSpec())
-        assert dropped == 2 and len(registered) == len(kept)
-        for w, (t, v, period), row, one in zip(registered, copies, sample.values, kept):
-            assert isinstance(w, WaveRecord)
+        copies = [(w.raw_times.copy(), w.raw_values.copy(), w.period) for w in waves]
+        sample, kept, dropped = register_sample(waves, RegistrationSpec())
+        # the waves with at least four interior samples, in input order
+        assert dropped == 2 and kept.tolist() == [1, 2, 4]
+        with pytest.raises(ValueError):
+            sample.values[0, 0] = 1.0
+        for row, i in zip(sample.values, kept):
+            alone = register_one(waves[i], RegistrationSpec())
+            assert np.max(np.abs(row - alone)) <= 1e-12 * np.max(np.abs(alone))
+        # the input waves are left as they were
+        for w, (t, v, period) in zip(waves, copies):
             assert np.array_equal(w.raw_times, t) and np.array_equal(w.raw_values, v)
-            alone = register_wave(one, RegistrationSpec())
             assert w.period == period
-            assert np.array_equal(w.upcross_fraction, alone.upcross_fraction, equal_nan=True)
-            assert np.array_equal(w.registered, row)
-            assert np.shares_memory(w.registered, sample.values)
-            for arr in (w.raw_times, w.raw_values, w.registered):
+            for arr in (w.raw_times, w.raw_values):
                 with pytest.raises(ValueError):
                     arr[0] = 1.0
-        # the input waves are left as they were
-        assert all(w.registered is None for w in waves)
 
 
 class TestRegistrationInvariances:

@@ -29,17 +29,19 @@ print("joint sample: 12 estimated spectral densities,",
       f"{len(density_sample.grid)} frequency points\n")
 
 for text in ("indicator:k=8", "bspline:order=5,interior=7", "pca:d=2"):
-    g = f.BasisSpec.parse(text).build(density_sample)
+    spec = f.BasisSpec.parse(text)
+    g = spec.build(density_sample)
     scores = f.score_matrix(density_sample, g)
-    print(f"{text:26s} k={g.k:2d}  provenance={g.provenance:11s} "
+    print(f"{text:26s} k={g.k:2d}  data_driven={spec.data_driven!s:5s} "
           f"score row 0: {np.round(scores[0], 4)}")
 
 # the trigonometric family lives on [0, 1]: demonstrate it on registered waves
 record = f.simulate_gaussian(target, 900.0, FS, seed=77)
 waves, _, _ = f.register_sample(f.segment_waves(record), f.RegistrationSpec(), label="w")
 for parts in ("both", "odd"):
-    g = f.trig_g_functions(waves, k_max=3, parts=parts)
-    print(f"trig parts={parts:4s}             k={g.k:2d}  provenance={g.provenance:11s} "
+    spec = f.BasisSpec("trig", {"k": 3, "parts": parts})
+    g = spec.build(waves)
+    print(f"{str(spec):26s} k={g.k:2d}  data_driven={spec.data_driven!s:5s} "
           f"a_bar={np.round(g.params['a_bar'], 3)}")
 
 print("\noptional preprocessing: spline-smooth the densities (order 5, 51 sites)")

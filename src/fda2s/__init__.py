@@ -22,7 +22,6 @@ from .qn import TestResult, chi_square_isf, chi_square_sf, qn_statistic, score_m
 from .resampling import (
     NullDistribution,
     QuantileTable,
-    ResamplingPlan,
     SimConfig,
     average_spectrum,
     permutation_null,
@@ -74,7 +73,6 @@ __all__ = [
     "NullDistribution",
     "QuantileTable",
     "RegistrationSpec",
-    "ResamplingPlan",
     "SimConfig",
     "SpectralDensity",
     "TestResult",

@@ -18,13 +18,7 @@ import numpy as np
 from . import io
 from .errors import FdaError, NoWaves
 from .projections import BasisSpec
-from .resampling import (
-    ResamplingPlan,
-    SimConfig,
-    check_estimator_grid,
-    permutation_null,
-    quantile_table,
-)
+from .resampling import SimConfig, check_estimator_grid, permutation_null, quantile_table
 from .rng import fresh_seed
 from .runner import concatenate_samples, run_test, sample_to_spectra, spectral_mc_test
 from .sea import (
@@ -82,6 +76,14 @@ def _parse_calibration(text: str) -> tuple[str, int]:
                 f"in {text!r}"
             )
     return head, b
+
+
+def _reject_given(args, parser, names, context: str) -> None:
+    """Raise FdaError naming each option in `names` given a value other than its default."""
+    given = [f"--{name.replace('_', '-')}" for name in names
+             if getattr(args, name) != parser.get_default(name)]
+    if given:
+        raise FdaError(f"{context} does not combine with {', '.join(given)}")
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -163,6 +165,10 @@ def cmd_test(args, parser) -> int:
     _apply_config(args, parser)
     basis = BasisSpec.parse(args.basis)
     method, B = _parse_calibration(args.calibration)
+    mc_flags = ("mc_duration", "mc_fs", "mc_parzen", "mc_nfreq")
+    if method != "spectral-mc":
+        seed_flag = ("seed",) if method == "asymptotic" else ()
+        _reject_given(args, parser, seed_flag + mc_flags, f"--calibration {method}")
     x = io.read_functional_sample(args.x, label="x")
     y = io.read_functional_sample(args.y, label="y")
     n_jobs = _threads()
@@ -189,31 +195,25 @@ def cmd_quantiles(args, parser) -> int:
     _apply_config(args, parser)
     probs = tuple(float(p) for p in args.probs.split(","))
     if args.null_values:
-        clash = [f"--{name}" for name in ("generate", "x", "y", "basis", "seed")
-                 if getattr(args, name) != parser.get_default(name)]
-        if clash:
-            raise FdaError(f"--null-values does not combine with {', '.join(clash)}")
+        _reject_given(args, parser, ("generate", "x", "y", "basis", "seed", "calibration"),
+                      "--null-values")
         if args.k is None:
             raise FdaError("--k is required with --null-values")
         values = io.read_null_values(args.null_values)
         k = args.k
     elif args.generate:
-        if args.k is not None:
-            raise FdaError("--k does not combine with --generate; the basis sets k")
+        _reject_given(args, parser, ("k",), "--generate")
         if not (args.x and args.y and args.basis):
             raise FdaError("--generate needs --x, --y and --basis")
-        method, B = _parse_calibration(args.calibration)
+        method, B = _parse_calibration(args.calibration or "permutation:B=1000")
         if method != "permutation":
             raise FdaError("--generate supports permutation calibration")
         seed = _resolve_seed(args.seed)
         x = io.read_functional_sample(args.x, label="x")
         y = io.read_functional_sample(args.y, label="y")
         joint = concatenate_samples(x, y)
-        basis = BasisSpec.parse(args.basis)
-        g = basis.build(joint)
-        plan = ResamplingPlan(B, seed, (x.n_curves, y.n_curves))
-        null = permutation_null(joint, g, plan, n_jobs=_threads())
-        values = null.values
+        g = BasisSpec.parse(args.basis).build(joint)
+        values = permutation_null(joint, g, x.n_curves, B, seed, n_jobs=_threads()).values
         k = g.k
     else:
         raise FdaError("provide --null-values or --generate")
@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default=None)
     p.add_argument("--y", default=None)
     p.add_argument("--basis", default=None)
-    p.add_argument("--calibration", default="permutation:B=1000")
+    p.add_argument("--calibration", default=None,
+                   help="permutation:B=N (default permutation:B=1000)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--probs", default="0.5,0.9,0.95,0.975,0.99")
     p.add_argument("--config", default=None)

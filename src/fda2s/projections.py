@@ -28,7 +28,6 @@ class GVector:
     functions: np.ndarray  # (k, n_points)
     scheme: str
     params: dict = field(default_factory=dict)
-    provenance: str = "fixed"
 
     def __post_init__(self):
         funcs = np.array(self.functions, dtype=float)
@@ -44,13 +43,6 @@ class GVector:
     @property
     def k(self) -> int:
         return self.functions.shape[0]
-
-    def metadata(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "params": dict(self.params),
-            "provenance": self.provenance,
-        }
 
 
 def indicator_basis(interval: Interval, k: int, grid: Grid) -> GVector:
@@ -135,7 +127,6 @@ def trig_g_functions(
         "trig",
         {"k_max": k_max, "parts": parts,
          "a_bar": a_bar.tolist(), "b_bar": b_bar.tolist()},
-        provenance="data-driven",
     )
 
 
@@ -195,7 +186,7 @@ def pca_basis(
                 phis[i] = -phis[i]
         elif phis[i][np.argmax(np.abs(phis[i]))] < 0:
             phis[i] = -phis[i]
-    return GVector(joint.grid, phis, "pca", {"d": d}, provenance="data-driven"), eigvals[:d]
+    return GVector(joint.grid, phis, "pca", {"d": d}), eigvals[:d]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,8 @@ class TestResult:
     p_asymptotic: float
     m: int
     n: int
-    scheme: dict | None = None
+    scheme: str | None = None
+    params: dict | None = None
     p_resampled: float | None = None
     n_resamples: int | None = None
     n_failed_resamples: int | None = None
@@ -47,8 +48,8 @@ class TestResult:
             "p_resampled": self.p_resampled,
             "n_resamples": self.n_resamples,
             "n_failed_resamples": self.n_failed_resamples,
-            "scheme": (self.scheme or {}).get("scheme"),
-            "params": (self.scheme or {}).get("params"),
+            "scheme": self.scheme,
+            "params": self.params,
             "seed": self.seed,
             "m": self.m,
             "n": self.n,

@@ -1,6 +1,6 @@
 """Finite-sample calibration: permutation splits and the spectral Monte Carlo null.
 
-Replicate r of a plan draws from a substream keyed by (seed, r), and
+Replicate r of a null draws from a substream keyed by (seed, r), and
 replicates are evaluated in fixed consecutive chunks, so the ordered
 replicate sequence is bit-identical however the chunks are scheduled
 (serial, threaded, out of order).
@@ -12,10 +12,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bsplines import CONDITION_BOUND
-from .errors import GridMismatch, SingularCovariance, TooFewReplicates
+from .errors import GridMismatch, SingularCovariance, TooFewCurves, TooFewReplicates
 from .grids import FunctionalSample
 from .projections import BasisSpec, GVector
 from .qn import chi_square_isf, qn_batch, score_matrix
@@ -36,22 +35,6 @@ PERMUTATION_CHUNK = 256
 # draws of SPECTRAL_MC_CHUNK x (m + n) records (1.5 MB for 10 vs 10 30-min
 # records at 1.28 Hz); larger chunks ran no faster.
 SPECTRAL_MC_CHUNK = 4
-
-
-@dataclass(frozen=True)
-class ResamplingPlan:
-    """How many replicates to draw, from which seed, at which split sizes."""
-
-    B: int
-    seed: int
-    sizes: tuple[int, int]
-
-    def __post_init__(self):
-        if self.B < 1:
-            raise ValueError("need at least one replicate")
-        m, n = self.sizes
-        if m < 2 or n < 2:
-            raise ValueError("both split sizes must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -87,25 +70,30 @@ class QuantileTable:
     k: int
 
 
-def _run_replicates(
-    evaluate, plan: ResamplingPlan, n_jobs: int, chunk: int
-) -> NullDistribution:
+def _check_groups(m: int, n: int) -> None:
+    if m < 2 or n < 2:
+        raise TooFewCurves(f"both groups need at least 2 curves, got {m} and {n}")
+
+
+def _run_replicates(evaluate, B: int, n_jobs: int, chunk: int) -> NullDistribution:
     """Evaluate replicates 0..B-1 in consecutive chunks, tolerating singular ones.
 
     `evaluate(rs)` returns the values of the replicates in range `rs`, NaN
     where a replicate was singular.  The chunk boundaries depend on `chunk`
     only, never on `n_jobs`.
     """
-    chunks = [range(s, min(s + chunk, plan.B)) for s in range(0, plan.B, chunk)]
+    if B < 1:
+        raise ValueError(f"need at least one replicate, got B={B}")
+    chunks = [range(s, min(s + chunk, B)) for s in range(0, B, chunk)]
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             raw = np.concatenate(list(pool.map(evaluate, chunks)))
     else:
         raw = np.concatenate(list(map(evaluate, chunks)))
     failed = int(np.count_nonzero(np.isnan(raw)))
-    if failed > 0.01 * plan.B:
+    if failed > 0.01 * B:
         raise SingularCovariance(
-            f"{failed} of {plan.B} replicates failed; "
+            f"{failed} of {B} replicates failed; "
             "the scheme is too rich for these sample sizes"
         )
     return NullDistribution(raw[~np.isnan(raw)], failed)
@@ -138,8 +126,8 @@ class _SplitStatistic:
         self.min_slack = cond / CONDITION_BOUND
         if np.isfinite(cond) and cond <= CONDITION_BOUND:
             try:
-                self.factor = scipy.linalg.cho_factor(scatter)
-            except scipy.linalg.LinAlgError:
+                self.factor = np.linalg.cholesky(scatter)
+            except np.linalg.LinAlgError:
                 pass
 
     def values(self, x_rows: np.ndarray) -> np.ndarray:
@@ -157,7 +145,8 @@ class _SplitStatistic:
         mask[np.arange(count)[:, None], x_rows] = 1.0
         sx = np.einsum("cn,kn->ck", mask, self.centred_t)
         d = sx / self.m - (self.total - sx) / self.n
-        ha = self.h * np.einsum("ij,ji->i", d, scipy.linalg.cho_solve(self.factor, d.T))
+        # d' T^-1 d = |L^-1 d|^2 with T = L L'
+        ha = self.h * np.sum(np.linalg.solve(self.factor, d.T) ** 2, axis=0)
         out = np.full(count, np.nan)
         ok = 1.0 - ha > self.min_slack
         out[ok] = np.maximum((self.N - 2) * ha[ok] / (1.0 - ha[ok]), 0.0)
@@ -165,36 +154,26 @@ class _SplitStatistic:
 
 
 def permutation_null(
-    joint: FunctionalSample,
-    basis: BasisSpec | GVector,
-    plan: ResamplingPlan,
-    n_jobs: int = 1,
+    joint: FunctionalSample, g: GVector, m: int, B: int, seed: int, n_jobs: int = 1
 ) -> NullDistribution:
     """Null statistic values from random splits of the pooled sample.
 
-    Data-driven schemes are built once from the joint sample: their
-    construction depends only on the unlabeled pooled set, so rebuilding
-    per replicate would change nothing.  Replicate r takes the first m
-    entries of `substream(seed, r).permutation(N)` as its x-sample and is
-    evaluated in closed form from one factorization (`_SplitStatistic`),
+    Replicate r takes the first m entries of
+    `substream(seed, r).permutation(N)` as its x-sample and is evaluated in
+    closed form from one factorization (`_SplitStatistic`),
     PERMUTATION_CHUNK replicates at a time.  Each chunk builds one
     generator and re-keys it for each of its replicates (`rekeyed`), which
     draws the same streams.
     """
-    m, n = plan.sizes
-    if m + n != joint.n_curves:
-        raise ValueError(
-            f"split sizes {plan.sizes} do not add up to {joint.n_curves} curves"
-        )
-    g = basis.build(joint) if isinstance(basis, BasisSpec) else basis
+    _check_groups(m, joint.n_curves - m)
     split = _SplitStatistic(score_matrix(joint, g), m)
 
     def evaluate(rs: range) -> np.ndarray:
-        rng = substream(plan.seed, rs.start)
-        x_rows = np.array([g.permutation(split.N)[:m] for g in rekeyed(rng, rs)])
+        rng = substream(seed, rs.start)
+        x_rows = np.array([gen.permutation(split.N)[:m] for gen in rekeyed(rng, rs)])
         return split.values(x_rows)
 
-    return _run_replicates(evaluate, plan, n_jobs, PERMUTATION_CHUNK)
+    return _run_replicates(evaluate, B, n_jobs, PERMUTATION_CHUNK)
 
 
 def permutation_pvalue(observed_qn: float, null_values) -> float:
@@ -243,23 +222,24 @@ def spectral_mc_null(
     spectra_y: list[SpectralDensity],
     sim: SimConfig,
     basis: BasisSpec,
-    plan: ResamplingPlan,
+    B: int,
+    seed: int,
     n_jobs: int = 1,
 ) -> NullDistribution:
     """Monte Carlo null built by resimulating records from the average spectrum.
 
     Each replicate simulates m + n independent Gaussian records from the
     pooled average density, re-estimates their spectra with the given
-    estimator settings, and evaluates the statistic on the (m, n) split.
-    Replicate r draws the amplitudes `GaussianSynthesizer.simulate` draws
-    from `substream(seed, r)`; its autocovariances come straight from them
+    estimator settings, and evaluates the statistic on the (m, n) split,
+    m and n being the numbers of input spectra.  Replicate r draws the
+    amplitudes `GaussianSynthesizer.simulate` draws from
+    `substream(seed, r)`; its autocovariances come straight from them
     (`GaussianSynthesizer.autocovariances`), and SPECTRAL_MC_CHUNK
     replicates at a time go through one Parzen, score and Qn computation.
     """
+    m, n = len(spectra_x), len(spectra_y)
+    _check_groups(m, n)
     check_estimator_grid([s.freq for s in [*spectra_x, *spectra_y]], sim)
-    m, n = plan.sizes
-    if (len(spectra_x), len(spectra_y)) != (m, n):
-        raise ValueError("plan sizes must match the numbers of input spectra")
     s_avg = average_spectrum(list(spectra_x) + list(spectra_y))
     synth = GaussianSynthesizer(int(round(sim.duration * sim.fs)), sim.fs)
     check_lag_window(synth.n, sim.parzen_L)
@@ -274,7 +254,7 @@ def spectral_mc_null(
         estimator_grid(sim.fs, sim.n_freq), np.zeros((1, sim.n_freq))))
 
     def evaluate(rs: range) -> np.ndarray:
-        rngs = [substream(plan.seed, r) for r in rs]
+        rngs = [substream(seed, r) for r in rs]
         acov = synth.autocovariances(std, rngs, m + n, sim.parzen_L)
         grid, est = parzen_estimates(acov, sim.fs, sim.n_freq)
         if fixed is not None:
@@ -283,7 +263,7 @@ def spectral_mc_null(
             scores = np.stack([e @ weighted_g(FunctionalSample(grid, e)) for e in est])
         return qn_batch(scores, m)
 
-    return _run_replicates(evaluate, plan, n_jobs, SPECTRAL_MC_CHUNK)
+    return _run_replicates(evaluate, B, n_jobs, SPECTRAL_MC_CHUNK)
 
 
 def quantile_table(null_values, k: int, probs=(0.5, 0.9, 0.95, 0.975, 0.99)) -> QuantileTable:

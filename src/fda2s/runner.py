@@ -8,11 +8,10 @@ import numpy as np
 
 from .errors import GridMismatch
 from .grids import FunctionalSample
-from .projections import BasisSpec, GVector
+from .projections import BasisSpec
 from .qn import TestResult, qn_statistic, score_matrix
 from .resampling import (
     NullDistribution,
-    ResamplingPlan,
     SimConfig,
     permutation_null,
     permutation_pvalue,
@@ -43,7 +42,7 @@ def _attach_null(result: TestResult, null: NullDistribution, seed: int) -> TestR
 def run_test(
     x: FunctionalSample,
     y: FunctionalSample,
-    basis: BasisSpec | GVector,
+    basis: BasisSpec,
     calibration: str = "asymptotic",
     B: int = 1000,
     seed: int | None = None,
@@ -51,15 +50,15 @@ def run_test(
 ) -> TestResult:
     """Two-sample test with the given basis and calibration method.
 
-    Data-driven bases are built once from the pooled sample and reused for
-    the observed statistic and, under ``calibration="permutation"``, for
-    every replicate.
+    Data-driven schemes are built once from the pooled sample and reused
+    for the observed statistic and, under ``calibration="permutation"``,
+    for every replicate: their construction depends only on the unlabeled
+    pooled set, so rebuilding per replicate would change nothing.
     """
     joint = concatenate_samples(x, y)
-    g = basis.build(joint) if isinstance(basis, BasisSpec) else basis
-    result = replace(
-        qn_statistic(score_matrix(x, g), score_matrix(y, g)), scheme=g.metadata()
-    )
+    g = basis.build(joint)
+    result = replace(qn_statistic(score_matrix(x, g), score_matrix(y, g)),
+                     scheme=g.scheme, params=dict(g.params))
     if calibration == "asymptotic":
         return result
     if calibration != "permutation":
@@ -68,8 +67,7 @@ def run_test(
             "(use spectral_mc_test for the Monte Carlo null)"
         )
     seed = fresh_seed() if seed is None else seed
-    plan = ResamplingPlan(B, seed, (x.n_curves, y.n_curves))
-    null = permutation_null(joint, g, plan, n_jobs=n_jobs)
+    null = permutation_null(joint, g, x.n_curves, B, seed, n_jobs=n_jobs)
     return _attach_null(result, null, seed)
 
 
@@ -98,14 +96,8 @@ def spectral_mc_test(
     n_jobs: int = 1,
 ) -> TestResult:
     """Two-sample spectral test calibrated by resimulating from the average density."""
-    x = spectra_to_sample(spectra_x, "x")
-    y = spectra_to_sample(spectra_y, "y")
-    joint = concatenate_samples(x, y)
-    g = basis.build(joint)
-    result = replace(
-        qn_statistic(score_matrix(x, g), score_matrix(y, g)), scheme=g.metadata()
-    )
+    result = run_test(spectra_to_sample(spectra_x, "x"), spectra_to_sample(spectra_y, "y"),
+                      basis)
     seed = fresh_seed() if seed is None else seed
-    plan = ResamplingPlan(B, seed, (x.n_curves, y.n_curves))
-    null = spectral_mc_null(spectra_x, spectra_y, sim, basis, plan, n_jobs=n_jobs)
+    null = spectral_mc_null(spectra_x, spectra_y, sim, basis, B, seed, n_jobs=n_jobs)
     return _attach_null(result, null, seed)

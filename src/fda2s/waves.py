@@ -187,11 +187,9 @@ def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
     by one LAPACK ``gbsv`` call (the solve ``make_interp_spline`` runs per
     wave): time and memory are linear in the number of samples.
     """
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(values))):
-        raise ValueError("wave times and values must be finite")
     n_waves, n_sites = lengths.size, u.size
     wave = np.repeat(np.arange(n_waves), lengths)
-    if np.any(np.diff(u)[wave[:-1] == wave[1:]] <= 0.0):
+    if not np.all(np.diff(u)[wave[:-1] == wave[1:]] > 0.0):  # NaN fails too
         raise ValueError("wave times must be strictly increasing")
     knots, knot_wave, kstart, inner = _not_a_knot(u, lengths, k)
     # the data sites, then the common grid of every wave
@@ -245,6 +243,8 @@ def register_sample(
         for rows in np.split(group, np.flatnonzero(np.diff(batch)) + 1):
             t = np.concatenate([waves[i].raw_times for i in rows])
             v = np.concatenate([waves[i].raw_values for i in rows])
+            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+                raise ValueError("wave times and values must be finite")
             u, has_up = _warp_times(t, v, sizes[rows], spec.constrain_upcross)
             if not has_up.all():
                 keep[rows[~has_up]] = False

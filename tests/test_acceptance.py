@@ -92,10 +92,9 @@ def test_criterion_2_invariance_suite():
             f.uniform_grid(f.Interval(0.0, 1.0), 41),
             smooth_curves(rng, 40, f.uniform_grid(f.Interval(0.0, 1.0), 41)),
         )
-        plan = f.ResamplingPlan(64, 123, (20, 20))
-        basis = f.BasisSpec("trig", {"k": 3})
-        serial = f.permutation_null(joint, basis, plan, n_jobs=1)
-        threaded = f.permutation_null(joint, basis, plan, n_jobs=4)
+        g = f.BasisSpec("trig", {"k": 3}).build(joint)
+        serial = f.permutation_null(joint, g, 20, 64, 123, n_jobs=1)
+        threaded = f.permutation_null(joint, g, 20, 64, 123, n_jobs=4)
         assert np.array_equal(serial.values, threaded.values)
 
 
@@ -119,8 +118,7 @@ def test_criterion_4_null_calibration_at_paper_scale():
         sample, _, _ = f.register_sample(waves, f.RegistrationSpec(), label="waves")
         assert sample.n_curves >= 166
         joint = f.FunctionalSample(sample.grid, sample.values[:166], "joint")
-        plan = f.ResamplingPlan(2000, 0, (106, 60))
-        null = f.permutation_null(joint, f.BasisSpec("trig", {"k": 3}), plan)
+        null = f.permutation_null(joint, f.BasisSpec("trig", {"k": 3}).build(joint), 106, 2000, 0)
         table = f.quantile_table(null.values, 2, (0.5, 0.9, 0.95, 0.975, 0.99))
         reference = np.array([1.386, 4.605, 5.992, 7.378, 9.21])
         deviation = np.abs(table.empirical - reference) / reference
@@ -142,9 +140,8 @@ def test_criterion_5_small_sample_bias_sign():
                                         seed=f.substream(1000 + seed, i)), 60)
                 for i in range(20)
             ]
-            plan = f.ResamplingPlan(500, seed, (10, 10))
             null = f.spectral_mc_null(
-                spectra[:10], spectra[10:], sim, basis, plan, n_jobs=4
+                spectra[:10], spectra[10:], sim, basis, 500, seed, n_jobs=4
             )
             table = f.quantile_table(null.values, 8, (0.9, 0.95, 0.975))
             negatives += bool(np.all(table.relative_error < 0))

@@ -7,6 +7,7 @@ import pytest
 
 from fda2s.cli import main
 from fda2s.io import (
+    format_test_result,
     read_functional_sample,
     read_record,
     read_spectrum,
@@ -14,11 +15,16 @@ from fda2s.io import (
     write_record,
 )
 from fda2s import (
+    BasisSpec,
     FunctionalSample,
     Interval,
+    SimConfig,
     TimeSeriesRecord,
+    sample_to_spectra,
     sea,
     segment_waves,
+    spectra_to_sample,
+    spectral_mc_test,
     uniform_grid,
 )
 
@@ -295,6 +301,54 @@ class TestTest:
         assert "'B'" in err and calibration in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("calibration,extra,flags", [
+        ("asymptotic", ("--seed", 5), "--seed"),
+        ("asymptotic", ("--seed", 5, "--mc-fs", 2.56, "--mc-parzen", 7),
+         "--seed, --mc-fs, --mc-parzen"),
+        ("asymptotic", ("--mc-nfreq", 241), "--mc-nfreq"),
+        ("permutation:B=50", ("--mc-duration", 3), "--mc-duration"),
+    ])
+    def test_flag_the_calibration_does_not_read_exits_2(self, tmp_path, rng, capsys,
+                                                         calibration, extra, flags):
+        xp, yp = self._write_pair(tmp_path, rng)
+        out = tmp_path / "r.json"
+        assert run("test", "--x", xp, "--y", yp, "--calibration", calibration, *extra,
+                   "-o", out) == 2
+        assert f"does not combine with {flags}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_flag_the_calibration_does_not_read_exits_2(self, tmp_path, rng, capsys):
+        xp, yp = self._write_pair(tmp_path, rng)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mc-duration": 600}))
+        out = tmp_path / "r.json"
+        assert run("test", "--x", xp, "--y", yp, "--calibration", "permutation:B=20",
+                   "--seed", 1, "--config", config, "-o", out) == 2
+        assert "does not combine with --mc-duration" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spectral_mc_report_matches_the_library(self, tmp_path, monkeypatch):
+        grid = sea.default_frequency_grid(1.28, tp=4.0)
+        target = sea.torsethaugen_spectrum(sea.TorsethaugenParams(2.0, 4.0), grid)
+        paths = {}
+        for g, name in enumerate("xy"):
+            spectra = [sea.estimate_spectrum(
+                sea.simulate_gaussian(target, 600.0, 1.28, seed=10 * g + i), 60, 481)
+                for i in range(3)]
+            paths[name] = tmp_path / f"{name}.csv"
+            write_functional_sample(spectra_to_sample(spectra), paths[name])
+        x, y = (sample_to_spectra(read_functional_sample(paths[n])) for n in "xy")
+        sim = SimConfig(duration=600.0)
+        basis = BasisSpec.parse("indicator:k=4")
+        expected = format_test_result(spectral_mc_test(x, y, basis, sim, B=8, seed=3))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FDA2S_THREADS", threads)
+            out = tmp_path / f"r{threads}.json"
+            assert run("test", "--x", paths["x"], "--y", paths["y"], "--basis", str(basis),
+                       "--calibration", "spectral-mc:B=8", "--seed", 3,
+                       "--mc-duration", 600, "-o", out) == 0
+            assert out.read_text() == expected
+
     def test_spectral_mc_on_wave_sample_exits_2(self, record_file, tmp_path, capsys):
         waves = tmp_path / "waves.csv"
         assert run("segment", "--input", record_file, "-o", waves) == 0
@@ -359,6 +413,19 @@ class TestQuantiles:
                    "-o", out) == 0
         assert out.exists()
 
+    def test_generate_defaults_to_1000_permutations(self, tmp_path, rng):
+        grid = uniform_grid(Interval(0.0, 1.0), 41)
+        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_functional_sample(FunctionalSample(grid, smooth_curves(rng, 20, grid)), xp)
+        write_functional_sample(FunctionalSample(grid, smooth_curves(rng, 20, grid)), yp)
+        tables = []
+        for extra in ((), ("--calibration", "permutation:B=1000")):
+            out = tmp_path / f"table{len(extra)}.csv"
+            assert run("quantiles", "--generate", "--x", xp, "--y", yp, "--basis", "trig:k=3",
+                       *extra, "--seed", 2, "-o", out) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_k_with_generate_exits_2(self, tmp_path, rng, capsys):
         grid = uniform_grid(Interval(0.0, 1.0), 41)
         xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
@@ -374,6 +441,7 @@ class TestQuantiles:
     @pytest.mark.parametrize("extra", [
         ("--generate",), ("--x", "x.csv"), ("--y", "y.csv"), ("--basis", "pca:d=2"),
         ("--seed", 0), ("--generate", "--x", "x.csv", "--basis", "pca:d=2"),
+        ("--calibration", "spectral-mc:B=5"), ("--calibration", "permutation:B=1000"),
     ])
     def test_null_values_with_generate_flags_exits_2(self, tmp_path, rng, capsys, extra):
         path = tmp_path / "null.txt"

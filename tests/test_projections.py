@@ -153,7 +153,7 @@ class TestTrigGFunctions:
         joint = FunctionalSample(grid, smooth_curves(rng, 6, grid))
         g = trig_g_functions(joint, 3, parts="odd")
         assert g.k == 1
-        assert g.provenance == "data-driven"
+        assert g.scheme == "trig" and g.params["parts"] == "odd"
 
     def test_g1_g2_orthogonal(self, rng):
         grid = unit_grid(2001)

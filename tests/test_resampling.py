@@ -12,7 +12,6 @@ from fda2s import (
     BasisSpec,
     FunctionalSample,
     Interval,
-    ResamplingPlan,
     SimConfig,
     average_spectrum,
     estimate_spectrum,
@@ -35,6 +34,7 @@ from fda2s.errors import (
     NegativeEstimate,
     RecordTooShort,
     SingularCovariance,
+    TooFewCurves,
     TooFewReplicates,
 )
 from fda2s.grids import sample_inner_products
@@ -51,46 +51,42 @@ def gaussian_joint(rng, n_curves=40, n_points=41):
     return FunctionalSample(grid, smooth_curves(rng, n_curves, grid), "joint")
 
 
-class TestResamplingPlan:
-    @pytest.mark.parametrize("args,error", [
-        ((0, 1, (20, 20)), ValueError), ((5, 1, (1, 20)), ValueError),
-        # the engine is the function called, so a method name is no argument
-        (("spectral-mc", 50, 1, (20, 20)), TypeError),
-    ])
-    def test_invalid_plan_rejected(self, args, error):
-        with pytest.raises(error):
-            ResamplingPlan(*args)
-
-
 class TestPermutationNull:
+    @pytest.mark.parametrize("m,B,error", [
+        (20, 0, ValueError), (1, 5, TooFewCurves), (39, 5, TooFewCurves),
+    ])
+    def test_no_replicate_or_a_group_of_one_rejected(self, rng, monkeypatch, m, B, error):
+        joint = gaussian_joint(rng)
+        g = BasisSpec("trig", {"k": 3}).build(joint)
+        # the group sizes are checked before any replicate is drawn
+        monkeypatch.setattr(resampling, "substream", None)
+        with pytest.raises(error):
+            permutation_null(joint, g, m, B, 1)
+
     def test_single_replicate_finite(self, rng):
         joint = gaussian_joint(rng)
-        plan = ResamplingPlan(1, 3, (20, 20))
-        null = permutation_null(joint, BasisSpec("trig", {"k": 3}), plan)
+        null = permutation_null(joint, BasisSpec("trig", {"k": 3}).build(joint), 20, 1, 3)
         assert null.values.shape == (1,)
         assert np.isfinite(null.values[0]) and null.values[0] >= 0.0
 
     def test_same_seed_same_sequence(self, rng):
         joint = gaussian_joint(rng)
-        plan = ResamplingPlan(50, 12, (25, 15))
-        basis = BasisSpec("indicator", {"k": 2})
-        a = permutation_null(joint, basis, plan)
-        b = permutation_null(joint, basis, plan)
+        g = BasisSpec("indicator", {"k": 2}).build(joint)
+        a = permutation_null(joint, g, 25, 50, 12)
+        b = permutation_null(joint, g, 25, 50, 12)
         assert np.array_equal(a.values, b.values)
 
     def test_parallel_matches_serial_bitexact(self, rng):
         joint = gaussian_joint(rng)
-        plan = ResamplingPlan(64, 9, (20, 20))
-        basis = BasisSpec("pca", {"d": 2})
-        serial = permutation_null(joint, basis, plan, n_jobs=1)
-        threaded = permutation_null(joint, basis, plan, n_jobs=4)
+        g = BasisSpec("pca", {"d": 2}).build(joint)
+        serial = permutation_null(joint, g, 20, 64, 9, n_jobs=1)
+        threaded = permutation_null(joint, g, 20, 64, 9, n_jobs=4)
         assert np.array_equal(serial.values, threaded.values)
 
     def test_null_quantiles_near_chi2(self, rng):
         # synthetic Gaussian-curve joint sample, trig k=2, m=n=100
         joint = gaussian_joint(rng, n_curves=200, n_points=33)
-        plan = ResamplingPlan(2000, 4, (100, 100))
-        null = permutation_null(joint, BasisSpec("trig", {"k": 3}), plan)
+        null = permutation_null(joint, BasisSpec("trig", {"k": 3}).build(joint), 100, 2000, 4)
         emp = np.quantile(null.values, [0.5, 0.9, 0.95])
         ref = np.array([1.386, 4.605, 5.992])
         assert np.max(np.abs(emp - ref) / ref) < 0.08
@@ -115,42 +111,37 @@ class TestPermutationNull:
     def test_too_many_failures_raise(self, rng):
         # k = 8 indicators from 3+3 curves: every replicate is singular
         joint = gaussian_joint(rng, n_curves=6)
-        plan = ResamplingPlan(20, 1, (3, 3))
         with pytest.raises(SingularCovariance):
-            permutation_null(joint, BasisSpec("indicator", {"k": 8}), plan)
+            permutation_null(joint, BasisSpec("indicator", {"k": 8}).build(joint), 3, 20, 1)
 
     def test_projection_functions_on_another_grid_rejected(self, rng):
         # same point count as the sample's [0, 1] grid, but on [0, 2]
         joint = gaussian_joint(rng, n_curves=12)
         other = uniform_grid(Interval(0.0, 2.0), len(joint.grid))
         g = BasisSpec.parse("indicator:k=2").build(FunctionalSample(other, joint.values))
-        plan = ResamplingPlan(5, 1, (6, 6))
         with pytest.raises(GridMismatch):
-            permutation_null(joint, g, plan)
+            permutation_null(joint, g, 6, 5, 1)
 
     def test_super_uniform_under_exchangeability(self):
         rng = np.random.default_rng(314)
         grid = uniform_grid(Interval(0.0, 1.0), 25)
-        basis = BasisSpec("trig", {"k": 3})
         hits = 0
         for i in range(200):
             joint = FunctionalSample(grid, smooth_curves(rng, 40, grid))
-            plan = ResamplingPlan(99, 9000 + i, (25, 15))
-            null = permutation_null(joint, basis, plan)
             g = trig_g_functions(joint, 3)
+            null = permutation_null(joint, g, 25, 99, 9000 + i)
             scores = sample_inner_products(joint, g.functions)
             observed = qn_statistic(scores[:25], scores[25:]).qn
             hits += permutation_pvalue(observed, null.values) <= 0.05
         assert 0.02 <= hits / 200 <= 0.09
 
 
-def per_replicate_null(joint, basis, plan):
+def per_replicate_null(joint, basis, m, B, seed):
     """Oracle: replicate r is qn_statistic on the split drawn from substream(seed, r)."""
     scores = sample_inner_products(joint, basis.build(joint).functions)
-    m = plan.sizes[0]
     values = []
-    for r in range(plan.B):
-        perm = substream(plan.seed, r).permutation(joint.n_curves)
+    for r in range(B):
+        perm = substream(seed, r).permutation(joint.n_curves)
         values.append(
             qn_statistic(scores[perm[:m]], scores[perm[m:]]).qn
         )
@@ -184,10 +175,9 @@ class TestClosedFormNull:
     @given(small_problems(), st.integers(1, 60))
     def test_matches_per_replicate_oracle(self, problem, B):
         joint, basis, m, seed = problem
-        plan = ResamplingPlan(B, seed, (m, joint.n_curves - m))
-        null = permutation_null(joint, basis, plan)
+        null = permutation_null(joint, basis.build(joint), m, B, seed)
         assert null.n_failed == 0
-        assert_matches_oracle(null.values, per_replicate_null(joint, basis, plan))
+        assert_matches_oracle(null.values, per_replicate_null(joint, basis, m, B, seed))
 
     @PROPERTY
     @given(small_problems())
@@ -217,10 +207,11 @@ class TestClosedFormNull:
     @given(small_problems(), st.integers(1, PERMUTATION_CHUNK - 1))
     def test_partial_last_chunk_matches_oracle_at_any_thread_count(self, problem, extra):
         joint, basis, m, seed = problem
-        plan = ResamplingPlan(PERMUTATION_CHUNK + extra, seed, (m, joint.n_curves - m))
-        oracle = per_replicate_null(joint, basis, plan)
-        serial = permutation_null(joint, basis, plan, n_jobs=1)
-        threaded = permutation_null(joint, basis, plan, n_jobs=3)
+        B = PERMUTATION_CHUNK + extra
+        oracle = per_replicate_null(joint, basis, m, B, seed)
+        g = basis.build(joint)
+        serial = permutation_null(joint, g, m, B, seed, n_jobs=1)
+        threaded = permutation_null(joint, g, m, B, seed, n_jobs=3)
         assert_matches_oracle(serial.values, oracle)
         assert serial.values.tobytes() == threaded.values.tobytes()
 
@@ -228,14 +219,15 @@ class TestClosedFormNull:
     @given(small_problems())
     def test_values_bit_identical_to_per_replicate_substreams(self, problem):
         joint, basis, m, seed = problem
-        plan = ResamplingPlan(2 * PERMUTATION_CHUNK + 5, seed, (m, joint.n_curves - m))
-        split = _SplitStatistic(sample_inner_products(joint, basis.build(joint).functions), m)
+        B = 2 * PERMUTATION_CHUNK + 5
+        g = basis.build(joint)
+        split = _SplitStatistic(sample_inner_products(joint, g.functions), m)
         x_rows = np.array(
-            [substream(seed, r).permutation(joint.n_curves)[:m] for r in range(plan.B)]
+            [substream(seed, r).permutation(joint.n_curves)[:m] for r in range(B)]
         )
         expected = split.values(x_rows)
         for n_jobs in (1, 3):
-            null = permutation_null(joint, basis, plan, n_jobs=n_jobs)
+            null = permutation_null(joint, g, m, B, seed, n_jobs=n_jobs)
             assert null.n_failed == 0
             assert null.values.tobytes() == expected.tobytes()
 
@@ -268,9 +260,8 @@ class TestSpectralMcNull:
             for i in range(4)
         ]
         sim = SimConfig(duration=600.0, fs=fs, parzen_L=60, n_freq=481)
-        plan = ResamplingPlan(1, 5, (2, 2))
         null = spectral_mc_null(
-            spectra[:2], spectra[2:], sim, BasisSpec("indicator", {"k": 2}), plan
+            spectra[:2], spectra[2:], sim, BasisSpec("indicator", {"k": 2}), 1, 5
         )
         assert null.values.shape == (1,) and null.values[0] >= 0.0
 
@@ -293,25 +284,25 @@ class TestSpectralMcNull:
     def test_deterministic_across_thread_counts(self):
         spectra = self._spectra(8, 900.0, 10)
         sim = SimConfig(duration=900.0, fs=1.28, parzen_L=60, n_freq=481)
-        plan = ResamplingPlan(4 * SPECTRAL_MC_CHUNK + 1, 21, (4, 4))
+        B = 4 * SPECTRAL_MC_CHUNK + 1
         for text in ("indicator:k=3", "pca:d=2"):
             basis = BasisSpec.parse(text)
-            serial = spectral_mc_null(spectra[:4], spectra[4:], sim, basis, plan, n_jobs=1)
-            threaded = spectral_mc_null(spectra[:4], spectra[4:], sim, basis, plan, n_jobs=3)
+            serial = spectral_mc_null(spectra[:4], spectra[4:], sim, basis, B, 21, n_jobs=1)
+            threaded = spectral_mc_null(spectra[:4], spectra[4:], sim, basis, B, 21, n_jobs=3)
             assert np.array_equal(serial.values, threaded.values), text
 
     @pytest.mark.parametrize("basis", ["indicator:k=8", "pca:d=2"])
     def test_replicate_matches_its_definition(self, basis):
         spectra = self._spectra(10, 600.0, 40)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
-        plan = ResamplingPlan(SPECTRAL_MC_CHUNK + 2, 9, (5, 5))  # 2 in a partial chunk
+        B, seed = SPECTRAL_MC_CHUNK + 2, 9  # 2 in a partial chunk
         basis = BasisSpec.parse(basis)
-        null = spectral_mc_null(spectra[:5], spectra[5:], sim, basis, plan)
+        null = spectral_mc_null(spectra[:5], spectra[5:], sim, basis, B, seed)
         assert null.n_failed == 0
         s_avg = average_spectrum(spectra)
         synth = GaussianSynthesizer(int(round(sim.duration * sim.fs)), sim.fs)
-        for r in range(plan.B):
-            records = synth.simulate(s_avg, substream(plan.seed, r), 10)
+        for r in range(B):
+            records = synth.simulate(s_avg, substream(seed, r), 10)
             grid, est = estimate_spectra(records, sim.fs, sim.parzen_L, sim.n_freq)
             joint = FunctionalSample(grid, est)
             scores = sample_inner_products(joint, basis.build(joint).functions)
@@ -319,15 +310,25 @@ class TestSpectralMcNull:
             assert null.values[r] == pytest.approx(qn, rel=1e-10)
 
 
+    @pytest.mark.parametrize("m,n,B,error", [
+        (2, 2, 0, ValueError), (1, 3, 5, TooFewCurves), (3, 1, 5, TooFewCurves),
+    ])
+    def test_no_replicate_or_a_group_of_one_rejected(self, monkeypatch, m, n, B, error):
+        spectra = self._spectra(m + n, 600.0, 70)
+        sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
+        # the group sizes are checked before any replicate is drawn
+        monkeypatch.setattr(resampling, "substream", None)
+        with pytest.raises(error):
+            spectral_mc_null(spectra[:m], spectra[m:], sim, BasisSpec.parse("pca:d=1"), B, 1)
+
     def test_chunk_size_does_not_change_values(self, monkeypatch):
         spectra = self._spectra(6, 600.0, 60, n_freq=241)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=40, n_freq=241)
-        plan = ResamplingPlan(7, 3, (3, 3))
         basis = BasisSpec.parse("indicator:k=2")
         values = []
         for chunk in (1, 3, 7):
             monkeypatch.setattr(resampling, "SPECTRAL_MC_CHUNK", chunk)
-            values.append(spectral_mc_null(spectra[:3], spectra[3:], sim, basis, plan).values)
+            values.append(spectral_mc_null(spectra[:3], spectra[3:], sim, basis, 7, 3).values)
         assert np.array_equal(values[0], values[1]) and np.array_equal(values[0], values[2])
 
     def test_negative_estimate_raises(self, monkeypatch):
@@ -338,9 +339,8 @@ class TestSpectralMcNull:
         monkeypatch.setattr(GaussianSynthesizer, "autocovariances", acov)
         spectra = self._spectra(4, 600.0, 70)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
-        plan = ResamplingPlan(3, 1, (2, 2))
         with pytest.raises(NegativeEstimate):
-            spectral_mc_null(spectra[:2], spectra[2:], sim, BasisSpec.parse("indicator:k=2"), plan)
+            spectral_mc_null(spectra[:2], spectra[2:], sim, BasisSpec.parse("indicator:k=2"), 3, 1)
 
     @pytest.mark.parametrize("fs,n_freq", [(1.28, 241), (2.56, 481)])
     def test_spectra_off_the_estimator_grid_rejected(self, fs, n_freq):
@@ -348,20 +348,18 @@ class TestSpectralMcNull:
         # size, or of the same size over another band, is refused up front
         spectra = self._spectra(4, 600.0, 70, fs=fs, n_freq=n_freq)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
-        plan = ResamplingPlan(3, 1, (2, 2))
         basis = BasisSpec.parse("indicator:k=2")
         with pytest.raises(GridMismatch, match="estimator grid"):
-            spectral_mc_null(spectra[:2], spectra[2:], sim, basis, plan)
+            spectral_mc_null(spectra[:2], spectra[2:], sim, basis, 3, 1)
         with pytest.raises(GridMismatch, match="estimator grid"):
             spectral_mc_test(spectra[:2], spectra[2:], basis, sim, B=3, seed=1)
 
     def test_window_longer_than_half_the_record_rejected(self):
         spectra = self._spectra(4, 600.0, 70)
-        plan = ResamplingPlan(3, 1, (2, 2))
         for L, error in ((0, InvalidParams), (400, RecordTooShort)):
             sim = SimConfig(duration=600.0, fs=1.28, parzen_L=L, n_freq=481)
             with pytest.raises(error):
-                spectral_mc_null(spectra[:2], spectra[2:], sim, BasisSpec.parse("indicator:k=2"), plan)
+                spectral_mc_null(spectra[:2], spectra[2:], sim, BasisSpec.parse("indicator:k=2"), 3, 1)
 
 
 class TestQuantileTable:

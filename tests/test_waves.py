@@ -339,6 +339,16 @@ class TestBatchedRegistration:
         with pytest.raises(ValueError, match=message):
             register_sample([bad], RegistrationSpec(), min_interior=0)
 
+    @pytest.mark.parametrize("constrain", [False, True])
+    def test_non_finite_wave_raises_on_both_paths(self, constrain):
+        # the NaN hides the only upcrossing: the constrained path must not
+        # count the wave as one without an upcrossing and drop it
+        values = [0.0, -1.0, -0.5, np.nan, 1.0, 0.8, 0.5, 0.2, 0.0]
+        bad = WaveRecord(np.arange(9.0), np.array(values), 8.0)
+        good = random_waves(np.random.default_rng(5), [9])[0]
+        with pytest.raises(ValueError, match="wave times and values must be finite"):
+            register_sample([good, bad], RegistrationSpec(constrain_upcross=constrain))
+
 
 class TestRegistrationObjects:
     def test_projector_is_cached_and_read_only(self):

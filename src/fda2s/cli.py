@@ -78,12 +78,11 @@ def _parse_calibration(text: str) -> tuple[str, int]:
     return head, b
 
 
-def _reject_given(args, parser, names, context: str) -> None:
-    """Raise FdaError naming each option in `names` given a value other than its default."""
-    given = [f"--{name.replace('_', '-')}" for name in names
-             if getattr(args, name) != parser.get_default(name)]
-    if given:
-        raise FdaError(f"{context} does not combine with {', '.join(given)}")
+def _reject_given(given: set[str], names, context: str) -> None:
+    """Raise FdaError naming each option in `names` that was given."""
+    flags = [f"--{name.replace('_', '-')}" for name in names if name in given]
+    if flags:
+        raise FdaError(f"{context} does not combine with {', '.join(flags)}")
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -101,23 +100,26 @@ def _config_value(action: argparse.Action, key: str, value):
         raise FdaError(f"invalid value {value!r} for config key {key!r}") from None
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Config-file values fill in any argument left at its parser default."""
-    if not getattr(args, "config", None):
-        return
+def _apply_config(args: argparse.Namespace, given: set[str]) -> set[str]:
+    """Fill the options the command line did not give from the --config file.
+
+    Returns the options given on the command line or in the config file.
+    """
+    if not args.config:
+        return given
     with open(args.config, encoding="utf-8") as fh:
         config = json.load(fh)
-    actions = {a.dest: a for a in parser._actions}
+    actions = {a.dest: a for a in args.subparser._actions}
     for key, value in config.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr) or attr not in actions:
             raise FdaError(f"unknown config key {key!r} for {args.command}")
-        if getattr(args, attr) == parser.get_default(attr):
+        if attr not in given:
             setattr(args, attr, _config_value(actions[attr], key, value))
+    return given | {key.replace("-", "_") for key in config}
 
 
-def cmd_simulate(args, parser) -> int:
-    _apply_config(args, parser)
+def cmd_simulate(args, given: set[str]) -> int:
     seed = _resolve_seed(args.seed)
     grid = default_frequency_grid(args.fs, tp=args.tp, n_freq=args.nfreq)
     spectrum = torsethaugen_spectrum(TorsethaugenParams(args.hs, args.tp), grid)
@@ -126,16 +128,14 @@ def cmd_simulate(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(args, parser) -> int:
-    _apply_config(args, parser)
+def cmd_spectrum(args, given: set[str]) -> int:
     record = io.read_record(args.input)
     spectrum = estimate_spectrum(record, args.parzen, args.nfreq)
     io.write_spectrum(spectrum, args.output)
     return EXIT_OK
 
 
-def cmd_segment(args, parser) -> int:
-    _apply_config(args, parser)
+def cmd_segment(args, given: set[str]) -> int:
     record = io.read_record(args.input)
     waves = segment_waves(record)
     spec = RegistrationSpec(
@@ -161,14 +161,13 @@ def cmd_segment(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_test(args, parser) -> int:
-    _apply_config(args, parser)
+def cmd_test(args, given: set[str]) -> int:
     basis = BasisSpec.parse(args.basis)
     method, B = _parse_calibration(args.calibration)
     mc_flags = ("mc_duration", "mc_fs", "mc_parzen", "mc_nfreq")
     if method != "spectral-mc":
         seed_flag = ("seed",) if method == "asymptotic" else ()
-        _reject_given(args, parser, seed_flag + mc_flags, f"--calibration {method}")
+        _reject_given(given, seed_flag + mc_flags, f"--calibration {method}")
     x = io.read_functional_sample(args.x, label="x")
     y = io.read_functional_sample(args.y, label="y")
     n_jobs = _threads()
@@ -191,18 +190,17 @@ def cmd_test(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_quantiles(args, parser) -> int:
-    _apply_config(args, parser)
+def cmd_quantiles(args, given: set[str]) -> int:
     probs = tuple(float(p) for p in args.probs.split(","))
     if args.null_values:
-        _reject_given(args, parser, ("generate", "x", "y", "basis", "seed", "calibration"),
+        _reject_given(given, ("generate", "x", "y", "basis", "seed", "calibration"),
                       "--null-values")
         if args.k is None:
             raise FdaError("--k is required with --null-values")
         values = io.read_null_values(args.null_values)
         k = args.k
     elif args.generate:
-        _reject_given(args, parser, ("k",), "--generate")
+        _reject_given(given, ("k",), "--generate")
         if not (args.x and args.y and args.basis):
             raise FdaError("--generate needs --x, --y and --basis")
         method, B = _parse_calibration(args.calibration or "permutation:B=1000")
@@ -270,10 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", default="asymptotic",
                    help="asymptotic | permutation:B=N | spectral-mc:B=N")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mc-duration", type=float, default=1800.0)
-    p.add_argument("--mc-fs", type=float, default=1.28)
-    p.add_argument("--mc-parzen", type=int, default=60)
-    p.add_argument("--mc-nfreq", type=int, default=481)
+    sim = SimConfig()
+    p.add_argument("--mc-duration", type=float, default=sim.duration)
+    p.add_argument("--mc-fs", type=float, default=sim.fs)
+    p.add_argument("--mc-parzen", type=int, default=sim.parzen_L)
+    p.add_argument("--mc-nfreq", type=int, default=sim.n_freq)
     p.add_argument("--config", default=None)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_test, subparser=p)
@@ -301,8 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Parsed again with no defaults, the namespace holds only what the
+    # command line itself sets, whatever the values.
+    for action in args.subparser._actions:
+        action.default = argparse.SUPPRESS
+    given = set(vars(parser.parse_args(argv)))
     try:
-        return args.func(args, args.subparser)
+        return args.func(args, _apply_config(args, given))
     except NoWaves as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY

@@ -1,9 +1,8 @@
 """Finite-sample calibration: permutation splits and the spectral Monte Carlo null.
 
-Replicate r of a null draws from a substream keyed by (seed, r), and
-replicates are evaluated in fixed consecutive chunks, so the ordered
-replicate sequence is bit-identical however the chunks are scheduled
-(serial, threaded, out of order).
+Both nulls run through one driver, `_run_replicates`: replicate r draws from
+the stream of `substream(seed, r)`, one Philox per chunk of replicates, so the
+replicate sequence is bit-identical however the chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -75,21 +74,26 @@ def _check_groups(m: int, n: int) -> None:
         raise TooFewCurves(f"both groups need at least 2 curves, got {m} and {n}")
 
 
-def _run_replicates(evaluate, B: int, n_jobs: int, chunk: int) -> NullDistribution:
+def _run_replicates(draw, evaluate, B: int, seed: int, n_jobs: int,
+                    chunk: int) -> NullDistribution:
     """Evaluate replicates 0..B-1 in consecutive chunks, tolerating singular ones.
 
-    `evaluate(rs)` returns the values of the replicates in range `rs`, NaN
-    where a replicate was singular.  The chunk boundaries depend on `chunk`
-    only, never on `n_jobs`.
+    Replicate r's draw is `draw(gen)`, `gen` on the stream of `substream(seed, r)`;
+    `evaluate` maps a chunk's stacked draws to values, NaN where a replicate
+    was singular.  Chunk boundaries depend on `chunk` only, never on `n_jobs`.
     """
     if B < 1:
         raise ValueError(f"need at least one replicate, got B={B}")
+
+    def run(rs: range) -> np.ndarray:
+        return evaluate(np.stack([draw(gen) for gen in rekeyed(substream(seed, rs.start), rs)]))
+
     chunks = [range(s, min(s + chunk, B)) for s in range(0, B, chunk)]
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            raw = np.concatenate(list(pool.map(evaluate, chunks)))
+            raw = np.concatenate(list(pool.map(run, chunks)))
     else:
-        raw = np.concatenate(list(map(evaluate, chunks)))
+        raw = np.concatenate(list(map(run, chunks)))
     failed = int(np.count_nonzero(np.isnan(raw)))
     if failed > 0.01 * B:
         raise SingularCovariance(
@@ -161,19 +165,12 @@ def permutation_null(
     Replicate r takes the first m entries of
     `substream(seed, r).permutation(N)` as its x-sample and is evaluated in
     closed form from one factorization (`_SplitStatistic`),
-    PERMUTATION_CHUNK replicates at a time.  Each chunk builds one
-    generator and re-keys it for each of its replicates (`rekeyed`), which
-    draws the same streams.
+    PERMUTATION_CHUNK replicates at a time.
     """
     _check_groups(m, joint.n_curves - m)
     split = _SplitStatistic(score_matrix(joint, g), m)
-
-    def evaluate(rs: range) -> np.ndarray:
-        rng = substream(seed, rs.start)
-        x_rows = np.array([gen.permutation(split.N)[:m] for gen in rekeyed(rng, rs)])
-        return split.values(x_rows)
-
-    return _run_replicates(evaluate, B, n_jobs, PERMUTATION_CHUNK)
+    return _run_replicates(lambda gen: gen.permutation(split.N)[:m], split.values,
+                           B, seed, n_jobs, PERMUTATION_CHUNK)
 
 
 def permutation_pvalue(observed_qn: float, null_values) -> float:
@@ -253,9 +250,8 @@ def spectral_mc_null(
     fixed = None if basis.data_driven else weighted_g(FunctionalSample(
         estimator_grid(sim.fs, sim.n_freq), np.zeros((1, sim.n_freq))))
 
-    def evaluate(rs: range) -> np.ndarray:
-        rngs = [substream(seed, r) for r in rs]
-        acov = synth.autocovariances(std, rngs, m + n, sim.parzen_L)
+    def evaluate(z: np.ndarray) -> np.ndarray:
+        acov = synth.autocovariances(std, z, sim.parzen_L)
         grid, est = parzen_estimates(acov, sim.fs, sim.n_freq)
         if fixed is not None:
             scores = est @ fixed
@@ -263,7 +259,8 @@ def spectral_mc_null(
             scores = np.stack([e @ weighted_g(FunctionalSample(grid, e)) for e in est])
         return qn_batch(scores, m)
 
-    return _run_replicates(evaluate, B, n_jobs, SPECTRAL_MC_CHUNK)
+    return _run_replicates(lambda gen: synth.amplitude_normals(gen, m + n), evaluate,
+                           B, seed, n_jobs, SPECTRAL_MC_CHUNK)
 
 
 def quantile_table(null_values, k: int, probs=(0.5, 0.9, 0.95, 0.975, 0.99)) -> QuantileTable:

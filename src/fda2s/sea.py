@@ -233,12 +233,15 @@ class GaussianSynthesizer:
             v *= band_var / total
         return v
 
+    def amplitude_normals(self, rng: np.random.Generator, n_records: int) -> np.ndarray:
+        """The normals (2, n_records, n//2 + 1) `simulate` scales into A_j, B_j."""
+        return rng.standard_normal((2, n_records, self.lattice.size))
+
     def simulate(self, s: SpectralDensity, rng: np.random.Generator,
                  n_records: int = 1) -> np.ndarray:
         """Batch of records, one per row; exactly Gaussian for any density."""
         std = np.sqrt(self.amplitude_variances(s))
-        coeffs = rng.standard_normal((2, n_records, std.size)) * std
-        a, b = coeffs[0], coeffs[1]
+        a, b = self.amplitude_normals(rng, n_records) * std
         spectrum = np.empty((n_records, std.size), dtype=complex)
         spectrum.real = a
         spectrum.imag = -b
@@ -248,31 +251,30 @@ class GaussianSynthesizer:
             spectrum[:, -1] = self.n * a[:, -1]
         return np.fft.irfft(spectrum, self.n, axis=1)
 
-    def autocovariances(self, std: np.ndarray, rngs, n_records: int,
-                        max_lag: int) -> np.ndarray:
-        """Biased autocovariances c(0..max_lag) of the records `simulate` draws.
+    def autocovariances(self, std: np.ndarray, z: np.ndarray, max_lag: int) -> np.ndarray:
+        """Biased autocovariances c(0..max_lag) of the records `simulate` makes.
 
-        ``std`` is the square root of `amplitude_variances`; each generator
-        in ``rngs`` makes the draw `simulate` makes for ``n_records``
-        records.  Returns shape (len(rngs), n_records, max_lag + 1).  No
-        record is built: with a_k, b_k the scaled amplitudes, the
-        mean-removed record is x_t = sum_{k>=1} a_k cos(w_k t) + b_k sin(w_k t)
-        (only a_k (-1)^t at an even n's Nyquist cell), so its circular
+        ``std`` is the square root of `amplitude_variances`; ``z`` stacks C
+        draws of `amplitude_normals`, shape (C, 2, R, n//2 + 1), and is
+        left unchanged.  Returns shape (C, R, max_lag + 1).  No record is
+        built: with a_k, b_k the scaled amplitudes, the mean-removed record
+        is x_t = sum_{k>=1} a_k cos(w_k t) + b_k sin(w_k t) (only
+        a_k (-1)^t at an even n's Nyquist cell), so its circular
         autocovariance is sum_k (a_k^2 + b_k^2)/2 cos(w_k h) (a_k^2 at
         Nyquist); the biased one drops the h wrapped products
         x_{s-h} x_s, s < h, which need x_t for |t| <= max_lag only.
         """
-        z = np.empty((len(rngs), 2, n_records, std.size))
-        for rng, out in zip(rngs, z):
-            rng.standard_normal(out=out)
         # a = z[:, 0] * std and b = z[:, 1] * std; the scaling goes into the tables
         cos, sin = _lag_tables(self.n, max_lag)
         even = z[:, 0] @ (std[:, None] * cos)  # x_t = even_t + odd_t, x_-t = even_t - odd_t
         odd = z[:, 1] @ (std[:, None] * sin)
-        np.square(z, out=z)
-        power = z[:, 0] + z[:, 1]
+        # one replicate at a time: chunk-sized temporaries cost page faults
+        power = np.empty((z.shape[0], *z.shape[2:]))
+        for p, (a, b) in zip(power, z):
+            np.square(a, out=p)
+            p += np.square(b)
         if self.n % 2 == 0:
-            power[..., -1] = 2.0 * z[:, 0, :, -1]
+            power[..., -1] = 2.0 * np.square(z[:, 0, :, -1])
         # wrapped[h] = sum_s tail[max_lag - h + s] head[s] over the samples
         # tail = x_-L..x_-1 and head = x_0..x_L-1: a Toeplitz product
         tail = (even[..., 1:] - odd)[..., ::-1]

@@ -245,6 +245,11 @@ def register_sample(
             v = np.concatenate([waves[i].raw_values for i in rows])
             if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
                 raise ValueError("wave times and values must be finite")
+            # checked before warping, which divides by each wave's time span
+            # and may hide the upcrossing of a wave with bad times
+            wave = np.repeat(np.arange(rows.size), sizes[rows])
+            if not np.all(np.diff(t)[wave[:-1] == wave[1:]] > 0.0):
+                raise ValueError("wave times must be strictly increasing")
             u, has_up = _warp_times(t, v, sizes[rows], spec.constrain_upcross)
             if not has_up.all():
                 keep[rows[~has_up]] = False

@@ -227,6 +227,15 @@ class TestTest:
                    "-o", out2) == 0
         assert json.loads(out1.read_text())["qn"] == json.loads(out2.read_text())["qn"]
 
+    def test_flag_at_its_default_overrides_the_config(self, tmp_path, rng):
+        xp, yp = self._write_pair(tmp_path, rng)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"calibration": "permutation:B=50"}))
+        out = tmp_path / "r.json"
+        assert run("test", "--x", xp, "--y", yp, "--calibration", "asymptotic",
+                   "--config", config, "-o", out) == 0
+        assert json.loads(out.read_text())["p_resampled"] is None
+
     def test_unknown_config_key_exits_2(self, tmp_path, rng, capsys):
         xp, yp = self._write_pair(tmp_path, rng)
         config = tmp_path / "config.json"
@@ -307,6 +316,7 @@ class TestTest:
          "--seed, --mc-fs, --mc-parzen"),
         ("asymptotic", ("--mc-nfreq", 241), "--mc-nfreq"),
         ("permutation:B=50", ("--mc-duration", 3), "--mc-duration"),
+        ("permutation:B=50", ("--mc-duration", 1800), "--mc-duration"),
     ])
     def test_flag_the_calibration_does_not_read_exits_2(self, tmp_path, rng, capsys,
                                                          calibration, extra, flags):

@@ -1,5 +1,6 @@
 """Permutation splits, the spectral MC null, p-values, and quantile tables."""
 
+import math
 import warnings
 
 import numpy as np
@@ -333,8 +334,9 @@ class TestSpectralMcNull:
 
     def test_negative_estimate_raises(self, monkeypatch):
         # c(0) = 0, c(1) = 1 gives a density proportional to cos(omega dt)
-        def acov(self, std, rngs, n_records, max_lag):
-            return np.broadcast_to(np.eye(1, max_lag + 1, 1), (len(rngs), n_records, max_lag + 1))
+        def acov(self, std, z, max_lag):
+            shape = (z.shape[0], z.shape[2], max_lag + 1)
+            return np.broadcast_to(np.eye(1, max_lag + 1, 1), shape)
 
         monkeypatch.setattr(GaussianSynthesizer, "autocovariances", acov)
         spectra = self._spectra(4, 600.0, 70)
@@ -360,6 +362,43 @@ class TestSpectralMcNull:
             sim = SimConfig(duration=600.0, fs=1.28, parzen_L=L, n_freq=481)
             with pytest.raises(error):
                 spectral_mc_null(spectra[:2], spectra[2:], sim, BasisSpec.parse("indicator:k=2"), 3, 1)
+
+
+def counting_substream(monkeypatch):
+    """Wrap `resampling.substream`; the returned list collects its calls."""
+    calls = []
+
+    def counted(seed, index):
+        calls.append(index)
+        return substream(seed, index)
+
+    monkeypatch.setattr(resampling, "substream", counted)
+    return calls
+
+
+class TestReplicateDriver:
+    """Both nulls build one generator per chunk, at any thread count."""
+
+    @pytest.mark.parametrize("n_jobs", [1, 3])
+    def test_permutation_null_builds_one_generator_per_chunk(self, rng, monkeypatch, n_jobs):
+        joint = gaussian_joint(rng)
+        g = BasisSpec("trig", {"k": 3}).build(joint)
+        B = 2 * PERMUTATION_CHUNK + 5
+        calls = counting_substream(monkeypatch)
+        permutation_null(joint, g, 20, B, 4, n_jobs=n_jobs)
+        assert len(calls) == math.ceil(B / PERMUTATION_CHUNK)
+        assert sorted(calls) == list(range(0, B, PERMUTATION_CHUNK))
+
+    @pytest.mark.parametrize("n_jobs", [1, 3])
+    def test_spectral_mc_null_builds_one_generator_per_chunk(self, monkeypatch, n_jobs):
+        spectra = TestSpectralMcNull._spectra(4, 600.0, 80)
+        sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
+        B = 2 * SPECTRAL_MC_CHUNK + 1
+        calls = counting_substream(monkeypatch)
+        spectral_mc_null(spectra[:2], spectra[2:], sim, BasisSpec.parse("indicator:k=2"),
+                         B, 4, n_jobs=n_jobs)
+        assert len(calls) == math.ceil(B / SPECTRAL_MC_CHUNK)
+        assert sorted(calls) == list(range(0, B, SPECTRAL_MC_CHUNK))
 
 
 class TestQuantileTable:

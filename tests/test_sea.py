@@ -150,9 +150,10 @@ class TestSimulatedAutocovariances:
         fs = 1.28
         L = (n - 1) // 2 if L == "half" else L
         synth = sea.GaussianSynthesizer(n, fs)
+        z = np.stack([substream(5, r).standard_normal((2, 4, n // 2 + 1)) for r in range(3)])
         for s in self._spectra(fs):
             std = np.sqrt(synth.amplitude_variances(s))
-            got = synth.autocovariances(std, [substream(5, r) for r in range(3)], 4, L)
+            got = synth.autocovariances(std, z, L)
             want = np.stack([
                 sea._autocovariances(synth.simulate(s, substream(5, r), 4), L)
                 for r in range(3)
@@ -163,9 +164,19 @@ class TestSimulatedAutocovariances:
     def test_each_generator_is_its_own_block(self):
         synth = sea.GaussianSynthesizer(500, 1.28)
         std = np.sqrt(synth.amplitude_variances(self._spectra(1.28)[1]))
-        together = synth.autocovariances(std, [substream(2, r) for r in range(5)], 3, 30)
-        one_by_one = [synth.autocovariances(std, [substream(2, r)], 3, 30)[0] for r in range(5)]
+        z = np.stack([substream(2, r).standard_normal((2, 3, 251)) for r in range(5)])
+        together = synth.autocovariances(std, z, 30)
+        one_by_one = [synth.autocovariances(std, z[r:r + 1], 30)[0] for r in range(5)]
         assert np.array_equal(together, np.stack(one_by_one))
+
+    @pytest.mark.parametrize("n", [500, 501])
+    def test_draws_are_left_unchanged(self, n):
+        synth = sea.GaussianSynthesizer(n, 1.28)
+        std = np.sqrt(synth.amplitude_variances(self._spectra(1.28)[1]))
+        z = np.stack([synth.amplitude_normals(substream(4, r), 3) for r in range(2)])
+        before = z.copy()
+        synth.autocovariances(std, z, 30)
+        assert z.tobytes() == before.tobytes()
 
     def test_lag_tables_are_read_only(self):
         for table in sea._lag_tables(64, 5):

@@ -340,6 +340,15 @@ class TestBatchedRegistration:
             register_sample([bad], RegistrationSpec(), min_interior=0)
 
     @pytest.mark.parametrize("constrain", [False, True])
+    def test_constant_times_raise_on_both_paths(self, constrain):
+        # a wave whose times are all equal has no time span to warp over
+        good = random_waves(np.random.default_rng(5), [9, 9, 9])
+        values = [0.0, -1.0, -0.5, 0.5, 1.0, 0.8, 0.5, 0.2, 0.0]
+        bad = WaveRecord(np.full(9, 2.0), np.array(values), 8.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            register_sample([*good, bad], RegistrationSpec(constrain_upcross=constrain))
+
+    @pytest.mark.parametrize("constrain", [False, True])
     def test_non_finite_wave_raises_on_both_paths(self, constrain):
         # the NaN hides the only upcrossing: the constrained path must not
         # count the wave as one without an upcrossing and drop it

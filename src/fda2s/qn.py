@@ -7,10 +7,10 @@ one degree of freedom per projection function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv
 
 from .bsplines import CONDITION_BOUND
 from .errors import (
@@ -74,11 +74,13 @@ def qn_statistic(sx, sy) -> TestResult:
         raise DimensionMismatch(f"score matrices of shapes {sx.shape} and {sy.shape} "
                                 "do not have one shared column count")
     (m, k), n = sx.shape, sy.shape[0]
-    qn = float(qn_batch(np.vstack([sx, sy])[None], m)[0])
+    eta, pooled = _eta_and_pooled(np.vstack([sx, sy])[None], m)
+    qn = float(quadratic_form(eta, pooled)[0])
     if np.isnan(qn):
         raise SingularCovariance(
-            "pooled covariance is singular or its condition number exceeds "
-            f"{CONDITION_BOUND:.0e}; reduce the number of g-functions"
+            f"pooled covariance (condition number {np.linalg.cond(pooled[0]):.3e}) is "
+            f"singular or its condition number exceeds {CONDITION_BOUND:.0e}; "
+            "reduce the number of g-functions"
         )
     return TestResult(qn=qn, k=k, p_asymptotic=chi_square_sf(qn, k), m=m, n=n)
 
@@ -91,7 +93,11 @@ def qn_batch(scores: np.ndarray, m: int) -> np.ndarray:
     whose C fails (see `quadratic_form`) gives NaN.  Non-finite scores
     raise ValueError.
     """
-    scores = np.asarray(scores, dtype=float)
+    return quadratic_form(*_eta_and_pooled(np.asarray(scores, dtype=float), m))
+
+
+def _eta_and_pooled(scores: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """eta, (C, k), and the pooled covariance, (C, k, k), of a (C, N, k) stack."""
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     N = scores.shape[1]
@@ -105,7 +111,7 @@ def qn_batch(scores: np.ndarray, m: int) -> np.ndarray:
     scatter = np.swapaxes(cx, 1, 2) @ cx + np.swapaxes(cy, 1, 2) @ cy
     pooled = (N / m + N / n) / (N - 2) * scatter
     pooled = 0.5 * (pooled + np.swapaxes(pooled, 1, 2))
-    return quadratic_form(eta, pooled)
+    return eta, pooled
 
 
 def quadratic_form(eta: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -135,19 +141,84 @@ def _factors(matrix: np.ndarray) -> bool:
     return True
 
 
-def chi_square_sf(q: float, k: int) -> float:
-    """Upper-tail probability of the chi-square law with k degrees of freedom."""
+def _check_df(k) -> None:
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidDF(f"degrees of freedom must be a positive integer, got {k}")
+
+
+def _poisson_term(x: float, j: float) -> float:
+    """x^j e^-x / Gamma(j + 1), from its logarithm, which cannot underflow early."""
+    return math.exp(j * math.log(x) - x - math.lgamma(j + 1.0))
+
+
+def chi_square_sf(q: float, k: int) -> float:
+    """Upper-tail probability of the chi-square law with k degrees of freedom.
+
+    The finite sum for an integer k, with x = q/2: the terms
+    x^j e^-x / j! over j = 0 .. k/2 - 1 for even k, and erfc(sqrt(x)) plus
+    the same terms over j = 1/2, 3/2, .., (k - 2)/2 for odd k.  Each term
+    is exponentiated from its logarithm: the e^-x recurrence underflows
+    deep in the tail (k = 481, q = 1530 has p = 1.4e-109).
+    """
+    _check_df(k)
+    q = float(q)
+    if math.isnan(q):
+        raise ValueError("quadratic form value must not be NaN")
     if q < 0:
         raise ValueError(f"quadratic form value must be >= 0, got {q}")
-    return float(gammaincc(k / 2.0, q / 2.0))
+    if q == 0.0:
+        return 1.0
+    if math.isinf(q):
+        return 0.0
+    x = q / 2.0
+    head, j = (math.erfc(math.sqrt(x)), 0.5) if k % 2 else (0.0, 0.0)
+    return math.fsum([head, *(_poisson_term(x, j + i) for i in range(k // 2))])
+
+
+def _chi_square_cdf(q: float, k: int) -> float:
+    """1 - chi_square_sf(q, k) for 0 < q <= k: the same terms from j = k/2 on.
+
+    Where the tail is near 1 its complement is small and so kept to full
+    relative precision; past j = k/2 > x the terms shrink geometrically.
+    """
+    x = q / 2.0
+    terms = [_poisson_term(x, k / 2.0)]
+    while terms[-1] > 1e-17 * terms[0]:
+        terms.append(terms[-1] * x / (k / 2.0 + len(terms)))
+    return math.fsum(terms)
 
 
 def chi_square_isf(p: float, k: int) -> float:
-    """Inverse survival function: the q with chi_square_sf(q, k) = p."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidDF(f"degrees of freedom must be a positive integer, got {k}")
+    """Inverse survival function: the q with chi_square_sf(q, k) = p.
+
+    Newton's method on the logarithm of the smaller tail (the upper one
+    for p <= 1/2, else the lower one, 1 - p), kept inside a bracket of the
+    root by bisection.
+    """
+    _check_df(k)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"tail probability must be in (0, 1], got {p}")
-    return float(2.0 * gammainccinv(k / 2.0, p))
+    if p == 1.0:
+        return 0.0
+    lo, hi = 0.0, float(k)  # the median is below k
+    while chi_square_sf(hi, k) > p:
+        lo, hi = hi, 2.0 * hi
+    upper = p <= 0.5
+    tail, target, sign = (chi_square_sf, p, 1.0) if upper else (_chi_square_cdf, 1.0 - p, -1.0)
+    log_target, q = math.log(target), hi
+    for _ in range(200):
+        t = tail(q, k)
+        if (t > target) == upper:
+            lo = q
+        else:
+            hi = q
+        # Newton step: d/dq log t = -sign * density / t
+        pdf = 0.5 * _poisson_term(q / 2.0, k / 2.0 - 1.0)  # the chi-square density at q
+        step = sign * (math.log(t) - log_target) * t / pdf if t > 0.0 and pdf > 0.0 else math.nan
+        new = q + step
+        if abs(new - q) <= 4.0 * np.finfo(float).eps * q:
+            return new
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        q = new
+    return q

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .errors import (
     InvalidParams,
@@ -333,12 +332,29 @@ def parzen_window(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, the length ``np.fft.rfft`` transforms fastest.
+
+    Equals ``scipy.fft.next_fast_len(n, real=True)``.
+    """
+    best = 1 << (n - 1).bit_length()  # the next power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # lift p35 by the least power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _autocovariances(rows: np.ndarray, max_lag: int) -> np.ndarray:
     """Biased sample autocovariances c(0..max_lag) of mean-subtracted rows (2-d)."""
     n = rows.shape[1]
     x = rows - rows.mean(axis=1, keepdims=True)
     # Padding to n + max_lag + 1 keeps lags 0..max_lag free of wrap-around.
-    n_fft = scipy.fft.next_fast_len(n + max_lag + 1, real=True)
+    n_fft = _next_fast_len(n + max_lag + 1)
     spec = np.fft.rfft(x, n_fft, axis=1)
     periodogram = spec.real**2 + spec.imag**2
     return np.fft.irfft(periodogram, n_fft, axis=1)[:, : max_lag + 1] / n

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .bsplines import basis_matrix, bspline_values, equidistant_spec
 from .errors import NoWaves, ZeroVariance
@@ -187,6 +186,8 @@ def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
     by one LAPACK ``gbsv`` call (the solve ``make_interp_spline`` runs per
     wave): time and memory are linear in the number of samples.
     """
+    import scipy.linalg  # here, not at module level: it is most of `import fda2s`
+
     n_waves, n_sites = lengths.size, u.size
     wave = np.repeat(np.arange(n_waves), lengths)
     if not np.all(np.diff(u)[wave[:-1] == wave[1:]] > 0.0):  # NaN fails too

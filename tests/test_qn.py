@@ -1,9 +1,12 @@
 """The quadratic-form statistic: scores, eta, pooled covariance, chi-square."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincc, gammainccinv
 from scipy.stats import chi2
 
 from fda2s import (
@@ -156,6 +159,22 @@ class TestPooledCovariance:
     def test_rank_deficiency_is_singular(self, rng):
         # m + n - 2 = 2 < k = 4: the pooled covariance has rank 2 at most
         with pytest.raises(SingularCovariance, match="1e\\+12"):
+            qn_statistic(rng.normal(size=(2, 4)), rng.normal(size=(2, 4)))
+
+    def test_singular_message_names_the_condition_number(self, rng):
+        # the third score column nearly repeats the first: cond ~ 5e12, known
+        # to a few digits only, as the smallest eigenvalue is ~1e-12 of the largest
+        sx, sy = rng.normal(size=(30, 3)), rng.normal(size=(30, 3))
+        for s in (sx, sy):
+            s[:, 2] = s[:, 0] + 1e-6 * s[:, 2]
+        centered = [s - s.mean(axis=0) for s in (sx, sy)]
+        expected = np.linalg.cond(sum(c.T @ c for c in centered))
+        assert expected > 1e12
+        with pytest.raises(SingularCovariance) as info:
+            qn_statistic(sx, sy)
+        value = float(re.search(r"condition number ([^)\s]+)\)", str(info.value)).group(1))
+        assert value == pytest.approx(expected, rel=1e-2)
+        with pytest.raises(SingularCovariance, match=r"condition number (\d\.\d{3}e\+\d+|inf)"):
             qn_statistic(rng.normal(size=(2, 4)), rng.normal(size=(2, 4)))
 
 
@@ -383,3 +402,51 @@ class TestChiSquare:
             chi_square_sf(1.0, 0)
         with pytest.raises(InvalidDF):
             chi_square_isf(0.5, -2)
+
+
+def _tail_points(k):
+    """q from 1e-6 to where the chi-square tail (scipy's) falls to 1e-290."""
+    q_max = 2.0 * float(gammainccinv(k / 2.0, 1e-290))
+    q = np.concatenate([np.geomspace(1e-6, q_max, 120), np.linspace(0.0, q_max, 61)[1:]])
+    return [float(v) for v in q]
+
+
+class TestChiSquareClosedForm:
+    """The finite-sum tail and its Newton inverse against scipy.special."""
+
+    @pytest.mark.parametrize("k", list(range(1, 41)) + [61, 99, 121, 240, 481, 600])
+    def test_tail_matches_gammaincc(self, k):
+        q = _tail_points(k)
+        got = np.array([chi_square_sf(v, k) for v in q])
+        ref = gammaincc(k / 2.0, np.array(q) / 2.0)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_tail_does_not_underflow(self):
+        # exp(-x) times the recurrence would give 0 here
+        p = chi_square_sf(1530.0, 481)
+        assert p == pytest.approx(float(gammaincc(240.5, 765.0)), rel=1e-12)
+        assert 1e-110 < p < 1e-108
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12, 40, 121, 481, 600])
+    def test_inverse_matches_gammainccinv(self, k):
+        p = np.concatenate([np.geomspace(1e-280, 0.5, 40), np.linspace(0.01, 0.99, 25),
+                            1.0 - np.geomspace(1e-15, 0.5, 20)])
+        got = np.array([chi_square_isf(float(v), k) for v in p])
+        np.testing.assert_allclose(got, 2.0 * gammainccinv(k / 2.0, p), rtol=1e-12, atol=0.0)
+        back = np.array([chi_square_sf(v, k) for v in got])
+        np.testing.assert_allclose(back, p, rtol=1e-11, atol=0.0)
+
+    def test_edges(self):
+        assert chi_square_sf(0.0, 1) == 1.0
+        assert chi_square_sf(0.0, 600) == 1.0
+        assert chi_square_sf(np.inf, 1) == 0.0
+        assert chi_square_sf(np.inf, 600) == 0.0
+        assert chi_square_isf(1.0, 4) == 0.0
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="NaN"):
+                chi_square_sf(np.nan, k)
+        with pytest.raises(ValueError):
+            chi_square_sf(-1e-300, 3)
+        for p in (0.0, 1.5, np.nan):
+            with pytest.raises(ValueError):
+                chi_square_isf(p, 3)

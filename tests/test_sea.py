@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from fda2s import sea
 from fda2s import (
@@ -257,6 +258,26 @@ class TestEstimateSpectrum:
         rec = TimeSeriesRecord(1.0, np.cumsum(rng.normal(size=2000)))
         s = estimate_spectrum(rec, 60)
         assert np.all(s.values >= 0.0)
+
+
+class TestFftLength:
+    """The 5-smooth padding rule against scipy.fft.next_fast_len(n, real=True)."""
+
+    def test_matches_scipy_below_20000(self):
+        n = range(1, 20_000)
+        assert [sea._next_fast_len(v) for v in n] == [
+            scipy.fft.next_fast_len(v, real=True) for v in n
+        ]
+
+    # 30-min and 8-h records at 1.28 Hz, each padded by L + 1 = 61
+    @pytest.mark.parametrize("n", [2304, 36864])
+    def test_spectra_byte_identical_to_scipy_padding(self, monkeypatch, n):
+        rows = np.random.default_rng(n).normal(size=(2, n)).cumsum(axis=1)
+        ours = sea.estimate_spectra(rows, 1.28, 60, 481)[1]
+        assert sea._next_fast_len(n + 61) == scipy.fft.next_fast_len(n + 61, real=True)
+        monkeypatch.setattr(sea, "_next_fast_len",
+                            lambda v: scipy.fft.next_fast_len(v, real=True))
+        assert ours.tobytes() == sea.estimate_spectra(rows, 1.28, 60, 481)[1].tobytes()
 
 
 class TestRoundTrip:

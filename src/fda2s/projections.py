@@ -173,20 +173,53 @@ def pca_basis(
     sqrt_w = np.sqrt(w)
     _, sv, vt = np.linalg.svd(data * sqrt_w, full_matrices=False)
     eigvals = sv**2
-    rank = int(np.count_nonzero(eigvals > 1e-12 * eigvals[0]))
+    _require_rank(eigvals, d)
+    # Back to function values: phi = u / sqrt(w) is orthonormal in L2.
+    phis = _orient(vt[:d] / sqrt_w, w)
+    return GVector(joint.grid, phis, "pca", {"d": d}), eigvals[:d]
+
+
+def snapshot_pca(data: np.ndarray, w: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-d eigenpairs of each operator data[c]' data[c] of a (C, N, P) stack.
+
+    ``data`` holds centred, scaled curves as `pca_basis` forms them, ``w``
+    the grid weights.  Method of snapshots (Sirovich, 1987): with
+    Z = data * sqrt(w) and Z Z' = U S^2 U', the eigenfunctions are
+    U' Z / S / sqrt(w), from one stacked `eigh` of the N x N Gram matrices
+    in place of a thin SVD per curve set.  Returns eigenvalues (C, d) and
+    eigenfunctions (C, d, P), under `pca_basis`'s rank and sign rules.
+    """
+    n_pts = data.shape[-1]
+    if not 1 <= d <= n_pts:
+        raise InvalidK(f"need 1 <= d <= {n_pts}, got {d}")
+    sqrt_w = np.sqrt(w)
+    z = data * sqrt_w
+    eigvals, u = np.linalg.eigh(z @ np.swapaxes(z, -1, -2))
+    eigvals, u = eigvals[..., ::-1], u[..., ::-1]  # non-increasing
+    _require_rank(eigvals, d)
+    sv = np.sqrt(eigvals[..., :d])
+    phis = np.swapaxes(u[..., :d], -1, -2) @ z / sv[..., None] / sqrt_w
+    return eigvals[..., :d], _orient(phis, w)
+
+
+def _require_rank(eigvals: np.ndarray, d: int) -> None:
+    """Raise DegenerateCovariance unless every set of non-increasing eigenvalues
+    (last axis) has d of them above 1e-12 of its largest."""
+    rank = int(np.min(np.count_nonzero(eigvals > 1e-12 * eigvals[..., :1], axis=-1)))
     if d > rank:
         raise DegenerateCovariance(f"component {d} is numerically zero: only {rank} "
                                    "eigenvalues exceed 1e-12 of the largest")
-    # Back to function values: phi = u / sqrt(w) is orthonormal in L2.
-    phis = vt[:d] / sqrt_w
-    for i in range(d):
-        integral = float(np.dot(w, phis[i]))
-        if abs(integral) > 1e-10 * np.max(np.abs(phis[i])):
-            if integral < 0:
-                phis[i] = -phis[i]
-        elif phis[i][np.argmax(np.abs(phis[i]))] < 0:
-            phis[i] = -phis[i]
-    return GVector(joint.grid, phis, "pca", {"d": d}), eigvals[:d]
+
+
+def _orient(phis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sign rule for eigenfunctions (last axis): a non-negative weighted integral,
+    or, where the integral is about 0, a positive value of largest magnitude."""
+    integrals = phis @ w
+    magnitude = np.abs(phis)
+    peaks = np.take_along_axis(phis, np.argmax(magnitude, axis=-1)[..., None], axis=-1)[..., 0]
+    flip = np.where(np.abs(integrals) > 1e-10 * np.max(magnitude, axis=-1),
+                    integrals < 0, peaks < 0)
+    return np.where(flip[..., None], -phis, phis)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 from .bsplines import CONDITION_BOUND
 from .errors import GridMismatch, SingularCovariance, TooFewCurves, TooFewReplicates
 from .grids import FunctionalSample
-from .projections import BasisSpec, GVector
+from .projections import BasisSpec, GVector, snapshot_pca
 from .qn import chi_square_isf, qn_batch, score_matrix
 from .rng import rekeyed, substream
 from .sea import (
@@ -78,15 +78,17 @@ def _run_replicates(draw, evaluate, B: int, seed: int, n_jobs: int,
                     chunk: int) -> NullDistribution:
     """Evaluate replicates 0..B-1 in consecutive chunks, tolerating singular ones.
 
-    Replicate r's draw is `draw(gen)`, `gen` on the stream of `substream(seed, r)`;
-    `evaluate` maps a chunk's stacked draws to values, NaN where a replicate
-    was singular.  Chunk boundaries depend on `chunk` only, never on `n_jobs`.
+    `draw(gens, count)` stacks a chunk's `count` draws, one per generator of
+    `gens`, which yields replicate r's generator on the stream of
+    `substream(seed, r)`; `evaluate` maps the stack to values, NaN where a
+    replicate was singular.  Chunk boundaries depend on `chunk` only, never
+    on `n_jobs`.
     """
     if B < 1:
         raise ValueError(f"need at least one replicate, got B={B}")
 
     def run(rs: range) -> np.ndarray:
-        return evaluate(np.stack([draw(gen) for gen in rekeyed(substream(seed, rs.start), rs)]))
+        return evaluate(draw(rekeyed(substream(seed, rs.start), rs), len(rs)))
 
     chunks = [range(s, min(s + chunk, B)) for s in range(0, B, chunk)]
     if n_jobs > 1:
@@ -169,8 +171,9 @@ def permutation_null(
     """
     _check_groups(m, joint.n_curves - m)
     split = _SplitStatistic(score_matrix(joint, g), m)
-    return _run_replicates(lambda gen: gen.permutation(split.N)[:m], split.values,
-                           B, seed, n_jobs, PERMUTATION_CHUNK)
+    return _run_replicates(
+        lambda gens, count: np.stack([gen.permutation(split.N)[:m] for gen in gens]),
+        split.values, B, seed, n_jobs, PERMUTATION_CHUNK)
 
 
 def permutation_pvalue(observed_qn: float, null_values) -> float:
@@ -233,6 +236,9 @@ def spectral_mc_null(
     `substream(seed, r)`; its autocovariances come straight from them
     (`GaussianSynthesizer.autocovariances`), and SPECTRAL_MC_CHUNK
     replicates at a time go through one Parzen, score and Qn computation.
+    A `pca` basis is re-estimated from each replicate's spectra, the
+    chunk's eigenfunctions from one stacked `snapshot_pca`; any other
+    basis is built once, before the first draw.
     """
     m, n = len(spectra_x), len(spectra_y)
     _check_groups(m, n)
@@ -240,27 +246,34 @@ def spectral_mc_null(
     s_avg = average_spectrum(list(spectra_x) + list(spectra_y))
     synth = GaussianSynthesizer(int(round(sim.duration * sim.fs)), sim.fs)
     check_lag_window(synth.n, sim.parzen_L)
-    std = np.sqrt(synth.amplitude_variances(s_avg))
-
-    def weighted_g(joint: FunctionalSample) -> np.ndarray:
-        return (basis.build(joint).functions * joint.grid.weights).T
-
-    # Scores are est @ (g w)'.  A fixed basis is weighted once; a data-driven
-    # one is rebuilt from each replicate's estimates.
-    fixed = None if basis.data_driven else weighted_g(FunctionalSample(
-        estimator_grid(sim.fs, sim.n_freq), np.zeros((1, sim.n_freq))))
+    tables = synth.weighted_lag_tables(np.sqrt(synth.amplitude_variances(s_avg)),
+                                       sim.parzen_L)
+    grid = estimator_grid(sim.fs, sim.n_freq)
+    w = grid.weights
+    # Scores are est @ (g w)'.  A pca basis decomposes each replicate's pooled
+    # covariance about the pooled mean, as pca_basis does.  Any other is built
+    # here, before the first draw: trig raises WrongInterval, as it needs [0, 1].
+    if basis.scheme == "pca":
+        d, scale = basis.params.get("d", 2), np.sqrt(m + n - 1)
+    else:
+        fixed = (basis.build(FunctionalSample(grid, np.zeros((1, len(grid))))).functions * w).T
 
     def evaluate(z: np.ndarray) -> np.ndarray:
-        acov = synth.autocovariances(std, z, sim.parzen_L)
-        grid, est = parzen_estimates(acov, sim.fs, sim.n_freq)
-        if fixed is not None:
-            scores = est @ fixed
-        else:
-            scores = np.stack([e @ weighted_g(FunctionalSample(grid, e)) for e in est])
-        return qn_batch(scores, m)
+        est = parzen_estimates(synth.autocovariances(tables, z), sim.fs, sim.n_freq)[1]
+        if basis.scheme == "pca":
+            phis = snapshot_pca((est - est.mean(axis=-2, keepdims=True)) / scale, w, d)[1]
+            return qn_batch(est @ np.swapaxes(phis * w, -1, -2), m)
+        return qn_batch(est @ fixed, m)
 
-    return _run_replicates(lambda gen: synth.amplitude_normals(gen, m + n), evaluate,
-                           B, seed, n_jobs, SPECTRAL_MC_CHUNK)
+    def draw(gens, count: int) -> np.ndarray:
+        # in place: per-replicate arrays and their stacked copy churned 3 MB a
+        # chunk, which malloc could hand back to the OS and fault in again
+        z = np.empty((count, 2, m + n, synth.lattice.size))
+        for row, gen in zip(z, gens):
+            synth.amplitude_normals(gen, m + n, out=row)
+        return z
+
+    return _run_replicates(draw, evaluate, B, seed, n_jobs, SPECTRAL_MC_CHUNK)
 
 
 def quantile_table(null_values, k: int, probs=(0.5, 0.9, 0.95, 0.975, 0.99)) -> QuantileTable:

@@ -232,9 +232,11 @@ class GaussianSynthesizer:
             v *= band_var / total
         return v
 
-    def amplitude_normals(self, rng: np.random.Generator, n_records: int) -> np.ndarray:
-        """The normals (2, n_records, n//2 + 1) `simulate` scales into A_j, B_j."""
-        return rng.standard_normal((2, n_records, self.lattice.size))
+    def amplitude_normals(self, rng: np.random.Generator, n_records: int,
+                          out: np.ndarray | None = None) -> np.ndarray:
+        """The normals (2, n_records, n//2 + 1) `simulate` scales into A_j, B_j,
+        written into ``out`` when it is given."""
+        return rng.standard_normal((2, n_records, self.lattice.size), out=out)
 
     def simulate(self, s: SpectralDensity, rng: np.random.Generator,
                  n_records: int = 1) -> np.ndarray:
@@ -250,23 +252,36 @@ class GaussianSynthesizer:
             spectrum[:, -1] = self.n * a[:, -1]
         return np.fft.irfft(spectrum, self.n, axis=1)
 
-    def autocovariances(self, std: np.ndarray, z: np.ndarray, max_lag: int) -> np.ndarray:
+    def weighted_lag_tables(self, std: np.ndarray, max_lag: int) -> tuple[np.ndarray, ...]:
+        """The read-only tables `autocovariances` reads for lags 0..max_lag.
+
+        ``std`` is the square root of `amplitude_variances`; the tables are
+        std * cos, std * sin and std^2 / 2 * cos, the scaling of the
+        amplitudes a = z[:, 0] * std and b = z[:, 1] * std moved into them.
+        """
+        cos, sin = _lag_tables(self.n, max_lag)
+        tables = (std[:, None] * cos, std[:, None] * sin, (0.5 * std**2)[:, None] * cos)
+        for table in tables:
+            table.flags.writeable = False
+        return tables
+
+    def autocovariances(self, tables: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
         """Biased autocovariances c(0..max_lag) of the records `simulate` makes.
 
-        ``std`` is the square root of `amplitude_variances`; ``z`` stacks C
-        draws of `amplitude_normals`, shape (C, 2, R, n//2 + 1), and is
-        left unchanged.  Returns shape (C, R, max_lag + 1).  No record is
-        built: with a_k, b_k the scaled amplitudes, the mean-removed record
+        ``tables`` is `weighted_lag_tables` of the amplitude std and max_lag;
+        ``z`` stacks C draws of `amplitude_normals`, shape (C, 2, R, n//2 + 1),
+        and is left unchanged.  Returns shape (C, R, max_lag + 1).  No record
+        is built: with a_k, b_k the scaled amplitudes, the mean-removed record
         is x_t = sum_{k>=1} a_k cos(w_k t) + b_k sin(w_k t) (only
         a_k (-1)^t at an even n's Nyquist cell), so its circular
         autocovariance is sum_k (a_k^2 + b_k^2)/2 cos(w_k h) (a_k^2 at
         Nyquist); the biased one drops the h wrapped products
         x_{s-h} x_s, s < h, which need x_t for |t| <= max_lag only.
         """
-        # a = z[:, 0] * std and b = z[:, 1] * std; the scaling goes into the tables
-        cos, sin = _lag_tables(self.n, max_lag)
-        even = z[:, 0] @ (std[:, None] * cos)  # x_t = even_t + odd_t, x_-t = even_t - odd_t
-        odd = z[:, 1] @ (std[:, None] * sin)
+        std_cos, std_sin, power_cos = tables
+        max_lag = std_sin.shape[1]
+        even = z[:, 0] @ std_cos  # x_t = even_t + odd_t, x_-t = even_t - odd_t
+        odd = z[:, 1] @ std_sin
         # one replicate at a time: chunk-sized temporaries cost page faults
         power = np.empty((z.shape[0], *z.shape[2:]))
         for p, (a, b) in zip(power, z):
@@ -281,7 +296,7 @@ class GaussianSynthesizer:
         padded = np.concatenate([tail, np.zeros_like(tail)], axis=-1)
         toeplitz = np.lib.stride_tricks.sliding_window_view(padded, max_lag, axis=-1)
         wrapped = np.einsum("...hs,...s->...h", toeplitz[..., ::-1, :], head)
-        return power @ ((0.5 * std**2)[:, None] * cos) - wrapped / self.n
+        return power @ power_cos - wrapped / self.n
 
 
 @lru_cache(maxsize=16)

@@ -349,15 +349,15 @@ class TestTest:
             write_functional_sample(spectra_to_sample(spectra), paths[name])
         x, y = (sample_to_spectra(read_functional_sample(paths[n])) for n in "xy")
         sim = SimConfig(duration=600.0)
-        basis = BasisSpec.parse("indicator:k=4")
-        expected = format_test_result(spectral_mc_test(x, y, basis, sim, B=8, seed=3))
-        for threads in ("1", "2"):
-            monkeypatch.setenv("FDA2S_THREADS", threads)
-            out = tmp_path / f"r{threads}.json"
-            assert run("test", "--x", paths["x"], "--y", paths["y"], "--basis", str(basis),
-                       "--calibration", "spectral-mc:B=8", "--seed", 3,
-                       "--mc-duration", 600, "-o", out) == 0
-            assert out.read_text() == expected
+        for basis in map(BasisSpec.parse, ("indicator:k=4", "pca:d=2")):
+            expected = format_test_result(spectral_mc_test(x, y, basis, sim, B=8, seed=3))
+            for threads in ("1", "2"):
+                monkeypatch.setenv("FDA2S_THREADS", threads)
+                out = tmp_path / f"r{threads}.json"
+                assert run("test", "--x", paths["x"], "--y", paths["y"], "--basis", str(basis),
+                           "--calibration", "spectral-mc:B=8", "--seed", 3,
+                           "--mc-duration", 600, "-o", out) == 0
+                assert out.read_text() == expected, basis
 
     def test_spectral_mc_on_wave_sample_exits_2(self, record_file, tmp_path, capsys):
         waves = tmp_path / "waves.csv"

@@ -17,7 +17,7 @@ from fda2s import (
 )
 from fda2s.errors import DegenerateCovariance, InvalidK, TooFewCurves, WrongInterval
 from fda2s.grids import sample_inner_products
-from fda2s.projections import BasisSpec
+from fda2s.projections import BasisSpec, snapshot_pca
 
 from conftest import smooth_curves
 
@@ -302,6 +302,53 @@ class TestPcaBasis:
             pca_basis(joint, 1)
         with pytest.raises(TooFewCurves):
             BasisSpec.parse("pca:d=1").build(joint)
+
+
+def pooled_data(values):
+    """The centred, scaled curves `pca_basis` decomposes without sizes."""
+    return (values - values.mean(axis=0)) / np.sqrt(values.shape[0] - 1)
+
+
+class TestSnapshotPca:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_one_stack_matches_pca_basis(self, data):
+        joint, d = data.draw(pca_problems((4, 12), (20, 60)))
+        g, lam = pca_basis(joint, d)
+        eigvals, phis = snapshot_pca(pooled_data(joint.values)[None], joint.grid.weights, d)
+        assert eigvals.shape == (1, d) and phis.shape == (1, d, len(joint.grid))
+        assert np.max(np.abs(eigvals[0] - lam)) <= 1e-10 * lam[0]
+        assert np.max(np.abs(phis[0] - g.functions)) <= 1e-10 * np.max(np.abs(g.functions))
+
+    def test_a_stack_is_each_matrix_alone(self, rng):
+        grid = unit_grid(97)
+        stack = np.stack([pooled_data(smooth_curves(rng, 12, grid)) for _ in range(5)])
+        eigvals, phis = snapshot_pca(stack, grid.weights, 3)
+        for c, data in enumerate(stack):
+            alone = snapshot_pca(data[None], grid.weights, 3)
+            assert np.array_equal(eigvals[c], alone[0][0])
+            assert np.array_equal(phis[c], alone[1][0])
+
+    def test_d_beyond_the_rank_of_any_matrix_is_degenerate(self, rng):
+        grid = unit_grid(41)
+        full = pooled_data(rng.normal(size=(10, 41)))
+        rank_two = pooled_data(rng.normal(size=(10, 2)) @ rng.normal(size=(2, 41)))
+        assert snapshot_pca(np.stack([full, rank_two]), grid.weights, 2)[0].shape == (2, 2)
+        with pytest.raises(DegenerateCovariance):
+            snapshot_pca(np.stack([full, rank_two]), grid.weights, 3)
+        with pytest.raises(InvalidK):
+            snapshot_pca(full[None], grid.weights, 0)
+
+    def test_odd_mode_takes_the_sign_of_its_largest_value(self, rng):
+        # sin(2 pi t) integrates to 0 over a grid symmetric about 1/2
+        grid = unit_grid(101)
+        mode = np.sin(2 * np.pi * grid.points)
+        data = pooled_data(rng.normal(size=(8, 1)) * mode)
+        for sign in (1.0, -1.0):
+            phi = snapshot_pca(sign * data[None], grid.weights, 1)[1][0, 0]
+            assert abs(phi @ grid.weights) <= 1e-10 * np.max(np.abs(phi))
+            assert phi[np.argmax(np.abs(phi))] > 0.0
+            assert np.max(np.abs(np.abs(phi) - np.abs(mode) * np.sqrt(2.0))) < 1e-10
 
 
 class TestBasisSpec:

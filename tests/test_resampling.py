@@ -37,6 +37,7 @@ from fda2s.errors import (
     SingularCovariance,
     TooFewCurves,
     TooFewReplicates,
+    WrongInterval,
 )
 from fda2s.grids import sample_inner_products
 from fda2s.projections import trig_g_functions
@@ -311,32 +312,39 @@ class TestSpectralMcNull:
             assert null.values[r] == pytest.approx(qn, rel=1e-10)
 
 
-    @pytest.mark.parametrize("m,n,B,error", [
-        (2, 2, 0, ValueError), (1, 3, 5, TooFewCurves), (3, 1, 5, TooFewCurves),
-    ])
-    def test_no_replicate_or_a_group_of_one_rejected(self, monkeypatch, m, n, B, error):
+    @pytest.mark.parametrize("m,n,B,basis,error", [
+        (2, 2, 0, "pca:d=1", ValueError),
+        (1, 3, 5, "pca:d=1", TooFewCurves),
+        (3, 1, 5, "pca:d=1", TooFewCurves),
+        # trig needs [0, 1]; the estimator grid is [0, pi*fs]
+        (2, 2, 5, "trig:k=3", WrongInterval),
+    ], ids=["2-2-0-ValueError", "1-3-5-TooFewCurves", "3-1-5-TooFewCurves",
+            "2-2-5-trig-WrongInterval"])
+    def test_no_replicate_or_a_group_of_one_rejected(self, monkeypatch, m, n, B, basis, error):
         spectra = self._spectra(m + n, 600.0, 70)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
-        # the group sizes are checked before any replicate is drawn
+        # the group sizes and the basis are checked before any replicate is drawn
         monkeypatch.setattr(resampling, "substream", None)
         with pytest.raises(error):
-            spectral_mc_null(spectra[:m], spectra[m:], sim, BasisSpec.parse("pca:d=1"), B, 1)
+            spectral_mc_null(spectra[:m], spectra[m:], sim, BasisSpec.parse(basis), B, 1)
 
     def test_chunk_size_does_not_change_values(self, monkeypatch):
         spectra = self._spectra(6, 600.0, 60, n_freq=241)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=40, n_freq=241)
-        basis = BasisSpec.parse("indicator:k=2")
-        values = []
-        for chunk in (1, 3, 7):
-            monkeypatch.setattr(resampling, "SPECTRAL_MC_CHUNK", chunk)
-            values.append(spectral_mc_null(spectra[:3], spectra[3:], sim, basis, 7, 3).values)
-        assert np.array_equal(values[0], values[1]) and np.array_equal(values[0], values[2])
+        for text in ("indicator:k=2", "pca:d=2"):
+            basis = BasisSpec.parse(text)
+            values = []
+            for chunk in (1, 3, 7):
+                monkeypatch.setattr(resampling, "SPECTRAL_MC_CHUNK", chunk)
+                values.append(spectral_mc_null(spectra[:3], spectra[3:], sim, basis, 7, 3).values)
+            assert np.array_equal(values[0], values[1]), text
+            assert np.array_equal(values[0], values[2]), text
 
     def test_negative_estimate_raises(self, monkeypatch):
         # c(0) = 0, c(1) = 1 gives a density proportional to cos(omega dt)
-        def acov(self, std, z, max_lag):
-            shape = (z.shape[0], z.shape[2], max_lag + 1)
-            return np.broadcast_to(np.eye(1, max_lag + 1, 1), shape)
+        def acov(self, tables, z):
+            lags = tables[0].shape[1]
+            return np.broadcast_to(np.eye(1, lags, 1), (z.shape[0], z.shape[2], lags))
 
         monkeypatch.setattr(GaussianSynthesizer, "autocovariances", acov)
         spectra = self._spectra(4, 600.0, 70)

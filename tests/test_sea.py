@@ -154,7 +154,7 @@ class TestSimulatedAutocovariances:
         z = np.stack([substream(5, r).standard_normal((2, 4, n // 2 + 1)) for r in range(3)])
         for s in self._spectra(fs):
             std = np.sqrt(synth.amplitude_variances(s))
-            got = synth.autocovariances(std, z, L)
+            got = synth.autocovariances(synth.weighted_lag_tables(std, L), z)
             want = np.stack([
                 sea._autocovariances(synth.simulate(s, substream(5, r), 4), L)
                 for r in range(3)
@@ -166,8 +166,9 @@ class TestSimulatedAutocovariances:
         synth = sea.GaussianSynthesizer(500, 1.28)
         std = np.sqrt(synth.amplitude_variances(self._spectra(1.28)[1]))
         z = np.stack([substream(2, r).standard_normal((2, 3, 251)) for r in range(5)])
-        together = synth.autocovariances(std, z, 30)
-        one_by_one = [synth.autocovariances(std, z[r:r + 1], 30)[0] for r in range(5)]
+        tables = synth.weighted_lag_tables(std, 30)
+        together = synth.autocovariances(tables, z)
+        one_by_one = [synth.autocovariances(tables, z[r:r + 1])[0] for r in range(5)]
         assert np.array_equal(together, np.stack(one_by_one))
 
     @pytest.mark.parametrize("n", [500, 501])
@@ -175,12 +176,17 @@ class TestSimulatedAutocovariances:
         synth = sea.GaussianSynthesizer(n, 1.28)
         std = np.sqrt(synth.amplitude_variances(self._spectra(1.28)[1]))
         z = np.stack([synth.amplitude_normals(substream(4, r), 3) for r in range(2)])
+        in_place = np.empty_like(z)
+        for r, row in enumerate(in_place):
+            assert synth.amplitude_normals(substream(4, r), 3, out=row) is row
+        assert np.array_equal(in_place, z)
         before = z.copy()
-        synth.autocovariances(std, z, 30)
+        synth.autocovariances(synth.weighted_lag_tables(std, 30), z)
         assert z.tobytes() == before.tobytes()
 
     def test_lag_tables_are_read_only(self):
-        for table in sea._lag_tables(64, 5):
+        weighted = sea.GaussianSynthesizer(64, 1.28).weighted_lag_tables(np.ones(33), 5)
+        for table in (*sea._lag_tables(64, 5), *weighted):
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
 

@@ -58,6 +58,8 @@ def _parse_calibration(text: str) -> tuple[str, int]:
     head, _, rest = text.partition(":")
     head = head.strip().lower()
     if head == "asymptotic":
+        if rest:
+            raise FdaError(f"calibration 'asymptotic' takes no parameters, got {text!r}")
         return "asymptotic", 0
     if head not in ("permutation", "spectral-mc"):
         raise FdaError(f"unknown calibration {head!r}")

@@ -130,43 +130,21 @@ def trig_g_functions(
     )
 
 
-def pca_basis(
-    joint: FunctionalSample,
-    d: int,
-    weights: str = "proportion",
-    sizes: tuple[int, int] | None = None,
-) -> tuple[GVector, np.ndarray]:
+def pca_basis(joint: FunctionalSample, d: int) -> tuple[GVector, np.ndarray]:
     """Top-d eigenpairs of the pooled covariance operator on the grid.
 
     Returns the eigenfunctions, unit L2 norm, as a ``pca`` GVector and the
-    eigenvalues, non-increasing and >= 0.
-
-    Without ``sizes`` the covariance of the pooled sample about the pooled
-    mean is used; this depends only on the unlabeled joint sample, which is
-    what permutation calibration requires.  With ``sizes=(m, n)`` the first
-    m curves form one group and the operator is the theta-weighted
-    combination of the two group covariances, theta = m/(m+n) for
-    ``weights="proportion"`` or 1/2 for ``weights="equal"``.
+    eigenvalues, non-increasing and >= 0.  The operator is the covariance
+    of the pooled sample about the pooled mean: it depends only on the
+    unlabeled joint sample, which is what permutation calibration requires.
     """
-    if weights not in ("proportion", "equal"):
-        raise ValueError(f"weights must be 'proportion' or 'equal', got {weights!r}")
     n_pts = len(joint.grid)
     if not 1 <= d <= n_pts:
         raise InvalidK(f"need 1 <= d <= {n_pts}, got {d}")
     vals = joint.values
-    if sizes is None:
-        if vals.shape[0] < 2:
-            raise TooFewCurves(f"pca needs at least 2 curves, got {vals.shape[0]}")
-        data = (vals - vals.mean(axis=0)) / np.sqrt(vals.shape[0] - 1)
-    else:
-        m, n = sizes
-        if m + n != vals.shape[0] or m < 2 or n < 2:
-            raise ValueError("sizes must split the joint sample with m, n >= 2")
-        theta = m / (m + n) if weights == "proportion" else 0.5
-        data = np.vstack([
-            np.sqrt((1.0 - theta) / (m - 1)) * (vals[:m] - vals[:m].mean(axis=0)),
-            np.sqrt(theta / (n - 1)) * (vals[m:] - vals[m:].mean(axis=0)),
-        ])
+    if vals.shape[0] < 2:
+        raise TooFewCurves(f"pca needs at least 2 curves, got {vals.shape[0]}")
+    data = (vals - vals.mean(axis=0)) / np.sqrt(vals.shape[0] - 1)
 
     # sqrt(w) C sqrt(w) = Z'Z with Z = data * sqrt(w): thin SVD, O(N P min(N, P)).
     w = joint.grid.weights
@@ -233,16 +211,17 @@ class BasisSpec:
     scheme: str
     params: dict = field(default_factory=dict)
 
-    # Parameters each scheme reads; any other key is an error, not a no-op.
-    _KEYS = {"indicator": ("k",), "bspline": ("order", "interior"),
-             "trig": ("k", "parts"), "pca": ("d",)}
+    # Parameters each scheme reads, with their defaults; any other key is an
+    # error, not a no-op.
+    _DEFAULTS = {"indicator": {"k": 8}, "bspline": {"order": 5, "interior": 7},
+                 "trig": {"k": 3, "parts": "both"}, "pca": {"d": 2}}
     # Least value of each integer parameter, as the builders require.
     _LEAST = {"k": 1, "d": 1, "order": 2, "interior": 0}
 
     def __post_init__(self):
-        if self.scheme not in self._KEYS:
+        if self.scheme not in self._DEFAULTS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        keys = self._KEYS[self.scheme]
+        keys = self._DEFAULTS[self.scheme]
         unknown = set(self.params) - set(keys)
         if unknown:
             raise ValueError(f"unknown {self.scheme} parameter {min(unknown)!r}; "
@@ -271,18 +250,14 @@ class BasisSpec:
         return self.scheme in ("trig", "pca")
 
     def build(self, joint: FunctionalSample) -> GVector:
-        interval, grid = joint.interval, joint.grid
+        p = {**self._DEFAULTS[self.scheme], **self.params}
         if self.scheme == "indicator":
-            return indicator_basis(interval, self.params.get("k", 8), grid)
+            return indicator_basis(joint.interval, p["k"], joint.grid)
         if self.scheme == "bspline":
-            return bspline_basis_g(
-                interval, self.params.get("order", 5), self.params.get("interior", 7), grid
-            )
+            return bspline_basis_g(joint.interval, p["order"], p["interior"], joint.grid)
         if self.scheme == "trig":
-            return trig_g_functions(
-                joint, self.params.get("k", 3), self.params.get("parts", "both")
-            )
-        return pca_basis(joint, self.params.get("d", 2))[0]
+            return trig_g_functions(joint, p["k"], p["parts"])
+        return pca_basis(joint, p["d"])[0]
 
     @classmethod
     def parse(cls, text: str) -> "BasisSpec":
@@ -294,7 +269,10 @@ class BasisSpec:
                 key, _, value = item.partition("=")
                 if not _:
                     raise ValueError(f"malformed basis parameter {item!r}")
-                params[key.strip().lower()] = value.strip()
+                key = key.strip().lower()
+                if key in params:
+                    raise ValueError(f"repeated {scheme} parameter {key!r} in {text!r}")
+                params[key] = value.strip()
         return cls(scheme, params)
 
     def __str__(self) -> str:

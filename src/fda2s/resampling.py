@@ -15,7 +15,7 @@ import numpy as np
 from .bsplines import CONDITION_BOUND
 from .errors import GridMismatch, SingularCovariance, TooFewCurves, TooFewReplicates
 from .grids import FunctionalSample
-from .projections import BasisSpec, GVector, snapshot_pca
+from .projections import GVector, snapshot_pca
 from .qn import chi_square_isf, qn_batch, score_matrix
 from .rng import rekeyed, substream
 from .sea import (
@@ -221,7 +221,7 @@ def spectral_mc_null(
     spectra_x: list[SpectralDensity],
     spectra_y: list[SpectralDensity],
     sim: SimConfig,
-    basis: BasisSpec,
+    g: GVector,
     B: int,
     seed: int,
     n_jobs: int = 1,
@@ -236,32 +236,30 @@ def spectral_mc_null(
     `substream(seed, r)`; its autocovariances come straight from them
     (`GaussianSynthesizer.autocovariances`), and SPECTRAL_MC_CHUNK
     replicates at a time go through one Parzen, score and Qn computation.
-    A `pca` basis is re-estimated from each replicate's spectra, the
-    chunk's eigenfunctions from one stacked `snapshot_pca`; any other
-    basis is built once, before the first draw.
+    `g` is the observed statistic's g-vector, sampled on the spectra's
+    frequency grid.  A `pca` g is re-estimated from each replicate's
+    spectra with its d = g.k, the chunk's eigenfunctions from one stacked
+    `snapshot_pca`; any other g scores every replicate as it is.
     """
     m, n = len(spectra_x), len(spectra_y)
     _check_groups(m, n)
     check_estimator_grid([s.freq for s in [*spectra_x, *spectra_y]], sim)
+    if not g.grid.matches(spectra_x[0].freq):
+        raise GridMismatch("g is not sampled on the spectra's frequency grid")
     s_avg = average_spectrum(list(spectra_x) + list(spectra_y))
     synth = GaussianSynthesizer(int(round(sim.duration * sim.fs)), sim.fs)
     check_lag_window(synth.n, sim.parzen_L)
     tables = synth.weighted_lag_tables(np.sqrt(synth.amplitude_variances(s_avg)),
                                        sim.parzen_L)
-    grid = estimator_grid(sim.fs, sim.n_freq)
-    w = grid.weights
-    # Scores are est @ (g w)'.  A pca basis decomposes each replicate's pooled
-    # covariance about the pooled mean, as pca_basis does.  Any other is built
-    # here, before the first draw: trig raises WrongInterval, as it needs [0, 1].
-    if basis.scheme == "pca":
-        d, scale = basis.params.get("d", 2), np.sqrt(m + n - 1)
-    else:
-        fixed = (basis.build(FunctionalSample(grid, np.zeros((1, len(grid))))).functions * w).T
+    w = estimator_grid(sim.fs, sim.n_freq).weights
+    # Scores are est @ (g w)'.  A pca g decomposes each replicate's pooled
+    # covariance about the pooled mean, as pca_basis does.
+    fixed, scale = (g.functions * w).T, np.sqrt(m + n - 1)
 
     def evaluate(z: np.ndarray) -> np.ndarray:
         est = parzen_estimates(synth.autocovariances(tables, z), sim.fs, sim.n_freq)[1]
-        if basis.scheme == "pca":
-            phis = snapshot_pca((est - est.mean(axis=-2, keepdims=True)) / scale, w, d)[1]
+        if g.scheme == "pca":
+            phis = snapshot_pca((est - est.mean(axis=-2, keepdims=True)) / scale, w, g.k)[1]
             return qn_batch(est @ np.swapaxes(phis * w, -1, -2), m)
         return qn_batch(est @ fixed, m)
 

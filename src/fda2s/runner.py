@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import GridMismatch
 from .grids import FunctionalSample
-from .projections import BasisSpec
+from .projections import BasisSpec, GVector
 from .qn import TestResult, qn_statistic, score_matrix
 from .resampling import (
     NullDistribution,
@@ -39,6 +39,17 @@ def _attach_null(result: TestResult, null: NullDistribution, seed: int) -> TestR
     )
 
 
+def _observed(
+    x: FunctionalSample, y: FunctionalSample, basis: BasisSpec
+) -> tuple[TestResult, FunctionalSample, GVector]:
+    """The observed statistic, the pooled sample and the g-vector built from it."""
+    joint = concatenate_samples(x, y)
+    g = basis.build(joint)
+    result = replace(qn_statistic(score_matrix(x, g), score_matrix(y, g)),
+                     scheme=g.scheme, params=dict(g.params))
+    return result, joint, g
+
+
 def run_test(
     x: FunctionalSample,
     y: FunctionalSample,
@@ -55,10 +66,7 @@ def run_test(
     for every replicate: their construction depends only on the unlabeled
     pooled set, so rebuilding per replicate would change nothing.
     """
-    joint = concatenate_samples(x, y)
-    g = basis.build(joint)
-    result = replace(qn_statistic(score_matrix(x, g), score_matrix(y, g)),
-                     scheme=g.scheme, params=dict(g.params))
+    result, joint, g = _observed(x, y, basis)
     if calibration == "asymptotic":
         return result
     if calibration != "permutation":
@@ -96,8 +104,8 @@ def spectral_mc_test(
     n_jobs: int = 1,
 ) -> TestResult:
     """Two-sample spectral test calibrated by resimulating from the average density."""
-    result = run_test(spectra_to_sample(spectra_x, "x"), spectra_to_sample(spectra_y, "y"),
-                      basis)
+    result, _, g = _observed(spectra_to_sample(spectra_x, "x"),
+                             spectra_to_sample(spectra_y, "y"), basis)
     seed = fresh_seed() if seed is None else seed
-    null = spectral_mc_null(spectra_x, spectra_y, sim, basis, B, seed, n_jobs=n_jobs)
+    null = spectral_mc_null(spectra_x, spectra_y, sim, g, B, seed, n_jobs=n_jobs)
     return _attach_null(result, null, seed)

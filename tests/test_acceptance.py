@@ -140,9 +140,8 @@ def test_criterion_5_small_sample_bias_sign():
                                         seed=f.substream(1000 + seed, i)), 60)
                 for i in range(20)
             ]
-            null = f.spectral_mc_null(
-                spectra[:10], spectra[10:], sim, basis, 500, seed, n_jobs=4
-            )
+            g = basis.build(f.spectra_to_sample(spectra))
+            null = f.spectral_mc_null(spectra[:10], spectra[10:], sim, g, 500, seed, n_jobs=4)
             table = f.quantile_table(null.values, 8, (0.9, 0.95, 0.975))
             negatives += bool(np.all(table.relative_error < 0))
         assert negatives >= 8, negatives

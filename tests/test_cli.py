@@ -290,7 +290,7 @@ class TestTest:
     @pytest.mark.parametrize("basis,key", [
         ("indicator:k=abc", "k"), ("pca:d=0", "d"), ("indicator:k=-3", "k"),
         ("trig:k=0", "k"), ("bspline:order=1", "order"), ("bspline:interior=-1", "interior"),
-        ("trig:k=3,parts=even", "parts"),
+        ("trig:k=3,parts=even", "parts"), ("indicator:k=8,k=3", "k"),
     ])
     def test_invalid_basis_value_exits_2(self, tmp_path, rng, capsys, basis, key):
         xp, yp = self._write_pair(tmp_path, rng)
@@ -308,6 +308,15 @@ class TestTest:
                    "--seed", 1, "-o", out) == 2
         err = capsys.readouterr().err
         assert "'B'" in err and calibration in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("calibration", ["asymptotic:B=50", "asymptotic:whatever"])
+    def test_parameters_after_asymptotic_exit_2(self, tmp_path, rng, capsys, calibration):
+        xp, yp = self._write_pair(tmp_path, rng)
+        out = tmp_path / "r.json"
+        assert run("test", "--x", xp, "--y", yp, "--calibration", calibration,
+                   "-o", out) == 2
+        assert f"'asymptotic' takes no parameters, got {calibration!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("calibration,extra,flags", [

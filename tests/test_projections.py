@@ -26,17 +26,10 @@ def unit_grid(n=1001):
     return uniform_grid(Interval(0.0, 1.0), n)
 
 
-def eigh_pca_oracle(values, w, d, sizes=None, weights="proportion"):
+def eigh_pca_oracle(values, w, d):
     """Dense route: eigh of sqrt(w) C sqrt(w) on the grid, sign rule applied."""
-    if sizes is None:
-        c = values - values.mean(axis=0)
-        cov = c.T @ c / (values.shape[0] - 1)
-    else:
-        m, n = sizes
-        theta = m / (m + n) if weights == "proportion" else 0.5
-        cx = values[:m] - values[:m].mean(axis=0)
-        cy = values[m:] - values[m:].mean(axis=0)
-        cov = (1 - theta) * cx.T @ cx / (m - 1) + theta * cy.T @ cy / (n - 1)
+    c = values - values.mean(axis=0)
+    cov = c.T @ c / (values.shape[0] - 1)
     sqrt_w = np.sqrt(w)
     eigvals, eigvecs = np.linalg.eigh(sqrt_w[:, None] * cov * sqrt_w[None, :])
     order = np.argsort(eigvals)[::-1][:d]
@@ -249,39 +242,14 @@ class TestPcaBasis:
             else:
                 assert peak > 0.0
 
-    def test_theta_weighted_variant(self, rng):
-        grid = unit_grid(101)
-        x = rng.normal(0, 2.0, (30, 1)) * np.sin(2 * np.pi * grid.points)
-        y = rng.normal(0, 1.0, (20, 1)) * np.sin(2 * np.pi * grid.points)
-        joint = FunctionalSample(grid, np.vstack([x, y]))
-        _, prop_lam = pca_basis(joint, 1, weights="proportion", sizes=(30, 20))
-        _, equal_lam = pca_basis(joint, 1, weights="equal", sizes=(30, 20))
-        # theta = m/(m+n) weights the second group's covariance; with the
-        # x-group twice as spread, the two conventions must differ
-        assert prop_lam[0] != pytest.approx(equal_lam[0], rel=1e-6)
-        theta = 30 / 50
-        covx = np.einsum("ni,nj->ij", x - x.mean(0), x - x.mean(0)) / 29
-        covy = np.einsum("ni,nj->ij", y - y.mean(0), y - y.mean(0)) / 19
-        w = grid.weights
-        sym = np.sqrt(w)[:, None] * ((1 - theta) * covx + theta * covy) * np.sqrt(w)[None, :]
-        oracle = np.linalg.eigvalsh(sym).max()
-        assert prop_lam[0] == pytest.approx(oracle, rel=1e-10)
-
     @pytest.mark.parametrize("n_curves,n_points", [((4, 12), (20, 60)), ((25, 60), (3, 15))],
-                             ids=["N<P", "N>P"])
-    @pytest.mark.parametrize("sizes", [None, "proportion", "equal"])
+                             ids=["None-N<P", "None-N>P"])
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
-    def test_matches_dense_eigh_oracle(self, n_curves, n_points, sizes, data):
+    def test_matches_dense_eigh_oracle(self, n_curves, n_points, data):
         joint, d = data.draw(pca_problems(n_curves, n_points))
-        kwargs = {}
-        if sizes is not None:
-            m = data.draw(st.integers(2, joint.n_curves - 2))
-            kwargs = {"weights": sizes, "sizes": (m, joint.n_curves - m)}
-        g, lam = pca_basis(joint, d, **kwargs)
-        eigvals, phis = eigh_pca_oracle(
-            joint.values, joint.grid.weights, d, kwargs.get("sizes"), sizes or "proportion"
-        )
+        g, lam = pca_basis(joint, d)
+        eigvals, phis = eigh_pca_oracle(joint.values, joint.grid.weights, d)
         assert np.max(np.abs(lam - eigvals)) <= 1e-10 * eigvals[0]
         assert np.max(np.abs(g.functions - phis)) <= 1e-10 * np.max(np.abs(phis))
 
@@ -305,7 +273,7 @@ class TestPcaBasis:
 
 
 def pooled_data(values):
-    """The centred, scaled curves `pca_basis` decomposes without sizes."""
+    """The centred, scaled curves `pca_basis` decomposes."""
     return (values - values.mean(axis=0)) / np.sqrt(values.shape[0] - 1)
 
 
@@ -379,6 +347,25 @@ class TestBasisSpec:
         params = dict(item.split("=") for item in rest.split(","))
         with pytest.raises(ValueError, match=f"'{key}'"):
             BasisSpec(scheme, params)
+
+    @pytest.mark.parametrize("text,key", [
+        ("indicator:k=8,k=3", "k"), ("bspline:order=4,interior=2,order=4", "order"),
+        ("trig:parts=odd,K=2,k=3", "k"),
+    ])
+    def test_repeated_parameter_rejected(self, text, key):
+        with pytest.raises(ValueError, match=f"repeated .* parameter '{key}'"):
+            BasisSpec.parse(text)
+
+    @pytest.mark.parametrize("scheme,defaults", [
+        ("indicator", "k=8"), ("bspline", "order=5,interior=7"),
+        ("trig", "k=3,parts=both"), ("pca", "d=2"),
+    ])
+    def test_defaults_build_as_written_out(self, rng, scheme, defaults):
+        joint = FunctionalSample(unit_grid(101), smooth_curves(rng, 12, unit_grid(101)))
+        implicit = BasisSpec.parse(scheme).build(joint)
+        explicit = BasisSpec.parse(f"{scheme}:{defaults}").build(joint)
+        assert implicit.params == explicit.params
+        assert np.array_equal(implicit.functions, explicit.functions)
 
     @pytest.mark.parametrize("text", ["trig:k_max=2", "trig:k=2,k_max=5"])
     def test_trig_k_max_is_not_an_alias_of_k(self, text):

@@ -20,9 +20,11 @@ from fda2s import (
     permutation_pvalue,
     qn_statistic,
     quantile_table,
+    run_test,
     simulate_gaussian,
     spectral_mc_null,
     spectral_mc_test,
+    spectra_to_sample,
     torsethaugen_spectrum,
     TorsethaugenParams,
     default_frequency_grid,
@@ -40,7 +42,7 @@ from fda2s.errors import (
     WrongInterval,
 )
 from fda2s.grids import sample_inner_products
-from fda2s.projections import trig_g_functions
+from fda2s.projections import GVector, trig_g_functions
 from fda2s.resampling import PERMUTATION_CHUNK, SPECTRAL_MC_CHUNK, _SplitStatistic
 from fda2s.rng import substream
 from fda2s.sea import GaussianSynthesizer, estimate_spectra
@@ -252,6 +254,11 @@ class TestPermutationPvalue:
             permutation_pvalue(1.0, [])
 
 
+def built(text: str, spectra) -> GVector:
+    """The g-vector of basis `text`, built from the pooled spectra as spectral_mc_test does."""
+    return BasisSpec.parse(text).build(spectra_to_sample(spectra))
+
+
 class TestSpectralMcNull:
     def test_single_replicate_desk_scale(self):
         fs = 1.28
@@ -262,9 +269,8 @@ class TestSpectralMcNull:
             for i in range(4)
         ]
         sim = SimConfig(duration=600.0, fs=fs, parzen_L=60, n_freq=481)
-        null = spectral_mc_null(
-            spectra[:2], spectra[2:], sim, BasisSpec("indicator", {"k": 2}), 1, 5
-        )
+        g = built("indicator:k=2", spectra)
+        null = spectral_mc_null(spectra[:2], spectra[2:], sim, g, 1, 5)
         assert null.values.shape == (1,) and null.values[0] >= 0.0
 
     def test_average_of_identical_spectra(self):
@@ -288,9 +294,9 @@ class TestSpectralMcNull:
         sim = SimConfig(duration=900.0, fs=1.28, parzen_L=60, n_freq=481)
         B = 4 * SPECTRAL_MC_CHUNK + 1
         for text in ("indicator:k=3", "pca:d=2"):
-            basis = BasisSpec.parse(text)
-            serial = spectral_mc_null(spectra[:4], spectra[4:], sim, basis, B, 21, n_jobs=1)
-            threaded = spectral_mc_null(spectra[:4], spectra[4:], sim, basis, B, 21, n_jobs=3)
+            g = built(text, spectra)
+            serial = spectral_mc_null(spectra[:4], spectra[4:], sim, g, B, 21, n_jobs=1)
+            threaded = spectral_mc_null(spectra[:4], spectra[4:], sim, g, B, 21, n_jobs=3)
             assert np.array_equal(serial.values, threaded.values), text
 
     @pytest.mark.parametrize("basis", ["indicator:k=8", "pca:d=2"])
@@ -298,8 +304,8 @@ class TestSpectralMcNull:
         spectra = self._spectra(10, 600.0, 40)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
         B, seed = SPECTRAL_MC_CHUNK + 2, 9  # 2 in a partial chunk
+        null = spectral_mc_null(spectra[:5], spectra[5:], sim, built(basis, spectra), B, seed)
         basis = BasisSpec.parse(basis)
-        null = spectral_mc_null(spectra[:5], spectra[5:], sim, basis, B, seed)
         assert null.n_failed == 0
         s_avg = average_spectrum(spectra)
         synth = GaussianSynthesizer(int(round(sim.duration * sim.fs)), sim.fs)
@@ -325,18 +331,45 @@ class TestSpectralMcNull:
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
         # the group sizes and the basis are checked before any replicate is drawn
         monkeypatch.setattr(resampling, "substream", None)
+        basis = BasisSpec.parse(basis)
         with pytest.raises(error):
-            spectral_mc_null(spectra[:m], spectra[m:], sim, BasisSpec.parse(basis), B, 1)
+            spectral_mc_test(spectra[:m], spectra[m:], basis, sim, B=B, seed=1)
+        if basis.scheme != "trig":  # a trig g cannot be built on the estimator grid
+            g = basis.build(spectra_to_sample(spectra))
+            with pytest.raises(error):
+                spectral_mc_null(spectra[:m], spectra[m:], sim, g, B, 1)
+
+    def test_g_off_the_spectra_grid_rejected(self, monkeypatch):
+        spectra = self._spectra(4, 600.0, 70)
+        sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
+        unit = uniform_grid(Interval(0.0, 1.0), 481)
+        waves = FunctionalSample(unit, smooth_curves(np.random.default_rng(3), 6, unit))
+        monkeypatch.setattr(resampling, "substream", None)
+        with pytest.raises(GridMismatch, match="frequency grid"):
+            spectral_mc_null(spectra[:2], spectra[2:], sim, trig_g_functions(waves), 3, 1)
+
+    @pytest.mark.parametrize("text", ["indicator:k=3", "pca:d=2"])
+    def test_each_test_builds_its_basis_once(self, monkeypatch, text):
+        spectra = self._spectra(6, 600.0, 50)
+        sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
+        basis, built_from, build = BasisSpec.parse(text), [], BasisSpec.build
+        monkeypatch.setattr(BasisSpec, "build",
+                            lambda self, joint: built_from.append(joint) or build(self, joint))
+        spectral_mc_test(spectra[:3], spectra[3:], basis, sim, B=3, seed=2)
+        assert len(built_from) == 1
+        x, y = spectra_to_sample(spectra[:3]), spectra_to_sample(spectra[3:])
+        run_test(x, y, basis, "permutation", B=5, seed=2)
+        assert len(built_from) == 2
 
     def test_chunk_size_does_not_change_values(self, monkeypatch):
         spectra = self._spectra(6, 600.0, 60, n_freq=241)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=40, n_freq=241)
         for text in ("indicator:k=2", "pca:d=2"):
-            basis = BasisSpec.parse(text)
+            g = built(text, spectra)
             values = []
             for chunk in (1, 3, 7):
                 monkeypatch.setattr(resampling, "SPECTRAL_MC_CHUNK", chunk)
-                values.append(spectral_mc_null(spectra[:3], spectra[3:], sim, basis, 7, 3).values)
+                values.append(spectral_mc_null(spectra[:3], spectra[3:], sim, g, 7, 3).values)
             assert np.array_equal(values[0], values[1]), text
             assert np.array_equal(values[0], values[2]), text
 
@@ -350,7 +383,7 @@ class TestSpectralMcNull:
         spectra = self._spectra(4, 600.0, 70)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
         with pytest.raises(NegativeEstimate):
-            spectral_mc_null(spectra[:2], spectra[2:], sim, BasisSpec.parse("indicator:k=2"), 3, 1)
+            spectral_mc_null(spectra[:2], spectra[2:], sim, built("indicator:k=2", spectra), 3, 1)
 
     @pytest.mark.parametrize("fs,n_freq", [(1.28, 241), (2.56, 481)])
     def test_spectra_off_the_estimator_grid_rejected(self, fs, n_freq):
@@ -360,16 +393,17 @@ class TestSpectralMcNull:
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
         basis = BasisSpec.parse("indicator:k=2")
         with pytest.raises(GridMismatch, match="estimator grid"):
-            spectral_mc_null(spectra[:2], spectra[2:], sim, basis, 3, 1)
+            spectral_mc_null(spectra[:2], spectra[2:], sim, built("indicator:k=2", spectra), 3, 1)
         with pytest.raises(GridMismatch, match="estimator grid"):
             spectral_mc_test(spectra[:2], spectra[2:], basis, sim, B=3, seed=1)
 
     def test_window_longer_than_half_the_record_rejected(self):
         spectra = self._spectra(4, 600.0, 70)
+        g = built("indicator:k=2", spectra)
         for L, error in ((0, InvalidParams), (400, RecordTooShort)):
             sim = SimConfig(duration=600.0, fs=1.28, parzen_L=L, n_freq=481)
             with pytest.raises(error):
-                spectral_mc_null(spectra[:2], spectra[2:], sim, BasisSpec.parse("indicator:k=2"), 3, 1)
+                spectral_mc_null(spectra[:2], spectra[2:], sim, g, 3, 1)
 
 
 def counting_substream(monkeypatch):
@@ -403,7 +437,7 @@ class TestReplicateDriver:
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
         B = 2 * SPECTRAL_MC_CHUNK + 1
         calls = counting_substream(monkeypatch)
-        spectral_mc_null(spectra[:2], spectra[2:], sim, BasisSpec.parse("indicator:k=2"),
+        spectral_mc_null(spectra[:2], spectra[2:], sim, built("indicator:k=2", spectra),
                          B, 4, n_jobs=n_jobs)
         assert len(calls) == math.ceil(B / SPECTRAL_MC_CHUNK)
         assert sorted(calls) == list(range(0, B, SPECTRAL_MC_CHUNK))

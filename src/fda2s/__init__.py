@@ -6,7 +6,7 @@ random-sea-wave pipeline (bimodal spectra, Gaussian synthesis, Parzen
 estimation, downcrossing wave extraction and registration).
 """
 
-from .bsplines import BSplineSpec, equidistant_spec, spec_from_interior_nodes, to_bspline
+from .bsplines import BSplineSpec, equidistant_spec, to_bspline
 from .errors import FdaError
 from .grids import FunctionalSample, Grid, Interval, uniform_grid
 from .projections import (
@@ -46,7 +46,6 @@ from .sea import (
     estimate_spectrum,
     estimator_grid,
     parzen_window,
-    significant_wave_height,
     simulate_gaussian,
     torsethaugen_spectrum,
 )
@@ -104,9 +103,7 @@ __all__ = [
     "sample_to_spectra",
     "score_matrix",
     "segment_waves",
-    "significant_wave_height",
     "simulate_gaussian",
-    "spec_from_interior_nodes",
     "spectra_to_sample",
     "spectral_mc_null",
     "spectral_mc_test",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditioned, InvalidOrder, WrongInterval
-from .grids import FunctionalSample, Grid, Interval
+from .grids import FunctionalSample, Interval
 
 # Largest condition number accepted for a normal system or a pooled score
 # covariance before it counts as singular.
@@ -69,15 +69,6 @@ def equidistant_spec(interval: Interval, order: int, n_sites: int) -> BSplineSpe
     return BSplineSpec(order, knots)
 
 
-def spec_from_interior_nodes(
-    interval: Interval, order: int, interior_nodes: int
-) -> BSplineSpec:
-    """Clamped spec with the given number of equidistant interior nodes."""
-    if interior_nodes < 0:
-        raise InvalidOrder("interior node count must be >= 0")
-    return equidistant_spec(interval, order, interior_nodes + 2)
-
-
 def bspline_values(knots: np.ndarray, k: int, l: np.ndarray, x: np.ndarray):
     """Values of the degree-k B-splines B_{l-k}, ..., B_l at x (Cox–de Boor).
 
@@ -118,6 +109,25 @@ def basis_matrix(spec: BSplineSpec, x: np.ndarray) -> np.ndarray:
     return B
 
 
+def least_squares_projector(design: np.ndarray) -> np.ndarray:
+    """Projector ``D (D'D)^-1 D'`` onto the column space of a design matrix.
+
+    ``design`` is (points, functions).  More functions than points, or a
+    normal matrix ``D'D`` whose condition number is not finite or exceeds
+    ``CONDITION_BOUND``, raise IllConditioned.
+    """
+    n_points, n_funcs = design.shape
+    if n_funcs > n_points:
+        raise IllConditioned(f"{n_funcs} basis functions exceed {n_points} grid points")
+    gram = design.T @ design
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > CONDITION_BOUND:
+        raise IllConditioned(
+            f"normal system condition {cond:.3e} exceeds {CONDITION_BOUND:.0e}"
+        )
+    return design @ np.linalg.solve(gram, design.T)
+
+
 def to_bspline(sample: FunctionalSample, spec: BSplineSpec) -> FunctionalSample:
     """Least-squares projection of each curve onto the spline space.
 
@@ -126,21 +136,5 @@ def to_bspline(sample: FunctionalSample, spec: BSplineSpec) -> FunctionalSample:
     """
     if not spec.interval.close_to(sample.interval):
         raise WrongInterval("spline spec interval differs from sample interval")
-    if spec.n_basis > len(sample.grid):
-        raise IllConditioned(
-            f"{spec.n_basis} basis functions exceed {len(sample.grid)} grid points"
-        )
-    B = basis_matrix(spec, sample.grid.points)
-    gram = B.T @ B
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > CONDITION_BOUND:
-        raise IllConditioned(
-            f"normal system condition {cond:.3e} exceeds {CONDITION_BOUND:.0e}"
-        )
-    coef = np.linalg.solve(gram, B.T @ sample.values.T).T
-    return FunctionalSample(sample.grid, coef @ B.T, sample.label)
-
-
-def basis_sample(spec: BSplineSpec, grid: Grid) -> np.ndarray:
-    """All basis functions sampled on a grid, one per row: (n_basis, len(grid))."""
-    return basis_matrix(spec, grid.points).T
+    projector = least_squares_projector(basis_matrix(spec, sample.grid.points))
+    return FunctionalSample(sample.grid, sample.values @ projector.T, sample.label)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsplines import basis_sample, spec_from_interior_nodes
+from .bsplines import basis_matrix, equidistant_spec
 from .errors import DegenerateCovariance, InvalidK, TooFewCurves, WrongInterval
 from .grids import FunctionalSample, Grid, Interval, sample_inner_products
 
@@ -65,8 +65,8 @@ def bspline_basis_g(
     interval: Interval, order: int, interior_nodes: int, grid: Grid
 ) -> GVector:
     """All clamped equidistant B-spline basis functions on the grid."""
-    spec = spec_from_interior_nodes(interval, order, interior_nodes)
-    funcs = basis_sample(spec, grid)
+    spec = equidistant_spec(interval, order, interior_nodes + 2)
+    funcs = basis_matrix(spec, grid.points).T
     return GVector(
         grid, funcs, "bspline", {"order": order, "interior": interior_nodes}
     )

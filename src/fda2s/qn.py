@@ -8,7 +8,7 @@ one degree of freedom per projection function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,19 +41,7 @@ class TestResult:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "qn": self.qn,
-            "k": self.k,
-            "p_asymptotic": self.p_asymptotic,
-            "p_resampled": self.p_resampled,
-            "n_resamples": self.n_resamples,
-            "n_failed_resamples": self.n_failed_resamples,
-            "scheme": self.scheme,
-            "params": self.params,
-            "seed": self.seed,
-            "m": self.m,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 def score_matrix(sample: FunctionalSample, g: GVector) -> np.ndarray:

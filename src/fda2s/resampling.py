@@ -66,7 +66,6 @@ class QuantileTable:
     empirical: np.ndarray
     asymptotic: np.ndarray
     relative_error: np.ndarray
-    k: int
 
 
 def _check_groups(m: int, n: int) -> None:
@@ -300,4 +299,4 @@ def quantile_table(null_values, k: int, probs=(0.5, 0.9, 0.95, 0.975, 0.99)) -> 
         )
     asymptotic = np.array([chi_square_isf(1.0 - p, k) for p in probs])
     relative_error = (asymptotic - empirical) / empirical
-    return QuantileTable(probs, empirical, asymptotic, relative_error, k)
+    return QuantileTable(probs, empirical, asymptotic, relative_error)

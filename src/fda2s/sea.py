@@ -60,6 +60,7 @@ class SpectralDensity:
 
     @property
     def hs(self) -> float:
+        """Hs = 4 * sqrt(variance) with variance the trapezoid integral."""
         return 4.0 * float(np.sqrt(max(self.sigma2, 0.0)))
 
     @property
@@ -179,11 +180,6 @@ def torsethaugen_spectrum(params: TorsethaugenParams, freq: Grid) -> SpectralDen
     total = float(np.dot(freq.weights, values))
     values *= (hs**2 / 16.0) / total
     return SpectralDensity(freq, values)
-
-
-def significant_wave_height(s: SpectralDensity) -> float:
-    """Hs = 4 * sqrt(variance) with variance the trapezoid integral of s."""
-    return s.hs
 
 
 class GaussianSynthesizer:
@@ -320,7 +316,6 @@ def simulate_gaussian(
     duration: float,
     fs: float,
     seed: int | np.random.Generator,
-    t0: float = 0.0,
 ) -> TimeSeriesRecord:
     """Stationary Gaussian record of the given duration sampled at fs.
 
@@ -333,7 +328,7 @@ def simulate_gaussian(
     synth = GaussianSynthesizer(n, fs)
     rng = seed if isinstance(seed, np.random.Generator) else substream(int(seed), 0)
     values = synth.simulate(s, rng)[0]
-    return TimeSeriesRecord(fs, values, t0)
+    return TimeSeriesRecord(fs, values)
 
 
 def parzen_window(u: np.ndarray) -> np.ndarray:

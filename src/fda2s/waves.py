@@ -10,11 +10,10 @@ clamped B-spline basis with endpoints held at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .bsplines import basis_matrix, bspline_values, equidistant_spec
+from .bsplines import basis_matrix, bspline_values, equidistant_spec, least_squares_projector
 from .errors import NoWaves, ZeroVariance
 from .grids import FunctionalSample, Grid, Interval, uniform_grid
 from .sea import TimeSeriesRecord
@@ -106,17 +105,13 @@ def segment_waves(rec: TimeSeriesRecord) -> list[WaveRecord]:
     return waves
 
 
-@lru_cache(maxsize=16)
 def _registration_basis(spec: RegistrationSpec) -> tuple[Grid, np.ndarray]:
-    """Common grid and the read-only least-squares projector onto the spline
-    basis with both end coefficients pinned to 0, built once per spec."""
+    """Common grid and the least-squares projector onto the spline basis with
+    both end coefficients pinned to 0."""
     grid = uniform_grid(Interval(0.0, 1.0), spec.n_grid)
     bspec = equidistant_spec(Interval(0.0, 1.0), spec.spline_order, spec.n_knots)
     design = basis_matrix(bspec, grid.points)[:, 1:-1]  # end coefficients pinned to 0
-    gram = design.T @ design
-    projector = design @ np.linalg.solve(gram, design.T)
-    projector.flags.writeable = False
-    return grid, projector
+    return grid, least_squares_projector(design)
 
 
 def _warp_times(

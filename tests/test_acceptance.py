@@ -180,7 +180,7 @@ def test_criterion_7_spectral_round_trip():
         fs = 1.28
         grid = f.default_frequency_grid(fs, tp=4.0)
         target = f.torsethaugen_spectrum(f.TorsethaugenParams(2.0, 4.0), grid)
-        assert f.significant_wave_height(target) == pytest.approx(2.0, abs=1e-9)
+        assert target.hs == pytest.approx(2.0, abs=1e-9)
         record = f.simulate_gaussian(target, 7200.0, fs, seed=0)
         estimate = f.estimate_spectrum(record, 60)
         resampled = np.interp(estimate.freq.points, grid.points, target.values)

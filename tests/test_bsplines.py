@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from fda2s import FunctionalSample, Interval, equidistant_spec, to_bspline, uniform_grid
-from fda2s.bsplines import basis_matrix, spec_from_interior_nodes
+from fda2s.bsplines import basis_matrix
 from fda2s.errors import IllConditioned, InvalidOrder, WrongInterval
 
 
@@ -22,8 +22,7 @@ class TestSpecs:
         assert spec.knots.size == 61 + 2 * 5
 
     def test_interior_nodes_count(self):
-        spec = spec_from_interior_nodes(Interval(0.0, 1.0), 5, 7)
-        assert spec.n_basis == 12
+        assert equidistant_spec(Interval(0.0, 1.0), 5, 9).n_basis == 12
 
     def test_order_below_two_rejected(self):
         with pytest.raises(InvalidOrder):
@@ -84,6 +83,13 @@ class TestToBspline:
         sample = FunctionalSample(grid, np.ones((1, 21)))
         spec = equidistant_spec(Interval(0.0, 1.0), 6, 61)
         with pytest.raises(IllConditioned):
+            to_bspline(sample, spec)
+
+    def test_ill_conditioned_normal_system_rejected(self):
+        # 94 functions on 101 points: the normal matrix has condition ~5e14
+        sample = FunctionalSample(unit_grid(), np.ones((1, 101)))
+        spec = equidistant_spec(Interval(0.0, 1.0), 6, 90)
+        with pytest.raises(IllConditioned, match=r"exceeds 1e\+12"):
             to_bspline(sample, spec)
 
 

@@ -141,15 +141,27 @@ class TestSegment:
                    "--knots", 61, "--grid", 101, "-o", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--knots", 200, "202 basis functions exceed 101 grid points"),
+        ("--grid", 51, "63 basis functions exceed 51 grid points"),
+        ("--knots", 90, "exceeds 1e+12"),
+    ])
+    def test_spec_the_grid_cannot_fit_exits_2(self, record_file, tmp_path, capsys,
+                                               flag, value, message):
+        out = tmp_path / "w.csv"
+        assert run("segment", "--input", record_file, flag, value, "-o", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "w.csv.json").exists()
+
     def test_config_string_value_converts_like_the_option(self, record_file, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"grid": "51", "normalize": True}))
+        config.write_text(json.dumps({"grid": "81", "normalize": True}))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run("segment", "--input", record_file, "--config", config, "-o", a) == 0
-        assert run("segment", "--input", record_file, "--grid", 51, "--normalize",
+        assert run("segment", "--input", record_file, "--grid", 81, "--normalize",
                    "-o", b) == 0
         assert a.read_bytes() == b.read_bytes()
-        assert read_functional_sample(a).grid.points.size == 51
+        assert read_functional_sample(a).grid.points.size == 81
 
     @pytest.mark.parametrize("config", [{"grid": 51.5}, {"normalize": "yes"}])
     def test_config_value_the_option_rejects_exits_2(self, record_file, tmp_path,

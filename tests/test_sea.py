@@ -13,7 +13,6 @@ from fda2s import (
     default_frequency_grid,
     estimate_spectrum,
     parzen_window,
-    significant_wave_height,
     simulate_gaussian,
     torsethaugen_spectrum,
 )
@@ -37,7 +36,7 @@ class TestTorsethaugen:
     def test_exact_hs_round_trip(self):
         grid = default_frequency_grid(1.28, tp=4.0)
         s = torsethaugen_spectrum(TorsethaugenParams(2.0, 4.0), grid)
-        assert significant_wave_height(s) == pytest.approx(2.0, abs=1e-9)
+        assert s.hs == pytest.approx(2.0, abs=1e-9)
 
     def test_peak_scales_with_tp(self):
         grid = default_frequency_grid(1.28, tp=4.0, n_freq=2001)
@@ -64,7 +63,7 @@ class TestTorsethaugen:
         # tp above the fully developed boundary 6.6 * hs^(1/3)
         grid = default_frequency_grid(1.28, tp=12.0)
         s = torsethaugen_spectrum(TorsethaugenParams(2.0, 12.0), grid)
-        assert significant_wave_height(s) == pytest.approx(2.0, abs=1e-9)
+        assert s.hs == pytest.approx(2.0, abs=1e-9)
         dw = grid.points[1] - grid.points[0]
         assert abs(s.peak_angular_frequency - 2 * np.pi / 12.0) <= dw
 
@@ -72,20 +71,18 @@ class TestTorsethaugen:
 class TestSignificantWaveHeight:
     def test_unit_density(self):
         s = SpectralDensity(Grid(np.linspace(0.0, 1.0, 101)), np.ones(101))
-        assert significant_wave_height(s) == pytest.approx(4.0)
+        assert s.hs == pytest.approx(4.0)
 
     def test_zero_density(self):
         s = SpectralDensity(Grid(np.linspace(0.0, 1.0, 11)), np.zeros(11))
-        assert significant_wave_height(s) == 0.0
+        assert s.hs == 0.0
 
     def test_scales_linearly(self):
         grid = default_frequency_grid(1.28, tp=4.0)
         s = torsethaugen_spectrum(TorsethaugenParams(2.0, 4.0), grid)
         for c in (0.5, 3.0):
             scaled = SpectralDensity(grid, c**2 * s.values)
-            assert significant_wave_height(scaled) == pytest.approx(
-                c * significant_wave_height(s), rel=1e-12
-            )
+            assert scaled.hs == pytest.approx(c * s.hs, rel=1e-12)
 
 
 class TestSimulateGaussian:

@@ -21,7 +21,7 @@ from fda2s import (
     simulate_gaussian,
     torsethaugen_spectrum,
 )
-from fda2s.errors import NoWaves, ZeroVariance
+from fda2s.errors import IllConditioned, NoWaves, ZeroVariance
 from fda2s import waves as waves_module
 from fda2s.waves import _registration_basis, _warp_times
 
@@ -360,12 +360,17 @@ class TestBatchedRegistration:
 
 
 class TestRegistrationObjects:
-    def test_projector_is_cached_and_read_only(self):
-        spec = RegistrationSpec(constrain_upcross=True)
-        grid, projector = _registration_basis(spec)
-        assert _registration_basis(RegistrationSpec(constrain_upcross=True))[1] is projector
-        with pytest.raises(ValueError):
-            projector[0, 0] = 1.0
+    @pytest.mark.parametrize("spec", [RegistrationSpec(n_knots=90),
+                                      RegistrationSpec(n_knots=200),
+                                      RegistrationSpec(n_grid=51)])
+    def test_spec_the_grid_cannot_fit_is_rejected(self, spec):
+        # 92 pinned functions on 101 points: normal matrix condition ~5e14;
+        # 202 functions on 101 points, and 63 on 51, outnumber the points
+        waves = random_waves(np.random.default_rng(8), [12, 15])
+        with pytest.raises(IllConditioned):
+            register_sample(waves, spec)
+
+    def test_repeated_registration_is_equal_and_read_only(self):
         wave = random_waves(np.random.default_rng(8), [12])[0]
         first = register_one(wave, RegistrationSpec())
         again = register_one(wave, RegistrationSpec())
@@ -436,10 +441,10 @@ class TestNormalizeSample:
             normalize_sample(sample, rec)
 
     def test_renormalized_record_has_unit_sigma_hs_four(self):
-        from fda2s import estimate_spectrum, significant_wave_height
+        from fda2s import estimate_spectrum
 
         rec = simulated_record(seed=13, duration=1800.0)
         std = np.std(rec.values - rec.values.mean(), ddof=1)
         rescaled = TimeSeriesRecord(rec.fs, rec.values / std, rec.t0)
-        hs = significant_wave_height(estimate_spectrum(rescaled, 60))
+        hs = estimate_spectrum(rescaled, 60).hs
         assert hs == pytest.approx(4.0, rel=0.10)

@@ -51,7 +51,7 @@ from .sea import (
 )
 from .waves import (
     RegistrationSpec,
-    WaveRecord,
+    Waves,
     downcrossings,
     normalize_sample,
     register_sample,
@@ -77,7 +77,7 @@ __all__ = [
     "TestResult",
     "TimeSeriesRecord",
     "TorsethaugenParams",
-    "WaveRecord",
+    "Waves",
     "average_spectrum",
     "bspline_basis_g",
     "chi_square_isf",

@@ -69,23 +69,35 @@ def equidistant_spec(interval: Interval, order: int, n_sites: int) -> BSplineSpe
     return BSplineSpec(order, knots)
 
 
-def bspline_values(knots: np.ndarray, k: int, l: np.ndarray, x: np.ndarray):
-    """Values of the degree-k B-splines B_{l-k}, ..., B_l at x (Cox–de Boor).
+def bspline_levels(knots: np.ndarray, k: int, l: np.ndarray, x: np.ndarray):
+    """Values of the degree-j B-splines B_{l-j}, ..., B_l at x, for j = 0 .. k.
 
-    ``l`` is the knot interval of each point, knots[l] <= x < knots[l + 1]
-    (de Boor's BSPLVB recursion, *A Practical Guide to Splines*, 1978);
-    returns shape (k + 1, P).
+    ``l`` is the knot interval of each point, knots[l] <= x < knots[l + 1];
+    yields one (j + 1, P) array per degree, in the order de Boor's BSPLVB
+    recursion builds them (*A Practical Guide to Splines*, 1978).
     """
     # near[a] = knots[l + 1 - k + a], a = 0 .. 2k - 1
     near = knots[l + np.arange(1 - k, k + 1)[:, None]]
     to_right, from_left = near[k:] - x, x - near[:k]
     vals = np.ones((1,) + x.shape)
+    yield vals
     for j in range(1, k + 1):
         w = vals / (near[k:k + j] - near[k - j:k])
         vals = np.empty((j + 1,) + x.shape)
         np.multiply(w, to_right[:j], out=vals[:-1])
         vals[-1] = 0.0
         vals[1:] += w * from_left[k - j:]
+        yield vals
+
+
+def bspline_values(knots: np.ndarray, k: int, l: np.ndarray, x: np.ndarray):
+    """Values of the degree-k B-splines B_{l-k}, ..., B_l at x (Cox–de Boor).
+
+    ``l`` is the knot interval of each point, knots[l] <= x < knots[l + 1];
+    returns shape (k + 1, P).
+    """
+    for vals in bspline_levels(knots, k, l, x):
+        pass
     return vals
 
 
@@ -119,13 +131,15 @@ def least_squares_projector(design: np.ndarray) -> np.ndarray:
     n_points, n_funcs = design.shape
     if n_funcs > n_points:
         raise IllConditioned(f"{n_funcs} basis functions exceed {n_points} grid points")
-    gram = design.T @ design
+    # einsum, not BLAS: threaded BLAS products round differently at
+    # different thread counts
+    gram = np.einsum("pi,pj->ij", design, design)
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > CONDITION_BOUND:
         raise IllConditioned(
             f"normal system condition {cond:.3e} exceeds {CONDITION_BOUND:.0e}"
         )
-    return design @ np.linalg.solve(gram, design.T)
+    return np.einsum("pi,iq->pq", design, np.linalg.solve(gram, design.T))
 
 
 def to_bspline(sample: FunctionalSample, spec: BSplineSpec) -> FunctionalSample:
@@ -137,4 +151,6 @@ def to_bspline(sample: FunctionalSample, spec: BSplineSpec) -> FunctionalSample:
     if not spec.interval.close_to(sample.interval):
         raise WrongInterval("spline spec interval differs from sample interval")
     projector = least_squares_projector(basis_matrix(spec, sample.grid.points))
-    return FunctionalSample(sample.grid, sample.values @ projector.T, sample.label)
+    # einsum, not BLAS: the same values at any BLAS thread count
+    values = np.einsum("ip,qp->iq", sample.values, projector)
+    return FunctionalSample(sample.grid, values, sample.label)

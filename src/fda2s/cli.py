@@ -28,7 +28,7 @@ from .sea import (
     simulate_gaussian,
     torsethaugen_spectrum,
 )
-from .waves import RegistrationSpec, normalize_sample, register_sample, segment_waves
+from .waves import RegistrationSpec, normalize_sample, register_sample, segment_waves, too_short
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -151,10 +151,13 @@ def cmd_segment(args, given: set[str]) -> int:
         sample = normalize_sample(sample, record)
     std = float(np.std(record.values - record.values.mean(), ddof=1))
     io.write_functional_sample(sample, args.output)
+    short = int(np.count_nonzero(too_short(waves)))
     sidecar = {
         "n_waves": sample.n_curves,
         "dropped": dropped,
-        "periods": [waves[i].period for i in kept],
+        "dropped_short": short,
+        "dropped_no_upcrossing": dropped - short,
+        "periods": waves.periods[kept].tolist(),
         "record_std": std,
         "hs_interval": 4.0 * std,
     }

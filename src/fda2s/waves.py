@@ -10,18 +10,27 @@ clamped B-spline basis with endpoints held at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .bsplines import basis_matrix, bspline_values, equidistant_spec, least_squares_projector
+from .bsplines import (
+    basis_matrix,
+    bspline_levels,
+    bspline_values,
+    equidistant_spec,
+    least_squares_projector,
+)
 from .errors import NoWaves, ZeroVariance
 from .grids import FunctionalSample, Grid, Interval, uniform_grid
 from .sea import TimeSeriesRecord
 
 # Wave samples plus common-grid points per registration batch; bounds the
-# (2k, points) basis temporaries and the banded system, so memory stays flat
-# however long the waves are.
+# (2k, samples) basis temporaries, the banded system and the (waves, grid)
+# lookup and Horner arrays, so memory stays flat however long the waves are.
 REGISTER_POINTS = 2**13
+# Fewest samples strictly inside a wave for it to be registered by default.
+MIN_INTERIOR = 4
 
 
 @dataclass(frozen=True)
@@ -42,25 +51,84 @@ class RegistrationSpec:
             raise ValueError("need at least the two endpoint knot sites")
 
 
-@dataclass(frozen=True, eq=False)
-class WaveRecord:
-    """One wave: raw samples with interpolated zero endpoints."""
+class Wave(NamedTuple):
+    """One wave of a `Waves` set: read-only views of its samples, and its period."""
 
     raw_times: np.ndarray
     raw_values: np.ndarray
     period: float
 
+
+def _sample_index(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Indices into the flat samples of the given waves, end to end."""
+    starts, sizes = offsets[rows], offsets[rows + 1] - offsets[rows]
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+
+
+@dataclass(frozen=True, eq=False)
+class Waves:
+    """Waves end to end: wave i is samples ``offsets[i]:offsets[i + 1]`` of
+    ``times`` and ``values``, interpolated zero endpoints included, with
+    period ``periods[i]``.
+
+    The arrays are read-only copies.  Every wave has at least two samples,
+    finite times and values and strictly increasing times, and a positive
+    period; anything else raises ValueError.  ``len``, iteration and integer
+    indexing give `Wave` views; a slice gives a `Waves`.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
+    periods: np.ndarray
+
     def __post_init__(self):
-        t = np.array(self.raw_times, dtype=float)
-        v = np.array(self.raw_values, dtype=float)
-        if t.shape != v.shape or t.ndim != 1 or t.size < 2:
+        t = np.array(self.times, dtype=float)
+        v = np.array(self.values, dtype=float)
+        offsets = np.array(self.offsets, dtype=np.intp)
+        periods = np.array(self.periods, dtype=float)
+        if t.shape != v.shape or t.ndim != 1:
             raise ValueError("wave needs matching time/value arrays of length >= 2")
-        if self.period <= 0:
+        if (offsets.ndim != 1 or periods.shape != (offsets.size - 1,)
+                or offsets[0] != 0 or offsets[-1] != t.size):
+            raise ValueError(
+                "offsets must run from 0 to the sample count, one period per wave")
+        if np.any(np.diff(offsets) < 2):
+            raise ValueError("wave needs matching time/value arrays of length >= 2")
+        if not np.all(periods > 0.0):
             raise ValueError("wave period must be positive")
-        t.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "raw_times", t)
-        object.__setattr__(self, "raw_values", v)
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("wave times and values must be finite")
+        steps = np.diff(t)
+        steps[offsets[1:-1] - 1] = 1.0  # from one wave to the next
+        if not np.all(steps > 0.0):
+            raise ValueError("wave times must be strictly increasing")
+        fields = {"times": t, "values": v, "offsets": offsets, "periods": periods}
+        for name, arr in fields.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return self.periods.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            rows = np.arange(len(self))[key]
+            idx = _sample_index(self.offsets, rows)
+            sizes = self.offsets[rows + 1] - self.offsets[rows]
+            return Waves(self.times[idx], self.values[idx],
+                         np.concatenate([[0], np.cumsum(sizes)]), self.periods[rows])
+        i = range(len(self))[key]
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return Wave(self.times[lo:hi], self.values[lo:hi], float(self.periods[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def too_short(waves: Waves, min_interior: int = MIN_INTERIOR) -> np.ndarray:
+    """Mask of the waves with fewer than ``min_interior`` samples strictly inside."""
+    return np.diff(waves.offsets) - 2 < min_interior
 
 
 def downcrossings(rec: TimeSeriesRecord, level: float) -> np.ndarray:
@@ -79,7 +147,7 @@ def downcrossings(rec: TimeSeriesRecord, level: float) -> np.ndarray:
     return t[idx] + frac * (t[idx + 1] - t[idx])
 
 
-def segment_waves(rec: TimeSeriesRecord) -> list[WaveRecord]:
+def segment_waves(rec: TimeSeriesRecord) -> Waves:
     """Split a record into mean-level downcrossing waves.
 
     The record mean is subtracted first; each wave carries the samples
@@ -97,12 +165,16 @@ def segment_waves(rec: TimeSeriesRecord) -> list[WaveRecord]:
     # Samples strictly between consecutive crossings: one binary search per end.
     starts = np.searchsorted(times, crossings[:-1], "right")
     stops = np.searchsorted(times, crossings[1:], "left")
-    waves = []
-    for t_start, t_end, lo, hi in zip(crossings[:-1], crossings[1:], starts, stops):
-        raw_t = np.concatenate([[t_start], times[lo:hi], [t_end]])
-        raw_v = np.concatenate([[0.0], centered[lo:hi], [0.0]])
-        waves.append(WaveRecord(raw_t, raw_v, float(t_end - t_start)))
-    return waves
+    offsets = np.concatenate([[0], np.cumsum(stops - starts + 2)])
+    # record sample at every flat position, starts[w] - 1 .. stops[w] for
+    # wave w, whose two ends then take the crossings (a last crossing that
+    # rounds past the last sample would read one beyond it)
+    src = np.arange(offsets[-1]) - np.repeat(offsets[:-1] + 1 - starts, stops - starts + 2)
+    src = np.minimum(src, times.size - 1)
+    flat_t, flat_v = times[src], centered[src]
+    flat_t[offsets[:-1]], flat_t[offsets[1:] - 1] = crossings[:-1], crossings[1:]
+    flat_v[offsets[:-1]] = flat_v[offsets[1:] - 1] = 0.0
+    return Waves(flat_t, flat_v, offsets, crossings[1:] - crossings[:-1])
 
 
 def _registration_basis(spec: RegistrationSpec) -> tuple[Grid, np.ndarray]:
@@ -175,47 +247,79 @@ def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
     """Degree-k not-a-knot interpolants of a batch of waves, evaluated at points.
 
     ``u`` and ``values`` hold the waves' sites and values end to end and
-    ``lengths`` the sample count of each wave; returns (waves, points).
+    ``lengths`` the sample count of each wave; ``points`` is sorted and
+    spans [u_first, u_last] of every wave.  Returns (waves, points).
     Each wave's collocation matrix has lower and upper bandwidth k, so the
     batch is one block-diagonal banded system of the same bandwidth, solved
     by one LAPACK ``gbsv`` call (the solve ``make_interp_spline`` runs per
-    wave): time and memory are linear in the number of samples.
+    wave).  The solved splines are then turned into piecewise-polynomial
+    form, one Taylor expansion per knot interval, and evaluated by Horner:
+    time and memory are linear in the number of samples and points.
     """
     import scipy.linalg  # here, not at module level: it is most of `import fda2s`
 
-    n_waves, n_sites = lengths.size, u.size
+    n_waves, n_sites, n_points = lengths.size, u.size, points.size
     wave = np.repeat(np.arange(n_waves), lengths)
-    if not np.all(np.diff(u)[wave[:-1] == wave[1:]] > 0.0):  # NaN fails too
+    # warping may round distinct times together
+    if not np.all(np.diff(u)[wave[:-1] == wave[1:]] > 0.0):
         raise ValueError("wave times must be strictly increasing")
     knots, knot_wave, kstart, inner = _not_a_knot(u, lengths, k)
-    # the data sites, then the common grid of every wave
-    x = np.concatenate([u, np.tile(points, n_waves)])
-    xw = np.concatenate([wave, np.repeat(np.arange(n_waves), points.size)])
-    # Knot interval l, knots[l] <= x < knots[l + 1] (the last one closed): k
-    # plus the wave's interior knots at or below x, counted by one binary
-    # search over (wave, knot) pairs, which complex numbers order
-    # lexicographically (wave + 1j * knot is exact).
+    # Knot interval l of each site, knots[l] <= u < knots[l + 1] (the last one
+    # closed): k plus the wave's interior knots at or below the site, counted
+    # by one binary search over (wave, knot) pairs, which complex numbers
+    # order lexicographically (wave + 1j * knot is exact).
     n_inner = lengths - k - 1
-    below = np.searchsorted(knot_wave[inner] + 1j * knots[inner], xw + 1j * x, "right")
-    l = kstart[xw] + k + below - (np.cumsum(n_inner) - n_inner)[xw]
-    basis = bspline_values(knots, k, l, x)
+    below = np.searchsorted(knot_wave[inner] + 1j * knots[inner], wave + 1j * u, "right")
+    l = kstart[wave] + k + below - (np.cumsum(n_inner) - n_inner)[wave]
     # column of B_{l-k+a} in the stacked system
     offset = np.cumsum(lengths) - lengths - kstart - k
-    cols = l + offset[xw] + np.arange(k + 1)[:, None]
+    cols = l + offset[wave] + np.arange(k + 1)[:, None]
     ab = np.zeros((2 * k + 1, n_sites))
-    ab[k + np.arange(n_sites) - cols[:, :n_sites], cols[:, :n_sites]] = basis[:, :n_sites]
+    ab[k + np.arange(n_sites) - cols, cols] = bspline_values(knots, k, l, u)
     coef = scipy.linalg.solve_banded((k, k), ab, values, check_finite=False)
-    dense = np.sum(basis[:, n_sites:] * coef[cols[:, n_sites:]], axis=0)
-    return dense.reshape(n_waves, points.size)
+    # Knot interval of each grid point: k plus the wave's interior knots at
+    # or below it.  Each knot adds one from the first grid point at or above
+    # it on, so one count per (wave, first point) and a running sum find
+    # them all; flattened, the intervals never decrease.
+    first = np.searchsorted(points, knots[inner], "left")
+    starts = np.bincount(knot_wave[inner] * (n_points + 1) + first,
+                         minlength=n_waves * (n_points + 1))
+    lg = np.cumsum(starts.reshape(n_waves, n_points + 1)[:, :n_points], axis=1)
+    lg += (kstart + k)[:, None]
+    new = np.diff(lg.ravel(), prepend=-1) != 0
+    lp = lg.ravel()[new]  # the intervals that hold a grid point, and their wave
+    pw = np.repeat(np.arange(n_waves), np.count_nonzero(new.reshape(lg.shape), axis=1))
+    # Piecewise-polynomial form on those intervals (de Boor's BSPLPP): on
+    # interval l the spline is sum_m taylor[m] (x - knots[l])^m.  Differencing
+    # the k + 1 coefficients that reach it gives those of the m-th derivative
+    # over m!, and the degree-(k - m) B-splines at knots[l] sum them to its
+    # value there.
+    near = knots[lp + np.arange(1 - k, k + 1)[:, None]]  # knots[l + 1 - k + j]
+    derivs = [coef[lp + offset[pw] + np.arange(k + 1)[:, None]]]
+    for m in range(1, k + 1):
+        d, span = derivs[-1], near[k:2 * k + 1 - m] - near[m - 1:k]
+        derivs.append((d[1:] - d[:-1]) * ((k + 1 - m) / m) / span)
+    taylor = np.empty((k + 1, lp.size))
+    for j, vals in enumerate(bspline_levels(knots, k, lp, knots[lp])):
+        taylor[k - j] = np.einsum("ap,ap->p", derivs[k - j], vals)
+    # Horner at every grid point
+    piece = np.cumsum(new).reshape(lg.shape) - 1
+    dx = points - knots[lg]
+    coeffs = taylor[:, piece]
+    dense = coeffs[k]
+    for m in range(k - 1, -1, -1):
+        dense *= dx
+        dense += coeffs[m]
+    return dense
 
 
 def register_sample(
-    waves: list[WaveRecord],
+    waves: Waves,
     spec: RegistrationSpec,
-    min_interior: int = 4,
+    min_interior: int = MIN_INTERIOR,
     label: str = "",
 ) -> tuple[FunctionalSample, np.ndarray, int]:
-    """Register a batch of waves onto the common grid.
+    """Register a set of waves onto the common grid.
 
     Each wave is mapped onto [0, 1] (with ``constrain_upcross``, the
     two-piece linear map sends its start, first upcrossing and end to 0,
@@ -229,24 +333,17 @@ def register_sample(
     about ``REGISTER_POINTS`` samples and grid points.
     """
     grid, projector = _registration_basis(spec)
-    sizes = np.array([w.raw_times.size for w in waves], dtype=int)
-    keep = sizes - 2 >= min_interior
+    sizes = np.diff(waves.offsets)
+    keep = ~too_short(waves, min_interior)
     degree = np.minimum(spec.spline_order - 1, sizes - 1)
     dense = np.empty((sizes.size, spec.n_grid))
     for k in np.unique(degree[keep]):
         group = np.flatnonzero(keep & (degree == k))
         batch = (np.cumsum(sizes[group] + spec.n_grid) - 1) // REGISTER_POINTS
         for rows in np.split(group, np.flatnonzero(np.diff(batch)) + 1):
-            t = np.concatenate([waves[i].raw_times for i in rows])
-            v = np.concatenate([waves[i].raw_values for i in rows])
-            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-                raise ValueError("wave times and values must be finite")
-            # checked before warping, which divides by each wave's time span
-            # and may hide the upcrossing of a wave with bad times
-            wave = np.repeat(np.arange(rows.size), sizes[rows])
-            if not np.all(np.diff(t)[wave[:-1] == wave[1:]] > 0.0):
-                raise ValueError("wave times must be strictly increasing")
-            u, has_up = _warp_times(t, v, sizes[rows], spec.constrain_upcross)
+            idx = _sample_index(waves.offsets, rows)
+            v = waves.values[idx]
+            u, has_up = _warp_times(waves.times[idx], v, sizes[rows], spec.constrain_upcross)
             if not has_up.all():
                 keep[rows[~has_up]] = False
                 inside = np.repeat(has_up, sizes[rows])
@@ -255,7 +352,8 @@ def register_sample(
     kept = np.flatnonzero(keep)
     if not kept.size:
         raise NoWaves("no waves survived registration")
-    sample = FunctionalSample(grid, dense[kept] @ projector.T, label)
+    # einsum, not BLAS: the same rows at any BLAS thread count
+    sample = FunctionalSample(grid, np.einsum("ip,qp->iq", dense[kept], projector), label)
     return sample, kept, sizes.size - kept.size
 
 

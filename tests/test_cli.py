@@ -18,8 +18,10 @@ from fda2s import (
     BasisSpec,
     FunctionalSample,
     Interval,
+    RegistrationSpec,
     SimConfig,
     TimeSeriesRecord,
+    register_sample,
     sample_to_spectra,
     sea,
     segment_waves,
@@ -128,6 +130,31 @@ class TestSegment:
         kept = [w.period for w in waves if w.raw_times.size - 2 >= 4]
         assert sidecar["dropped"] == len(waves) - len(kept) > 0
         assert sidecar["periods"] == kept
+        assert sidecar["dropped_short"] == sidecar["dropped"]
+        assert sidecar["dropped_no_upcrossing"] == 0
+
+    def test_constrained_sidecar_splits_the_dropped_waves(self, tmp_path):
+        # mean 0; each period crosses down onto the sample at 0, then stays
+        # above zero: a wave of four interior samples without an upcrossing
+        # inside it, then one with five that has one
+        path = tmp_path / "rec.csv"
+        write_record(TimeSeriesRecord(1.0, np.tile(
+            [3.0, 0.0, 1.0, 2.0, 3.0, 2.0, -1.0, -3.0, -3.0, -4.0], 6)), path)
+        out = tmp_path / "waves.csv"
+        assert run("segment", "--input", path, "--constrain-upcross", "-o", out) == 0
+        sidecar = json.loads((tmp_path / "waves.csv.json").read_text())
+        waves = segment_waves(read_record(path))
+        short = sum(w.raw_times.size - 2 < 4 for w in waves)
+        assert len(waves) == 11 and short == 0
+        assert sidecar["dropped"] == sidecar["dropped_no_upcrossing"] == 6
+        assert sidecar["dropped_short"] == 0
+        assert sidecar["n_waves"] == read_functional_sample(out).n_curves == 5
+        spec = RegistrationSpec(constrain_upcross=True)
+        _, kept, _ = register_sample(waves, spec)
+        assert sidecar["periods"] == waves.periods[kept].tolist()
+        assert run("segment", "--input", path, "-o", out) == 0
+        sidecar = json.loads((tmp_path / "waves.csv.json").read_text())
+        assert sidecar["dropped"] == sidecar["dropped_no_upcrossing"] == 0
 
     def test_flat_record_exits_3(self, tmp_path):
         path = tmp_path / "flat.csv"

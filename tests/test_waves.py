@@ -12,7 +12,7 @@ from fda2s import (
     RegistrationSpec,
     TimeSeriesRecord,
     TorsethaugenParams,
-    WaveRecord,
+    Waves,
     default_frequency_grid,
     downcrossings,
     normalize_sample,
@@ -23,7 +23,7 @@ from fda2s import (
 )
 from fda2s.errors import IllConditioned, NoWaves, ZeroVariance
 from fda2s import waves as waves_module
-from fda2s.waves import _registration_basis, _warp_times
+from fda2s.waves import _interpolate, _registration_basis, _warp_times
 
 
 def simulated_record(seed=3, duration=1800.0, tp=4.0):
@@ -64,9 +64,16 @@ def spline_oracle(wave, spec):
     return projector @ make_interp_spline(u, v, k=k)(grid.points)
 
 
+def waves_of(*waves):
+    """One `Waves` set from (times, values, period) triples or `Wave` views."""
+    times, values, periods = zip(*waves)
+    offsets = np.concatenate([[0], np.cumsum([len(t) for t in times])])
+    return Waves(np.concatenate(times), np.concatenate(values), offsets, periods)
+
+
 def register_one(wave, spec):
     """The registered values of one wave on its own."""
-    sample, kept, dropped = register_sample([wave], spec, min_interior=0)
+    sample, kept, dropped = register_sample(waves_of(wave), spec, min_interior=0)
     assert kept.tolist() == [0] and dropped == 0
     return sample.values[0]
 
@@ -77,8 +84,8 @@ def random_waves(rng, sizes):
         t = 3.0 + np.cumsum(rng.uniform(0.2, 1.5, n))
         v = rng.normal(size=n)
         v[0] = v[-1] = 0.0
-        waves.append(WaveRecord(t, v, float(t[-1] - t[0])))
-    return waves
+        waves.append((t, v, float(t[-1] - t[0])))
+    return waves_of(*waves)
 
 
 class TestDowncrossings:
@@ -147,6 +154,9 @@ class TestSegmentWaves:
         # mean exactly 0 and samples exactly on it, at and between crossings
         TimeSeriesRecord(1.0, np.tile([1.0, 0.0, -1.0, 0.0, 2.0, 0.0, 0.0, -2.0], 5)),
         TimeSeriesRecord(1.28, np.tile([1.0, 0.0, -1.0, 0.0], 9), t0=12.5),
+        simulate_gaussian(torsethaugen_spectrum(TorsethaugenParams(2.0, 4.0),
+                                                default_frequency_grid(64.0, tp=4.0)),
+                          120.0, 64.0, seed=15),
     ])
     def test_bit_identical_to_mask_oracle(self, rec):
         waves = segment_waves(rec)
@@ -163,6 +173,76 @@ class TestSegmentWaves:
             assert prev.raw_times[-1] == nxt.raw_times[0]
 
 
+class TestWaves:
+    def test_length_and_indexing(self):
+        sizes = [2, 5, 3, 4]
+        ws = waves_of(*[(np.arange(n) + 10.0 * i, np.full(n, float(i)), float(n - 1))
+                        for i, n in enumerate(sizes)])
+        assert len(ws) == 4 and ws.offsets.tolist() == [0, 2, 7, 10, 14]
+        assert ws[1].raw_times.tolist() == [10.0, 11.0, 12.0, 13.0, 14.0]
+        assert ws[-1].raw_values.tolist() == [3.0] * 4
+        assert ws[2].period == 2.0 and type(ws[2].period) is float
+        with pytest.raises(IndexError):
+            ws[4]
+        part = ws[1:3]
+        assert isinstance(part, Waves) and len(part) == 2
+        assert part.offsets.tolist() == [0, 5, 8] and part.periods.tolist() == [4.0, 2.0]
+        for got, want in zip(part, [ws[1], ws[2]]):
+            assert np.array_equal(got.raw_times, want.raw_times)
+            assert np.array_equal(got.raw_values, want.raw_values)
+        assert [w.period for w in ws[::-2]] == [3.0, 4.0]
+        assert len(ws[4:]) == 0
+        assert [w.raw_times.size for w in ws] == sizes
+
+    def test_items_are_read_only_views(self):
+        ws = segment_waves(simulated_record(seed=4, duration=300.0))
+        wave = ws[3]
+        assert np.shares_memory(wave.raw_times, ws.times)
+        assert np.shares_memory(wave.raw_values, ws.values)
+        for arr in (wave.raw_times, wave.raw_values, ws.times, ws.values, ws.offsets,
+                    ws.periods):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        # the constructor copies what it is given
+        t, v = np.array([0.0, 1.0, 2.0]), np.array([0.0, -1.0, 0.0])
+        one = Waves(t, v, [0, 3], [2.0])
+        t[1] = v[1] = 5.0
+        assert one[0].raw_times.tolist() == [0.0, 1.0, 2.0]
+        assert one[0].raw_values.tolist() == [0.0, -1.0, 0.0]
+
+    @pytest.mark.parametrize("fs", [1.28, 64.0])
+    def test_segmented_waves_share_their_crossings(self, fs):
+        grid = default_frequency_grid(fs, tp=4.0)
+        s = torsethaugen_spectrum(TorsethaugenParams(2.0, 4.0), grid)
+        ws = segment_waves(simulate_gaussian(s, 600.0, fs, seed=16))
+        first, last = ws.offsets[:-1], ws.offsets[1:] - 1
+        assert np.array_equal(ws.times[last[:-1]], ws.times[first[1:]])
+        assert np.all(ws.values[first] == 0.0) and np.all(ws.values[last] == 0.0)
+        assert np.array_equal(ws.periods, ws.times[last] - ws.times[first])
+
+    @pytest.mark.parametrize("times,values,offsets,periods,message", [
+        ([0.0, 1.0, 2.0], [0.0, 0.0], [0, 3], [2.0], "matching time/value arrays"),
+        ([[0.0, 1.0]], [[0.0, 0.0]], [0, 2], [1.0], "matching time/value arrays"),
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0] * 5, [0, 1, 5], [1.0, 3.0], "length >= 2"),
+        ([0.0, 1.0, 2.0], [0.0] * 3, [0, 2], [1.0], "offsets must run from 0"),
+        ([0.0, 1.0, 2.0], [0.0] * 3, [0, 3], [1.0, 1.0], "offsets must run from 0"),
+        ([0.0, 1.0, 2.0], [0.0] * 3, [0, 3], [0.0], "wave period must be positive"),
+        ([0.0, 1.0, 2.0], [0.0] * 3, [0, 3], [-2.0], "wave period must be positive"),
+        ([0.0, np.inf, 2.0], [0.0] * 3, [0, 3], [2.0], "must be finite"),
+        ([0.0, 1.0, 2.0], [0.0, np.nan, 0.0], [0, 3], [2.0], "must be finite"),
+        ([0.0, 1.0, 1.0], [0.0] * 3, [0, 3], [1.0], "strictly increasing"),
+        ([0.0, 2.0, 3.0, 1.0], [0.0] * 4, [0, 2, 4], [2.0, 2.0], "strictly increasing"),
+    ])
+    def test_construction_rejects_bad_waves(self, times, values, offsets, periods, message):
+        with pytest.raises(ValueError, match=message):
+            Waves(np.array(times), np.array(values), offsets, periods)
+
+    def test_waves_may_restart_in_time(self):
+        # only the steps inside a wave must increase
+        ws = Waves(np.array([5.0, 6.0, 0.0, 1.0]), np.zeros(4), [0, 2, 4], [1.0, 1.0])
+        assert len(ws) == 2
+
+
 class TestRegisterWave:
     def test_symmetric_wave_roundtrip(self):
         fs = 64.0
@@ -177,8 +257,7 @@ class TestRegisterWave:
     def test_linear_map_domain(self):
         t = np.linspace(10.0, 12.5, 11)
         v = -np.sin(2 * np.pi * (t - 10.0) / 2.5)
-        wave = WaveRecord(t, v, 2.5)
-        sample, kept, dropped = register_sample([wave], RegistrationSpec())
+        sample, kept, dropped = register_sample(waves_of((t, v, 2.5)), RegistrationSpec())
         assert kept.tolist() == [0] and dropped == 0
         assert sample.grid.points[0] == 0.0 and sample.grid.points[-1] == 1.0
 
@@ -186,7 +265,7 @@ class TestRegisterWave:
         # closed-form wave with its upcrossing at 40% of the span
         t = np.linspace(0.0, 1.0, 201)
         v = np.where(t <= 0.4, -np.sin(np.pi * t / 0.4), np.sin(np.pi * (t - 0.4) / 0.6))
-        wave = WaveRecord(t, v, 1.0)
+        wave = (t, v, 1.0)
         u, has_up = _warp_times(t, v, np.array([t.size]), True)
         assert has_up.tolist() == [True]
         t_up = 0.4
@@ -213,16 +292,16 @@ class TestRegisterWave:
     def test_no_upcrossing(self):
         # a constrained wave without an upcrossing is dropped; alone, none survive
         t = np.linspace(0.0, 1.0, 21)
-        below = WaveRecord(t, -np.sin(np.pi * t), 1.0)  # never above zero
-        good = WaveRecord(t, -np.sin(2 * np.pi * t), 1.0)
+        below = (t, -np.sin(np.pi * t), 1.0)  # never above zero
+        good = (t, -np.sin(2 * np.pi * t), 1.0)
         spec = RegistrationSpec(constrain_upcross=True)
-        u, has_up = _warp_times(t, below.raw_values, np.array([t.size]), True)
+        u, has_up = _warp_times(t, below[1], np.array([t.size]), True)
         assert has_up.tolist() == [False] and np.all(np.isnan(u))
-        sample, kept, dropped = register_sample([below, good], spec, min_interior=0)
+        sample, kept, dropped = register_sample(waves_of(below, good), spec, min_interior=0)
         assert dropped == 1 and kept.tolist() == [1]
         assert np.array_equal(sample.values[0], register_one(good, spec))
         with pytest.raises(NoWaves):
-            register_sample([below], spec, min_interior=0)
+            register_sample(waves_of(below), spec, min_interior=0)
 
     def test_constrained_sample_all_at_half(self):
         # kept: the waves with an upcrossing, pinned at 0.5 as the oracle pins it
@@ -238,7 +317,7 @@ class TestRegisterWave:
             assert np.max(np.abs(row - values)) <= 1e-10 * np.max(np.abs(values))
 
     def test_reduced_order_fallback_for_tiny_waves(self):
-        wave = WaveRecord(np.array([0.0, 0.4, 1.0]), np.array([0.0, -1.0, 0.0]), 1.0)
+        wave = (np.array([0.0, 0.4, 1.0]), np.array([0.0, -1.0, 0.0]), 1.0)
         assert np.all(np.isfinite(register_one(wave, RegistrationSpec())))
 
 
@@ -287,20 +366,20 @@ class TestBatchedRegistration:
     def test_upcrossing_stays_inside_its_wave(self):
         # the step from one wave's last sample (below zero) to the next
         # wave's first (above it) is no upcrossing of either wave
-        below = WaveRecord(np.linspace(0.0, 10.0, 8), -np.linspace(1.0, 2.0, 8), 10.0)
-        above = WaveRecord(np.linspace(1.0, 5.0, 8), np.linspace(1.0, 2.0, 8), 4.0)
+        pair = waves_of((np.linspace(0.0, 10.0, 8), -np.linspace(1.0, 2.0, 8), 10.0),
+                        (np.linspace(1.0, 5.0, 8), np.linspace(1.0, 2.0, 8), 4.0))
         spec = RegistrationSpec(constrain_upcross=True)
         with pytest.raises(NoWaves):
-            register_sample([below, above], spec, min_interior=0)
-        _, kept, dropped = register_sample([below, above], RegistrationSpec())
+            register_sample(pair, spec, min_interior=0)
+        _, kept, dropped = register_sample(pair, RegistrationSpec())
         assert dropped == 0 and kept.tolist() == [0, 1]
 
     def test_memory_is_linear_in_wave_length(self):
         # a dense collocation matrix for 4000 samples alone takes 128 MB
-        wave = random_waves(np.random.default_rng(9), [4000])[0]
+        wave = random_waves(np.random.default_rng(9), [4000])
         tracemalloc.start()
         try:
-            register_sample([wave], RegistrationSpec(), min_interior=0)
+            register_sample(wave, RegistrationSpec(), min_interior=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -332,31 +411,97 @@ class TestBatchedRegistration:
          "wave times and values must be finite"),
     ])
     def test_bad_times_or_values_raise(self, times, values, message):
-        bad = WaveRecord(np.array(times), np.array(values), 1.0)
+        # the set rejects the wave when it is built, before any registration
+        bad = (np.array(times), np.array(values), 1.0)
         good = random_waves(np.random.default_rng(5), [7, 7])
         with pytest.raises(ValueError, match=message):
-            register_sample([good[0], bad, good[1]], RegistrationSpec())
+            waves_of(good[0], bad, good[1])
         with pytest.raises(ValueError, match=message):
-            register_sample([bad], RegistrationSpec(), min_interior=0)
+            waves_of(bad)
 
     @pytest.mark.parametrize("constrain", [False, True])
     def test_constant_times_raise_on_both_paths(self, constrain):
-        # a wave whose times are all equal has no time span to warp over
+        # a wave whose times are all equal has no time span to warp over;
+        # the set that would hold it cannot be built, whatever the path
         good = random_waves(np.random.default_rng(5), [9, 9, 9])
         values = [0.0, -1.0, -0.5, 0.5, 1.0, 0.8, 0.5, 0.2, 0.0]
-        bad = WaveRecord(np.full(9, 2.0), np.array(values), 8.0)
+        bad = (np.full(9, 2.0), np.array(values), 8.0)
+        spec = RegistrationSpec(constrain_upcross=constrain)
         with pytest.raises(ValueError, match="strictly increasing"):
-            register_sample([*good, bad], RegistrationSpec(constrain_upcross=constrain))
+            register_sample(waves_of(*good, bad), spec)
 
     @pytest.mark.parametrize("constrain", [False, True])
     def test_non_finite_wave_raises_on_both_paths(self, constrain):
         # the NaN hides the only upcrossing: the constrained path must not
-        # count the wave as one without an upcrossing and drop it
+        # count the wave as one without an upcrossing and drop it, and the
+        # set that would hold it cannot be built
         values = [0.0, -1.0, -0.5, np.nan, 1.0, 0.8, 0.5, 0.2, 0.0]
-        bad = WaveRecord(np.arange(9.0), np.array(values), 8.0)
+        bad = (np.arange(9.0), np.array(values), 8.0)
         good = random_waves(np.random.default_rng(5), [9])[0]
         with pytest.raises(ValueError, match="wave times and values must be finite"):
-            register_sample([good, bad], RegistrationSpec(constrain_upcross=constrain))
+            register_sample(waves_of(good, bad), RegistrationSpec(constrain_upcross=constrain))
+
+
+def interpolate_one(u, v, k, points):
+    """One wave's interpolant on points, and make_interp_spline's."""
+    got = _interpolate(u, v, np.array([u.size]), k, points)[0]
+    return got, make_interp_spline(u, v, k=k)(points)
+
+
+class TestGridEvaluation:
+    """Interval lookup and piecewise-polynomial evaluation at their edge cases."""
+
+    GRID = _registration_basis(RegistrationSpec())[0].points
+
+    @pytest.mark.parametrize("k, u", [
+        # odd k: interior sites are knots; sites on grid points 50 and 75
+        (5, np.array([0.0, 0.08, 0.2, 0.31, 0.5, 0.66, 0.75, 0.87, 0.93, 1.0])),
+        # even k: midpoints of sites are knots; 0.45 and 0.55 meet at 0.5
+        (4, np.array([0.0, 0.1, 0.22, 0.45, 0.55, 0.7, 0.83, 1.0])),
+        (3, np.array([0.0, 0.13, 0.5, 0.72, 1.0])),
+    ])
+    def test_inner_knot_on_a_grid_point(self, k, u):
+        inner = (u[(k + 1) // 2:u.size - (k + 1) // 2] if k % 2
+                 else (u[k // 2:u.size - k // 2 - 1] + u[k // 2 + 1:u.size - k // 2]) / 2)
+        assert 0.5 in inner and self.GRID[50] == 0.5
+        v = np.random.default_rng(17).normal(size=u.size)
+        got, want = interpolate_one(u, v, k, self.GRID)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_upcrossing_sample_warps_onto_a_grid_point(self):
+        # a sample exactly at zero before a rise is the upcrossing: pinned at
+        # u = 0.5, it is an inner knot on grid point 50
+        t = np.linspace(0.0, 1.0, 13)
+        v = np.array([0.0, -0.4, -1.1, -0.9, -0.6, -0.2, 0.0, 0.3, 0.9, 1.2, 0.8, 0.4, 0.0])
+        spec = RegistrationSpec(constrain_upcross=True)
+        u, has_up = _warp_times(t, v, np.array([t.size]), True)
+        assert has_up.tolist() == [True] and u[6] == 0.5 == self.GRID[50]
+        wave = waves_of((t, v, 1.0))[0]
+        want, got = spline_oracle(wave, spec), register_one(wave, spec)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_closed_right_end(self, k):
+        # u = 1 belongs to the last knot interval, and the interpolant meets
+        # the last sample there
+        u = np.array([0.0, 0.05, 0.21, 0.34, 0.4, 0.62, 0.8, 0.97, 1.0])
+        v = np.random.default_rng(18).normal(size=u.size)
+        got, want = interpolate_one(u, v, k, self.GRID)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        assert abs(got[-1] - v[-1]) <= 1e-10 * np.max(np.abs(v))
+
+    def test_reduced_degree_waves_without_inner_knots(self):
+        # n <= spline order - 1 samples: degree n - 1, one knot interval
+        spec = RegistrationSpec()
+        waves = random_waves(np.random.default_rng(19), [2, 3, 4, 5, 6])
+        sample, kept, _ = register_sample(waves, spec, min_interior=0)
+        assert kept.tolist() == [0, 1, 2, 3, 4]
+        for row, wave in zip(sample.values, waves):
+            want = spline_oracle(wave, spec)
+            assert np.max(np.abs(row - want)) <= 1e-10 * np.max(np.abs(want))
+        u = np.array([0.0, 0.3, 0.45, 0.8, 1.0])
+        got, want = interpolate_one(u, np.array([0.0, -1.0, 0.5, 2.0, 0.0]), 4, self.GRID)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestRegistrationObjects:

@@ -25,9 +25,12 @@ from .errors import NoWaves, ZeroVariance
 from .grids import FunctionalSample, Grid, Interval, uniform_grid
 from .sea import TimeSeriesRecord
 
-# Wave samples plus common-grid points per registration batch; bounds the
-# (2k, samples) basis temporaries, the banded system and the (waves, grid)
-# lookup and Horner arrays, so memory stays flat however long the waves are.
+# Wave samples plus an eighth of their common-grid points per registration
+# batch; bounds the (2k, samples) basis temporaries, the banded system and the
+# (waves * grid) Horner arrays, so memory stays flat however long the waves
+# are.  A grid point weighs less than a sample: it costs one run-length
+# repeat and Horner step, a sample the knots, collocation, solve and Taylor
+# conversion that small batches slow down.
 REGISTER_POINTS = 2**13
 # Fewest samples strictly inside a wave for it to be registered by default.
 MIN_INTERIOR = 4
@@ -59,6 +62,22 @@ class Wave(NamedTuple):
     period: float
 
 
+def _frozen(arr, dtype) -> np.ndarray:
+    """``arr`` itself if it owns its data and is read-only, else a read-only copy."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.flags.owndata
+            and not arr.flags.writeable):
+        arr = np.array(arr, dtype=dtype)
+        arr.flags.writeable = False
+    return arr
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark fresh arrays read-only, so that `Waves` keeps them without a copy."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def _sample_index(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Indices into the flat samples of the given waves, end to end."""
     starts, sizes = offsets[rows], offsets[rows + 1] - offsets[rows]
@@ -71,7 +90,8 @@ class Waves:
     ``times`` and ``values``, interpolated zero endpoints included, with
     period ``periods[i]``.
 
-    The arrays are read-only copies.  Every wave has at least two samples,
+    The arrays are read-only: one that owns its data and is already read-only
+    is kept, anything else is copied.  Every wave has at least two samples,
     finite times and values and strictly increasing times, and a positive
     period; anything else raises ValueError.  ``len``, iteration and integer
     indexing give `Wave` views; a slice gives a `Waves`.
@@ -83,10 +103,8 @@ class Waves:
     periods: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float)
-        v = np.array(self.values, dtype=float)
-        offsets = np.array(self.offsets, dtype=np.intp)
-        periods = np.array(self.periods, dtype=float)
+        t, v = _frozen(self.times, np.float64), _frozen(self.values, np.float64)
+        offsets, periods = _frozen(self.offsets, np.intp), _frozen(self.periods, np.float64)
         if t.shape != v.shape or t.ndim != 1:
             raise ValueError("wave needs matching time/value arrays of length >= 2")
         if (offsets.ndim != 1 or periods.shape != (offsets.size - 1,)
@@ -105,7 +123,6 @@ class Waves:
             raise ValueError("wave times must be strictly increasing")
         fields = {"times": t, "values": v, "offsets": offsets, "periods": periods}
         for name, arr in fields.items():
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
@@ -116,8 +133,9 @@ class Waves:
             rows = np.arange(len(self))[key]
             idx = _sample_index(self.offsets, rows)
             sizes = self.offsets[rows + 1] - self.offsets[rows]
-            return Waves(self.times[idx], self.values[idx],
-                         np.concatenate([[0], np.cumsum(sizes)]), self.periods[rows])
+            return Waves(*_read_only(self.times[idx], self.values[idx],
+                                     np.concatenate([[0], np.cumsum(sizes)]),
+                                     self.periods[rows]))
         i = range(len(self))[key]
         lo, hi = self.offsets[i], self.offsets[i + 1]
         return Wave(self.times[lo:hi], self.values[lo:hi], float(self.periods[i]))
@@ -168,13 +186,15 @@ def segment_waves(rec: TimeSeriesRecord) -> Waves:
     offsets = np.concatenate([[0], np.cumsum(stops - starts + 2)])
     # record sample at every flat position, starts[w] - 1 .. stops[w] for
     # wave w, whose two ends then take the crossings (a last crossing that
-    # rounds past the last sample would read one beyond it)
-    src = np.arange(offsets[-1]) - np.repeat(offsets[:-1] + 1 - starts, stops - starts + 2)
-    src = np.minimum(src, times.size - 1)
+    # rounds past the last sample would read one beyond it); built in place,
+    # one record-sized temporary
+    src = np.arange(offsets[-1])
+    src -= np.repeat(offsets[:-1] + 1 - starts, stops - starts + 2)
+    np.minimum(src, times.size - 1, out=src)
     flat_t, flat_v = times[src], centered[src]
     flat_t[offsets[:-1]], flat_t[offsets[1:] - 1] = crossings[:-1], crossings[1:]
     flat_v[offsets[:-1]] = flat_v[offsets[1:] - 1] = 0.0
-    return Waves(flat_t, flat_v, offsets, crossings[1:] - crossings[:-1])
+    return Waves(*_read_only(flat_t, flat_v, offsets, crossings[1:] - crossings[:-1]))
 
 
 def _registration_basis(spec: RegistrationSpec) -> tuple[Grid, np.ndarray]:
@@ -242,6 +262,26 @@ def _not_a_knot(u: np.ndarray, lengths: np.ndarray, k: int):
     return knots, wave, kstart, (j > k) & (j < n)
 
 
+def _grid_runs(points: np.ndarray, knots: np.ndarray, kstart: np.ndarray,
+               inner: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Knot intervals that hold a grid point, and the run of points in each.
+
+    ``knots``, ``kstart`` and ``inner`` are as `_not_a_knot` returns them;
+    ``points`` is sorted.  Interval l holds the points knots[l] <= x <
+    knots[l + 1] of its wave, the last one closed, so ``np.repeat(l, runs)``
+    is every wave's interval at every point, wave by wave.  A wave's
+    interior knots cut the points into runs, bounds [0, cuts..., n_points]
+    at its knots k..n, one binary search per interior knot: time is linear
+    in the number of knots, whatever the number of points.
+    """
+    bounds = np.full(knots.size, points.size)
+    bounds[kstart[:, None] + np.arange(k + 1)] = 0
+    bounds[inner] = np.searchsorted(points, knots[inner], "left")
+    runs = np.diff(bounds)  # negative from one wave to the next
+    lp = np.flatnonzero(runs > 0)
+    return lp, runs[lp]
+
+
 def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
                  k: int, points: np.ndarray) -> np.ndarray:
     """Degree-k not-a-knot interpolants of a batch of waves, evaluated at points.
@@ -277,40 +317,28 @@ def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
     ab = np.zeros((2 * k + 1, n_sites))
     ab[k + np.arange(n_sites) - cols, cols] = bspline_values(knots, k, l, u)
     coef = scipy.linalg.solve_banded((k, k), ab, values, check_finite=False)
-    # Knot interval of each grid point: k plus the wave's interior knots at
-    # or below it.  Each knot adds one from the first grid point at or above
-    # it on, so one count per (wave, first point) and a running sum find
-    # them all; flattened, the intervals never decrease.
-    first = np.searchsorted(points, knots[inner], "left")
-    starts = np.bincount(knot_wave[inner] * (n_points + 1) + first,
-                         minlength=n_waves * (n_points + 1))
-    lg = np.cumsum(starts.reshape(n_waves, n_points + 1)[:, :n_points], axis=1)
-    lg += (kstart + k)[:, None]
-    new = np.diff(lg.ravel(), prepend=-1) != 0
-    lp = lg.ravel()[new]  # the intervals that hold a grid point, and their wave
-    pw = np.repeat(np.arange(n_waves), np.count_nonzero(new.reshape(lg.shape), axis=1))
+    lp, runs = _grid_runs(points, knots, kstart, inner, k)
     # Piecewise-polynomial form on those intervals (de Boor's BSPLPP): on
     # interval l the spline is sum_m taylor[m] (x - knots[l])^m.  Differencing
     # the k + 1 coefficients that reach it gives those of the m-th derivative
     # over m!, and the degree-(k - m) B-splines at knots[l] sum them to its
     # value there.
     near = knots[lp + np.arange(1 - k, k + 1)[:, None]]  # knots[l + 1 - k + j]
-    derivs = [coef[lp + offset[pw] + np.arange(k + 1)[:, None]]]
+    derivs = [coef[lp + offset[knot_wave[lp]] + np.arange(k + 1)[:, None]]]
     for m in range(1, k + 1):
         d, span = derivs[-1], near[k:2 * k + 1 - m] - near[m - 1:k]
         derivs.append((d[1:] - d[:-1]) * ((k + 1 - m) / m) / span)
     taylor = np.empty((k + 1, lp.size))
     for j, vals in enumerate(bspline_levels(knots, k, lp, knots[lp])):
         taylor[k - j] = np.einsum("ap,ap->p", derivs[k - j], vals)
-    # Horner at every grid point
-    piece = np.cumsum(new).reshape(lg.shape) - 1
-    dx = points - knots[lg]
-    coeffs = taylor[:, piece]
-    dense = coeffs[k]
+    # Horner at every grid point, each interval's expansion repeated over its run
+    dx = np.tile(points, n_waves)
+    dx -= np.repeat(knots[lp], runs)
+    dense = np.repeat(taylor[k], runs)
     for m in range(k - 1, -1, -1):
         dense *= dx
-        dense += coeffs[m]
-    return dense
+        dense += np.repeat(taylor[m], runs)
+    return dense.reshape(n_waves, n_points)
 
 
 def register_sample(
@@ -330,7 +358,7 @@ def register_sample(
     one is required, are dropped.  Returns the sample, the indices of the
     kept waves (row i is ``waves[kept[i]]``) and the count of dropped waves.
     Waves of equal spline degree are interpolated together, in batches of
-    about ``REGISTER_POINTS`` samples and grid points.
+    about ``REGISTER_POINTS`` samples plus an eighth of their grid points.
     """
     grid, projector = _registration_basis(spec)
     sizes = np.diff(waves.offsets)
@@ -339,7 +367,7 @@ def register_sample(
     dense = np.empty((sizes.size, spec.n_grid))
     for k in np.unique(degree[keep]):
         group = np.flatnonzero(keep & (degree == k))
-        batch = (np.cumsum(sizes[group] + spec.n_grid) - 1) // REGISTER_POINTS
+        batch = (np.cumsum(sizes[group] + spec.n_grid // 8) - 1) // REGISTER_POINTS
         for rows in np.split(group, np.flatnonzero(np.diff(batch)) + 1):
             idx = _sample_index(waves.offsets, rows)
             v = waves.values[idx]

@@ -23,7 +23,13 @@ from fda2s import (
 )
 from fda2s.errors import IllConditioned, NoWaves, ZeroVariance
 from fda2s import waves as waves_module
-from fda2s.waves import _interpolate, _registration_basis, _warp_times
+from fda2s.waves import (
+    _grid_runs,
+    _interpolate,
+    _not_a_knot,
+    _registration_basis,
+    _warp_times,
+)
 
 
 def simulated_record(seed=3, duration=1800.0, tp=4.0):
@@ -210,6 +216,28 @@ class TestWaves:
         assert one[0].raw_times.tolist() == [0.0, 1.0, 2.0]
         assert one[0].raw_values.tolist() == [0.0, -1.0, 0.0]
 
+    def test_constructor_keeps_only_owned_read_only_arrays(self):
+        t, v = np.array([0.0, 1.0, 2.0]), np.array([0.0, -1.0, 0.0])
+        offsets, periods = np.array([0, 3], dtype=np.intp), np.array([2.0])
+        for arr in (t, v, offsets, periods):
+            arr.flags.writeable = False
+        one = Waves(t, v, offsets, periods)
+        assert one.times is t and one.values is v
+        assert one.offsets is offsets and one.periods is periods
+        # a read-only view of a writeable array, or another dtype, is copied
+        base = np.array([0.0, 1.0, 2.0])
+        view = base.view()
+        view.flags.writeable = False
+        other = Waves(view, v.astype(np.float32), offsets, periods)
+        assert not np.shares_memory(other.times, base) and other.values.dtype == np.float64
+        base[1] = 5.0
+        assert other[0].raw_times.tolist() == [0.0, 1.0, 2.0]
+        # kept arrays go through every check too
+        bad = np.array([0.0, 2.0, 1.0])
+        bad.flags.writeable = False
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Waves(bad, v, offsets, periods)
+
     @pytest.mark.parametrize("fs", [1.28, 64.0])
     def test_segmented_waves_share_their_crossings(self, fs):
         grid = default_frequency_grid(fs, tp=4.0)
@@ -389,14 +417,51 @@ class TestBatchedRegistration:
         waves = random_waves(np.random.default_rng(21), [12, 7, 30, 12, 9, 7, 2, 12, 12, 7])
         spec = RegistrationSpec()
         whole, _, _ = register_sample(waves, spec, min_interior=0)
-        # the nine waves of degree 5 split across batches of two or three
-        monkeypatch.setattr(waves_module, "REGISTER_POINTS", 3 * (12 + spec.n_grid))
+        # a batch holds samples plus an eighth of the grid points: the nine
+        # waves of degree 5 split into batches of two, three and four, after
+        # the one wave of degree 1
+        monkeypatch.setattr(waves_module, "REGISTER_POINTS", 3 * (12 + spec.n_grid // 8))
+        batches = []
+
+        def counted(u, values, lengths, k, points):
+            batches.append(lengths.size)
+            return _interpolate(u, values, lengths, k, points)
+
+        monkeypatch.setattr(waves_module, "_interpolate", counted)
         sample, kept, dropped = register_sample(waves, spec, min_interior=0)
+        assert batches == [1, 2, 3, 4]
         assert dropped == 0 and kept.tolist() == list(range(len(waves)))
         assert np.array_equal(sample.values, whole.values)
         for row, wave in zip(sample.values, waves):
             single = register_one(wave, spec)
             assert np.max(np.abs(row - single)) <= 1e-12 * np.max(np.abs(single))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(3, 600), min_size=1, max_size=12),
+        constrain=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batches_do_not_change_the_result(self, sizes, constrain, seed):
+        # the rows are the same bits whether a wave shares its batch with
+        # none, some or all of the others
+        waves = random_waves(np.random.default_rng(seed), sizes)
+        spec = RegistrationSpec(constrain_upcross=constrain)
+        results = []
+        for budget in (waves_module.REGISTER_POINTS, 300, 2**20):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(waves_module, "REGISTER_POINTS", budget)
+                try:
+                    results.append(register_sample(waves, spec, min_interior=0))
+                except NoWaves:
+                    results.append(None)
+        first = results[0]
+        for other in results[1:]:
+            if first is None:
+                assert other is None
+                continue
+            assert np.array_equal(other[0].values, first[0].values)
+            assert np.array_equal(other[1], first[1]) and other[2] == first[2]
 
     @pytest.mark.parametrize("times,values,message", [
         ([0.0, 0.2, 0.2, 0.5, 0.7, 0.9, 1.0], [0.0, -1.0, -0.5, 0.5, 1.0, 0.3, 0.0],
@@ -489,6 +554,42 @@ class TestGridEvaluation:
         got, want = interpolate_one(u, v, k, self.GRID)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert abs(got[-1] - v[-1]) <= 1e-10 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_grid_runs_match_a_per_wave_search(self, k):
+        # sites on grid points (multiples of 0.01), so odd-k knots and some
+        # even-k midpoints fall exactly on grid points; waves of k + 1 sites
+        # have no interior knots; one wave has several knots between two
+        # grid points, whose intervals hold none
+        rng = np.random.default_rng(30 + k)
+        sites = []
+        for n in [k + 1, 14, k + 1, 40, k + 2, k + 1, 9 + k]:
+            inside = np.sort(rng.choice(np.arange(1, 100), n - 2, replace=False))
+            sites.append(self.GRID[np.concatenate([[0], inside, [100]])])
+        sites.append(np.concatenate([self.GRID[:50:7], 0.5 + np.arange(1, 2 * k + 2) * 1e-3,
+                                     self.GRID[60::10]]))
+        lengths = np.array([s.size for s in sites])
+        u = np.concatenate(sites)
+        knots, _, kstart, inner = _not_a_knot(u, lengths, k)
+        if k % 2:
+            assert np.isin(knots[inner], self.GRID).sum() >= 30
+        else:
+            assert np.isin(knots[inner], self.GRID).any()
+        assert (lengths - k - 1 == 0).sum() == 3
+        lp, runs = _grid_runs(self.GRID, knots, kstart, inner, k)
+        assert np.all(runs > 0) and np.all(np.diff(lp) > 0)
+        expected = []
+        for w, n in enumerate(lengths):
+            wave_knots = knots[kstart[w]:kstart[w] + n + k + 1]
+            l = np.searchsorted(wave_knots, self.GRID, "right") - 1
+            expected.append(kstart[w] + np.minimum(l, n - 1))  # the right end closed
+        assert np.array_equal(np.repeat(lp, runs), np.concatenate(expected))
+        v = rng.normal(size=u.size)
+        got = _interpolate(u, v, lengths, k, self.GRID)
+        starts = np.cumsum(lengths) - lengths
+        for row, a, n in zip(got, starts, lengths):
+            want = make_interp_spline(u[a:a + n], v[a:a + n], k=k)(self.GRID)
+            assert np.max(np.abs(row - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_reduced_degree_waves_without_inner_knots(self):
         # n <= spline order - 1 samples: degree n - 1, one knot interval

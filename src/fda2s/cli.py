@@ -1,5 +1,9 @@
 """Command-line front end: simulate, spectrum, segment, test, quantiles.
 
+Every file a command reads is a file a command writes: `simulate` writes
+records, which `spectrum` and `segment` read; both write functional-sample
+CSVs, which `test` and `quantiles` read.
+
 Exit codes: 0 on success, 2 on validation or input errors, 3 when the
 requested operation produced no result (e.g. a record with no waves).
 Every randomized command reports its effective seed; without --seed a
@@ -20,7 +24,13 @@ from .errors import FdaError, NoWaves
 from .projections import BasisSpec
 from .resampling import SimConfig, check_estimator_grid, permutation_null, quantile_table
 from .rng import fresh_seed
-from .runner import concatenate_samples, run_test, sample_to_spectra, spectral_mc_test
+from .runner import (
+    concatenate_samples,
+    run_test,
+    sample_to_spectra,
+    spectra_to_sample,
+    spectral_mc_test,
+)
 from .sea import (
     TorsethaugenParams,
     default_frequency_grid,
@@ -55,28 +65,28 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def _parse_calibration(text: str) -> tuple[str, int]:
-    head, _, rest = text.partition(":")
+    head, colon, rest = text.partition(":")
     head = head.strip().lower()
     if head == "asymptotic":
-        if rest:
+        if colon:
             raise FdaError(f"calibration 'asymptotic' takes no parameters, got {text!r}")
         return "asymptotic", 0
     if head not in ("permutation", "spectral-mc"):
         raise FdaError(f"unknown calibration {head!r}")
-    b = 1000
-    if rest:
-        key, _, value = rest.partition("=")
-        if key.strip().lower() != "b":
-            raise FdaError(f"unknown calibration parameter {key!r}")
-        try:
-            b = int(value)
-        except ValueError:
-            b = 0
-        if b < 1:
-            raise FdaError(
-                f"calibration parameter 'B' must be a positive integer, got {value!r} "
-                f"in {text!r}"
-            )
+    if not colon:
+        return head, 1000
+    key, _, value = rest.partition("=")
+    if key.strip().lower() != "b":
+        raise FdaError(f"unknown calibration parameter {key!r} in {text!r}")
+    try:
+        b = int(value)
+    except ValueError:
+        b = 0
+    if b < 1:
+        raise FdaError(
+            f"calibration parameter 'B' must be a positive integer, got {value!r} "
+            f"in {text!r}"
+        )
     return head, b
 
 
@@ -93,6 +103,14 @@ def _config_value(action: argparse.Action, key: str, value):
         if not isinstance(value, bool):
             raise FdaError(f"config key {key!r} must be true or false, got {value!r}")
         return value
+    if action.nargs == "+":  # one path or a non-empty list of paths
+        paths = [value] if isinstance(value, str) else value
+        if not (isinstance(paths, list) and paths and all(isinstance(p, str) for p in paths)):
+            raise FdaError(
+                f"config key {key!r} must be a string or a non-empty list of strings, "
+                f"got {value!r}"
+            )
+        return paths
     if isinstance(value, (bool, list, dict)) or value is None:
         raise FdaError(f"config key {key!r} must be a string or a number, got {value!r}")
     convert = action.type or str
@@ -105,19 +123,24 @@ def _config_value(action: argparse.Action, key: str, value):
 def _apply_config(args: argparse.Namespace, given: set[str]) -> set[str]:
     """Fill the options the command line did not give from the --config file.
 
+    Every config value is checked, also one the command line overrides.
     Returns the options given on the command line or in the config file.
     """
     if not args.config:
         return given
     with open(args.config, encoding="utf-8") as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise FdaError(f"config file {args.config!r} must hold a JSON object, "
+                       f"not {type(config).__name__}")
     actions = {a.dest: a for a in args.subparser._actions}
     for key, value in config.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr) or attr not in actions:
             raise FdaError(f"unknown config key {key!r} for {args.command}")
+        value = _config_value(actions[attr], key, value)
         if attr not in given:
-            setattr(args, attr, _config_value(actions[attr], key, value))
+            setattr(args, attr, value)
     return given | {key.replace("-", "_") for key in config}
 
 
@@ -131,9 +154,15 @@ def cmd_simulate(args, given: set[str]) -> int:
 
 
 def cmd_spectrum(args, given: set[str]) -> int:
-    record = io.read_record(args.input)
-    spectrum = estimate_spectrum(record, args.parzen, args.nfreq)
-    io.write_spectrum(spectrum, args.output)
+    records = [io.read_record(path) for path in args.input]
+    for path, record in zip(args.input, records):
+        if record.fs != records[0].fs:
+            raise FdaError(
+                f"records must share one fs: {args.input[0]} has {records[0].fs} Hz, "
+                f"{path} has {record.fs} Hz"
+            )
+    spectra = [estimate_spectrum(record, args.parzen, args.nfreq) for record in records]
+    io.write_functional_sample(spectra_to_sample(spectra), args.output)
     return EXIT_OK
 
 
@@ -196,32 +225,22 @@ def cmd_test(args, given: set[str]) -> int:
 
 
 def cmd_quantiles(args, given: set[str]) -> int:
-    probs = tuple(float(p) for p in args.probs.split(","))
-    if args.null_values:
-        _reject_given(given, ("generate", "x", "y", "basis", "seed", "calibration"),
-                      "--null-values")
-        if args.k is None:
-            raise FdaError("--k is required with --null-values")
-        values = io.read_null_values(args.null_values)
-        k = args.k
-    elif args.generate:
-        _reject_given(given, ("k",), "--generate")
-        if not (args.x and args.y and args.basis):
-            raise FdaError("--generate needs --x, --y and --basis")
-        method, B = _parse_calibration(args.calibration or "permutation:B=1000")
-        if method != "permutation":
-            raise FdaError("--generate supports permutation calibration")
-        seed = _resolve_seed(args.seed)
-        x = io.read_functional_sample(args.x, label="x")
-        y = io.read_functional_sample(args.y, label="y")
-        joint = concatenate_samples(x, y)
-        g = BasisSpec.parse(args.basis).build(joint)
-        values = permutation_null(joint, g, x.n_curves, B, seed, n_jobs=_threads()).values
-        k = g.k
-    else:
-        raise FdaError("provide --null-values or --generate")
-    table = quantile_table(values, k, probs)
-    io.write_quantile_table(table, args.output)
+    try:
+        probs = tuple(float(p) for p in args.probs.split(","))
+    except ValueError:
+        raise FdaError(f"--probs must be comma-separated numbers, got {args.probs!r}") from None
+    method, B = _parse_calibration(args.calibration)
+    if method != "permutation":
+        raise FdaError(
+            f"quantiles supports permutation calibration only, got {args.calibration!r}"
+        )
+    seed = _resolve_seed(args.seed)
+    x = io.read_functional_sample(args.x, label="x")
+    y = io.read_functional_sample(args.y, label="y")
+    joint = concatenate_samples(x, y)
+    g = BasisSpec.parse(args.basis).build(joint)
+    values = permutation_null(joint, g, x.n_curves, B, seed, n_jobs=_threads()).values
+    io.write_quantile_table(quantile_table(values, g.k, probs), args.output)
     return EXIT_OK
 
 
@@ -244,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_simulate, subparser=p)
 
-    p = sub.add_parser("spectrum", help="Parzen lag-window spectral estimate")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("spectrum", help="Parzen lag-window spectral estimates, one row a record")
+    p.add_argument("--input", nargs="+", required=True, help="records sharing one fs")
     p.add_argument("--parzen", type=int, default=60, help="lag-window length")
     p.add_argument("--nfreq", type=int, default=481)
     p.add_argument("--config", default=None)
@@ -283,16 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_test, subparser=p)
 
     p = sub.add_parser("quantiles", help="null quantile table (empirical vs chi-square)")
-    p.add_argument("--null-values", default=None,
-                   help="file with one replicate value per line")
-    p.add_argument("--k", type=int, default=None, help="degrees of freedom")
-    p.add_argument("--generate", action="store_true",
-                   help="generate null values by permutation splitting")
-    p.add_argument("--x", default=None)
-    p.add_argument("--y", default=None)
-    p.add_argument("--basis", default=None)
-    p.add_argument("--calibration", default=None,
-                   help="permutation:B=N (default permutation:B=1000)")
+    p.add_argument("--x", required=True)
+    p.add_argument("--y", required=True)
+    p.add_argument("--basis", required=True)
+    p.add_argument("--calibration", default="permutation:B=1000", help="permutation:B=N")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--probs", default="0.5,0.9,0.95,0.975,0.99")
     p.add_argument("--config", default=None)

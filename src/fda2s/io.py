@@ -1,8 +1,10 @@
-"""File formats: functional-sample CSV, record/spectrum CSV, JSON reports.
+"""File formats: functional-sample CSV, record CSV, JSON reports, quantile tables.
 
-All CSV files are UTF-8 with '.' decimals and ',' separators.  JSON output
-is canonical (sorted keys, two-space indent, trailing newline) so that a
-report read back and re-serialized is byte-identical.
+Spectral estimates are functional samples: the frequency grid is the grid
+row and each spectrum one curve row.  All CSV files are UTF-8 with '.'
+decimals and ',' separators.  JSON output is canonical (sorted keys,
+two-space indent, trailing newline) so that a report read back and
+re-serialized is byte-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .errors import MalformedFile
 from .grids import FunctionalSample, Grid
 from .qn import TestResult
 from .resampling import QuantileTable
-from .sea import SpectralDensity, TimeSeriesRecord
+from .sea import TimeSeriesRecord
 
 
 def _fmt(x: float) -> str:
@@ -92,51 +94,6 @@ def read_record(path) -> TimeSeriesRecord:
     values = [_parse_floats(line, lineno)[0]
               for lineno, line in enumerate(lines[2:], start=3)]
     return TimeSeriesRecord(header["fs"], np.asarray(values), header["t0"])
-
-
-# Spectral densities -----------------------------------------------------------
-
-
-def write_spectrum(s: SpectralDensity, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("omega_rad_s,s\n")
-        for w, v in zip(s.freq.points, s.values):
-            fh.write(f"{_fmt(w)},{_fmt(v)}\n")
-
-
-def read_spectrum(path) -> SpectralDensity:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        raise MalformedFile("empty spectrum file", 1)
-    start = 2 if lines[0].startswith("omega") else 1
-    omegas, values = [], []
-    for lineno, line in enumerate(lines[start - 1 :], start=start):
-        row = _parse_floats(line, lineno)
-        if len(row) != 2:
-            raise MalformedFile("expected two columns (omega_rad_s, s)", lineno)
-        omegas.append(row[0])
-        values.append(row[1])
-    return SpectralDensity(Grid(np.asarray(omegas)), np.asarray(values))
-
-
-# Null replicate values ---------------------------------------------------------
-
-
-def write_null_values(values, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in np.asarray(values, dtype=float):
-            fh.write(_fmt(v) + "\n")
-
-
-def read_null_values(path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        raise MalformedFile("empty null-values file", 1)
-    return np.asarray(
-        [_parse_floats(line, lineno)[0] for lineno, line in enumerate(lines, start=1)]
-    )
 
 
 # Reports ------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from fda2s.io import (
     format_test_result,
     read_functional_sample,
     read_record,
-    read_spectrum,
     write_functional_sample,
     write_record,
 )
@@ -25,7 +24,6 @@ from fda2s import (
     sample_to_spectra,
     sea,
     segment_waves,
-    spectra_to_sample,
     spectral_mc_test,
     uniform_grid,
 )
@@ -94,9 +92,48 @@ class TestSpectrum:
         out = tmp_path / "spec.csv"
         assert run("spectrum", "--input", record_file, "-o", out) == 0
         rec = read_record(record_file)
-        s = read_spectrum(out)
+        [s] = sample_to_spectra(read_functional_sample(out))
         biased = float(np.mean((rec.values - rec.values.mean()) ** 2))
         assert abs(s.sigma2 - biased) / biased < 0.02
+
+    def test_rows_are_the_records_estimates_in_input_order(self, record_file, tmp_path):
+        short = tmp_path / "short.csv"
+        assert run("simulate", "--hs", 3, "--tp", 6.0, "--duration", 400,
+                   "--fs", 1.28, "--seed", 8, "-o", short) == 0
+        inputs = [short, record_file, short]
+        out = tmp_path / "spec.csv"
+        assert run("spectrum", "--input", *inputs, "--parzen", 40, "--nfreq", 301,
+                   "-o", out) == 0
+        sample = read_functional_sample(out)
+        assert sample.n_curves == 3
+        for path, row in zip(inputs, sample.values):
+            expected = sea.estimate_spectrum(read_record(path), 40, 301)
+            assert np.array_equal(sample.grid.points, expected.freq.points)
+            assert np.array_equal(row, expected.values)
+        assert read_record(short).values.size != read_record(record_file).values.size
+
+    def test_records_with_different_fs_exit_2(self, record_file, tmp_path, capsys):
+        other = tmp_path / "fast.csv"
+        assert run("simulate", "--hs", 2, "--tp", 4.0, "--duration", 300,
+                   "--fs", 2.56, "--seed", 9, "-o", other) == 0
+        out = tmp_path / "spec.csv"
+        assert run("spectrum", "--input", record_file, other, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert "one fs" in err and str(other) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, code", [
+        ("rec.csv", 0), (["rec.csv"], 0), (["rec.csv", "rec.csv"], 0),
+        ([], 2), (5, 2), ([5], 2), (None, 2), ({"path": "rec.csv"}, 2),
+    ])
+    def test_config_input_takes_a_path_or_a_non_empty_list(self, record_file, tmp_path,
+                                                           capsys, value, code):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": value}))
+        out = tmp_path / "spec.csv"
+        assert run("spectrum", "--input", record_file, "--config", config, "-o", out) == code
+        assert out.exists() == (code == 0)
+        assert ("'input'" in capsys.readouterr().err) == (code == 2)
 
     def test_negative_estimate_exits_2(self, record_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sea, "_autocovariances", lambda rows, L: np.eye(1, L + 1, 1))
@@ -275,6 +312,17 @@ class TestTest:
                    "--config", config, "-o", out) == 0
         assert json.loads(out.read_text())["p_resampled"] is None
 
+    @pytest.mark.parametrize("config", [[1, 2], "seed", 3])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, rng, capsys, config):
+        xp, yp = self._write_pair(tmp_path, rng)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "r.json"
+        assert run("test", "--x", xp, "--y", yp, "--config", path, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert "JSON object" in err and str(path) in err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, rng, capsys):
         xp, yp = self._write_pair(tmp_path, rng)
         config = tmp_path / "config.json"
@@ -386,16 +434,17 @@ class TestTest:
         assert not out.exists()
 
     def test_spectral_mc_report_matches_the_library(self, tmp_path, monkeypatch):
-        grid = sea.default_frequency_grid(1.28, tp=4.0)
-        target = sea.torsethaugen_spectrum(sea.TorsethaugenParams(2.0, 4.0), grid)
-        paths = {}
-        for g, name in enumerate("xy"):
-            spectra = [sea.estimate_spectrum(
-                sea.simulate_gaussian(target, 600.0, 1.28, seed=10 * g + i), 60, 481)
-                for i in range(3)]
+        # simulate -> spectrum -> test through the command line alone
+        paths, records = {}, {}
+        for g, (name, tp) in enumerate((("x", 4.0), ("y", 4.2))):
+            inputs = [tmp_path / f"{name}{i}.csv" for i in range(3)]
+            for i, path in enumerate(inputs):
+                assert run("simulate", "--hs", 2, "--tp", tp, "--duration", 600,
+                           "--seed", 10 * g + i, "-o", path) == 0
             paths[name] = tmp_path / f"{name}.csv"
-            write_functional_sample(spectra_to_sample(spectra), paths[name])
-        x, y = (sample_to_spectra(read_functional_sample(paths[n])) for n in "xy")
+            assert run("spectrum", "--input", *inputs, "-o", paths[name]) == 0
+            records[name] = [read_record(path) for path in inputs]
+        x, y = ([sea.estimate_spectrum(rec) for rec in records[n]] for n in "xy")
         sim = SimConfig(duration=600.0)
         for basis in map(BasisSpec.parse, ("indicator:k=4", "pca:d=2")):
             expected = format_test_result(spectral_mc_test(x, y, basis, sim, B=8, seed=3))
@@ -447,53 +496,46 @@ class TestTest:
 
 
 class TestQuantiles:
-    def test_from_null_values_file(self, tmp_path, rng):
-        path = tmp_path / "null.txt"
-        values = rng.chisquare(2, 1000)
-        path.write_text("\n".join(repr(float(v)) for v in values) + "\n")
+    def _write_pair(self, tmp_path, rng, n):
+        grid = uniform_grid(Interval(0.0, 1.0), 41)
+        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_functional_sample(FunctionalSample(grid, smooth_curves(rng, n, grid)), xp)
+        write_functional_sample(FunctionalSample(grid, smooth_curves(rng, n, grid)), yp)
+        return xp, yp
+
+    def test_generate_from_samples(self, tmp_path, rng):
+        xp, yp = self._write_pair(tmp_path, rng, 60)
         out = tmp_path / "table.csv"
-        assert run("quantiles", "--null-values", path, "--k", 2, "-o", out) == 0
+        assert run("quantiles", "--x", xp, "--y", yp, "--basis", "trig:k=3,parts=both",
+                   "--calibration", "permutation:B=400", "--seed", 2, "-o", out) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "quantile,0.5,0.9,0.95,0.975,0.99"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["Asymptotic", "MC", "Rel. error"]
 
-    def test_generate_from_samples(self, tmp_path, rng):
-        grid = uniform_grid(Interval(0.0, 1.0), 41)
-        x = FunctionalSample(grid, smooth_curves(rng, 60, grid))
-        y = FunctionalSample(grid, smooth_curves(rng, 60, grid))
-        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
-        write_functional_sample(x, xp)
-        write_functional_sample(y, yp)
-        out = tmp_path / "table.csv"
-        assert run("quantiles", "--generate", "--x", xp, "--y", yp,
-                   "--basis", "trig:k=3,parts=both",
-                   "--calibration", "permutation:B=400", "--seed", 2,
-                   "-o", out) == 0
-        assert out.exists()
-
     def test_generate_defaults_to_1000_permutations(self, tmp_path, rng):
-        grid = uniform_grid(Interval(0.0, 1.0), 41)
-        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
-        write_functional_sample(FunctionalSample(grid, smooth_curves(rng, 20, grid)), xp)
-        write_functional_sample(FunctionalSample(grid, smooth_curves(rng, 20, grid)), yp)
+        xp, yp = self._write_pair(tmp_path, rng, 20)
         tables = []
         for extra in ((), ("--calibration", "permutation:B=1000")):
             out = tmp_path / f"table{len(extra)}.csv"
-            assert run("quantiles", "--generate", "--x", xp, "--y", yp, "--basis", "trig:k=3",
+            assert run("quantiles", "--x", xp, "--y", yp, "--basis", "trig:k=3",
                        *extra, "--seed", 2, "-o", out) == 0
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
 
+    def _rejected_by_the_parser(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            run("quantiles", *argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
     def test_k_with_generate_exits_2(self, tmp_path, rng, capsys):
-        grid = uniform_grid(Interval(0.0, 1.0), 41)
-        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
-        write_functional_sample(FunctionalSample(grid, smooth_curves(rng, 20, grid)), xp)
-        write_functional_sample(FunctionalSample(grid, smooth_curves(rng, 20, grid)), yp)
+        # the null-values mode and its switch are gone: the parser rejects them
+        xp, yp = self._write_pair(tmp_path, rng, 20)
         out = tmp_path / "table.csv"
-        assert run("quantiles", "--generate", "--x", xp, "--y", yp,
-                   "--basis", "trig:k=3,parts=both", "--calibration", "permutation:B=50",
-                   "--seed", 2, "--k", 7, "-o", out) == 2
-        assert "--k" in capsys.readouterr().err
+        err = self._rejected_by_the_parser(
+            capsys, "--generate", "--x", xp, "--y", yp, "--basis", "trig:k=3,parts=both",
+            "--calibration", "permutation:B=50", "--seed", 2, "--k", 7, "-o", out)
+        assert "unrecognized arguments: --generate --k 7" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("extra", [
@@ -502,32 +544,41 @@ class TestQuantiles:
         ("--calibration", "spectral-mc:B=5"), ("--calibration", "permutation:B=1000"),
     ])
     def test_null_values_with_generate_flags_exits_2(self, tmp_path, rng, capsys, extra):
+        xp, yp = self._write_pair(tmp_path, rng, 20)
         path = tmp_path / "null.txt"
         path.write_text("\n".join(repr(float(v)) for v in rng.chisquare(3, 200)) + "\n")
         out = tmp_path / "table.csv"
-        assert run("quantiles", "--null-values", path, "--k", 3, *extra, "-o", out) == 2
-        assert f"does not combine with {extra[0]}" in capsys.readouterr().err
+        err = self._rejected_by_the_parser(
+            capsys, "--x", xp, "--y", yp, "--basis", "trig:k=3",
+            "--null-values", path, "--k", 3, *extra, "-o", out)
+        assert f"unrecognized arguments: --null-values {path} --k 3" in err
         assert not out.exists()
 
-    def test_requires_inputs(self, tmp_path):
-        assert run("quantiles", "-o", tmp_path / "t.csv") == 2
+    def test_requires_inputs(self, tmp_path, capsys):
+        err = self._rejected_by_the_parser(capsys, "-o", tmp_path / "t.csv")
+        assert "required: --x, --y, --basis" in err
+        assert not (tmp_path / "t.csv").exists()
 
-    def test_zero_empirical_quantile_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "null.txt"
-        path.write_text("0.0\n" * 60 + "".join(f"{v}\n" for v in range(1, 41)))
-        out = tmp_path / "table.csv"
-        assert run("quantiles", "--null-values", path, "--k", 2, "-o", out) == 2
-        assert "p=0.5" in capsys.readouterr().err
-        assert not out.exists()
 
-    def test_chi2_input_near_zero_relative_error(self, tmp_path):
-        from scipy.stats import chi2 as chi2_dist
-
-        u = (np.arange(20_000) + 0.5) / 20_000
-        pseudo = chi2_dist.ppf(u, 2)
-        path = tmp_path / "null.txt"
-        path.write_text("\n".join(repr(float(v)) for v in pseudo) + "\n")
-        out = tmp_path / "table.csv"
-        assert run("quantiles", "--null-values", path, "--k", 2, "-o", out) == 0
-        rel = [float(v) for v in out.read_text().splitlines()[3].split(",")[1:]]
-        assert max(abs(r) for r in rel) < 0.02
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("test", "--calibration", "asymptotic:",
+     "'asymptotic' takes no parameters, got 'asymptotic:'"),
+    ("test", "--calibration", "permutation:", "parameter '' in 'permutation:'"),
+    ("test", "--calibration", "spectral-mc:", "parameter '' in 'spectral-mc:'"),
+    ("quantiles", "--calibration", "permutation:", "parameter '' in 'permutation:'"),
+    ("quantiles", "--calibration", "asymptotic", "permutation calibration only, got 'asymptotic'"),
+    ("quantiles", "--calibration", "spectral-mc:B=5",
+     "permutation calibration only, got 'spectral-mc:B=5'"),
+    ("quantiles", "--probs", "0.5,abc", "--probs must be comma-separated numbers, got '0.5,abc'"),
+], ids=["test-asymptotic:", "test-permutation:", "test-spectral-mc:",
+        "quantiles-permutation:", "quantiles-asymptotic", "quantiles-spectral-mc", "probs"])
+def test_parse_errors_exit_2_and_name_their_input(tmp_path, rng, capsys,
+                                                  command, flag, value, message):
+    grid = uniform_grid(Interval(0.0, 1.0), 41)
+    xp = tmp_path / "x.csv"
+    write_functional_sample(FunctionalSample(grid, smooth_curves(rng, 20, grid)), xp)
+    out = tmp_path / "out"
+    assert run(command, "--x", xp, "--y", xp, "--basis", "trig:k=3", flag, value,
+               "--seed", 1, "-o", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -5,27 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from fda2s import (
-    FunctionalSample,
-    Grid,
-    SpectralDensity,
-    TimeSeriesRecord,
-    qn_statistic,
-    quantile_table,
-)
+from fda2s import TimeSeriesRecord, qn_statistic, quantile_table
 from fda2s.errors import MalformedFile
 from fda2s.io import (
     canonical_json,
     quantile_table_csv,
     read_functional_sample,
-    read_null_values,
     read_record,
-    read_spectrum,
     format_test_result,
     write_functional_sample,
-    write_null_values,
     write_record,
-    write_spectrum,
 )
 from conftest import random_sample
 
@@ -75,25 +64,6 @@ class TestRecordCsv:
         path.write_text("1.0\n2.0\n3.0\n")
         with pytest.raises(MalformedFile):
             read_record(path)
-
-
-class TestSpectrumCsv:
-    def test_round_trip(self, tmp_path):
-        s = SpectralDensity(Grid(np.linspace(0, 4, 33)), np.linspace(0, 1, 33) ** 2)
-        path = tmp_path / "spec.csv"
-        write_spectrum(s, path)
-        back = read_spectrum(path)
-        assert np.array_equal(back.freq.points, s.freq.points)
-        assert np.array_equal(back.values, s.values)
-        assert path.read_text().splitlines()[0] == "omega_rad_s,s"
-
-
-class TestNullValues:
-    def test_round_trip(self, rng, tmp_path):
-        values = rng.chisquare(2, 17)
-        path = tmp_path / "null.txt"
-        write_null_values(values, path)
-        assert np.array_equal(read_null_values(path), values)
 
 
 class TestReports:

@@ -121,13 +121,53 @@ def basis_matrix(spec: BSplineSpec, x: np.ndarray) -> np.ndarray:
     return B
 
 
-def least_squares_projector(design: np.ndarray) -> np.ndarray:
-    """Projector ``D (D'D)^-1 D'`` onto the column space of a design matrix.
+def _ldl_band(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``gram = U diag(d) U'`` for a positive definite matrix of bandwidth k.
 
-    ``design`` is (points, functions).  More functions than points, or a
-    normal matrix ``D'D`` whose condition number is not finite or exceeds
-    ``CONDITION_BOUND``, raise IllConditioned.
+    Returns the unit lower triangular U and d.  In Python floats, column by
+    column, not LAPACK: ``np.linalg.cholesky`` rounds large matrices (from
+    139 rows, on the registration specs) differently at different BLAS
+    thread counts.
     """
+    n = gram.shape[0]
+    cols = [gram[j:j + k + 1, j].tolist() for j in range(n)]  # the lower band
+    for j, col in enumerate(cols):
+        # column j + i of the trailing matrix loses u times column j
+        for i in range(1, len(col)):
+            u = col[i] / col[0]
+            later = cols[j + i]
+            for t in range(len(col) - i):
+                later[t] -= u * col[i + t]
+            col[i] = u
+    unit = np.eye(n)
+    for j, col in enumerate(cols):
+        unit[j + 1:j + len(col), j] = col[1:]
+    return unit, np.array([col[0] for col in cols])
+
+
+def least_squares_fit(design: np.ndarray):
+    """Least-squares fit onto the column space of a banded design matrix.
+
+    ``design`` is (points, functions); the nonzeros of each row span a few
+    consecutive columns, as in a B-spline design.  Returns ``fit``, which
+    maps a (curves, points) array to a new read-only array of its rows
+    projected by ``D (D'D)^-1 D'``:
+
+    1. ``D'·values``, one multiply-add per grid point, over the functions
+       nonzero there;
+    2. forward and back substitution with the banded ``U diag(d) U'``
+       factor of ``D'D``, one multiply-add per column of U;
+    3. ``D·c``, one multiply-add per function, over the points where it is
+       nonzero.
+
+    Each multiply-add is elementwise over all curves, with no BLAS product
+    and no reduction, so a curve's row is the same at any BLAS thread count
+    and whichever curves are fitted with it.  More functions than points,
+    or a normal matrix ``D'D`` whose condition number is not finite or
+    exceeds ``CONDITION_BOUND``, raise IllConditioned here, before any
+    curve is fitted.
+    """
+    design = np.array(design, dtype=float)
     n_points, n_funcs = design.shape
     if n_funcs > n_points:
         raise IllConditioned(f"{n_funcs} basis functions exceed {n_points} grid points")
@@ -139,7 +179,58 @@ def least_squares_projector(design: np.ndarray) -> np.ndarray:
         raise IllConditioned(
             f"normal system condition {cond:.3e} exceeds {CONDITION_BOUND:.0e}"
         )
-    return np.einsum("pi,iq->pq", design, np.linalg.solve(gram, design.T))
+    nonzero = design != 0.0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    # row p is zero outside columns lo[p] .. lo[p] + width - 1, column j
+    # outside rows first[j] .. last[j] - 1
+    lo = nonzero.argmax(axis=1)
+    width = int(np.max((n_funcs - nonzero[:, ::-1].argmax(axis=1) - lo)[rows]))
+    lo = np.minimum(lo, n_funcs - width)
+    first = nonzero.argmax(axis=0)
+    last = n_points - nonzero[::-1].argmax(axis=0)
+    unit, diag = _ldl_band(gram, width - 1)
+    lo, first, last = lo.tolist(), first.tolist(), last.tolist()
+    by_point = [(p, slice(lo[p], lo[p] + width), design[p, lo[p]:lo[p] + width, None])
+                for p in rows.tolist()]
+    down = [(j, slice(j + 1, j + width), unit[j + 1:j + width, j, None])
+            for j in range(n_funcs - 1)]
+    up = [(j, slice(max(j - width + 1, 0), j), unit[j, max(j - width + 1, 0):j, None])
+          for j in range(n_funcs - 1, 0, -1)]
+    by_func = [(j, slice(first[j], last[j]), design[first[j]:last[j], j, None])
+               for j in range(n_funcs)]
+    diag = diag[:, None]
+    span = max(width, *(b - a for a, b in zip(first, last)))
+
+    def fit(values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        n_curves = values.shape[0]
+        # the result before the temporaries, so that they, not it, sit at the
+        # top of the heap when they are freed; the coefficients live in its
+        # memory until the fitted values overwrite them
+        fitted = np.empty((n_curves, n_points))
+        c = fitted.reshape(-1)[:n_funcs * n_curves].reshape(n_funcs, n_curves)
+        c.fill(0.0)
+        data = values.T.copy()  # (points, curves)
+        scratch = np.empty((span, n_curves))
+        for p, cols, coef in by_point:
+            into = c[cols]
+            into += np.multiply(coef, data[p], out=scratch[:len(coef)])
+        for j, below, coef in down:
+            into = c[below]
+            into -= np.multiply(coef, c[j], out=scratch[:len(coef)])
+        c /= diag
+        for j, above, coef in up:
+            into = c[above]
+            into -= np.multiply(coef, c[j], out=scratch[:len(coef)])
+        data.fill(0.0)
+        for j, points, coef in by_func:
+            into = data[points]
+            into += np.multiply(coef, c[j], out=scratch[:len(coef)])
+        np.copyto(fitted, data.T)
+        fitted.flags.writeable = False
+        return fitted
+
+    return fit
 
 
 def to_bspline(sample: FunctionalSample, spec: BSplineSpec) -> FunctionalSample:
@@ -150,7 +241,5 @@ def to_bspline(sample: FunctionalSample, spec: BSplineSpec) -> FunctionalSample:
     """
     if not spec.interval.close_to(sample.interval):
         raise WrongInterval("spline spec interval differs from sample interval")
-    projector = least_squares_projector(basis_matrix(spec, sample.grid.points))
-    # einsum, not BLAS: the same values at any BLAS thread count
-    values = np.einsum("ip,qp->iq", sample.values, projector)
-    return FunctionalSample(sample.grid, values, sample.label)
+    fit = least_squares_fit(basis_matrix(spec, sample.grid.points))
+    return FunctionalSample(sample.grid, fit(sample.values), sample.label)

@@ -144,6 +144,15 @@ def _apply_config(args: argparse.Namespace, given: set[str]) -> set[str]:
     return given | {key.replace("-", "_") for key in config}
 
 
+def _check_required(args: argparse.Namespace) -> None:
+    """Exit 2, as argparse would, naming each required option that neither the
+    command line nor the --config file set."""
+    missing = ["/".join(action.option_strings) for action in args.subparser._actions
+               if action.dest in args.required and getattr(args, action.dest) is None]
+    if missing:
+        args.subparser.error(f"the following arguments are required: {', '.join(missing)}")
+
+
 def cmd_simulate(args, given: set[str]) -> int:
     seed = _resolve_seed(args.seed)
     grid = default_frequency_grid(args.fs, tp=args.tp, n_freq=args.nfreq)
@@ -229,6 +238,8 @@ def cmd_quantiles(args, given: set[str]) -> int:
         probs = tuple(float(p) for p in args.probs.split(","))
     except ValueError:
         raise FdaError(f"--probs must be comma-separated numbers, got {args.probs!r}") from None
+    if not all(0.0 < p < 1.0 for p in probs):
+        raise FdaError(f"--probs must lie strictly inside (0, 1), got {args.probs!r}")
     method, B = _parse_calibration(args.calibration)
     if method != "permutation":
         raise FdaError(
@@ -253,26 +264,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate a Gaussian wave record")
-    p.add_argument("--hs", type=float, required=True, help="significant wave height (m)")
-    p.add_argument("--tp", type=float, required=True, help="spectral peak period (s)")
+    p.add_argument("--hs", type=float, help="significant wave height (m)")
+    p.add_argument("--tp", type=float, help="spectral peak period (s)")
     p.add_argument("--duration", type=float, default=1800.0, help="record length (s)")
     p.add_argument("--fs", type=float, default=1.28, help="sampling frequency (Hz)")
     p.add_argument("--nfreq", type=int, default=481)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_simulate, subparser=p)
+    p.add_argument("-o", "--output")
+    p.set_defaults(func=cmd_simulate, subparser=p, required=("hs", "tp", "output"))
 
     p = sub.add_parser("spectrum", help="Parzen lag-window spectral estimates, one row a record")
-    p.add_argument("--input", nargs="+", required=True, help="records sharing one fs")
+    p.add_argument("--input", nargs="+", help="records sharing one fs")
     p.add_argument("--parzen", type=int, default=60, help="lag-window length")
     p.add_argument("--nfreq", type=int, default=481)
     p.add_argument("--config", default=None)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_spectrum, subparser=p)
+    p.add_argument("-o", "--output")
+    p.set_defaults(func=cmd_spectrum, subparser=p, required=("input", "output"))
 
     p = sub.add_parser("segment", help="extract and register downcrossing waves")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input")
     p.add_argument("--constrain-upcross", action="store_true")
     p.add_argument("--grid", type=int, default=101, help="common grid size")
     p.add_argument("--order", type=int, default=6, help="spline order")
@@ -280,12 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_true",
                    help="divide waves by the record standard deviation")
     p.add_argument("--config", default=None)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_segment, subparser=p)
+    p.add_argument("-o", "--output")
+    p.set_defaults(func=cmd_segment, subparser=p, required=("input", "output"))
 
     p = sub.add_parser("test", help="run the two-sample test")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    p.add_argument("--x")
+    p.add_argument("--y")
     p.add_argument("--basis", default="trig:k=3,parts=both",
                    help="indicator:k=8 | bspline:order=5,interior=7 | "
                         "trig:k=3,parts=both|odd | pca:d=2")
@@ -298,19 +309,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-parzen", type=int, default=sim.parzen_L)
     p.add_argument("--mc-nfreq", type=int, default=sim.n_freq)
     p.add_argument("--config", default=None)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_test, subparser=p)
+    p.add_argument("-o", "--output")
+    p.set_defaults(func=cmd_test, subparser=p, required=("x", "y", "output"))
 
     p = sub.add_parser("quantiles", help="null quantile table (empirical vs chi-square)")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--basis", required=True)
+    p.add_argument("--x")
+    p.add_argument("--y")
+    p.add_argument("--basis")
     p.add_argument("--calibration", default="permutation:B=1000", help="permutation:B=N")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--probs", default="0.5,0.9,0.95,0.975,0.99")
     p.add_argument("--config", default=None)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_quantiles, subparser=p)
+    p.add_argument("-o", "--output")
+    p.set_defaults(func=cmd_quantiles, subparser=p,
+                   required=("x", "y", "basis", "output"))
 
     return parser
 
@@ -324,7 +336,9 @@ def main(argv=None) -> int:
         action.default = argparse.SUPPRESS
     given = set(vars(parser.parse_args(argv)))
     try:
-        return args.func(args, _apply_config(args, given))
+        given = _apply_config(args, given)
+        _check_required(args)
+        return args.func(args, given)
     except NoWaves as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY

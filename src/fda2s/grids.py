@@ -14,9 +14,13 @@ import numpy as np
 from .errors import DimensionMismatch, GridMismatch, NonFiniteValue
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
+def _frozen(arr, dtype=np.float64) -> np.ndarray:
+    """``arr`` itself if it owns its data, is C-contiguous and read-only, else
+    a read-only C-contiguous copy."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.flags.owndata
+            and arr.flags.c_contiguous and not arr.flags.writeable):
+        arr = np.array(arr, dtype=dtype, order="C")
+        arr.flags.writeable = False
     return arr
 
 
@@ -48,7 +52,7 @@ class Grid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _frozen_array(self.points)
+        pts = _frozen(self.points)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("grid needs at least two points in one dimension")
         if not np.all(np.isfinite(pts)):
@@ -92,14 +96,18 @@ def uniform_grid(interval: Interval, n: int) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class FunctionalSample:
-    """A set of curves sharing one grid, stored as a (n_curves, n_points) matrix."""
+    """A set of curves sharing one grid, stored as a (n_curves, n_points) matrix.
+
+    The values are read-only: an array that owns its data, is C-contiguous and
+    is already read-only is kept, anything else is copied.
+    """
 
     grid: Grid
     values: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _frozen(self.values)
         if vals.ndim != 2:
             raise DimensionMismatch("sample values must be a 2-d matrix")
         if vals.shape[0] < 1:
@@ -110,8 +118,6 @@ class FunctionalSample:
             )
         if not np.all(np.isfinite(vals)):
             raise NonFiniteValue("sample values must be finite")
-        vals = vals.copy()
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property

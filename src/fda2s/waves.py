@@ -10,7 +10,7 @@ clamped B-spline basis with endpoints held at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,10 +19,10 @@ from .bsplines import (
     bspline_levels,
     bspline_values,
     equidistant_spec,
-    least_squares_projector,
+    least_squares_fit,
 )
 from .errors import NoWaves, ZeroVariance
-from .grids import FunctionalSample, Grid, Interval, uniform_grid
+from .grids import FunctionalSample, Grid, Interval, _frozen, uniform_grid
 from .sea import TimeSeriesRecord
 
 # Wave samples plus an eighth of their common-grid points per registration
@@ -62,15 +62,6 @@ class Wave(NamedTuple):
     period: float
 
 
-def _frozen(arr, dtype) -> np.ndarray:
-    """``arr`` itself if it owns its data and is read-only, else a read-only copy."""
-    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.flags.owndata
-            and not arr.flags.writeable):
-        arr = np.array(arr, dtype=dtype)
-        arr.flags.writeable = False
-    return arr
-
-
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Mark fresh arrays read-only, so that `Waves` keeps them without a copy."""
     for arr in arrays:
@@ -103,8 +94,8 @@ class Waves:
     periods: np.ndarray
 
     def __post_init__(self):
-        t, v = _frozen(self.times, np.float64), _frozen(self.values, np.float64)
-        offsets, periods = _frozen(self.offsets, np.intp), _frozen(self.periods, np.float64)
+        t, v = _frozen(self.times), _frozen(self.values)
+        offsets, periods = _frozen(self.offsets, np.intp), _frozen(self.periods)
         if t.shape != v.shape or t.ndim != 1:
             raise ValueError("wave needs matching time/value arrays of length >= 2")
         if (offsets.ndim != 1 or periods.shape != (offsets.size - 1,)
@@ -197,13 +188,13 @@ def segment_waves(rec: TimeSeriesRecord) -> Waves:
     return Waves(*_read_only(flat_t, flat_v, offsets, crossings[1:] - crossings[:-1]))
 
 
-def _registration_basis(spec: RegistrationSpec) -> tuple[Grid, np.ndarray]:
-    """Common grid and the least-squares projector onto the spline basis with
-    both end coefficients pinned to 0."""
+def _registration_basis(spec: RegistrationSpec) -> tuple[Grid, Callable]:
+    """Common grid and the least-squares fit onto the spline basis with both
+    end coefficients pinned to 0."""
     grid = uniform_grid(Interval(0.0, 1.0), spec.n_grid)
     bspec = equidistant_spec(Interval(0.0, 1.0), spec.spline_order, spec.n_knots)
     design = basis_matrix(bspec, grid.points)[:, 1:-1]  # end coefficients pinned to 0
-    return grid, least_squares_projector(design)
+    return grid, least_squares_fit(design)
 
 
 def _warp_times(
@@ -283,7 +274,7 @@ def _grid_runs(points: np.ndarray, knots: np.ndarray, kstart: np.ndarray,
 
 
 def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
-                 k: int, points: np.ndarray) -> np.ndarray:
+                 k: int, points: np.ndarray, band: np.ndarray | None = None) -> np.ndarray:
     """Degree-k not-a-knot interpolants of a batch of waves, evaluated at points.
 
     ``u`` and ``values`` hold the waves' sites and values end to end and
@@ -292,11 +283,14 @@ def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
     Each wave's collocation matrix has lower and upper bandwidth k, so the
     batch is one block-diagonal banded system of the same bandwidth, solved
     by one LAPACK ``gbsv`` call (the solve ``make_interp_spline`` runs per
-    wave).  The solved splines are then turned into piecewise-polynomial
-    form, one Taylor expansion per knot interval, and evaluated by Horner:
-    time and memory are linear in the number of samples and points.
+    wave), in ``band``: scratch space of at least (3k + 1) * u.size doubles,
+    allocated when None.  The solved splines are then turned into
+    piecewise-polynomial form, one Taylor expansion per knot interval, and
+    evaluated by Horner: time and memory are linear in the number of
+    samples and points.
     """
-    import scipy.linalg  # here, not at module level: it is most of `import fda2s`
+    # here, not at module level: scipy is most of `import fda2s`
+    from scipy.linalg.lapack import dgbsv
 
     n_waves, n_sites, n_points = lengths.size, u.size, points.size
     wave = np.repeat(np.arange(n_waves), lengths)
@@ -314,9 +308,17 @@ def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
     # column of B_{l-k+a} in the stacked system
     offset = np.cumsum(lengths) - lengths - kstart - k
     cols = l + offset[wave] + np.arange(k + 1)[:, None]
-    ab = np.zeros((2 * k + 1, n_sites))
-    ab[k + np.arange(n_sites) - cols, cols] = bspline_values(knots, k, l, u)
-    coef = scipy.linalg.solve_banded((k, k), ab, values, check_finite=False)
+    # LAPACK's band layout, as `scipy.linalg.solve_banded` hands it over:
+    # column-major, the matrix in rows k .. 3k, rows 0 .. k - 1 zero for the
+    # fill-in of pivoting
+    if band is None:
+        band = np.empty((3 * k + 1) * n_sites)
+    ab = band[:(3 * k + 1) * n_sites].reshape(3 * k + 1, n_sites, order="F")
+    ab.fill(0.0)
+    ab[2 * k + np.arange(n_sites) - cols, cols] = bspline_values(knots, k, l, u)
+    _, _, coef, info = dgbsv(k, k, ab, values, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular collocation matrix")
     lp, runs = _grid_runs(points, knots, kstart, inner, k)
     # Piecewise-polynomial form on those intervals (de Boor's BSPLPP): on
     # interval l the spline is sum_m taylor[m] (x - knots[l])^m.  Differencing
@@ -360,28 +362,35 @@ def register_sample(
     Waves of equal spline degree are interpolated together, in batches of
     about ``REGISTER_POINTS`` samples plus an eighth of their grid points.
     """
-    grid, projector = _registration_basis(spec)
+    grid, fit = _registration_basis(spec)
     sizes = np.diff(waves.offsets)
     keep = ~too_short(waves, min_interior)
     degree = np.minimum(spec.spline_order - 1, sizes - 1)
-    dense = np.empty((sizes.size, spec.n_grid))
+    batches = []
     for k in np.unique(degree[keep]):
         group = np.flatnonzero(keep & (degree == k))
         batch = (np.cumsum(sizes[group] + spec.n_grid // 8) - 1) // REGISTER_POINTS
-        for rows in np.split(group, np.flatnonzero(np.diff(batch)) + 1):
-            idx = _sample_index(waves.offsets, rows)
-            v = waves.values[idx]
-            u, has_up = _warp_times(waves.times[idx], v, sizes[rows], spec.constrain_upcross)
-            if not has_up.all():
-                keep[rows[~has_up]] = False
-                inside = np.repeat(has_up, sizes[rows])
-                rows, u, v = rows[has_up], u[inside], v[inside]
-            dense[rows] = _interpolate(u, v, sizes[rows], k, grid.points)
+        batches += [(k, rows) for rows in np.split(group, np.flatnonzero(np.diff(batch)) + 1)]
+    slot = np.cumsum(keep) - 1  # row of each kept wave
+    dense = np.empty((np.count_nonzero(keep), spec.n_grid))
+    # one LAPACK band for every batch, (3k + 1) values per sample
+    band = np.empty(max([(3 * k + 1) * sizes[rows].sum() for k, rows in batches], default=0))
+    for k, rows in batches:
+        idx = _sample_index(waves.offsets, rows)
+        v = waves.values[idx]
+        u, has_up = _warp_times(waves.times[idx], v, sizes[rows], spec.constrain_upcross)
+        if not has_up.all():
+            keep[rows[~has_up]] = False
+            inside = np.repeat(has_up, sizes[rows])
+            rows, u, v = rows[has_up], u[inside], v[inside]
+        if rows.size:
+            dense[slot[rows]] = _interpolate(u, v, sizes[rows], k, grid.points, band)
     kept = np.flatnonzero(keep)
     if not kept.size:
         raise NoWaves("no waves survived registration")
-    # einsum, not BLAS: the same rows at any BLAS thread count
-    sample = FunctionalSample(grid, np.einsum("ip,qp->iq", dense[kept], projector), label)
+    if kept.size < dense.shape[0]:  # waves without an upcrossing
+        dense = dense[slot[kept]]
+    sample = FunctionalSample(grid, fit(dense), label)
     return sample, kept, sizes.size - kept.size
 
 

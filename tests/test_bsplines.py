@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from fda2s import FunctionalSample, Interval, equidistant_spec, to_bspline, uniform_grid
-from fda2s.bsplines import basis_matrix
+from fda2s.bsplines import basis_matrix, least_squares_fit
 from fda2s.errors import IllConditioned, InvalidOrder, WrongInterval
 
 
@@ -91,6 +91,51 @@ class TestToBspline:
         spec = equidistant_spec(Interval(0.0, 1.0), 6, 90)
         with pytest.raises(IllConditioned, match=r"exceeds 1e\+12"):
             to_bspline(sample, spec)
+
+
+# The first knot-site count the fit rejects (more functions than points, or
+# cond(D'D) above 1e12), on grids of 51, 101 and 151 points, orders 2 .. 8.
+FIRST_REJECTED = {
+    51: (52, 51, 50, 48, 45, 42, 39),
+    101: (102, 101, 99, 94, 88, 82, 76),
+    151: (152, 151, 148, 141, 132, 123, 114),
+}
+
+
+class TestLeastSquaresFit:
+    @pytest.mark.parametrize("n_points", sorted(FIRST_REJECTED))
+    @pytest.mark.parametrize("order", range(2, 9))
+    def test_matches_a_dense_normal_equations_oracle(self, rng, n_points, order):
+        # both solve the normal equations, so near the rejection boundary they
+        # part by about eps * cond(D'D); at most 1e-13 where that is smaller
+        x = np.linspace(0.0, 1.0, n_points)
+        first_rejected = FIRST_REJECTED[n_points][order - 2]
+        for n_sites in sorted({2, 3, 5, 9, 17, 33} & set(range(first_rejected))
+                              | set(range(first_rejected - 3, first_rejected))):
+            full = basis_matrix(equidistant_spec(Interval(0.0, 1.0), order, n_sites), x)
+            for design in (full, full[:, 1:-1]):  # free and pinned end coefficients
+                if not design.shape[1]:
+                    continue
+                values = rng.normal(size=(4, n_points))
+                values[0] = np.sin(3.0 * x)
+                got = least_squares_fit(design)(values)
+                gram = design.T @ design
+                want = values @ (design @ np.linalg.solve(gram, design.T)).T
+                tol = max(1e-13, np.finfo(float).eps * np.linalg.cond(gram))
+                err = np.max(np.abs(got - want), axis=1)
+                assert np.all(err <= tol * np.max(np.abs(want), axis=1)), (n_sites, design.shape)
+        with pytest.raises(IllConditioned):
+            least_squares_fit(
+                basis_matrix(equidistant_spec(Interval(0.0, 1.0), order, first_rejected), x))
+
+    def test_fitted_rows_are_new_and_read_only(self, rng):
+        design = basis_matrix(equidistant_spec(Interval(0.0, 1.0), 4, 11), unit_grid(41).points)
+        values = rng.normal(size=(3, 41))
+        fitted = least_squares_fit(design)(values)
+        assert fitted.flags.owndata and fitted.flags.c_contiguous
+        with pytest.raises(ValueError):
+            fitted[0, 0] = 1.0
+        assert not np.shares_memory(fitted, values)
 
 
 class TestBasisMatrix:

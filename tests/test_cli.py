@@ -570,8 +570,10 @@ class TestQuantiles:
     ("quantiles", "--calibration", "spectral-mc:B=5",
      "permutation calibration only, got 'spectral-mc:B=5'"),
     ("quantiles", "--probs", "0.5,abc", "--probs must be comma-separated numbers, got '0.5,abc'"),
+    ("quantiles", "--probs", "0.5,1.5", "--probs must lie strictly inside (0, 1), got '0.5,1.5'"),
 ], ids=["test-asymptotic:", "test-permutation:", "test-spectral-mc:",
-        "quantiles-permutation:", "quantiles-asymptotic", "quantiles-spectral-mc", "probs"])
+        "quantiles-permutation:", "quantiles-asymptotic", "quantiles-spectral-mc", "probs",
+        "probs-outside-0-1"])
 def test_parse_errors_exit_2_and_name_their_input(tmp_path, rng, capsys,
                                                   command, flag, value, message):
     grid = uniform_grid(Interval(0.0, 1.0), 41)
@@ -582,3 +584,54 @@ def test_parse_errors_exit_2_and_name_their_input(tmp_path, rng, capsys,
                "--seed", 1, "-o", out) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# Each command's required options, and flags that make its output deterministic.
+REQUIRED = {
+    "simulate": ({"hs": 2.0, "tp": 8.0}, ("--duration", 120, "--seed", 1)),
+    "spectrum": ({"input": ["rec.csv"]}, ()),
+    "segment": ({"input": "rec.csv"}, ()),
+    "test": ({"x": "x.csv", "y": "y.csv"}, ()),
+    "quantiles": ({"x": "x.csv", "y": "y.csv", "basis": "trig:k=3"},
+                  ("--calibration", "permutation:B=100", "--seed", 3)),
+}
+
+
+@pytest.fixture
+def required_inputs(tmp_path, rng, monkeypatch):
+    """The files REQUIRED names, in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--hs", 2, "--tp", 8, "--duration", 300, "--seed", 1,
+               "-o", "rec.csv") == 0
+    grid = uniform_grid(Interval(0.0, 1.0), 41)
+    for name in ("x.csv", "y.csv"):
+        write_functional_sample(FunctionalSample(grid, smooth_curves(rng, 20, grid)), name)
+
+
+@pytest.mark.parametrize("command", REQUIRED)
+def test_required_options_may_come_from_the_config(required_inputs, tmp_path, command):
+    required, extra = REQUIRED[command]
+    flags = [a for key, value in required.items()
+             for a in (f"--{key}", *(value if isinstance(value, list) else [value]))]
+    assert run(command, *flags, *extra, "-o", "by_flags") == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**required, "output": "by_config"}))
+    assert run(command, *extra, "--config", config) == 0
+    assert (tmp_path / "by_config").read_bytes() == (tmp_path / "by_flags").read_bytes()
+
+
+@pytest.mark.parametrize("command, key, flag", [
+    ("simulate", "tp", "--tp"), ("spectrum", "output", "-o/--output"),
+    ("segment", "input", "--input"), ("test", "y", "--y"), ("quantiles", "basis", "--basis"),
+])
+def test_required_option_set_nowhere_exits_2_naming_it(required_inputs, tmp_path, capsys,
+                                                      command, key, flag):
+    required, extra = REQUIRED[command]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({k: v for k, v in {**required, "output": "out"}.items()
+                                  if k != key}))
+    with pytest.raises(SystemExit) as exc:
+        run(command, *extra, "--config", config)
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -126,3 +126,24 @@ class TestFunctionalSample:
         grid = uniform_grid(Interval(0.0, 1.0), 4)
         with pytest.raises(DimensionMismatch):
             FunctionalSample(grid, np.empty((0, 4)))
+
+    def test_keeps_only_owned_read_only_values(self):
+        grid = uniform_grid(Interval(0.0, 1.0), 4)
+        owned = np.arange(12.0).reshape(3, 4).copy()
+        owned.flags.writeable = False
+        assert FunctionalSample(grid, owned).values is owned
+        # a writeable array, a read-only view and a transposed array are copied
+        writeable = np.arange(12.0).reshape(3, 4).copy()
+        view = owned.copy()[:, :]
+        view.flags.writeable = False
+        columns = np.arange(12.0).reshape(4, 3).T.copy(order="F")
+        columns.flags.writeable = False
+        for values in (writeable, view, columns):
+            kept = FunctionalSample(grid, values).values
+            assert not np.shares_memory(kept, values) and kept.flags.c_contiguous
+            assert np.array_equal(kept, values) and not kept.flags.writeable
+        # kept values go through the finiteness check too
+        bad = np.full((1, 4), np.nan)
+        bad.flags.writeable = False
+        with pytest.raises(NonFiniteValue):
+            FunctionalSample(grid, bad)

@@ -1,12 +1,13 @@
 """Downcrossing segmentation, registration to [0, 1], and normalization."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import BSpline, make_interp_spline
 
 from fda2s import (
     RegistrationSpec,
@@ -51,8 +52,19 @@ def where_oracle(rec):
     return waves
 
 
+@functools.cache
+def dense_projector(spec):
+    """Common grid and the dense projector ``D (D'D)^-1 D'`` of the registration
+    basis with its end coefficients pinned, built by scipy and a dense solve."""
+    points = np.linspace(0.0, 1.0, spec.n_grid)
+    k = spec.spline_order - 1
+    knots = np.concatenate([np.zeros(k), np.linspace(0.0, 1.0, spec.n_knots), np.ones(k)])
+    design = BSpline.design_matrix(points, knots, k).toarray()[:, 1:-1]
+    return points, design @ np.linalg.solve(design.T @ design, design.T)
+
+
 def spline_oracle(wave, spec):
-    """One wave through make_interp_spline and the projector; None when dropped."""
+    """One wave through make_interp_spline and a dense projector; None when dropped."""
     t, v = wave.raw_times, wave.raw_values
     if spec.constrain_upcross:
         ups = [t[i] + (0.0 - v[i]) / (v[i + 1] - v[i]) * (t[i + 1] - t[i])
@@ -65,9 +77,9 @@ def spline_oracle(wave, spec):
                       else 0.5 + 0.5 * (x - t_up) / (t[-1] - t_up) for x in t])
     else:
         u = (t - t[0]) / (t[-1] - t[0])
-    grid, projector = _registration_basis(spec)
+    points, projector = dense_projector(spec)
     k = min(spec.spline_order - 1, t.size - 1)
-    return projector @ make_interp_spline(u, v, k=k)(grid.points)
+    return projector @ make_interp_spline(u, v, k=k)(points)
 
 
 def waves_of(*waves):
@@ -423,9 +435,9 @@ class TestBatchedRegistration:
         monkeypatch.setattr(waves_module, "REGISTER_POINTS", 3 * (12 + spec.n_grid // 8))
         batches = []
 
-        def counted(u, values, lengths, k, points):
+        def counted(u, values, lengths, k, points, band):
             batches.append(lengths.size)
-            return _interpolate(u, values, lengths, k, points)
+            return _interpolate(u, values, lengths, k, points, band)
 
         monkeypatch.setattr(waves_module, "_interpolate", counted)
         sample, kept, dropped = register_sample(waves, spec, min_interior=0)
@@ -433,8 +445,7 @@ class TestBatchedRegistration:
         assert dropped == 0 and kept.tolist() == list(range(len(waves)))
         assert np.array_equal(sample.values, whole.values)
         for row, wave in zip(sample.values, waves):
-            single = register_one(wave, spec)
-            assert np.max(np.abs(row - single)) <= 1e-12 * np.max(np.abs(single))
+            assert np.array_equal(row, register_one(wave, spec))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -462,6 +473,17 @@ class TestBatchedRegistration:
                 continue
             assert np.array_equal(other[0].values, first[0].values)
             assert np.array_equal(other[1], first[1]) and other[2] == first[2]
+
+    @pytest.mark.parametrize("constrain", [False, True])
+    def test_one_wave_alone_is_its_row_in_a_set_of_fifty(self, constrain):
+        # the common-basis fit works curve by curve: no row depends on the others
+        rng = np.random.default_rng(50)
+        waves = random_waves(rng, rng.integers(8, 400, 50))
+        spec = RegistrationSpec(constrain_upcross=constrain)
+        sample, kept, _ = register_sample(waves, spec)
+        assert kept.size > 25
+        for row, i in zip(sample.values, kept):
+            assert np.array_equal(row, register_one(waves[i], spec))
 
     @pytest.mark.parametrize("times,values,message", [
         ([0.0, 0.2, 0.2, 0.5, 0.7, 0.9, 1.0], [0.0, -1.0, -0.5, 0.5, 1.0, 0.3, 0.0],
@@ -633,8 +655,7 @@ class TestRegistrationObjects:
         with pytest.raises(ValueError):
             sample.values[0, 0] = 1.0
         for row, i in zip(sample.values, kept):
-            alone = register_one(waves[i], RegistrationSpec())
-            assert np.max(np.abs(row - alone)) <= 1e-12 * np.max(np.abs(alone))
+            assert np.array_equal(row, register_one(waves[i], RegistrationSpec()))
         # the input waves are left as they were
         for w, (t, v, period) in zip(waves, copies):
             assert np.array_equal(w.raw_times, t) and np.array_equal(w.raw_values, v)

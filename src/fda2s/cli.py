@@ -176,14 +176,14 @@ def cmd_spectrum(args, given: set[str]) -> int:
 
 
 def cmd_segment(args, given: set[str]) -> int:
-    record = io.read_record(args.input)
-    waves = segment_waves(record)
     spec = RegistrationSpec(
         n_grid=args.grid,
         spline_order=args.order,
         n_knots=args.knots,
         constrain_upcross=args.constrain_upcross,
     )
+    record = io.read_record(args.input)
+    waves = segment_waves(record)
     sample, kept, dropped = register_sample(waves, spec, label="waves")
     if args.normalize:
         sample = normalize_sample(sample, record)

@@ -134,50 +134,43 @@ def pca_basis(joint: FunctionalSample, d: int) -> tuple[GVector, np.ndarray]:
     """Top-d eigenpairs of the pooled covariance operator on the grid.
 
     Returns the eigenfunctions, unit L2 norm, as a ``pca`` GVector and the
-    eigenvalues, non-increasing and >= 0.  The operator is the covariance
-    of the pooled sample about the pooled mean: it depends only on the
-    unlabeled joint sample, which is what permutation calibration requires.
+    eigenvalues, non-increasing and > 0 (`pca_eigenpairs`).  The operator
+    depends only on the unlabeled joint sample, which is what permutation
+    calibration requires.
     """
-    n_pts = len(joint.grid)
+    eigvals, phis = pca_eigenpairs(joint.values, joint.grid.weights, d)
+    return GVector(joint.grid, phis, "pca", {"d": d}), eigvals
+
+
+def pca_eigenpairs(curves: np.ndarray, w: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-d eigenpairs of the pooled covariance operator of an (N, P) sample
+    of curves, or of each sample of a (C, N, P) stack, on grid weights ``w``.
+
+    The operator is the covariance C of the curves about their pooled mean,
+    with divisor N - 1.  sqrt(w) C sqrt(w) = Z'Z with Z = data * sqrt(w),
+    decomposed by one `eigh` of the Gram matrix on the smaller side:
+    for N <= P, Z Z' = U S^2 U' and the eigenfunctions are U' Z / S / sqrt(w)
+    (method of snapshots, Sirovich 1987); for N > P, Z'Z = V S^2 V' and they
+    are V' / sqrt(w).  Returns eigenvalues (..., d), non-increasing, and
+    eigenfunctions (..., d, P) of unit L2 norm, signed by `_orient`.
+    """
+    n_curves, n_pts = curves.shape[-2:]
     if not 1 <= d <= n_pts:
         raise InvalidK(f"need 1 <= d <= {n_pts}, got {d}")
-    vals = joint.values
-    if vals.shape[0] < 2:
-        raise TooFewCurves(f"pca needs at least 2 curves, got {vals.shape[0]}")
-    data = (vals - vals.mean(axis=0)) / np.sqrt(vals.shape[0] - 1)
-
-    # sqrt(w) C sqrt(w) = Z'Z with Z = data * sqrt(w): thin SVD, O(N P min(N, P)).
-    w = joint.grid.weights
-    sqrt_w = np.sqrt(w)
-    _, sv, vt = np.linalg.svd(data * sqrt_w, full_matrices=False)
-    eigvals = sv**2
-    _require_rank(eigvals, d)
-    # Back to function values: phi = u / sqrt(w) is orthonormal in L2.
-    phis = _orient(vt[:d] / sqrt_w, w)
-    return GVector(joint.grid, phis, "pca", {"d": d}), eigvals[:d]
-
-
-def snapshot_pca(data: np.ndarray, w: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-d eigenpairs of each operator data[c]' data[c] of a (C, N, P) stack.
-
-    ``data`` holds centred, scaled curves as `pca_basis` forms them, ``w``
-    the grid weights.  Method of snapshots (Sirovich, 1987): with
-    Z = data * sqrt(w) and Z Z' = U S^2 U', the eigenfunctions are
-    U' Z / S / sqrt(w), from one stacked `eigh` of the N x N Gram matrices
-    in place of a thin SVD per curve set.  Returns eigenvalues (C, d) and
-    eigenfunctions (C, d, P), under `pca_basis`'s rank and sign rules.
-    """
-    n_pts = data.shape[-1]
-    if not 1 <= d <= n_pts:
-        raise InvalidK(f"need 1 <= d <= {n_pts}, got {d}")
+    if n_curves < 2:
+        raise TooFewCurves(f"pca needs at least 2 curves, got {n_curves}")
+    data = (curves - curves.mean(axis=-2, keepdims=True)) / np.sqrt(n_curves - 1)
     sqrt_w = np.sqrt(w)
     z = data * sqrt_w
-    eigvals, u = np.linalg.eigh(z @ np.swapaxes(z, -1, -2))
-    eigvals, u = eigvals[..., ::-1], u[..., ::-1]  # non-increasing
+    zt = np.swapaxes(z, -1, -2)
+    snapshots = n_curves <= n_pts
+    eigvals, vecs = np.linalg.eigh(z @ zt if snapshots else zt @ z)
+    eigvals, vecs = eigvals[..., ::-1], vecs[..., ::-1]  # non-increasing
     _require_rank(eigvals, d)
-    sv = np.sqrt(eigvals[..., :d])
-    phis = np.swapaxes(u[..., :d], -1, -2) @ z / sv[..., None] / sqrt_w
-    return eigvals[..., :d], _orient(phis, w)
+    phis = np.swapaxes(vecs[..., :d], -1, -2)
+    if snapshots:
+        phis = phis @ z / np.sqrt(eigvals[..., :d])[..., None]
+    return eigvals[..., :d], _orient(phis / sqrt_w, w)
 
 
 def _require_rank(eigvals: np.ndarray, d: int) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 from .bsplines import CONDITION_BOUND
 from .errors import GridMismatch, SingularCovariance, TooFewCurves, TooFewReplicates
 from .grids import FunctionalSample
-from .projections import GVector, snapshot_pca
+from .projections import GVector, pca_eigenpairs
 from .qn import chi_square_isf, qn_batch, score_matrix
 from .rng import rekeyed, substream
 from .sea import (
@@ -238,7 +238,7 @@ def spectral_mc_null(
     `g` is the observed statistic's g-vector, sampled on the spectra's
     frequency grid.  A `pca` g is re-estimated from each replicate's
     spectra with its d = g.k, the chunk's eigenfunctions from one stacked
-    `snapshot_pca`; any other g scores every replicate as it is.
+    `pca_eigenpairs`; any other g scores every replicate as it is.
     """
     m, n = len(spectra_x), len(spectra_y)
     _check_groups(m, n)
@@ -251,16 +251,11 @@ def spectral_mc_null(
     tables = synth.weighted_lag_tables(np.sqrt(synth.amplitude_variances(s_avg)),
                                        sim.parzen_L)
     w = estimator_grid(sim.fs, sim.n_freq).weights
-    # Scores are est @ (g w)'.  A pca g decomposes each replicate's pooled
-    # covariance about the pooled mean, as pca_basis does.
-    fixed, scale = (g.functions * w).T, np.sqrt(m + n - 1)
 
     def evaluate(z: np.ndarray) -> np.ndarray:
         est = parzen_estimates(synth.autocovariances(tables, z), sim.fs, sim.n_freq)[1]
-        if g.scheme == "pca":
-            phis = snapshot_pca((est - est.mean(axis=-2, keepdims=True)) / scale, w, g.k)[1]
-            return qn_batch(est @ np.swapaxes(phis * w, -1, -2), m)
-        return qn_batch(est @ fixed, m)
+        funcs = pca_eigenpairs(est, w, g.k)[1] if g.scheme == "pca" else g.functions
+        return qn_batch(est @ np.swapaxes(funcs * w, -1, -2), m)
 
     def draw(gens, count: int) -> np.ndarray:
         # in place: per-replicate arrays and their stacked copy churned 3 MB a

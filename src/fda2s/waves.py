@@ -52,6 +52,9 @@ class RegistrationSpec:
             raise ValueError("spline order must be >= 2")
         if self.n_knots < 2:
             raise ValueError("need at least the two endpoint knot sites")
+        if self.spline_order + self.n_knots - 4 < 1:  # both end coefficients pinned
+            raise ValueError(f"spline order {self.spline_order} with {self.n_knots} knot "
+                             "sites leaves no free spline function: need order + knots >= 5")
 
 
 class Wave(NamedTuple):

@@ -32,6 +32,23 @@ def random_sample_pair(rng, m=5, n=4, n_points=41):
     return x, y
 
 
+def eigh_pca_oracle(values, w, d):
+    """Dense route: eigh of sqrt(w) C sqrt(w) on the grid, sign rule applied."""
+    c = values - values.mean(axis=0)
+    cov = c.T @ c / (values.shape[0] - 1)
+    sqrt_w = np.sqrt(w)
+    eigvals, eigvecs = np.linalg.eigh(sqrt_w[:, None] * cov * sqrt_w[None, :])
+    order = np.argsort(eigvals)[::-1][:d]
+    phis = (eigvecs[:, order] / sqrt_w[:, None]).T
+    for phi in phis:
+        integral = np.dot(w, phi)
+        if abs(integral) > 1e-10 * np.max(np.abs(phi)):
+            phi *= np.sign(integral)
+        else:
+            phi *= np.sign(phi[np.argmax(np.abs(phi))])
+    return eigvals[order], phis
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

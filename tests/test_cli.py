@@ -560,28 +560,33 @@ class TestQuantiles:
         assert not (tmp_path / "t.csv").exists()
 
 
-@pytest.mark.parametrize("command, flag, value, message", [
-    ("test", "--calibration", "asymptotic:",
+@pytest.mark.parametrize("command, options, message", [
+    ("test", ("--calibration", "asymptotic:"),
      "'asymptotic' takes no parameters, got 'asymptotic:'"),
-    ("test", "--calibration", "permutation:", "parameter '' in 'permutation:'"),
-    ("test", "--calibration", "spectral-mc:", "parameter '' in 'spectral-mc:'"),
-    ("quantiles", "--calibration", "permutation:", "parameter '' in 'permutation:'"),
-    ("quantiles", "--calibration", "asymptotic", "permutation calibration only, got 'asymptotic'"),
-    ("quantiles", "--calibration", "spectral-mc:B=5",
+    ("test", ("--calibration", "permutation:"), "parameter '' in 'permutation:'"),
+    ("test", ("--calibration", "spectral-mc:"), "parameter '' in 'spectral-mc:'"),
+    ("quantiles", ("--calibration", "permutation:"), "parameter '' in 'permutation:'"),
+    ("quantiles", ("--calibration", "asymptotic"),
+     "permutation calibration only, got 'asymptotic'"),
+    ("quantiles", ("--calibration", "spectral-mc:B=5"),
      "permutation calibration only, got 'spectral-mc:B=5'"),
-    ("quantiles", "--probs", "0.5,abc", "--probs must be comma-separated numbers, got '0.5,abc'"),
-    ("quantiles", "--probs", "0.5,1.5", "--probs must lie strictly inside (0, 1), got '0.5,1.5'"),
+    ("quantiles", ("--probs", "0.5,abc"),
+     "--probs must be comma-separated numbers, got '0.5,abc'"),
+    ("quantiles", ("--probs", "0.5,1.5"),
+     "--probs must lie strictly inside (0, 1), got '0.5,1.5'"),
+    ("segment", ("--order", 2, "--knots", 2), "spline order 2 with 2 knot sites"),
 ], ids=["test-asymptotic:", "test-permutation:", "test-spectral-mc:",
         "quantiles-permutation:", "quantiles-asymptotic", "quantiles-spectral-mc", "probs",
-        "probs-outside-0-1"])
-def test_parse_errors_exit_2_and_name_their_input(tmp_path, rng, capsys,
-                                                  command, flag, value, message):
+        "probs-outside-0-1", "segment-order-2-knots-2"])
+def test_parse_errors_exit_2_and_name_their_input(tmp_path, rng, capsys, record_file,
+                                                  command, options, message):
     grid = uniform_grid(Interval(0.0, 1.0), 41)
     xp = tmp_path / "x.csv"
     write_functional_sample(FunctionalSample(grid, smooth_curves(rng, 20, grid)), xp)
+    inputs = {"segment": ("--input", record_file)}.get(
+        command, ("--x", xp, "--y", xp, "--basis", "trig:k=3", "--seed", 1))
     out = tmp_path / "out"
-    assert run(command, "--x", xp, "--y", xp, "--basis", "trig:k=3", flag, value,
-               "--seed", 1, "-o", out) == 2
+    assert run(command, *inputs, *options, "-o", out) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

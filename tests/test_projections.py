@@ -17,43 +17,36 @@ from fda2s import (
 )
 from fda2s.errors import DegenerateCovariance, InvalidK, TooFewCurves, WrongInterval
 from fda2s.grids import sample_inner_products
-from fda2s.projections import BasisSpec, snapshot_pca
+from fda2s.projections import BasisSpec, pca_eigenpairs
 
-from conftest import smooth_curves
+from conftest import eigh_pca_oracle, smooth_curves
 
 
 def unit_grid(n=1001):
     return uniform_grid(Interval(0.0, 1.0), n)
 
 
-def eigh_pca_oracle(values, w, d):
-    """Dense route: eigh of sqrt(w) C sqrt(w) on the grid, sign rule applied."""
-    c = values - values.mean(axis=0)
-    cov = c.T @ c / (values.shape[0] - 1)
-    sqrt_w = np.sqrt(w)
-    eigvals, eigvecs = np.linalg.eigh(sqrt_w[:, None] * cov * sqrt_w[None, :])
-    order = np.argsort(eigvals)[::-1][:d]
-    phis = (eigvecs[:, order] / sqrt_w[:, None]).T
-    for phi in phis:
-        integral = np.dot(w, phi)
-        if abs(integral) > 1e-10 * np.max(np.abs(phi)):
-            phi *= np.sign(integral)
-        else:
-            phi *= np.sign(phi[np.argmax(np.abs(phi))])
-    return eigvals[order], phis
-
-
 @st.composite
-def pca_problems(draw, n_curves, n_points):
-    """Curves with a few geometrically scaled random modes, so leading eigenvalues separate."""
+def pca_stacks(draw, n_curves, n_points, sets=(1, 4)):
+    """A (C, N, P) stack of curve sets, their grid, and a d each set supports.
+
+    Each set is a few geometrically scaled random modes plus a random mean,
+    so leading eigenvalues separate.
+    """
+    c = draw(st.integers(*sets))
     n = draw(st.integers(*n_curves))
     p = draw(st.integers(*n_points))
     n_modes = draw(st.integers(1, min(4, p, n - 2)))
     data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    modes = data.normal(size=(n_modes, p)) * 3.0 ** -np.arange(n_modes)[:, None]
-    values = data.normal(size=(n, n_modes)) @ modes + data.normal(size=p)
-    grid = uniform_grid(Interval(0.0, 1.0), p)
-    return FunctionalSample(grid, values), draw(st.integers(1, n_modes))
+    modes = data.normal(size=(c, n_modes, p)) * 3.0 ** -np.arange(n_modes)[:, None]
+    stack = data.normal(size=(c, n, n_modes)) @ modes + data.normal(size=(c, 1, p))
+    return uniform_grid(Interval(0.0, 1.0), p), stack, draw(st.integers(1, n_modes))
+
+
+def pca_problems(n_curves, n_points):
+    """One curve set of `pca_stacks`, as a joint sample, and its d."""
+    return pca_stacks(n_curves, n_points, sets=(1, 1)).map(
+        lambda drawn: (FunctionalSample(drawn[0], drawn[1][0]), drawn[2]))
 
 
 class TestIndicatorBasis:
@@ -272,48 +265,56 @@ class TestPcaBasis:
             BasisSpec.parse("pca:d=1").build(joint)
 
 
-def pooled_data(values):
-    """The centred, scaled curves `pca_basis` decomposes."""
-    return (values - values.mean(axis=0)) / np.sqrt(values.shape[0] - 1)
-
-
 class TestSnapshotPca:
+    """`pca_eigenpairs` on stacks of curve sets: the method of snapshots (N <= P)
+    and its P x P side (N > P)."""
+
+    @pytest.mark.parametrize("n_curves,n_points", [((4, 12), (20, 60)), ((25, 60), (3, 15))],
+                             ids=["N<P", "N>P"])
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
-    def test_one_stack_matches_pca_basis(self, data):
-        joint, d = data.draw(pca_problems((4, 12), (20, 60)))
-        g, lam = pca_basis(joint, d)
-        eigvals, phis = snapshot_pca(pooled_data(joint.values)[None], joint.grid.weights, d)
-        assert eigvals.shape == (1, d) and phis.shape == (1, d, len(joint.grid))
-        assert np.max(np.abs(eigvals[0] - lam)) <= 1e-10 * lam[0]
-        assert np.max(np.abs(phis[0] - g.functions)) <= 1e-10 * np.max(np.abs(g.functions))
+    def test_a_stack_matches_dense_eigh_oracle(self, n_curves, n_points, data):
+        grid, stack, d = data.draw(pca_stacks(n_curves, n_points))
+        eigvals, phis = pca_eigenpairs(stack, grid.weights, d)
+        assert eigvals.shape == (len(stack), d) and phis.shape == (len(stack), d, len(grid))
+        for c, curves in enumerate(stack):
+            lam, funcs = eigh_pca_oracle(curves, grid.weights, d)
+            assert np.max(np.abs(eigvals[c] - lam)) <= 1e-10 * lam[0]
+            assert np.max(np.abs(phis[c] - funcs)) <= 1e-10 * np.max(np.abs(funcs))
 
     def test_a_stack_is_each_matrix_alone(self, rng):
-        grid = unit_grid(97)
-        stack = np.stack([pooled_data(smooth_curves(rng, 12, grid)) for _ in range(5)])
-        eigvals, phis = snapshot_pca(stack, grid.weights, 3)
-        for c, data in enumerate(stack):
-            alone = snapshot_pca(data[None], grid.weights, 3)
-            assert np.array_equal(eigvals[c], alone[0][0])
-            assert np.array_equal(phis[c], alone[1][0])
+        for n_curves, n_points in ((12, 97), (40, 15)):  # N <= P and N > P
+            grid = unit_grid(n_points)
+            stack = np.stack([smooth_curves(rng, n_curves, grid) for _ in range(5)])
+            eigvals, phis = pca_eigenpairs(stack, grid.weights, 3)
+            for c, curves in enumerate(stack):
+                alone = pca_eigenpairs(curves[None], grid.weights, 3)
+                assert np.array_equal(eigvals[c], alone[0][0])
+                assert np.array_equal(phis[c], alone[1][0])
 
     def test_d_beyond_the_rank_of_any_matrix_is_degenerate(self, rng):
         grid = unit_grid(41)
-        full = pooled_data(rng.normal(size=(10, 41)))
-        rank_two = pooled_data(rng.normal(size=(10, 2)) @ rng.normal(size=(2, 41)))
-        assert snapshot_pca(np.stack([full, rank_two]), grid.weights, 2)[0].shape == (2, 2)
+        full = rng.normal(size=(10, 41))
+        rank_two = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 41))
+        assert pca_eigenpairs(np.stack([full, rank_two]), grid.weights, 2)[0].shape == (2, 2)
         with pytest.raises(DegenerateCovariance):
-            snapshot_pca(np.stack([full, rank_two]), grid.weights, 3)
+            pca_eigenpairs(np.stack([full, rank_two]), grid.weights, 3)
         with pytest.raises(InvalidK):
-            snapshot_pca(full[None], grid.weights, 0)
+            pca_eigenpairs(full[None], grid.weights, 0)
+
+    def test_one_curve_is_too_few(self, rng):
+        grid = unit_grid(41)
+        for curves in (rng.normal(size=(1, 41)), rng.normal(size=(3, 1, 41))):
+            with pytest.raises(TooFewCurves):
+                pca_eigenpairs(curves, grid.weights, 1)
 
     def test_odd_mode_takes_the_sign_of_its_largest_value(self, rng):
         # sin(2 pi t) integrates to 0 over a grid symmetric about 1/2
         grid = unit_grid(101)
         mode = np.sin(2 * np.pi * grid.points)
-        data = pooled_data(rng.normal(size=(8, 1)) * mode)
+        curves = rng.normal(size=(8, 1)) * mode
         for sign in (1.0, -1.0):
-            phi = snapshot_pca(sign * data[None], grid.weights, 1)[1][0, 0]
+            phi = pca_eigenpairs(sign * curves[None], grid.weights, 1)[1][0, 0]
             assert abs(phi @ grid.weights) <= 1e-10 * np.max(np.abs(phi))
             assert phi[np.argmax(np.abs(phi))] > 0.0
             assert np.max(np.abs(np.abs(phi) - np.abs(mode) * np.sqrt(2.0))) < 1e-10

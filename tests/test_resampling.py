@@ -47,7 +47,7 @@ from fda2s.resampling import PERMUTATION_CHUNK, SPECTRAL_MC_CHUNK, _SplitStatist
 from fda2s.rng import substream
 from fda2s.sea import GaussianSynthesizer, estimate_spectra
 
-from conftest import smooth_curves
+from conftest import eigh_pca_oracle, smooth_curves
 
 
 def gaussian_joint(rng, n_curves=40, n_points=41):
@@ -317,6 +317,22 @@ class TestSpectralMcNull:
             qn = qn_statistic(scores[:5], scores[5:]).qn
             assert null.values[r] == pytest.approx(qn, rel=1e-10)
 
+    def test_pca_with_more_spectra_than_frequencies_matches_the_dense_oracle(self):
+        # m + n = 12 spectra on 9 frequencies: each replicate's stack is N > P
+        spectra = self._spectra(12, 600.0, 50, n_freq=9)
+        sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=9)
+        B, seed = SPECTRAL_MC_CHUNK + 1, 3
+        null = spectral_mc_null(spectra[:6], spectra[6:], sim, built("pca:d=2", spectra), B, seed)
+        assert null.n_failed == 0
+        s_avg = average_spectrum(spectra)
+        synth = GaussianSynthesizer(int(round(sim.duration * sim.fs)), sim.fs)
+        for r in range(B):
+            records = synth.simulate(s_avg, substream(seed, r), 12)
+            grid, est = estimate_spectra(records, sim.fs, sim.parzen_L, sim.n_freq)
+            funcs = eigh_pca_oracle(est, grid.weights, 2)[1]
+            scores = sample_inner_products(FunctionalSample(grid, est), funcs)
+            qn = qn_statistic(scores[:6], scores[6:]).qn
+            assert null.values[r] == pytest.approx(qn, rel=1e-10)
 
     @pytest.mark.parametrize("m,n,B,basis,error", [
         (2, 2, 0, "pca:d=1", ValueError),

@@ -638,6 +638,16 @@ class TestRegistrationObjects:
         with pytest.raises(IllConditioned):
             register_sample(waves, spec)
 
+    def test_spec_without_a_free_function_is_rejected(self):
+        # order + knots - 2 functions, both end ones pinned
+        with pytest.raises(ValueError, match="spline order 2 with 2 knot sites"):
+            RegistrationSpec(spline_order=2, n_knots=2)
+        waves = random_waves(np.random.default_rng(8), [12, 15])
+        for order, knots in ((2, 3), (3, 2)):  # one free function
+            sample, _, _ = register_sample(waves, RegistrationSpec(spline_order=order,
+                                                                   n_knots=knots))
+            assert np.all(np.isfinite(sample.values))
+
     def test_repeated_registration_is_equal_and_read_only(self):
         wave = random_waves(np.random.default_rng(8), [12])[0]
         first = register_one(wave, RegistrationSpec())

@@ -32,9 +32,10 @@ print(f"estimated Hs, sample A: {np.round([s.hs for s in sx], 3)}")
 print(f"estimated Hs, sample B: {np.round([s.hs for s in sy], 3)}")
 
 sim = f.SimConfig(duration=1800.0, fs=FS, parzen_L=60, n_freq=481)
+x, y = f.spectra_to_sample(sx, "A"), f.spectra_to_sample(sy, "B")
 for basis_text in ("indicator:k=8", "bspline:order=5,interior=7"):
     basis = f.BasisSpec.parse(basis_text)
-    result = f.spectral_mc_test(sx, sy, basis, sim, B=B, seed=7, n_jobs=4)
+    result = f.run_test(x, y, basis, "spectral-mc", B=B, seed=7, n_jobs=4, sim=sim)
     print(f"\nbasis {basis_text}: k = {result.k}")
     print(f"  Q_n            = {result.qn:.3f}")
     print(f"  p (asymptotic) = {result.p_asymptotic:.3e}   <- distrust at these sizes")

@@ -35,8 +35,9 @@ s40 = f.torsethaugen_spectrum(f.TorsethaugenParams(2.0, 4.0), f.default_frequenc
 spectra = [f.estimate_spectrum(f.simulate_gaussian(s40, 1800.0, FS, seed=f.substream(9, i)), 60)
            for i in range(20)]
 sim = f.SimConfig(1800.0, FS, 60, 481)
-g = f.BasisSpec.parse("indicator:k=8").build(f.spectra_to_sample(spectra))
-null = f.spectral_mc_null(spectra[:10], spectra[10:], sim, g, 400, 1, n_jobs=4)
+joint = f.spectra_to_sample(spectra, "joint")
+g = f.BasisSpec.parse("indicator:k=8").build(joint)
+null = f.spectral_mc_null(joint, g, 10, sim, 400, 1, n_jobs=4)
 print(quantile_table_csv(f.quantile_table(null.values, k=8)))
 print("negative relative errors: the asymptotic quantiles underestimate the")
 print("true ones here, so Monte Carlo p-values are the safe choice.")

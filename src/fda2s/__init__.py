@@ -30,13 +30,7 @@ from .resampling import (
     spectral_mc_null,
 )
 from .rng import fresh_seed, substream
-from .runner import (
-    concatenate_samples,
-    run_test,
-    sample_to_spectra,
-    spectra_to_sample,
-    spectral_mc_test,
-)
+from .runner import concatenate_samples, run_test, spectra_to_sample, spectral_mc_test
 from .sea import (
     GaussianSynthesizer,
     SpectralDensity,
@@ -100,7 +94,6 @@ __all__ = [
     "quantile_table",
     "register_sample",
     "run_test",
-    "sample_to_spectra",
     "score_matrix",
     "segment_waves",
     "simulate_gaussian",

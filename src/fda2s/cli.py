@@ -22,15 +22,9 @@ import numpy as np
 from . import io
 from .errors import FdaError, NoWaves
 from .projections import BasisSpec
-from .resampling import SimConfig, check_estimator_grid, permutation_null, quantile_table
+from .resampling import SimConfig, permutation_null, quantile_table
 from .rng import fresh_seed
-from .runner import (
-    concatenate_samples,
-    run_test,
-    sample_to_spectra,
-    spectra_to_sample,
-    spectral_mc_test,
-)
+from .runner import concatenate_samples, run_test, spectra_to_sample
 from .sea import (
     TorsethaugenParams,
     default_frequency_grid,
@@ -213,22 +207,11 @@ def cmd_test(args, given: set[str]) -> int:
         _reject_given(given, seed_flag + mc_flags, f"--calibration {method}")
     x = io.read_functional_sample(args.x, label="x")
     y = io.read_functional_sample(args.y, label="y")
+    sim = (SimConfig(args.mc_duration, args.mc_fs, args.mc_parzen, args.mc_nfreq)
+           if method == "spectral-mc" else None)
     n_jobs = _threads()
-    if method == "spectral-mc":
-        sim = SimConfig(args.mc_duration, args.mc_fs, args.mc_parzen, args.mc_nfreq)
-        # before the samples become densities, which reject a wave sample's
-        # negative values without naming the grid
-        check_estimator_grid((x.grid, y.grid), sim)
-        seed = _resolve_seed(args.seed)
-        result = spectral_mc_test(
-            sample_to_spectra(x), sample_to_spectra(y), basis, sim,
-            B=B, seed=seed, n_jobs=n_jobs,
-        )
-    elif method == "permutation":
-        seed = _resolve_seed(args.seed)
-        result = run_test(x, y, basis, "permutation", B=B, seed=seed, n_jobs=n_jobs)
-    else:
-        result = run_test(x, y, basis, "asymptotic")
+    seed = None if method == "asymptotic" else _resolve_seed(args.seed)
+    result = run_test(x, y, basis, method, B=B, seed=seed, n_jobs=n_jobs, sim=sim)
     io.write_test_result(result, args.output)
     return EXIT_OK
 

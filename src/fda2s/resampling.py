@@ -8,13 +8,13 @@ replicate sequence is bit-identical however the chunks are scheduled.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bsplines import CONDITION_BOUND
 from .errors import GridMismatch, SingularCovariance, TooFewCurves, TooFewReplicates
-from .grids import FunctionalSample
+from .grids import FunctionalSample, Grid
 from .projections import GVector, pca_eigenpairs
 from .qn import chi_square_isf, qn_batch, score_matrix
 from .rng import rekeyed, substream
@@ -48,10 +48,14 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class NullDistribution:
-    """Ordered replicate values of the statistic under the null."""
+    """Ordered replicate values of the statistic under the null, and `observed`, the
+    observed split's value by the replicates' own arithmetic, so that a replicate
+    drawing that split ties with it; None for a null that draws fresh data, or
+    where that arithmetic flags the observed split as singular."""
 
     values: np.ndarray
     n_failed: int
+    observed: float | None = None
 
     @property
     def n_effective(self) -> int:
@@ -141,17 +145,25 @@ class _SplitStatistic:
         Membership goes through a 0/1 mask, reduced by einsum over whole
         rows: a value depends on the set of x-indices only, not on their
         order or on the row's position (BLAS matmul sums edge rows of a
-        block in a different order).
+        block in a different order).  When m = n a split and its mirror
+        are one split: both are evaluated on the side that holds curve 0,
+        so they give the same bits.
         """
         count = x_rows.shape[0]
         if self.factor is None:
             return np.full(count, np.nan)
         mask = np.zeros((count, self.N))
         mask[np.arange(count)[:, None], x_rows] = 1.0
+        if self.m == self.n:
+            mirrored = mask[:, 0] == 0.0
+            mask[mirrored] = 1.0 - mask[mirrored]
         sx = np.einsum("cn,kn->ck", mask, self.centred_t)
         d = sx / self.m - (self.total - sx) / self.n
-        # d' T^-1 d = |L^-1 d|^2 with T = L L'
-        ha = self.h * np.sum(np.linalg.solve(self.factor, d.T) ** 2, axis=0)
+        # d' T^-1 d = |L^-1 d|^2 with T = L L'.  One column takes other paths
+        # (LAPACK's one-right-hand-side solve, numpy's pairwise sum), which
+        # round differently: a lone split goes next to a copy of itself.
+        rhs = d.T if count > 1 else np.repeat(d.T, 2, axis=1)
+        ha = self.h * np.sum(np.linalg.solve(self.factor, rhs) ** 2, axis=0)[:count]
         out = np.full(count, np.nan)
         ok = 1.0 - ha > self.min_slack
         out[ok] = np.maximum((self.N - 2) * ha[ok] / (1.0 - ha[ok]), 0.0)
@@ -166,13 +178,16 @@ def permutation_null(
     Replicate r takes the first m entries of
     `substream(seed, r).permutation(N)` as its x-sample and is evaluated in
     closed form from one factorization (`_SplitStatistic`),
-    PERMUTATION_CHUNK replicates at a time.
+    PERMUTATION_CHUNK replicates at a time.  The observed split, the first
+    m curves, is evaluated the same way.
     """
     _check_groups(m, joint.n_curves - m)
     split = _SplitStatistic(score_matrix(joint, g), m)
-    return _run_replicates(
+    null = _run_replicates(
         lambda gens, count: np.stack([gen.permutation(split.N)[:m] for gen in gens]),
         split.values, B, seed, n_jobs, PERMUTATION_CHUNK)
+    [observed] = split.values(np.arange(m)[None, :])
+    return replace(null, observed=None if np.isnan(observed) else float(observed))
 
 
 def permutation_pvalue(observed_qn: float, null_values) -> float:
@@ -201,14 +216,11 @@ def average_spectrum(spectra: list[SpectralDensity]) -> SpectralDensity:
     return SpectralDensity(grid, np.clip(anchor + offsets, 0.0, None))
 
 
-def check_estimator_grid(grids, sim: SimConfig) -> None:
-    """Raise GridMismatch unless every grid is the one the MC null estimates on."""
+def _check_estimator_grid(grid: Grid, sim: SimConfig) -> None:
+    """Raise GridMismatch unless `grid` is the one the MC null estimates on."""
     reference = estimator_grid(sim.fs, sim.n_freq).points
-    if not all(
-        len(grid) == reference.size
-        and np.allclose(grid.points, reference, rtol=1e-9, atol=1e-9)
-        for grid in grids
-    ):
+    if not (len(grid) == reference.size
+            and np.allclose(grid.points, reference, rtol=1e-9, atol=1e-9)):
         raise GridMismatch(
             "spectral-mc inputs must be spectra on the estimator grid "
             f"[0, pi*{sim.fs}] with {sim.n_freq} points; "
@@ -217,35 +229,36 @@ def check_estimator_grid(grids, sim: SimConfig) -> None:
 
 
 def spectral_mc_null(
-    spectra_x: list[SpectralDensity],
-    spectra_y: list[SpectralDensity],
-    sim: SimConfig,
+    joint: FunctionalSample,
     g: GVector,
+    m: int,
+    sim: SimConfig,
     B: int,
     seed: int,
     n_jobs: int = 1,
 ) -> NullDistribution:
     """Monte Carlo null built by resimulating records from the average spectrum.
 
-    Each replicate simulates m + n independent Gaussian records from the
-    pooled average density, re-estimates their spectra with the given
-    estimator settings, and evaluates the statistic on the (m, n) split,
-    m and n being the numbers of input spectra.  Replicate r draws the
-    amplitudes `GaussianSynthesizer.simulate` draws from
-    `substream(seed, r)`; its autocovariances come straight from them
+    `joint` pools the m x-spectra and then the n y-spectra, one row each,
+    on the estimator grid of `sim`.  Each replicate simulates m + n
+    independent Gaussian records from their average density
+    (`average_spectrum`), re-estimates their spectra with the given
+    estimator settings, and evaluates the statistic on the (m, n) split.
+    Replicate r draws the amplitudes `GaussianSynthesizer.simulate` draws
+    from `substream(seed, r)`; its autocovariances come straight from them
     (`GaussianSynthesizer.autocovariances`), and SPECTRAL_MC_CHUNK
     replicates at a time go through one Parzen, score and Qn computation.
-    `g` is the observed statistic's g-vector, sampled on the spectra's
-    frequency grid.  A `pca` g is re-estimated from each replicate's
-    spectra with its d = g.k, the chunk's eigenfunctions from one stacked
-    `pca_eigenpairs`; any other g scores every replicate as it is.
+    `g` is the observed statistic's g-vector, sampled on the same grid.  A
+    `pca` g is re-estimated from each replicate's spectra with its d = g.k,
+    the chunk's eigenfunctions from one stacked `pca_eigenpairs`; any other
+    g scores every replicate as it is.
     """
-    m, n = len(spectra_x), len(spectra_y)
+    n = joint.n_curves - m
     _check_groups(m, n)
-    check_estimator_grid([s.freq for s in [*spectra_x, *spectra_y]], sim)
-    if not g.grid.matches(spectra_x[0].freq):
+    _check_estimator_grid(joint.grid, sim)
+    if not g.grid.matches(joint.grid):
         raise GridMismatch("g is not sampled on the spectra's frequency grid")
-    s_avg = average_spectrum(list(spectra_x) + list(spectra_y))
+    s_avg = average_spectrum([SpectralDensity(joint.grid, row) for row in joint.values])
     synth = GaussianSynthesizer(int(round(sim.duration * sim.fs)), sim.fs)
     check_lag_window(synth.n, sim.parzen_L)
     tables = synth.weighted_lag_tables(np.sqrt(synth.amplitude_variances(s_avg)),

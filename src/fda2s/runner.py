@@ -1,4 +1,11 @@
-"""High-level entry points tying bases, the statistic, and calibration together."""
+"""The two-sample test: one entry point, `run_test`, for every calibration.
+
+`run_test` builds the basis from the pooled sample, evaluates the observed
+statistic, and calibrates it by one of CALIBRATIONS: the chi-square limit,
+random splits of the pooled sample (`permutation_null`), or resimulation
+from the pooled average spectrum (`spectral_mc_null`).  Both nulls take the
+same inputs: the pooled sample, its g-vector and the x-sample's size.
+"""
 
 from __future__ import annotations
 
@@ -8,17 +15,14 @@ import numpy as np
 
 from .errors import GridMismatch
 from .grids import FunctionalSample
-from .projections import BasisSpec, GVector
+from .projections import BasisSpec
 from .qn import TestResult, qn_statistic, score_matrix
-from .resampling import (
-    NullDistribution,
-    SimConfig,
-    permutation_null,
-    permutation_pvalue,
-    spectral_mc_null,
-)
+from .resampling import (SimConfig, _check_estimator_grid, permutation_null,
+                         permutation_pvalue, spectral_mc_null)
 from .rng import fresh_seed
 from .sea import SpectralDensity
+
+CALIBRATIONS = ("asymptotic", "permutation", "spectral-mc")
 
 
 def concatenate_samples(
@@ -29,27 +33,6 @@ def concatenate_samples(
     return FunctionalSample(x.grid, np.vstack([x.values, y.values]), label)
 
 
-def _attach_null(result: TestResult, null: NullDistribution, seed: int) -> TestResult:
-    return replace(
-        result,
-        p_resampled=permutation_pvalue(result.qn, null.values),
-        n_resamples=null.n_effective,
-        n_failed_resamples=null.n_failed,
-        seed=seed,
-    )
-
-
-def _observed(
-    x: FunctionalSample, y: FunctionalSample, basis: BasisSpec
-) -> tuple[TestResult, FunctionalSample, GVector]:
-    """The observed statistic, the pooled sample and the g-vector built from it."""
-    joint = concatenate_samples(x, y)
-    g = basis.build(joint)
-    result = replace(qn_statistic(score_matrix(x, g), score_matrix(y, g)),
-                     scheme=g.scheme, params=dict(g.params))
-    return result, joint, g
-
-
 def run_test(
     x: FunctionalSample,
     y: FunctionalSample,
@@ -58,30 +41,53 @@ def run_test(
     B: int = 1000,
     seed: int | None = None,
     n_jobs: int = 1,
+    sim: SimConfig | None = None,
 ) -> TestResult:
-    """Two-sample test with the given basis and calibration method.
+    """Two-sample test with the given basis and calibration, one of CALIBRATIONS.
 
     Data-driven schemes are built once from the pooled sample and reused
-    for the observed statistic and, under ``calibration="permutation"``,
-    for every replicate: their construction depends only on the unlabeled
-    pooled set, so rebuilding per replicate would change nothing.
+    for the observed statistic and by either null: their construction
+    depends only on the unlabeled pooled set, so rebuilding per replicate
+    would change nothing (the spectral MC null re-estimates a `pca` basis
+    from each replicate's own spectra).  `sim`, the settings of the
+    resimulated records, is required by ``"spectral-mc"`` and taken by no
+    other calibration; `x` and `y` then hold spectra on its estimator grid.
+    `B`, `seed` and `n_jobs` go to the null; without a seed one is drawn.
+
+    The add-one p-value counts the replicates at or above the observed
+    split's value by the null's own arithmetic, so a permutation replicate
+    that draws the observed split ties with it; the reported `qn` is
+    `qn_statistic`'s.
     """
-    result, joint, g = _observed(x, y, basis)
+    if calibration not in CALIBRATIONS:
+        raise ValueError(f"unknown calibration {calibration!r}; run_test calibrations: "
+                         + ", ".join(map(repr, CALIBRATIONS)))
+    if calibration == "spectral-mc" and sim is None:
+        raise ValueError("calibration 'spectral-mc' needs sim, the resimulation settings")
+    if calibration != "spectral-mc" and sim is not None:
+        raise ValueError(f"calibration {calibration!r} takes no sim")
+    if sim is not None:  # off the estimator grid says more than "different grids"
+        _check_estimator_grid(x.grid, sim)
+        _check_estimator_grid(y.grid, sim)
+    joint = concatenate_samples(x, y)
+    g = basis.build(joint)
+    result = replace(qn_statistic(score_matrix(x, g), score_matrix(y, g)),
+                     scheme=g.scheme, params=dict(g.params))
     if calibration == "asymptotic":
         return result
-    if calibration != "permutation":
-        raise ValueError(
-            "run_test calibrations: 'asymptotic' or 'permutation' "
-            "(use spectral_mc_test for the Monte Carlo null)"
-        )
     seed = fresh_seed() if seed is None else seed
-    null = permutation_null(joint, g, x.n_curves, B, seed, n_jobs=n_jobs)
-    return _attach_null(result, null, seed)
-
-
-def sample_to_spectra(sample: FunctionalSample) -> list[SpectralDensity]:
-    """Interpret each curve of a functional sample as a spectral density."""
-    return [SpectralDensity(sample.grid, row) for row in sample.values]
+    if calibration == "permutation":
+        null = permutation_null(joint, g, x.n_curves, B, seed, n_jobs=n_jobs)
+    else:
+        null = spectral_mc_null(joint, g, x.n_curves, sim, B, seed, n_jobs=n_jobs)
+    observed = result.qn if null.observed is None else null.observed
+    return replace(
+        result,
+        p_resampled=permutation_pvalue(observed, null.values),
+        n_resamples=null.n_effective,
+        n_failed_resamples=null.n_failed,
+        seed=seed,
+    )
 
 
 def spectra_to_sample(
@@ -94,18 +100,10 @@ def spectra_to_sample(
     return FunctionalSample(grid, np.asarray([s.values for s in spectra]), label)
 
 
-def spectral_mc_test(
-    spectra_x: list[SpectralDensity],
-    spectra_y: list[SpectralDensity],
-    basis: BasisSpec,
-    sim: SimConfig,
-    B: int = 1000,
-    seed: int | None = None,
-    n_jobs: int = 1,
-) -> TestResult:
-    """Two-sample spectral test calibrated by resimulating from the average density."""
-    result, _, g = _observed(spectra_to_sample(spectra_x, "x"),
-                             spectra_to_sample(spectra_y, "y"), basis)
-    seed = fresh_seed() if seed is None else seed
-    null = spectral_mc_null(spectra_x, spectra_y, sim, g, B, seed, n_jobs=n_jobs)
-    return _attach_null(result, null, seed)
+def spectral_mc_test(spectra_x: list[SpectralDensity], spectra_y: list[SpectralDensity],
+                     basis: BasisSpec, sim: SimConfig, B: int = 1000,
+                     seed: int | None = None, n_jobs: int = 1) -> TestResult:
+    """The benchmark's adapter onto `run_test(..., "spectral-mc", sim=sim)`, kept only because
+    bench/workloads.py calls it; the benchmark's mending (ROADMAP item 1) deletes it."""
+    return run_test(spectra_to_sample(spectra_x, "x"), spectra_to_sample(spectra_y, "y"),
+                    basis, "spectral-mc", B, seed, n_jobs, sim)

@@ -140,8 +140,8 @@ def test_criterion_5_small_sample_bias_sign():
                                         seed=f.substream(1000 + seed, i)), 60)
                 for i in range(20)
             ]
-            g = basis.build(f.spectra_to_sample(spectra))
-            null = f.spectral_mc_null(spectra[:10], spectra[10:], sim, g, 500, seed, n_jobs=4)
+            joint = f.spectra_to_sample(spectra)
+            null = f.spectral_mc_null(joint, basis.build(joint), 10, sim, 500, seed, n_jobs=4)
             table = f.quantile_table(null.values, 8, (0.9, 0.95, 0.975))
             negatives += bool(np.all(table.relative_error < 0))
         assert negatives >= 8, negatives
@@ -169,8 +169,8 @@ def test_criterion_6_power_on_close_alternatives():
                                         seed=f.substream(3000 + seed, i)), 60)
                 for i in range(10)
             ]
-            result = f.spectral_mc_test(sx, sy, basis, sim, B=1000, seed=seed,
-                                        n_jobs=4)
+            result = f.run_test(f.spectra_to_sample(sx), f.spectra_to_sample(sy), basis,
+                                "spectral-mc", B=1000, seed=seed, n_jobs=4, sim=sim)
             hits += result.p_resampled <= 0.10
         assert hits >= 6, hits
 

@@ -19,12 +19,13 @@ from fda2s import (
     Interval,
     RegistrationSpec,
     SimConfig,
+    SpectralDensity,
     TimeSeriesRecord,
     register_sample,
-    sample_to_spectra,
+    run_test,
     sea,
     segment_waves,
-    spectral_mc_test,
+    spectra_to_sample,
     uniform_grid,
 )
 
@@ -92,7 +93,8 @@ class TestSpectrum:
         out = tmp_path / "spec.csv"
         assert run("spectrum", "--input", record_file, "-o", out) == 0
         rec = read_record(record_file)
-        [s] = sample_to_spectra(read_functional_sample(out))
+        sample = read_functional_sample(out)
+        s = SpectralDensity(sample.grid, sample.values[0])
         biased = float(np.mean((rec.values - rec.values.mean()) ** 2))
         assert abs(s.sigma2 - biased) / biased < 0.02
 
@@ -444,10 +446,12 @@ class TestTest:
             paths[name] = tmp_path / f"{name}.csv"
             assert run("spectrum", "--input", *inputs, "-o", paths[name]) == 0
             records[name] = [read_record(path) for path in inputs]
-        x, y = ([sea.estimate_spectrum(rec) for rec in records[n]] for n in "xy")
+        x, y = (spectra_to_sample([sea.estimate_spectrum(rec) for rec in records[n]])
+                for n in "xy")
         sim = SimConfig(duration=600.0)
         for basis in map(BasisSpec.parse, ("indicator:k=4", "pca:d=2")):
-            expected = format_test_result(spectral_mc_test(x, y, basis, sim, B=8, seed=3))
+            expected = format_test_result(
+                run_test(x, y, basis, "spectral-mc", B=8, seed=3, sim=sim))
             for threads in ("1", "2"):
                 monkeypatch.setenv("FDA2S_THREADS", threads)
                 out = tmp_path / f"r{threads}.json"
@@ -465,6 +469,20 @@ class TestTest:
                    "--seed", 1, "-o", out) == 2
         err = capsys.readouterr().err
         assert "estimator grid" in err and "broadcast" not in err
+        assert not out.exists()
+
+    def test_spectral_mc_negative_value_exits_2(self, tmp_path, rng, capsys):
+        grid = sea.estimator_grid(1.28, 481)
+        values = rng.uniform(0.5, 1.5, (6, 481))
+        values[4, 200] = -1e-9
+        paths = {}
+        for name, rows in (("x", values[:3]), ("y", values[3:])):
+            paths[name] = tmp_path / f"{name}.csv"
+            write_functional_sample(FunctionalSample(grid, rows), paths[name])
+        out = tmp_path / "r.json"
+        assert run("test", "--x", paths["x"], "--y", paths["y"], "--basis", "indicator:k=2",
+                   "--calibration", "spectral-mc:B=2", "--seed", 1, "-o", out) == 2
+        assert "non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("off_grid", ["x", "y"])

@@ -1,5 +1,6 @@
 """Permutation splits, the spectral MC null, p-values, and quantile tables."""
 
+import itertools
 import math
 import warnings
 
@@ -15,6 +16,7 @@ from fda2s import (
     Interval,
     SimConfig,
     average_spectrum,
+    concatenate_samples,
     estimate_spectrum,
     permutation_null,
     permutation_pvalue,
@@ -23,7 +25,6 @@ from fda2s import (
     run_test,
     simulate_gaussian,
     spectral_mc_null,
-    spectral_mc_test,
     spectra_to_sample,
     torsethaugen_spectrum,
     TorsethaugenParams,
@@ -45,7 +46,7 @@ from fda2s.grids import sample_inner_products
 from fda2s.projections import GVector, trig_g_functions
 from fda2s.resampling import PERMUTATION_CHUNK, SPECTRAL_MC_CHUNK, _SplitStatistic
 from fda2s.rng import substream
-from fda2s.sea import GaussianSynthesizer, estimate_spectra
+from fda2s.sea import GaussianSynthesizer, estimate_spectra, estimator_grid
 
 from conftest import eigh_pca_oracle, smooth_curves
 
@@ -236,6 +237,109 @@ class TestClosedFormNull:
             assert null.values.tobytes() == expected.tobytes()
 
 
+    @PROPERTY
+    @given(small_problems())
+    def test_a_lone_split_gives_the_bits_it_gives_in_a_batch(self, problem):
+        joint, basis, m, seed = problem
+        split = _SplitStatistic(sample_inner_products(joint, basis.build(joint).functions), m)
+        rng = np.random.default_rng(seed)
+        rows = np.array([rng.permutation(joint.n_curves)[:m] for _ in range(7)])
+        batch = split.values(rows)
+        for i, row in enumerate(rows):
+            assert split.values(row[None, :]).tobytes() == batch[i:i + 1].tobytes()
+
+    @PROPERTY
+    @given(small_problems())
+    def test_a_split_and_its_mirror_give_the_same_bits_when_m_equals_n(self, problem):
+        joint, basis, _, seed = problem
+        N = joint.n_curves - joint.n_curves % 2
+        scores = sample_inner_products(joint, basis.build(joint).functions)[:N]
+        perm = np.random.default_rng(seed).permutation(N)
+        values = _SplitStatistic(scores, N // 2).values(np.array([perm[:N // 2], perm[N // 2:]]))
+        assert values[0].tobytes() == values[1].tobytes()
+
+
+def equal_halves(rng, shift=0.0):
+    """x and y of 4 curves each on a 101-point grid, the x-curves raised by `shift`."""
+    grid = uniform_grid(Interval(0.0, 1.0), 101)
+    values = smooth_curves(rng, 8, grid)
+    values[:4] += shift
+    return FunctionalSample(grid, values[:4], "x"), FunctionalSample(grid, values[4:], "y")
+
+
+class TestObservedSplitTies:
+    """With m = n = 4 a replicate draws the observed split or its mirror with
+    probability 2/70, and the add-one p-value must count it."""
+
+    basis = BasisSpec.parse("indicator:k=2")
+
+    def test_every_draw_of_the_observed_split_or_its_mirror_is_counted(self, rng):
+        B, seed = 300, 7
+        halves = ({0, 1, 2, 3}, {4, 5, 6, 7})
+        ties = [r for r in range(B)
+                if set(substream(seed, r).permutation(8)[:4].tolist()) in halves]
+        assert len(ties) >= 2
+        for _ in range(20):
+            x, y = equal_halves(rng)
+            result = run_test(x, y, self.basis, "permutation", B=B, seed=seed)
+            joint = concatenate_samples(x, y)
+            g = self.basis.build(joint)
+            null = permutation_null(joint, g, 4, B, seed)
+            assert null.n_failed == 0
+            tied = null.values[ties]
+            assert np.all(tied == tied[0])
+            exceed = np.count_nonzero(null.values >= tied[0])
+            assert result.p_resampled == (1 + exceed) / (B + 1)
+            # the reported statistic is still the direct evaluation
+            direct = qn_statistic(sample_inner_products(x, g.functions),
+                                  sample_inner_products(y, g.functions))
+            assert result.qn == direct.qn
+
+    def test_p_value_is_the_exact_level_within_monte_carlo_error(self, rng):
+        # x raised apart from y: the observed split and its mirror are the two
+        # most extreme of the 70 splits, so the exact p-value is 2/70
+        B, level = 2000, 2 / 70
+        sd = math.sqrt(level * (1 - level) / B)
+        for seed in range(10):
+            x, y = equal_halves(rng, shift=4.0)
+            joint = concatenate_samples(x, y)
+            scores = sample_inner_products(joint, self.basis.build(joint).functions)
+            splits = list(itertools.combinations(range(8), 4))  # observed first, mirror last
+            qn = [qn_statistic(scores[list(s)], np.delete(scores, s, axis=0)).qn
+                  for s in splits]
+            assert min(qn[0], qn[-1]) > 1.01 * max(qn[1:-1])
+            p = run_test(x, y, self.basis, "permutation", B=B, seed=seed).p_resampled
+            assert abs(p - level) <= 3.5 * sd, (seed, p)
+
+
+class TestRunTestCalibrations:
+    """run_test's own checks, all before any replicate is drawn."""
+
+    basis = BasisSpec.parse("indicator:k=2")
+
+    @pytest.fixture
+    def pair(self, rng, monkeypatch):
+        monkeypatch.setattr(resampling, "substream", None)
+        joint = gaussian_joint(rng, n_curves=12)
+        return (FunctionalSample(joint.grid, joint.values[:6]),
+                FunctionalSample(joint.grid, joint.values[6:]))
+
+    @pytest.mark.parametrize("calibration", ["asymptotic", "permutation"])
+    def test_sim_rejected_outside_spectral_mc(self, pair, calibration):
+        with pytest.raises(ValueError, match=f"'{calibration}' takes no sim"):
+            run_test(*pair, self.basis, calibration, B=5, seed=1, sim=SimConfig())
+
+    def test_spectral_mc_without_sim_rejected(self, pair):
+        with pytest.raises(ValueError, match="'spectral-mc' needs sim"):
+            run_test(*pair, self.basis, "spectral-mc", B=5, seed=1)
+
+    def test_unknown_calibration_names_all_three(self, pair):
+        with pytest.raises(ValueError, match="'bootstrap'") as info:
+            run_test(*pair, self.basis, "bootstrap", B=5, seed=1)
+        for name in ("'asymptotic'", "'permutation'", "'spectral-mc'"):
+            assert name in str(info.value)
+
+
 class TestPermutationPvalue:
     def test_add_one_estimator(self):
         assert permutation_pvalue(10.0, np.arange(9.0)) == pytest.approx(0.1)
@@ -254,9 +358,10 @@ class TestPermutationPvalue:
             permutation_pvalue(1.0, [])
 
 
-def built(text: str, spectra) -> GVector:
-    """The g-vector of basis `text`, built from the pooled spectra as spectral_mc_test does."""
-    return BasisSpec.parse(text).build(spectra_to_sample(spectra))
+def pooled(text: str, spectra) -> tuple[FunctionalSample, GVector]:
+    """The pooled spectra and the g-vector of basis `text` built from them, as run_test does."""
+    joint = spectra_to_sample(spectra)
+    return joint, BasisSpec.parse(text).build(joint)
 
 
 class TestSpectralMcNull:
@@ -269,8 +374,7 @@ class TestSpectralMcNull:
             for i in range(4)
         ]
         sim = SimConfig(duration=600.0, fs=fs, parzen_L=60, n_freq=481)
-        g = built("indicator:k=2", spectra)
-        null = spectral_mc_null(spectra[:2], spectra[2:], sim, g, 1, 5)
+        null = spectral_mc_null(*pooled("indicator:k=2", spectra), 2, sim, 1, 5)
         assert null.values.shape == (1,) and null.values[0] >= 0.0
 
     def test_average_of_identical_spectra(self):
@@ -294,9 +398,9 @@ class TestSpectralMcNull:
         sim = SimConfig(duration=900.0, fs=1.28, parzen_L=60, n_freq=481)
         B = 4 * SPECTRAL_MC_CHUNK + 1
         for text in ("indicator:k=3", "pca:d=2"):
-            g = built(text, spectra)
-            serial = spectral_mc_null(spectra[:4], spectra[4:], sim, g, B, 21, n_jobs=1)
-            threaded = spectral_mc_null(spectra[:4], spectra[4:], sim, g, B, 21, n_jobs=3)
+            joint, g = pooled(text, spectra)
+            serial = spectral_mc_null(joint, g, 4, sim, B, 21, n_jobs=1)
+            threaded = spectral_mc_null(joint, g, 4, sim, B, 21, n_jobs=3)
             assert np.array_equal(serial.values, threaded.values), text
 
     @pytest.mark.parametrize("basis", ["indicator:k=8", "pca:d=2"])
@@ -304,7 +408,7 @@ class TestSpectralMcNull:
         spectra = self._spectra(10, 600.0, 40)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
         B, seed = SPECTRAL_MC_CHUNK + 2, 9  # 2 in a partial chunk
-        null = spectral_mc_null(spectra[:5], spectra[5:], sim, built(basis, spectra), B, seed)
+        null = spectral_mc_null(*pooled(basis, spectra), 5, sim, B, seed)
         basis = BasisSpec.parse(basis)
         assert null.n_failed == 0
         s_avg = average_spectrum(spectra)
@@ -322,7 +426,7 @@ class TestSpectralMcNull:
         spectra = self._spectra(12, 600.0, 50, n_freq=9)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=9)
         B, seed = SPECTRAL_MC_CHUNK + 1, 3
-        null = spectral_mc_null(spectra[:6], spectra[6:], sim, built("pca:d=2", spectra), B, seed)
+        null = spectral_mc_null(*pooled("pca:d=2", spectra), 6, sim, B, seed)
         assert null.n_failed == 0
         s_avg = average_spectrum(spectra)
         synth = GaussianSynthesizer(int(round(sim.duration * sim.fs)), sim.fs)
@@ -348,12 +452,13 @@ class TestSpectralMcNull:
         # the group sizes and the basis are checked before any replicate is drawn
         monkeypatch.setattr(resampling, "substream", None)
         basis = BasisSpec.parse(basis)
+        x, y = spectra_to_sample(spectra[:m]), spectra_to_sample(spectra[m:])
         with pytest.raises(error):
-            spectral_mc_test(spectra[:m], spectra[m:], basis, sim, B=B, seed=1)
+            run_test(x, y, basis, "spectral-mc", B=B, seed=1, sim=sim)
         if basis.scheme != "trig":  # a trig g cannot be built on the estimator grid
-            g = basis.build(spectra_to_sample(spectra))
+            joint = spectra_to_sample(spectra)
             with pytest.raises(error):
-                spectral_mc_null(spectra[:m], spectra[m:], sim, g, B, 1)
+                spectral_mc_null(joint, basis.build(joint), m, sim, B, 1)
 
     def test_g_off_the_spectra_grid_rejected(self, monkeypatch):
         spectra = self._spectra(4, 600.0, 70)
@@ -362,7 +467,7 @@ class TestSpectralMcNull:
         waves = FunctionalSample(unit, smooth_curves(np.random.default_rng(3), 6, unit))
         monkeypatch.setattr(resampling, "substream", None)
         with pytest.raises(GridMismatch, match="frequency grid"):
-            spectral_mc_null(spectra[:2], spectra[2:], sim, trig_g_functions(waves), 3, 1)
+            spectral_mc_null(spectra_to_sample(spectra), trig_g_functions(waves), 2, sim, 3, 1)
 
     @pytest.mark.parametrize("text", ["indicator:k=3", "pca:d=2"])
     def test_each_test_builds_its_basis_once(self, monkeypatch, text):
@@ -371,9 +476,9 @@ class TestSpectralMcNull:
         basis, built_from, build = BasisSpec.parse(text), [], BasisSpec.build
         monkeypatch.setattr(BasisSpec, "build",
                             lambda self, joint: built_from.append(joint) or build(self, joint))
-        spectral_mc_test(spectra[:3], spectra[3:], basis, sim, B=3, seed=2)
-        assert len(built_from) == 1
         x, y = spectra_to_sample(spectra[:3]), spectra_to_sample(spectra[3:])
+        run_test(x, y, basis, "spectral-mc", B=3, seed=2, sim=sim)
+        assert len(built_from) == 1
         run_test(x, y, basis, "permutation", B=5, seed=2)
         assert len(built_from) == 2
 
@@ -381,11 +486,11 @@ class TestSpectralMcNull:
         spectra = self._spectra(6, 600.0, 60, n_freq=241)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=40, n_freq=241)
         for text in ("indicator:k=2", "pca:d=2"):
-            g = built(text, spectra)
+            joint, g = pooled(text, spectra)
             values = []
             for chunk in (1, 3, 7):
                 monkeypatch.setattr(resampling, "SPECTRAL_MC_CHUNK", chunk)
-                values.append(spectral_mc_null(spectra[:3], spectra[3:], sim, g, 7, 3).values)
+                values.append(spectral_mc_null(joint, g, 3, sim, 7, 3).values)
             assert np.array_equal(values[0], values[1]), text
             assert np.array_equal(values[0], values[2]), text
 
@@ -399,7 +504,22 @@ class TestSpectralMcNull:
         spectra = self._spectra(4, 600.0, 70)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
         with pytest.raises(NegativeEstimate):
-            spectral_mc_null(spectra[:2], spectra[2:], sim, built("indicator:k=2", spectra), 3, 1)
+            spectral_mc_null(*pooled("indicator:k=2", spectra), 2, sim, 3, 1)
+
+    def test_negative_input_value_rejected_before_any_draw(self, monkeypatch):
+        spectra = self._spectra(4, 600.0, 70)
+        sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
+        joint, g = pooled("indicator:k=2", spectra)
+        values = joint.values.copy()
+        values[3, 100] = -1e-9
+        monkeypatch.setattr(resampling, "substream", None)
+        with pytest.raises(ValueError, match="non-negative"):
+            spectral_mc_null(FunctionalSample(joint.grid, values), g, 2, sim, 3, 1)
+        # the grid is checked first, and named
+        off_grid = FunctionalSample(estimator_grid(1.28, 241), values[:, ::2])
+        with pytest.raises(GridMismatch, match="estimator grid"):
+            spectral_mc_null(off_grid, BasisSpec.parse("indicator:k=2").build(off_grid),
+                             2, sim, 3, 1)
 
     @pytest.mark.parametrize("fs,n_freq", [(1.28, 241), (2.56, 481)])
     def test_spectra_off_the_estimator_grid_rejected(self, fs, n_freq):
@@ -409,17 +529,18 @@ class TestSpectralMcNull:
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
         basis = BasisSpec.parse("indicator:k=2")
         with pytest.raises(GridMismatch, match="estimator grid"):
-            spectral_mc_null(spectra[:2], spectra[2:], sim, built("indicator:k=2", spectra), 3, 1)
+            spectral_mc_null(*pooled("indicator:k=2", spectra), 2, sim, 3, 1)
+        x, y = spectra_to_sample(spectra[:2]), spectra_to_sample(spectra[2:])
         with pytest.raises(GridMismatch, match="estimator grid"):
-            spectral_mc_test(spectra[:2], spectra[2:], basis, sim, B=3, seed=1)
+            run_test(x, y, basis, "spectral-mc", B=3, seed=1, sim=sim)
 
     def test_window_longer_than_half_the_record_rejected(self):
         spectra = self._spectra(4, 600.0, 70)
-        g = built("indicator:k=2", spectra)
+        joint, g = pooled("indicator:k=2", spectra)
         for L, error in ((0, InvalidParams), (400, RecordTooShort)):
             sim = SimConfig(duration=600.0, fs=1.28, parzen_L=L, n_freq=481)
             with pytest.raises(error):
-                spectral_mc_null(spectra[:2], spectra[2:], sim, g, 3, 1)
+                spectral_mc_null(joint, g, 2, sim, 3, 1)
 
 
 def counting_substream(monkeypatch):
@@ -453,8 +574,7 @@ class TestReplicateDriver:
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
         B = 2 * SPECTRAL_MC_CHUNK + 1
         calls = counting_substream(monkeypatch)
-        spectral_mc_null(spectra[:2], spectra[2:], sim, built("indicator:k=2", spectra),
-                         B, 4, n_jobs=n_jobs)
+        spectral_mc_null(*pooled("indicator:k=2", spectra), 2, sim, B, 4, n_jobs=n_jobs)
         assert len(calls) == math.ceil(B / SPECTRAL_MC_CHUNK)
         assert sorted(calls) == list(range(0, B, SPECTRAL_MC_CHUNK))
 

@@ -233,7 +233,7 @@ def cmd_quantiles(args, given: set[str]) -> int:
     y = io.read_functional_sample(args.y, label="y")
     joint = concatenate_samples(x, y)
     g = BasisSpec.parse(args.basis).build(joint)
-    values = permutation_null(joint, g, x.n_curves, B, seed, n_jobs=_threads()).values
+    values = permutation_null(joint, g, x.n_curves, B, seed).values
     io.write_quantile_table(quantile_table(values, g.k, probs), args.output)
     return EXIT_OK
 

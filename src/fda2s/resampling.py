@@ -26,9 +26,9 @@ from .sea import (
     parzen_estimates,
 )
 
-# Replicates per chunk of the permutation null.  A chunk holds one
-# PERMUTATION_CHUNK x N membership mask, so memory does not grow with B,
-# and chunks are the unit of thread scheduling.
+# Replicates per chunk of the permutation null.  A chunk fills one
+# PERMUTATION_CHUNK x N membership mask, allocated once per call, so memory
+# does not grow with B.
 PERMUTATION_CHUNK = 256
 # Replicates per chunk of the spectral MC null.  A chunk holds the amplitude
 # draws of SPECTRAL_MC_CHUNK x (m + n) records (1.5 MB for 10 vs 10 30-min
@@ -139,7 +139,7 @@ class _SplitStatistic:
             except np.linalg.LinAlgError:
                 pass
 
-    def values(self, x_rows: np.ndarray) -> np.ndarray:
+    def values(self, x_rows: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Qn of the splits whose x-samples are the rows of `x_rows`; NaN if singular.
 
         Membership goes through a 0/1 mask, reduced by einsum over whole
@@ -147,17 +147,19 @@ class _SplitStatistic:
         order or on the row's position (BLAS matmul sums edge rows of a
         block in a different order).  When m = n a split and its mirror
         are one split: both are evaluated on the side that holds curve 0,
-        so they give the same bits.
+        so they give the same bits.  The mask goes in `mask`: zeros of at
+        least (len(x_rows), N), left zero, allocated when None.
         """
         count = x_rows.shape[0]
         if self.factor is None:
             return np.full(count, np.nan)
-        mask = np.zeros((count, self.N))
+        mask = np.zeros((count, self.N)) if mask is None else mask[:count]
         mask[np.arange(count)[:, None], x_rows] = 1.0
         if self.m == self.n:
             mirrored = mask[:, 0] == 0.0
             mask[mirrored] = 1.0 - mask[mirrored]
         sx = np.einsum("cn,kn->ck", mask, self.centred_t)
+        mask.fill(0.0)
         d = sx / self.m - (self.total - sx) / self.n
         # d' T^-1 d = |L^-1 d|^2 with T = L L'.  One column takes other paths
         # (LAPACK's one-right-hand-side solve, numpy's pairwise sum), which
@@ -171,22 +173,31 @@ class _SplitStatistic:
 
 
 def permutation_null(
-    joint: FunctionalSample, g: GVector, m: int, B: int, seed: int, n_jobs: int = 1
+    joint: FunctionalSample, g: GVector, m: int, B: int, seed: int
 ) -> NullDistribution:
     """Null statistic values from random splits of the pooled sample.
 
     Replicate r takes the first m entries of
     `substream(seed, r).permutation(N)` as its x-sample and is evaluated in
     closed form from one factorization (`_SplitStatistic`),
-    PERMUTATION_CHUNK replicates at a time.  The observed split, the first
-    m curves, is evaluated the same way.
+    PERMUTATION_CHUNK replicates at a time, on one thread: the draws hold
+    the interpreter lock, so threads only slow them down.  Every chunk
+    fills the same x-rows and mask, allocated once.  The observed split,
+    the first m curves, is evaluated the same way.
     """
     _check_groups(m, joint.n_curves - m)
     split = _SplitStatistic(score_matrix(joint, g), m)
-    null = _run_replicates(
-        lambda gens, count: np.stack([gen.permutation(split.N)[:m] for gen in gens]),
-        split.values, B, seed, n_jobs, PERMUTATION_CHUNK)
-    [observed] = split.values(np.arange(m)[None, :])
+    x_rows = np.empty((PERMUTATION_CHUNK, m), dtype=np.intp)
+    mask = np.zeros((PERMUTATION_CHUNK, split.N))
+
+    def draw(gens, count: int) -> np.ndarray:
+        for row, gen in zip(x_rows, gens):
+            row[:] = gen.permutation(split.N)[:m]
+        return x_rows[:count]
+
+    null = _run_replicates(draw, lambda rows: split.values(rows, mask), B, seed,
+                           n_jobs=1, chunk=PERMUTATION_CHUNK)
+    [observed] = split.values(np.arange(m)[None, :], mask)
     return replace(null, observed=None if np.isnan(observed) else float(observed))
 
 

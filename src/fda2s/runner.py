@@ -28,9 +28,13 @@ CALIBRATIONS = ("asymptotic", "permutation", "spectral-mc")
 def concatenate_samples(
     x: FunctionalSample, y: FunctionalSample, label: str = "joint"
 ) -> FunctionalSample:
+    """The curves of `x` and then those of `y`, in one sample that keeps its
+    `vstack` as its values, without a second copy."""
     if not x.grid.matches(y.grid):
         raise GridMismatch("samples live on different grids")
-    return FunctionalSample(x.grid, np.vstack([x.values, y.values]), label)
+    values = np.vstack([x.values, y.values])
+    values.flags.writeable = False
+    return FunctionalSample(x.grid, values, label)
 
 
 def run_test(
@@ -52,7 +56,8 @@ def run_test(
     from each replicate's own spectra).  `sim`, the settings of the
     resimulated records, is required by ``"spectral-mc"`` and taken by no
     other calibration; `x` and `y` then hold spectra on its estimator grid.
-    `B`, `seed` and `n_jobs` go to the null; without a seed one is drawn.
+    `B` and `seed` go to the null; without a seed one is drawn.  `n_jobs`
+    threads run the spectral MC null; the permutation null runs on one.
 
     The add-one p-value counts the replicates at or above the observed
     split's value by the null's own arithmetic, so a permutation replicate
@@ -77,7 +82,7 @@ def run_test(
         return result
     seed = fresh_seed() if seed is None else seed
     if calibration == "permutation":
-        null = permutation_null(joint, g, x.n_curves, B, seed, n_jobs=n_jobs)
+        null = permutation_null(joint, g, x.n_curves, B, seed)
     else:
         null = spectral_mc_null(joint, g, x.n_curves, sim, B, seed, n_jobs=n_jobs)
     observed = result.qn if null.observed is None else null.observed

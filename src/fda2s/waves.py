@@ -10,6 +10,7 @@ clamped B-spline basis with endpoints held at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -191,9 +192,10 @@ def segment_waves(rec: TimeSeriesRecord) -> Waves:
     return Waves(*_read_only(flat_t, flat_v, offsets, crossings[1:] - crossings[:-1]))
 
 
+@lru_cache(maxsize=16)
 def _registration_basis(spec: RegistrationSpec) -> tuple[Grid, Callable]:
     """Common grid and the least-squares fit onto the spline basis with both
-    end coefficients pinned to 0."""
+    end coefficients pinned to 0, built once per spec."""
     grid = uniform_grid(Interval(0.0, 1.0), spec.n_grid)
     bspec = equidistant_spec(Interval(0.0, 1.0), spec.spline_order, spec.n_knots)
     design = basis_matrix(bspec, grid.points)[:, 1:-1]  # end coefficients pinned to 0
@@ -256,6 +258,29 @@ def _not_a_knot(u: np.ndarray, lengths: np.ndarray, k: int):
     return knots, wave, kstart, (j > k) & (j < n)
 
 
+def _site_intervals(u: np.ndarray, lengths: np.ndarray, k: int, knots: np.ndarray,
+                    kstart: np.ndarray) -> np.ndarray:
+    """Knot interval l of each site, knots[l] <= u < knots[l + 1], the last one
+    closed, for sites ``u`` strictly increasing within each wave.
+
+    ``knots`` and ``kstart`` are as `_not_a_knot` returns them.  l is k plus
+    the wave's interior knots at or below the site, which the not-a-knot rule
+    fixes by index: for site i of n they are sites (k + 1)/2 .. i for odd k,
+    and for even k the midpoints of sites s and s + 1, s = k/2 .. i - 1, so
+    clip(i - (k + 1) // 2 + k % 2, 0, n - k - 1) of them, with no search.
+    Only the midpoint of two adjacent doubles can round onto its left site
+    i, which it then counts too.
+    """
+    wave = np.repeat(np.arange(lengths.size), lengths)
+    n = lengths[wave]
+    l = np.arange(u.size) - (np.cumsum(lengths) - lengths)[wave] - ((k + 1) // 2 - k % 2)
+    np.clip(l, 0, n - k - 1, out=l)
+    l += (kstart + k)[wave]
+    if k % 2 == 0:
+        l += (knots[l + 1] == u) & (l < (kstart - 1)[wave] + n)
+    return l
+
+
 def _grid_runs(points: np.ndarray, knots: np.ndarray, kstart: np.ndarray,
                inner: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Knot intervals that hold a grid point, and the run of points in each.
@@ -277,20 +302,21 @@ def _grid_runs(points: np.ndarray, knots: np.ndarray, kstart: np.ndarray,
 
 
 def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
-                 k: int, points: np.ndarray, band: np.ndarray | None = None) -> np.ndarray:
+                 k: int, points: np.ndarray, band: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Degree-k not-a-knot interpolants of a batch of waves, evaluated at points.
 
     ``u`` and ``values`` hold the waves' sites and values end to end and
     ``lengths`` the sample count of each wave; ``points`` is sorted and
-    spans [u_first, u_last] of every wave.  Returns (waves, points).
-    Each wave's collocation matrix has lower and upper bandwidth k, so the
-    batch is one block-diagonal banded system of the same bandwidth, solved
-    by one LAPACK ``gbsv`` call (the solve ``make_interp_spline`` runs per
-    wave), in ``band``: scratch space of at least (3k + 1) * u.size doubles,
-    allocated when None.  The solved splines are then turned into
-    piecewise-polynomial form, one Taylor expansion per knot interval, and
-    evaluated by Horner: time and memory are linear in the number of
-    samples and points.
+    spans [u_first, u_last] of every wave.  Returns (waves, points), written
+    into ``out`` when given.  Each wave's collocation matrix has lower and
+    upper bandwidth k, so the batch is one block-diagonal banded system of
+    the same bandwidth, solved by one LAPACK ``gbsv`` call (the solve
+    ``make_interp_spline`` runs per wave), in ``band``: scratch space of at
+    least (3k + 1) * u.size doubles, allocated when None.  The solved
+    splines are then turned into piecewise-polynomial form, one Taylor
+    expansion per knot interval, and evaluated by Horner: time and memory
+    are linear in the number of samples and points.
     """
     # here, not at module level: scipy is most of `import fda2s`
     from scipy.linalg.lapack import dgbsv
@@ -301,13 +327,7 @@ def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
     if not np.all(np.diff(u)[wave[:-1] == wave[1:]] > 0.0):
         raise ValueError("wave times must be strictly increasing")
     knots, knot_wave, kstart, inner = _not_a_knot(u, lengths, k)
-    # Knot interval l of each site, knots[l] <= u < knots[l + 1] (the last one
-    # closed): k plus the wave's interior knots at or below the site, counted
-    # by one binary search over (wave, knot) pairs, which complex numbers
-    # order lexicographically (wave + 1j * knot is exact).
-    n_inner = lengths - k - 1
-    below = np.searchsorted(knot_wave[inner] + 1j * knots[inner], wave + 1j * u, "right")
-    l = kstart[wave] + k + below - (np.cumsum(n_inner) - n_inner)[wave]
+    l = _site_intervals(u, lengths, k, knots, kstart)
     # column of B_{l-k+a} in the stacked system
     offset = np.cumsum(lengths) - lengths - kstart - k
     cols = l + offset[wave] + np.arange(k + 1)[:, None]
@@ -336,14 +356,22 @@ def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
     taylor = np.empty((k + 1, lp.size))
     for j, vals in enumerate(bspline_levels(knots, k, lp, knots[lp])):
         taylor[k - j] = np.einsum("ap,ap->p", derivs[k - j], vals)
-    # Horner at every grid point, each interval's expansion repeated over its run
-    dx = np.tile(points, n_waves)
-    dx -= np.repeat(knots[lp], runs)
-    dense = np.repeat(taylor[k], runs)
-    for m in range(k - 1, -1, -1):
-        dense *= dx
-        dense += np.repeat(taylor[m], runs)
-    return dense.reshape(n_waves, n_points)
+
+    # Horner at every grid point, straight into the result rows, each
+    # interval's expansion repeated over its run
+    def term(m: int) -> np.ndarray:
+        return np.repeat(taylor[m], runs).reshape(n_waves, n_points)
+
+    dx = np.repeat(knots[lp], runs).reshape(n_waves, n_points)
+    np.subtract(points, dx, out=dx)
+    if out is None:
+        out = np.empty((n_waves, n_points))
+    np.multiply(term(k), dx, out=out)
+    for m in range(k - 1, 0, -1):
+        out += term(m)
+        out *= dx
+    out += term(0)
+    return out
 
 
 def register_sample(
@@ -374,8 +402,9 @@ def register_sample(
         group = np.flatnonzero(keep & (degree == k))
         batch = (np.cumsum(sizes[group] + spec.n_grid // 8) - 1) // REGISTER_POINTS
         batches += [(k, rows) for rows in np.split(group, np.flatnonzero(np.diff(batch)) + 1)]
-    slot = np.cumsum(keep) - 1  # row of each kept wave
+    # each batch writes the next rows, in batch order; `done` holds their waves
     dense = np.empty((np.count_nonzero(keep), spec.n_grid))
+    filled, done = 0, []
     # one LAPACK band for every batch, (3k + 1) values per sample
     band = np.empty(max([(3 * k + 1) * sizes[rows].sum() for k, rows in batches], default=0))
     for k, rows in batches:
@@ -383,16 +412,19 @@ def register_sample(
         v = waves.values[idx]
         u, has_up = _warp_times(waves.times[idx], v, sizes[rows], spec.constrain_upcross)
         if not has_up.all():
-            keep[rows[~has_up]] = False
             inside = np.repeat(has_up, sizes[rows])
             rows, u, v = rows[has_up], u[inside], v[inside]
         if rows.size:
-            dense[slot[rows]] = _interpolate(u, v, sizes[rows], k, grid.points, band)
-    kept = np.flatnonzero(keep)
-    if not kept.size:
+            _interpolate(u, v, sizes[rows], k, grid.points, band,
+                         dense[filled:filled + rows.size])
+            filled += rows.size
+            done.append(rows)
+    if not done:
         raise NoWaves("no waves survived registration")
-    if kept.size < dense.shape[0]:  # waves without an upcrossing
-        dense = dense[slot[kept]]
+    kept, dense = np.concatenate(done), dense[:filled]
+    if np.any(np.diff(kept) < 0):  # batches of several degrees interleave
+        rank = np.argsort(kept)
+        kept, dense = kept[rank], dense[rank]
     sample = FunctionalSample(grid, fit(dense), label)
     return sample, kept, sizes.size - kept.size
 

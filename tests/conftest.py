@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fda2s import FunctionalSample, Grid, Interval, uniform_grid
+from fda2s import FunctionalSample, Grid, Interval, resampling, run_test, uniform_grid
+from fda2s.io import format_test_result
 
 
 def smooth_curves(rng, n_curves, grid, scale=1.0):
@@ -47,6 +48,19 @@ def eigh_pca_oracle(values, w, d):
         else:
             phi *= np.sign(phi[np.argmax(np.abs(phi))])
     return eigvals[order], phis
+
+
+def permutation_reports(x, y, basis, B, seed, jobs=(1, 4)):
+    """`run_test(..., "permutation")` reports at each n_jobs of `jobs`, with
+    every thread pool `resampling` would build made to fail."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the permutation null built a thread pool")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resampling, "ThreadPoolExecutor", no_pool)
+        return [format_test_result(run_test(x, y, basis, "permutation", B=B, seed=seed,
+                                            n_jobs=n_jobs))
+                for n_jobs in jobs]
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from fda2s import (
     default_frequency_grid,
     uniform_grid,
 )
-from fda2s import resampling
+from fda2s import resampling, runner
 from fda2s.errors import (
     GridMismatch,
     InvalidParams,
@@ -48,7 +48,7 @@ from fda2s.resampling import PERMUTATION_CHUNK, SPECTRAL_MC_CHUNK, _SplitStatist
 from fda2s.rng import substream
 from fda2s.sea import GaussianSynthesizer, estimate_spectra, estimator_grid
 
-from conftest import eigh_pca_oracle, smooth_curves
+from conftest import eigh_pca_oracle, permutation_reports, smooth_curves
 
 
 def gaussian_joint(rng, n_curves=40, n_points=41):
@@ -81,12 +81,11 @@ class TestPermutationNull:
         b = permutation_null(joint, g, 25, 50, 12)
         assert np.array_equal(a.values, b.values)
 
-    def test_parallel_matches_serial_bitexact(self, rng):
+    def test_report_is_the_same_at_any_n_jobs_without_threads(self, rng):
         joint = gaussian_joint(rng)
-        g = BasisSpec("pca", {"d": 2}).build(joint)
-        serial = permutation_null(joint, g, 20, 64, 9, n_jobs=1)
-        threaded = permutation_null(joint, g, 20, 64, 9, n_jobs=4)
-        assert np.array_equal(serial.values, threaded.values)
+        x, y = (FunctionalSample(joint.grid, rows) for rows in np.split(joint.values, [20]))
+        serial, asked_for_four = permutation_reports(x, y, BasisSpec("pca", {"d": 2}), 64, 9)
+        assert serial == asked_for_four
 
     def test_null_quantiles_near_chi2(self, rng):
         # synthetic Gaussian-curve joint sample, trig k=2, m=n=100
@@ -214,11 +213,11 @@ class TestClosedFormNull:
         joint, basis, m, seed = problem
         B = PERMUTATION_CHUNK + extra
         oracle = per_replicate_null(joint, basis, m, B, seed)
-        g = basis.build(joint)
-        serial = permutation_null(joint, g, m, B, seed, n_jobs=1)
-        threaded = permutation_null(joint, g, m, B, seed, n_jobs=3)
-        assert_matches_oracle(serial.values, oracle)
-        assert serial.values.tobytes() == threaded.values.tobytes()
+        null = permutation_null(joint, basis.build(joint), m, B, seed)
+        assert_matches_oracle(null.values, oracle)
+        x, y = (FunctionalSample(joint.grid, rows) for rows in np.split(joint.values, [m]))
+        serial, asked_for_three = permutation_reports(x, y, basis, B, seed, jobs=(1, 3))
+        assert serial == asked_for_three
 
     @settings(PROPERTY, max_examples=5)
     @given(small_problems())
@@ -231,10 +230,9 @@ class TestClosedFormNull:
             [substream(seed, r).permutation(joint.n_curves)[:m] for r in range(B)]
         )
         expected = split.values(x_rows)
-        for n_jobs in (1, 3):
-            null = permutation_null(joint, g, m, B, seed, n_jobs=n_jobs)
-            assert null.n_failed == 0
-            assert null.values.tobytes() == expected.tobytes()
+        null = permutation_null(joint, g, m, B, seed)
+        assert null.n_failed == 0
+        assert null.values.tobytes() == expected.tobytes()
 
 
     @PROPERTY
@@ -257,6 +255,52 @@ class TestClosedFormNull:
         perm = np.random.default_rng(seed).permutation(N)
         values = _SplitStatistic(scores, N // 2).values(np.array([perm[:N // 2], perm[N // 2:]]))
         assert values[0].tobytes() == values[1].tobytes()
+
+
+class TestPermutationWorkspace:
+    """One x-rows buffer and one mask, allocated per call, serve every chunk."""
+
+    @pytest.mark.parametrize("B", [1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("m", [20, 27])  # of 40 curves: m = n, and m != n
+    def test_values_match_a_fresh_allocation_run(self, rng, B, m):
+        # chunk edges, and the lone split of B = 1 and B = 257
+        joint = gaussian_joint(rng)
+        g = BasisSpec("trig", {"k": 3}).build(joint)
+        split = _SplitStatistic(sample_inner_products(joint, g.functions), m)
+        x_rows = np.array([substream(11, r).permutation(joint.n_curves)[:m] for r in range(B)])
+        fresh = np.concatenate([split.values(x_rows[s:s + PERMUTATION_CHUNK])
+                                for s in range(0, B, PERMUTATION_CHUNK)])
+        null = permutation_null(joint, g, m, B, 11)
+        assert null.n_failed == 0
+        assert null.values.tobytes() == fresh.tobytes()
+        [observed] = split.values(np.arange(m)[None, :])
+        assert null.observed == observed
+
+    @pytest.mark.parametrize("m", [20, 27])
+    def test_values_leave_the_mask_zero(self, rng, m):
+        joint = gaussian_joint(rng)
+        split = _SplitStatistic(
+            sample_inner_products(joint, BasisSpec("trig", {"k": 3}).build(joint).functions), m)
+        x_rows = np.array([rng.permutation(joint.n_curves)[:m] for _ in range(5)])
+        mask = np.zeros((8, joint.n_curves))
+        for rows in (x_rows, x_rows[:1], x_rows[::-1]):
+            assert split.values(rows, mask).tobytes() == split.values(rows).tobytes()
+            assert not mask.any()
+
+    def test_concatenate_samples_keeps_its_vstack(self, rng, monkeypatch):
+        x, y = (gaussian_joint(rng, n_curves=n) for n in (3, 4))
+        handed = []
+
+        def recorded(grid, values, label):
+            handed.append(values)
+            return FunctionalSample(grid, values, label)
+
+        monkeypatch.setattr(runner, "FunctionalSample", recorded)
+        joint = concatenate_samples(x, y)
+        [values] = handed
+        assert joint.values is values
+        assert joint.values.flags.owndata and not joint.values.flags.writeable
+        assert np.array_equal(joint.values, np.vstack([x.values, y.values]))
 
 
 def equal_halves(rng, shift=0.0):
@@ -560,13 +604,13 @@ class TestReplicateDriver:
 
     @pytest.mark.parametrize("n_jobs", [1, 3])
     def test_permutation_null_builds_one_generator_per_chunk(self, rng, monkeypatch, n_jobs):
+        # in order, on one thread, whatever n_jobs says
         joint = gaussian_joint(rng)
-        g = BasisSpec("trig", {"k": 3}).build(joint)
+        x, y = (FunctionalSample(joint.grid, rows) for rows in np.split(joint.values, [20]))
         B = 2 * PERMUTATION_CHUNK + 5
         calls = counting_substream(monkeypatch)
-        permutation_null(joint, g, 20, B, 4, n_jobs=n_jobs)
-        assert len(calls) == math.ceil(B / PERMUTATION_CHUNK)
-        assert sorted(calls) == list(range(0, B, PERMUTATION_CHUNK))
+        permutation_reports(x, y, BasisSpec("trig", {"k": 3}), B, 4, jobs=(n_jobs,))
+        assert calls == list(range(0, B, PERMUTATION_CHUNK))
 
     @pytest.mark.parametrize("n_jobs", [1, 3])
     def test_spectral_mc_null_builds_one_generator_per_chunk(self, monkeypatch, n_jobs):

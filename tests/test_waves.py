@@ -29,6 +29,7 @@ from fda2s.waves import (
     _interpolate,
     _not_a_knot,
     _registration_basis,
+    _site_intervals,
     _warp_times,
 )
 
@@ -435,9 +436,9 @@ class TestBatchedRegistration:
         monkeypatch.setattr(waves_module, "REGISTER_POINTS", 3 * (12 + spec.n_grid // 8))
         batches = []
 
-        def counted(u, values, lengths, k, points, band):
+        def counted(u, values, lengths, k, points, band, out):
             batches.append(lengths.size)
-            return _interpolate(u, values, lengths, k, points, band)
+            return _interpolate(u, values, lengths, k, points, band, out)
 
         monkeypatch.setattr(waves_module, "_interpolate", counted)
         sample, kept, dropped = register_sample(waves, spec, min_interior=0)
@@ -627,6 +628,64 @@ class TestGridEvaluation:
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+def searched_intervals(u, lengths, k, knots, kstart):
+    """Knot interval of each site by a binary search per wave, the right end closed."""
+    starts = np.cumsum(lengths) - lengths
+    return np.concatenate([
+        kstart[w] + np.minimum(np.searchsorted(knots[kstart[w]:kstart[w] + n + k + 1],
+                                               u[a:a + n], "right") - 1, n - 1)
+        for w, (a, n) in enumerate(zip(starts, lengths))])
+
+
+class TestSiteIntervals:
+    """The not-a-knot rule fixes each site's knot interval by its index."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 7),
+        extra=st.lists(st.integers(0, 598), min_size=1, max_size=8),
+        evenly=st.booleans(),
+        constrain=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_matches_a_search(self, k, extra, evenly, constrain, seed):
+        rng = np.random.default_rng(seed)
+        # wave lengths 2-600, at least k + 1; inner samples evenly spaced as
+        # a record's are, or not, between crossings at random fractions
+        lengths = np.array([max(2 + e, k + 1) for e in extra])
+        times = []
+        for n in lengths:
+            step = np.full(n - 1, 0.25) if evenly else rng.uniform(0.05, 1.0, n - 1)
+            step[[0, -1]] *= rng.uniform(0.0, 1.0, 2) + 1e-9
+            times.append(5.0 + np.concatenate([[0.0], np.cumsum(step)]))
+        values = np.concatenate([np.r_[0.0, rng.normal(size=n - 2), 0.0] for n in lengths])
+        u, has_up = _warp_times(np.concatenate(times), values, lengths, constrain)
+        inside = np.repeat(has_up, lengths)
+        u, lengths = u[inside], lengths[has_up]
+        if not lengths.size:
+            return
+        knots, _, kstart, _ = _not_a_knot(u, lengths, k)
+        expected = searched_intervals(u, lengths, k, knots, kstart)
+        assert np.array_equal(_site_intervals(u, lengths, k, knots, kstart), expected)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_a_midpoint_rounded_onto_its_left_site(self, k):
+        # sites i and i + 1 adjacent doubles: their midpoint, a knot for even
+        # k, rounds to one of them, here to site i, whose interval it opens
+        i = k // 2 + 1
+        for a in 0.5 + np.arange(2) * 2.0**-53:
+            if (a + np.nextafter(a, 1.0)) / 2 == a:
+                break
+        u = np.concatenate([np.linspace(0.0, 0.4, i), [a, np.nextafter(a, 1.0)],
+                            np.linspace(0.6, 1.0, k + 1)])
+        lengths = np.array([u.size])
+        knots, _, kstart, _ = _not_a_knot(u, lengths, k)
+        assert a in knots[k + 1:u.size]
+        expected = searched_intervals(u, lengths, k, knots, kstart)
+        assert np.array_equal(_site_intervals(u, lengths, k, knots, kstart), expected)
+        assert knots[expected[i]] == a
+
+
 class TestRegistrationObjects:
     @pytest.mark.parametrize("spec", [RegistrationSpec(n_knots=90),
                                       RegistrationSpec(n_knots=200),
@@ -647,6 +706,16 @@ class TestRegistrationObjects:
             sample, _, _ = register_sample(waves, RegistrationSpec(spline_order=order,
                                                                    n_knots=knots))
             assert np.all(np.isfinite(sample.values))
+
+    def test_the_fit_is_built_once_per_spec(self):
+        spec = RegistrationSpec(spline_order=5, n_knots=40)
+        grid, fit = built = _registration_basis(spec)
+        assert _registration_basis(RegistrationSpec(spline_order=5, n_knots=40)) is built
+        fresh_grid, fresh_fit = _registration_basis.__wrapped__(spec)
+        values = np.random.default_rng(3).normal(size=(7, spec.n_grid))
+        assert np.array_equal(grid.points, fresh_grid.points)
+        assert fit(values).tobytes() == fresh_fit(values).tobytes()
+        assert fit(values).tobytes() == fresh_fit(values).tobytes()  # unchanged by use
 
     def test_repeated_registration_is_equal_and_read_only(self):
         wave = random_waves(np.random.default_rng(8), [12])[0]

@@ -19,6 +19,19 @@ from .grids import FunctionalSample, Interval
 CONDITION_BOUND = 1e12
 
 
+def condition_number(eigvals: np.ndarray) -> np.ndarray:
+    """lambda_max / lambda_min of symmetric matrices from their eigenvalues (last
+    axis) where lambda_min > 0, else inf."""
+    low = eigvals.min(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(low > 0.0, eigvals.max(axis=-1) / low, np.inf)
+
+
+def well_conditioned(eigvals: np.ndarray) -> np.ndarray:
+    """The singular rule: lambda_min > 0 and lambda_max <= CONDITION_BOUND * lambda_min."""
+    return condition_number(eigvals) <= CONDITION_BOUND
+
+
 @dataclass(frozen=True, eq=False)
 class BSplineSpec:
     """Spline order (degree + 1) and full clamped knot vector."""
@@ -125,7 +138,7 @@ def _ldl_band(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``gram = U diag(d) U'`` for a positive definite matrix of bandwidth k.
 
     Returns the unit lower triangular U and d.  In Python floats, column by
-    column, not LAPACK: ``np.linalg.cholesky`` rounds large matrices (from
+    column, not LAPACK: LAPACK's Cholesky rounds large matrices (from
     139 rows, on the registration specs) differently at different BLAS
     thread counts.
     """
@@ -163,9 +176,8 @@ def least_squares_fit(design: np.ndarray):
     Each multiply-add is elementwise over all curves, with no BLAS product
     and no reduction, so a curve's row is the same at any BLAS thread count
     and whichever curves are fitted with it.  More functions than points,
-    or a normal matrix ``D'D`` whose condition number is not finite or
-    exceeds ``CONDITION_BOUND``, raise IllConditioned here, before any
-    curve is fitted.
+    or a normal matrix ``D'D`` whose eigenvalues fail `well_conditioned`,
+    raise IllConditioned here, before any curve is fitted.
     """
     design = np.array(design, dtype=float)
     n_points, n_funcs = design.shape
@@ -174,11 +186,10 @@ def least_squares_fit(design: np.ndarray):
     # einsum, not BLAS: threaded BLAS products round differently at
     # different thread counts
     gram = np.einsum("pi,pj->ij", design, design)
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > CONDITION_BOUND:
-        raise IllConditioned(
-            f"normal system condition {cond:.3e} exceeds {CONDITION_BOUND:.0e}"
-        )
+    eigvals = np.linalg.eigvalsh(gram)
+    if not well_conditioned(eigvals):
+        raise IllConditioned(f"normal system condition {condition_number(eigvals):.3e} "
+                             f"exceeds {CONDITION_BOUND:.0e}")
     nonzero = design != 0.0
     rows = np.flatnonzero(nonzero.any(axis=1))
     # row p is zero outside columns lo[p] .. lo[p] + width - 1, column j

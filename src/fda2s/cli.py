@@ -205,11 +205,11 @@ def cmd_test(args, given: set[str]) -> int:
     if method != "spectral-mc":
         seed_flag = ("seed",) if method == "asymptotic" else ()
         _reject_given(given, seed_flag + mc_flags, f"--calibration {method}")
+    n_jobs = _threads() if method == "spectral-mc" else 1
     x = io.read_functional_sample(args.x, label="x")
     y = io.read_functional_sample(args.y, label="y")
     sim = (SimConfig(args.mc_duration, args.mc_fs, args.mc_parzen, args.mc_nfreq)
            if method == "spectral-mc" else None)
-    n_jobs = _threads()
     seed = None if method == "asymptotic" else _resolve_seed(args.seed)
     result = run_test(x, y, basis, method, B=B, seed=seed, n_jobs=n_jobs, sim=sim)
     io.write_test_result(result, args.output)
@@ -223,6 +223,8 @@ def cmd_quantiles(args, given: set[str]) -> int:
         raise FdaError(f"--probs must be comma-separated numbers, got {args.probs!r}") from None
     if not all(0.0 < p < 1.0 for p in probs):
         raise FdaError(f"--probs must lie strictly inside (0, 1), got {args.probs!r}")
+    if any(b <= a for a, b in zip(probs, probs[1:])):
+        raise FdaError(f"--probs must be strictly increasing, got {args.probs!r}")
     method, B = _parse_calibration(args.calibration)
     if method != "permutation":
         raise FdaError(

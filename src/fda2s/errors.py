@@ -42,7 +42,7 @@ class TooFewCurves(FdaError):
 
 
 class SingularCovariance(FdaError):
-    """Pooled score covariance cannot be factorized reliably."""
+    """Pooled score covariance is singular or exceeds the condition bound."""
 
 
 class InvalidDF(FdaError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsplines import basis_matrix, equidistant_spec
+from .bsplines import CONDITION_BOUND, basis_matrix, equidistant_spec
 from .errors import DegenerateCovariance, InvalidK, TooFewCurves, WrongInterval
 from .grids import FunctionalSample, Grid, Interval, sample_inner_products
 
@@ -175,11 +175,12 @@ def pca_eigenpairs(curves: np.ndarray, w: np.ndarray, d: int) -> tuple[np.ndarra
 
 def _require_rank(eigvals: np.ndarray, d: int) -> None:
     """Raise DegenerateCovariance unless every set of non-increasing eigenvalues
-    (last axis) has d of them above 1e-12 of its largest."""
-    rank = int(np.min(np.count_nonzero(eigvals > 1e-12 * eigvals[..., :1], axis=-1)))
+    (last axis) has d of them above 1 / CONDITION_BOUND of its largest."""
+    floor = 1.0 / CONDITION_BOUND  # the double 1e-12
+    rank = int(np.min(np.count_nonzero(eigvals > floor * eigvals[..., :1], axis=-1)))
     if d > rank:
         raise DegenerateCovariance(f"component {d} is numerically zero: only {rank} "
-                                   "eigenvalues exceed 1e-12 of the largest")
+                                   f"eigenvalues exceed {floor:.0e} of the largest")
 
 
 def _orient(phis: np.ndarray, w: np.ndarray) -> np.ndarray:

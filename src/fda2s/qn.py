@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bsplines import CONDITION_BOUND
+from .bsplines import CONDITION_BOUND, condition_number, well_conditioned
 from .errors import (
     DimensionMismatch,
     GridMismatch,
@@ -65,8 +65,9 @@ def qn_statistic(sx, sy) -> TestResult:
     eta, pooled = _eta_and_pooled(np.vstack([sx, sy])[None], m)
     qn = float(quadratic_form(eta, pooled)[0])
     if np.isnan(qn):
+        cond = condition_number(np.linalg.eigvalsh(pooled[0]))
         raise SingularCovariance(
-            f"pooled covariance (condition number {np.linalg.cond(pooled[0]):.3e}) is "
+            f"pooled covariance (condition number {cond:.3e}) is "
             f"singular or its condition number exceeds {CONDITION_BOUND:.0e}; "
             "reduce the number of g-functions"
         )
@@ -105,28 +106,16 @@ def _eta_and_pooled(scores: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]
 def quadratic_form(eta: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """eta' C^-1 eta for each row of a (C, k) eta and matrix of a (C, k, k) cov.
 
-    NaN where the matrix has condition number above CONDITION_BOUND (or
-    not finite), or fails its Cholesky factorization.
+    One `eigh` judges and solves: with C = V diag(lambda) V', the form is
+    sum_i (v_i' eta)^2 / lambda_i, and NaN where the eigenvalues fail
+    `well_conditioned`.
     """
-    cond = np.linalg.cond(cov)
-    ok = np.flatnonzero(np.isfinite(cond) & (cond <= CONDITION_BOUND))
-    try:
-        chol = np.linalg.cholesky(cov[ok])
-    except np.linalg.LinAlgError:  # some matrix does not factor: find which
-        ok = np.array([i for i in ok if _factors(cov[i])], dtype=int)
-        chol = np.linalg.cholesky(cov[ok])
+    eigvals, vecs = np.linalg.eigh(cov)
+    ok = well_conditioned(eigvals)
     out = np.full(eta.shape[0], np.nan)
-    # eta' C^-1 eta = |L^-1 eta|^2 with C = L L'
-    out[ok] = np.sum(np.linalg.solve(chol, eta[ok][..., None])[..., 0] ** 2, axis=-1)
+    proj = np.einsum("cki,ck->ci", vecs[ok], eta[ok])
+    out[ok] = np.einsum("ci,ci->c", proj, proj / eigvals[ok])
     return out
-
-
-def _factors(matrix: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _check_df(k) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bsplines import CONDITION_BOUND
+from .bsplines import CONDITION_BOUND, condition_number, well_conditioned
 from .errors import GridMismatch, SingularCovariance, TooFewCurves, TooFewReplicates
 from .grids import FunctionalSample, Grid
 from .projections import GVector, pca_eigenpairs
@@ -109,17 +109,18 @@ def _run_replicates(draw, evaluate, B: int, seed: int, n_jobs: int,
 
 
 class _SplitStatistic:
-    """Qn of any (m, n) split of fixed pooled scores, from one factorization.
+    """Qn of any (m, n) split of fixed pooled scores, from one eigendecomposition.
 
     The total centred scatter T = W + h d d' of the pooled scores is the
     same under every relabelling (W: within-sample scatter, d: difference
     of the sample means, h = mn/N).  With a = d' T^-1 d, Sherman-Morrison
     gives d' W^-1 d = a / (1 - h a), so Qn = (N - 2) h a / (1 - h a).
+    One `eigh`, T = V diag(lambda) V', gives a = |d V diag(lambda)^-1/2|^2.
 
     cond(W) <= cond(T) / (1 - h a), so a split counts as singular when
     1 - h a <= cond(T) / CONDITION_BOUND: every split on which the direct
-    evaluation fails, and possibly a few more.  When T itself exceeds the
-    bound or cannot be factored, `factor` is None and every split fails.
+    evaluation fails, and possibly a few more.  When T itself fails
+    `well_conditioned`, `whiten` is None and every split fails.
     """
 
     def __init__(self, scores: np.ndarray, m: int):
@@ -129,29 +130,23 @@ class _SplitStatistic:
         centred = scores - scores.mean(axis=0)
         self.total = centred.sum(axis=0)
         self.centred_t = np.ascontiguousarray(centred.T)
-        scatter = centred.T @ centred
-        cond = np.linalg.cond(scatter)
-        self.factor = None
-        self.min_slack = cond / CONDITION_BOUND
-        if np.isfinite(cond) and cond <= CONDITION_BOUND:
-            try:
-                self.factor = np.linalg.cholesky(scatter)
-            except np.linalg.LinAlgError:
-                pass
+        eigvals, vecs = np.linalg.eigh(centred.T @ centred)
+        self.min_slack = condition_number(eigvals) / CONDITION_BOUND
+        self.whiten = vecs / np.sqrt(eigvals) if well_conditioned(eigvals) else None
 
     def values(self, x_rows: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Qn of the splits whose x-samples are the rows of `x_rows`; NaN if singular.
 
-        Membership goes through a 0/1 mask, reduced by einsum over whole
-        rows: a value depends on the set of x-indices only, not on their
-        order or on the row's position (BLAS matmul sums edge rows of a
-        block in a different order).  When m = n a split and its mirror
-        are one split: both are evaluated on the side that holds curve 0,
-        so they give the same bits.  The mask goes in `mask`: zeros of at
-        least (len(x_rows), N), left zero, allocated when None.
+        Membership goes through a 0/1 mask, and every product is an einsum
+        over whole rows: a value depends on the set of x-indices only, not
+        on their order, the row's position or the row count (BLAS matmul
+        sums edge rows of a block in a different order).  When m = n a split
+        and its mirror are one split: both are evaluated on the side that
+        holds curve 0, so they give the same bits.  The mask goes in `mask`:
+        zeros of at least (len(x_rows), N), left zero, allocated when None.
         """
         count = x_rows.shape[0]
-        if self.factor is None:
+        if self.whiten is None:
             return np.full(count, np.nan)
         mask = np.zeros((count, self.N)) if mask is None else mask[:count]
         mask[np.arange(count)[:, None], x_rows] = 1.0
@@ -161,11 +156,8 @@ class _SplitStatistic:
         sx = np.einsum("cn,kn->ck", mask, self.centred_t)
         mask.fill(0.0)
         d = sx / self.m - (self.total - sx) / self.n
-        # d' T^-1 d = |L^-1 d|^2 with T = L L'.  One column takes other paths
-        # (LAPACK's one-right-hand-side solve, numpy's pairwise sum), which
-        # round differently: a lone split goes next to a copy of itself.
-        rhs = d.T if count > 1 else np.repeat(d.T, 2, axis=1)
-        ha = self.h * np.sum(np.linalg.solve(self.factor, rhs) ** 2, axis=0)[:count]
+        z = np.einsum("ck,kj->cj", d, self.whiten)
+        ha = self.h * np.einsum("cj,cj->c", z, z)
         out = np.full(count, np.nan)
         ok = 1.0 - ha > self.min_slack
         out[ok] = np.maximum((self.N - 2) * ha[ok] / (1.0 - ha[ok]), 0.0)
@@ -179,7 +171,7 @@ def permutation_null(
 
     Replicate r takes the first m entries of
     `substream(seed, r).permutation(N)` as its x-sample and is evaluated in
-    closed form from one factorization (`_SplitStatistic`),
+    closed form from one eigendecomposition (`_SplitStatistic`),
     PERMUTATION_CHUNK replicates at a time, on one thread: the draws hold
     the interpreter lock, so threads only slow them down.  Every chunk
     fills the same x-rows and mask, allocated once.  The observed split,

@@ -57,7 +57,8 @@ def run_test(
     resimulated records, is required by ``"spectral-mc"`` and taken by no
     other calibration; `x` and `y` then hold spectra on its estimator grid.
     `B` and `seed` go to the null; without a seed one is drawn.  `n_jobs`
-    threads run the spectral MC null; the permutation null runs on one.
+    threads run the spectral MC null; every other calibration runs on one
+    thread and refuses any other `n_jobs`.
 
     The add-one p-value counts the replicates at or above the observed
     split's value by the null's own arithmetic, so a permutation replicate
@@ -71,6 +72,8 @@ def run_test(
         raise ValueError("calibration 'spectral-mc' needs sim, the resimulation settings")
     if calibration != "spectral-mc" and sim is not None:
         raise ValueError(f"calibration {calibration!r} takes no sim")
+    if calibration != "spectral-mc" and n_jobs != 1:
+        raise ValueError(f"calibration {calibration!r} runs on one thread; got n_jobs={n_jobs}")
     if sim is not None:  # off the estimator grid says more than "different grids"
         _check_estimator_grid(x.grid, sim)
         _check_estimator_grid(y.grid, sim)

@@ -50,17 +50,15 @@ def eigh_pca_oracle(values, w, d):
     return eigvals[order], phis
 
 
-def permutation_reports(x, y, basis, B, seed, jobs=(1, 4)):
-    """`run_test(..., "permutation")` reports at each n_jobs of `jobs`, with
-    every thread pool `resampling` would build made to fail."""
+def permutation_report(x, y, basis, B, seed):
+    """`run_test(..., "permutation")`'s report, with every thread pool
+    `resampling` would build made to fail."""
     def no_pool(*args, **kwargs):
         raise AssertionError("the permutation null built a thread pool")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resampling, "ThreadPoolExecutor", no_pool)
-        return [format_test_result(run_test(x, y, basis, "permutation", B=B, seed=seed,
-                                            n_jobs=n_jobs))
-                for n_jobs in jobs]
+        return format_test_result(run_test(x, y, basis, "permutation", B=B, seed=seed))
 
 
 @pytest.fixture

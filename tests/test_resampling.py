@@ -1,6 +1,7 @@
 """Permutation splits, the spectral MC null, p-values, and quantile tables."""
 
 import itertools
+import json
 import math
 import warnings
 
@@ -48,7 +49,7 @@ from fda2s.resampling import PERMUTATION_CHUNK, SPECTRAL_MC_CHUNK, _SplitStatist
 from fda2s.rng import substream
 from fda2s.sea import GaussianSynthesizer, estimate_spectra, estimator_grid
 
-from conftest import eigh_pca_oracle, permutation_reports, smooth_curves
+from conftest import eigh_pca_oracle, permutation_report, smooth_curves
 
 
 def gaussian_joint(rng, n_curves=40, n_points=41):
@@ -81,11 +82,14 @@ class TestPermutationNull:
         b = permutation_null(joint, g, 25, 50, 12)
         assert np.array_equal(a.values, b.values)
 
-    def test_report_is_the_same_at_any_n_jobs_without_threads(self, rng):
+    def test_report_is_built_without_threads(self, rng):
+        # the report's p-value is the null's, which runs on one thread
         joint = gaussian_joint(rng)
         x, y = (FunctionalSample(joint.grid, rows) for rows in np.split(joint.values, [20]))
-        serial, asked_for_four = permutation_reports(x, y, BasisSpec("pca", {"d": 2}), 64, 9)
-        assert serial == asked_for_four
+        basis = BasisSpec("pca", {"d": 2})
+        report = json.loads(permutation_report(x, y, basis, 64, 9))
+        null = permutation_null(joint, basis.build(joint), 20, 64, 9)
+        assert report["p_resampled"] == permutation_pvalue(null.observed, null.values)
 
     def test_null_quantiles_near_chi2(self, rng):
         # synthetic Gaussian-curve joint sample, trig k=2, m=n=100
@@ -216,8 +220,7 @@ class TestClosedFormNull:
         null = permutation_null(joint, basis.build(joint), m, B, seed)
         assert_matches_oracle(null.values, oracle)
         x, y = (FunctionalSample(joint.grid, rows) for rows in np.split(joint.values, [m]))
-        serial, asked_for_three = permutation_reports(x, y, basis, B, seed, jobs=(1, 3))
-        assert serial == asked_for_three
+        permutation_report(x, y, basis, B, seed)  # builds no thread pool
 
     @settings(PROPERTY, max_examples=5)
     @given(small_problems())
@@ -372,6 +375,11 @@ class TestRunTestCalibrations:
     def test_sim_rejected_outside_spectral_mc(self, pair, calibration):
         with pytest.raises(ValueError, match=f"'{calibration}' takes no sim"):
             run_test(*pair, self.basis, calibration, B=5, seed=1, sim=SimConfig())
+
+    @pytest.mark.parametrize("calibration", ["asymptotic", "permutation"])
+    def test_threads_rejected_outside_spectral_mc(self, pair, calibration):
+        with pytest.raises(ValueError, match=f"'{calibration}' runs on one thread; got n_jobs=2"):
+            run_test(*pair, self.basis, calibration, B=5, seed=1, n_jobs=2)
 
     def test_spectral_mc_without_sim_rejected(self, pair):
         with pytest.raises(ValueError, match="'spectral-mc' needs sim"):
@@ -602,14 +610,14 @@ def counting_substream(monkeypatch):
 class TestReplicateDriver:
     """Both nulls build one generator per chunk, at any thread count."""
 
-    @pytest.mark.parametrize("n_jobs", [1, 3])
-    def test_permutation_null_builds_one_generator_per_chunk(self, rng, monkeypatch, n_jobs):
-        # in order, on one thread, whatever n_jobs says
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_permutation_null_builds_one_generator_per_chunk(self, rng, monkeypatch, chunks):
+        # in order, on one thread; the last chunk is a partial one
         joint = gaussian_joint(rng)
         x, y = (FunctionalSample(joint.grid, rows) for rows in np.split(joint.values, [20]))
-        B = 2 * PERMUTATION_CHUNK + 5
+        B = (chunks - 1) * PERMUTATION_CHUNK + 5
         calls = counting_substream(monkeypatch)
-        permutation_reports(x, y, BasisSpec("trig", {"k": 3}), B, 4, jobs=(n_jobs,))
+        permutation_report(x, y, BasisSpec("trig", {"k": 3}), B, 4)
         assert calls == list(range(0, B, PERMUTATION_CHUNK))
 
     @pytest.mark.parametrize("n_jobs", [1, 3])

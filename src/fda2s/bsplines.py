@@ -162,9 +162,10 @@ def least_squares_fit(design: np.ndarray):
     """Least-squares fit onto the column space of a banded design matrix.
 
     ``design`` is (points, functions); the nonzeros of each row span a few
-    consecutive columns, as in a B-spline design.  Returns ``fit``, which
-    maps a (curves, points) array to a new read-only array of its rows
-    projected by ``D (D'D)^-1 D'``:
+    consecutive columns, as in a B-spline design.  Returns
+    ``fit(values, out=None)``, which projects the rows of a (curves,
+    points) array by ``D (D'D)^-1 D'`` into ``out`` and returns ``out``,
+    marked read-only:
 
     1. ``D'·values``, one multiply-add per grid point, over the functions
        nonzero there;
@@ -172,6 +173,12 @@ def least_squares_fit(design: np.ndarray):
        factor of ``D'D``, one multiply-add per column of U;
     3. ``D·c``, one multiply-add per function, over the points where it is
        nonzero.
+
+    ``out`` is a writeable, C-contiguous float (curves, points) array, or
+    None for a new one.  ``fit`` copies ``values`` into a points-major work
+    array before it writes ``out``, which holds the coefficients and then
+    the fitted rows, so ``out`` may be ``values`` itself: the rows are then
+    fitted in place.
 
     Each multiply-add is elementwise over all curves, with no BLAS product
     and no reduction, so a curve's row is the same at any BLAS thread count
@@ -212,16 +219,17 @@ def least_squares_fit(design: np.ndarray):
     diag = diag[:, None]
     span = max(width, *(b - a for a, b in zip(first, last)))
 
-    def fit(values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        n_curves = values.shape[0]
-        # the result before the temporaries, so that they, not it, sit at the
-        # top of the heap when they are freed; the coefficients live in its
-        # memory until the fitted values overwrite them
-        fitted = np.empty((n_curves, n_points))
-        c = fitted.reshape(-1)[:n_funcs * n_curves].reshape(n_funcs, n_curves)
+    def fit(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        data = np.asarray(values, dtype=float).T.copy()  # (points, curves)
+        n_curves = data.shape[1]
+        if out is None:
+            out = np.empty((n_curves, n_points))
+        elif (out.shape != (n_curves, n_points) or out.dtype != float
+              or not out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous float ({n_curves}, {n_points}) array")
+        # the coefficients live in out until the fitted values overwrite them
+        c = out.reshape(-1)[:n_funcs * n_curves].reshape(n_funcs, n_curves)
         c.fill(0.0)
-        data = values.T.copy()  # (points, curves)
         scratch = np.empty((span, n_curves))
         for p, cols, coef in by_point:
             into = c[cols]
@@ -237,9 +245,9 @@ def least_squares_fit(design: np.ndarray):
         for j, points, coef in by_func:
             into = data[points]
             into += np.multiply(coef, c[j], out=scratch[:len(coef)])
-        np.copyto(fitted, data.T)
-        fitted.flags.writeable = False
-        return fitted
+        np.copyto(out, data.T)
+        out.flags.writeable = False
+        return out
 
     return fit
 

@@ -17,8 +17,8 @@ from .errors import GridMismatch
 from .grids import FunctionalSample
 from .projections import BasisSpec
 from .qn import TestResult, qn_statistic, score_matrix
-from .resampling import (SimConfig, _check_estimator_grid, permutation_null,
-                         permutation_pvalue, spectral_mc_null)
+from .resampling import (SimConfig, _check_estimator_grid, _check_threads,
+                         permutation_null, permutation_pvalue, spectral_mc_null)
 from .rng import fresh_seed
 from .sea import SpectralDensity
 
@@ -57,8 +57,9 @@ def run_test(
     resimulated records, is required by ``"spectral-mc"`` and taken by no
     other calibration; `x` and `y` then hold spectra on its estimator grid.
     `B` and `seed` go to the null; without a seed one is drawn.  `n_jobs`
-    threads run the spectral MC null; every other calibration runs on one
-    thread and refuses any other `n_jobs`.
+    threads run the spectral MC null, and any `n_jobs` below 1 raises
+    ValueError; every other calibration runs on one thread and refuses any
+    other `n_jobs`.
 
     The add-one p-value counts the replicates at or above the observed
     split's value by the null's own arithmetic, so a permutation replicate
@@ -72,6 +73,7 @@ def run_test(
         raise ValueError("calibration 'spectral-mc' needs sim, the resimulation settings")
     if calibration != "spectral-mc" and sim is not None:
         raise ValueError(f"calibration {calibration!r} takes no sim")
+    _check_threads(n_jobs)
     if calibration != "spectral-mc" and n_jobs != 1:
         raise ValueError(f"calibration {calibration!r} runs on one thread; got n_jobs={n_jobs}")
     if sim is not None:  # off the estimator grid says more than "different grids"

@@ -19,7 +19,7 @@ from .errors import (
     NyquistViolation,
     RecordTooShort,
 )
-from .grids import Grid
+from .grids import Grid, _frozen
 from .rng import substream
 
 GRAVITY = 9.81
@@ -41,7 +41,7 @@ class SpectralDensity:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        vals = _frozen(self.values)
         if vals.shape != (len(self.freq),):
             raise ValueError("values must match the frequency grid")
         if not np.all(np.isfinite(vals)):
@@ -50,7 +50,6 @@ class SpectralDensity:
             raise ValueError("spectral values must be non-negative")
         if abs(self.freq.points[0]) > 1e-12:
             raise ValueError("frequency grid must start at 0")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property
@@ -98,12 +97,11 @@ class TimeSeriesRecord:
     def __post_init__(self):
         if not (np.isfinite(self.fs) and self.fs > 0):
             raise InvalidParams(f"fs must be positive, got {self.fs}")
-        vals = np.array(self.values, dtype=float)
+        vals = _frozen(self.values)
         if vals.ndim != 1:
             raise ValueError("record values must be one-dimensional")
         if not np.all(np.isfinite(vals)):
             raise NonFiniteValue("record values must be finite")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property

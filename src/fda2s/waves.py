@@ -67,7 +67,8 @@ class Wave(NamedTuple):
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Mark fresh arrays read-only, so that `Waves` keeps them without a copy."""
+    """Mark fresh arrays read-only, so that `Waves` or a record keeps them
+    without a copy."""
     for arr in arrays:
         arr.flags.writeable = False
     return arrays
@@ -167,7 +168,7 @@ def segment_waves(rec: TimeSeriesRecord) -> Waves:
     strictly between its two crossings plus interpolated zero endpoints.
     """
     mean = float(rec.values.mean())
-    centered = rec.values - mean
+    (centered,) = _read_only(rec.values - mean)
     shifted = TimeSeriesRecord(rec.fs, centered, rec.t0)
     times = shifted.times
     crossings = downcrossings(shifted, 0.0)
@@ -421,11 +422,14 @@ def register_sample(
             done.append(rows)
     if not done:
         raise NoWaves("no waves survived registration")
-    kept, dense = np.concatenate(done), dense[:filled]
+    kept = np.concatenate(done)
+    if filled < dense.shape[0]:  # waves without an upcrossing were dropped
+        dense = dense[:filled]
     if np.any(np.diff(kept) < 0):  # batches of several degrees interleave
         rank = np.argsort(kept)
         kept, dense = kept[rank], dense[rank]
-    sample = FunctionalSample(grid, fit(dense), label)
+    # fitted in place: the sample keeps the rows unless they are a view
+    sample = FunctionalSample(grid, fit(dense, out=dense), label)
     return sample, kept, sizes.size - kept.size
 
 

@@ -3,9 +3,22 @@
 import numpy as np
 import pytest
 
-from fda2s import FunctionalSample, Grid, Interval, uniform_grid
+from fda2s import (
+    FunctionalSample,
+    Grid,
+    GVector,
+    Interval,
+    SpectralDensity,
+    TimeSeriesRecord,
+    uniform_grid,
+)
 from fda2s.errors import DimensionMismatch, GridMismatch, NonFiniteValue
 from fda2s.grids import sample_inner_products
+
+
+def read_only(arr):
+    arr.flags.writeable = False
+    return arr
 
 
 def inner(grid, f, g):
@@ -128,22 +141,32 @@ class TestFunctionalSample:
             FunctionalSample(grid, np.empty((0, 4)))
 
     def test_keeps_only_owned_read_only_values(self):
+        # the rule of every value type that holds an array (`grids._frozen`)
         grid = uniform_grid(Interval(0.0, 1.0), 4)
-        owned = np.arange(12.0).reshape(3, 4).copy()
-        owned.flags.writeable = False
-        assert FunctionalSample(grid, owned).values is owned
-        # a writeable array, a read-only view and a transposed array are copied
-        writeable = np.arange(12.0).reshape(3, 4).copy()
-        view = owned.copy()[:, :]
-        view.flags.writeable = False
-        columns = np.arange(12.0).reshape(4, 3).T.copy(order="F")
-        columns.flags.writeable = False
-        for values in (writeable, view, columns):
-            kept = FunctionalSample(grid, values).values
-            assert not np.shares_memory(kept, values) and kept.flags.c_contiguous
-            assert np.array_equal(kept, values) and not kept.flags.writeable
-        # kept values go through the finiteness check too
-        bad = np.full((1, 4), np.nan)
-        bad.flags.writeable = False
-        with pytest.raises(NonFiniteValue):
-            FunctionalSample(grid, bad)
+        freq = uniform_grid(Interval(0.0, 3.0), 12)  # a spectrum's grid starts at 0
+        holders = {
+            "sample": (lambda a: FunctionalSample(grid, a).values, (3, 4)),
+            "g-vector": (lambda a: GVector(grid, a, "indicator").functions, (3, 4)),
+            "record": (lambda a: TimeSeriesRecord(1.28, a).values, (12,)),
+            "spectrum": (lambda a: SpectralDensity(freq, a).values, (12,)),
+        }
+        for name, (hold, shape) in holders.items():
+            owned = read_only(np.arange(12.0).reshape(shape).copy())
+            assert hold(owned) is owned, name
+            # a writeable array and a read-only view are copied
+            writeable = np.arange(12.0).reshape(shape).copy()
+            view = read_only(owned.copy()[...])
+            for values in (writeable, view):
+                kept = hold(values)
+                assert not np.shares_memory(kept, values) and kept.flags.c_contiguous, name
+                assert np.array_equal(kept, values) and not kept.flags.writeable, name
+            # kept values go through the finiteness check too
+            with pytest.raises(ValueError, match="finite"):
+                hold(read_only(np.full(shape, np.nan)))
+        # a transposed array: a sample copies it C-contiguous, a g-vector keeps
+        # the layout its score products' rounding depends on
+        columns = read_only(np.arange(12.0).reshape(4, 3).T.copy(order="F"))
+        kept = FunctionalSample(grid, columns).values
+        assert not np.shares_memory(kept, columns) and kept.flags.c_contiguous
+        assert np.array_equal(kept, columns) and not kept.flags.writeable
+        assert GVector(grid, columns, "indicator").functions is columns

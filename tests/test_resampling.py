@@ -512,6 +512,21 @@ class TestSpectralMcNull:
             with pytest.raises(error):
                 spectral_mc_null(joint, basis.build(joint), m, sim, B, 1)
 
+    @pytest.mark.parametrize("n_jobs", [0, -4])
+    def test_threads_below_one_rejected(self, monkeypatch, n_jobs):
+        # rejected before any replicate is drawn
+        spectra = self._spectra(4, 600.0, 70)
+        sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
+        monkeypatch.setattr(resampling, "substream", None)
+        basis = BasisSpec.parse("indicator:k=2")
+        x, y = spectra_to_sample(spectra[:2]), spectra_to_sample(spectra[2:])
+        message = f"n_jobs must be at least 1, got n_jobs={n_jobs}"
+        with pytest.raises(ValueError, match=message):
+            run_test(x, y, basis, "spectral-mc", B=5, seed=1, n_jobs=n_jobs, sim=sim)
+        joint = spectra_to_sample(spectra)
+        with pytest.raises(ValueError, match=message):
+            spectral_mc_null(joint, basis.build(joint), 2, sim, 5, 1, n_jobs=n_jobs)
+
     def test_g_off_the_spectra_grid_rejected(self, monkeypatch):
         spectra = self._spectra(4, 600.0, 70)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)

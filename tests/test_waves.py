@@ -426,6 +426,21 @@ class TestBatchedRegistration:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_rows_are_fitted_where_they_are_interpolated(self):
+        # the interpolated rows, fitted in place, and the fit's work copy are
+        # the only (waves, grid) arrays live at once
+        waves = segment_waves(simulated_record(seed=4, duration=8 * 3600.0, tp=8.0))
+        spec = RegistrationSpec()
+        register_sample(waves[:20], spec)  # the basis, and scipy's import
+        tracemalloc.start()
+        try:
+            sample, _, _ = register_sample(waves, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sample.n_curves > 4000
+        assert peak <= 2.5 * sample.values.nbytes
+
     def test_rows_follow_input_order_with_mixed_sizes(self, monkeypatch):
         waves = random_waves(np.random.default_rng(21), [12, 7, 30, 12, 9, 7, 2, 12, 12, 7])
         spec = RegistrationSpec()

@@ -174,7 +174,7 @@ def least_squares_fit(design: np.ndarray):
     3. ``D·c``, one multiply-add per function, over the points where it is
        nonzero.
 
-    ``out`` is a writeable, C-contiguous float (curves, points) array, or
+    ``out`` must be a writeable, C-contiguous float (curves, points) array, or
     None for a new one.  ``fit`` copies ``values`` into a points-major work
     array before it writes ``out``, which holds the coefficients and then
     the fitted rows, so ``out`` may be ``values`` itself: the rows are then
@@ -220,13 +220,11 @@ def least_squares_fit(design: np.ndarray):
     span = max(width, *(b - a for a, b in zip(first, last)))
 
     def fit(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        data = np.asarray(values, dtype=float).T.copy()  # (points, curves)
-        n_curves = data.shape[1]
+        values = np.asarray(values, dtype=float)
+        n_curves = values.shape[0]
         if out is None:
             out = np.empty((n_curves, n_points))
-        elif (out.shape != (n_curves, n_points) or out.dtype != float
-              or not out.flags.c_contiguous):
-            raise ValueError(f"out must be a C-contiguous float ({n_curves}, {n_points}) array")
+        data = values.T.copy()  # (points, curves), taken before out is written
         # the coefficients live in out until the fitted values overwrite them
         c = out.reshape(-1)[:n_funcs * n_curves].reshape(n_funcs, n_curves)
         c.fill(0.0)

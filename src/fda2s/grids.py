@@ -14,15 +14,12 @@ import numpy as np
 from .errors import DimensionMismatch, GridMismatch, NonFiniteValue
 
 
-def _frozen(arr, dtype=np.float64, order="C") -> np.ndarray:
+def _frozen(arr, dtype=np.float64) -> np.ndarray:
     """``arr`` itself if it owns its data, is C-contiguous and read-only, else
-    a read-only C-contiguous copy.  ``order="K"`` keeps a Fortran-contiguous
-    array too and copies anything else in its nearest layout, as `np.array`
-    does: a product's rounding can depend on its operands' layout."""
+    a read-only C-contiguous copy."""
     if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.flags.owndata
-            and (arr.flags.c_contiguous or order == "K" and arr.flags.f_contiguous)
-            and not arr.flags.writeable):
-        arr = np.array(arr, dtype=dtype, order=order)
+            and arr.flags.c_contiguous and not arr.flags.writeable):
+        arr = np.array(arr, dtype=dtype, order="C")
         arr.flags.writeable = False
     return arr
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bsplines import CONDITION_BOUND, basis_matrix, equidistant_spec
 from .errors import DegenerateCovariance, InvalidK, TooFewCurves, WrongInterval
-from .grids import FunctionalSample, Grid, Interval, _frozen, sample_inner_products
+from .grids import FunctionalSample, Grid, Interval, sample_inner_products
 
 UNIT_INTERVAL_TOL = 1e-9
 
@@ -30,13 +30,14 @@ class GVector:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        funcs = _frozen(self.functions, order="K")
+        funcs = np.array(self.functions, dtype=float)
         if funcs.ndim != 2 or funcs.shape[0] < 1:
             raise InvalidK("GVector needs at least one function")
         if funcs.shape[1] != len(self.grid):
             raise WrongInterval("functions not sampled on the given grid")
         if not np.all(np.isfinite(funcs)):
             raise ValueError("GVector functions must be finite")
+        funcs.flags.writeable = False
         object.__setattr__(self, "functions", funcs)
 
     @property

@@ -148,14 +148,6 @@ class TestLeastSquaresFit:
         into = np.empty((9, 101))
         assert fit(want, out=into) is into and into.tobytes() == fit(want).tobytes()
 
-    @pytest.mark.parametrize("out", [np.empty((9, 100)), np.empty((9, 101), dtype=np.float32),
-                                     np.empty((9, 101), order="F")],
-                             ids=["shape", "dtype", "layout"])
-    def test_bad_out_rejected(self, rng, out):
-        design = basis_matrix(equidistant_spec(Interval(0.0, 1.0), 4, 11), unit_grid(101).points)
-        with pytest.raises(ValueError, match="C-contiguous float"):
-            least_squares_fit(design)(rng.normal(size=(9, 101)), out=out)
-
 
 class TestBasisMatrix:
     @settings(max_examples=100, deadline=None)

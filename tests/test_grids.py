@@ -6,7 +6,6 @@ import pytest
 from fda2s import (
     FunctionalSample,
     Grid,
-    GVector,
     Interval,
     SpectralDensity,
     TimeSeriesRecord,
@@ -141,16 +140,15 @@ class TestFunctionalSample:
             FunctionalSample(grid, np.empty((0, 4)))
 
     def test_keeps_only_owned_read_only_values(self):
-        # the rule of every value type that holds an array (`grids._frozen`)
+        # the rule of every value type that keeps its array (`grids._frozen`)
         grid = uniform_grid(Interval(0.0, 1.0), 4)
         freq = uniform_grid(Interval(0.0, 3.0), 12)  # a spectrum's grid starts at 0
         holders = {
-            "sample": (lambda a: FunctionalSample(grid, a).values, (3, 4)),
-            "g-vector": (lambda a: GVector(grid, a, "indicator").functions, (3, 4)),
-            "record": (lambda a: TimeSeriesRecord(1.28, a).values, (12,)),
-            "spectrum": (lambda a: SpectralDensity(freq, a).values, (12,)),
+            "sample": (lambda a: FunctionalSample(grid, a).values, (3, 4), NonFiniteValue),
+            "record": (lambda a: TimeSeriesRecord(1.28, a).values, (12,), NonFiniteValue),
+            "spectrum": (lambda a: SpectralDensity(freq, a).values, (12,), ValueError),
         }
-        for name, (hold, shape) in holders.items():
+        for name, (hold, shape, non_finite) in holders.items():
             owned = read_only(np.arange(12.0).reshape(shape).copy())
             assert hold(owned) is owned, name
             # a writeable array and a read-only view are copied
@@ -161,12 +159,10 @@ class TestFunctionalSample:
                 assert not np.shares_memory(kept, values) and kept.flags.c_contiguous, name
                 assert np.array_equal(kept, values) and not kept.flags.writeable, name
             # kept values go through the finiteness check too
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(non_finite, match="finite"):
                 hold(read_only(np.full(shape, np.nan)))
-        # a transposed array: a sample copies it C-contiguous, a g-vector keeps
-        # the layout its score products' rounding depends on
+        # a transposed array is copied C-contiguous
         columns = read_only(np.arange(12.0).reshape(4, 3).T.copy(order="F"))
         kept = FunctionalSample(grid, columns).values
         assert not np.shares_memory(kept, columns) and kept.flags.c_contiguous
         assert np.array_equal(kept, columns) and not kept.flags.writeable
-        assert GVector(grid, columns, "indicator").functions is columns

@@ -58,13 +58,13 @@ def _resolve_seed(seed: int | None) -> int:
     return drawn
 
 
-def _parse_calibration(text: str) -> tuple[str, int]:
+def _parse_calibration(text: str) -> tuple[str, int | None]:
     head, colon, rest = text.partition(":")
     head = head.strip().lower()
     if head == "asymptotic":
         if colon:
             raise FdaError(f"calibration 'asymptotic' takes no parameters, got {text!r}")
-        return "asymptotic", 0
+        return "asymptotic", None
     if head not in ("permutation", "spectral-mc"):
         raise FdaError(f"unknown calibration {head!r}")
     if not colon:

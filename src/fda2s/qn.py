@@ -168,9 +168,10 @@ def _chi_square_cdf(q: float, k: int) -> float:
 def chi_square_isf(p: float, k: int) -> float:
     """Inverse survival function: the q with chi_square_sf(q, k) = p.
 
-    Newton's method on the logarithm of the smaller tail (the upper one
-    for p <= 1/2, else the lower one, 1 - p), kept inside a bracket of the
-    root by bisection.
+    Bisection on the smaller tail until the bracket's ends are adjacent
+    doubles, so q is the crossing double of the computed tail: the smallest
+    double with chi_square_sf(q, k) <= p for p <= 1/2, else the smallest
+    with _chi_square_cdf(q, k) > 1 - p.
     """
     _check_df(k)
     if not 0.0 < p <= 1.0:
@@ -181,21 +182,7 @@ def chi_square_isf(p: float, k: int) -> float:
     while chi_square_sf(hi, k) > p:
         lo, hi = hi, 2.0 * hi
     upper = p <= 0.5
-    tail, target, sign = (chi_square_sf, p, 1.0) if upper else (_chi_square_cdf, 1.0 - p, -1.0)
-    log_target, q = math.log(target), hi
-    for _ in range(200):
-        t = tail(q, k)
-        if (t > target) == upper:
-            lo = q
-        else:
-            hi = q
-        # Newton step: d/dq log t = -sign * density / t
-        pdf = 0.5 * _poisson_term(q / 2.0, k / 2.0 - 1.0)  # the chi-square density at q
-        step = sign * (math.log(t) - log_target) * t / pdf if t > 0.0 and pdf > 0.0 else math.nan
-        new = q + step
-        if abs(new - q) <= 4.0 * np.finfo(float).eps * q:
-            return new
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        q = new
-    return q
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        past = chi_square_sf(mid, k) <= p if upper else _chi_square_cdf(mid, k) > 1.0 - p
+        lo, hi = (lo, mid) if past else (mid, hi)
+    return hi

@@ -77,11 +77,6 @@ def _check_groups(m: int, n: int) -> None:
         raise TooFewCurves(f"both groups need at least 2 curves, got {m} and {n}")
 
 
-def _check_threads(n_jobs: int) -> None:
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be at least 1, got n_jobs={n_jobs}")
-
-
 def _run_replicates(draw, evaluate, B: int, seed: int, n_jobs: int,
                     chunk: int) -> NullDistribution:
     """Evaluate replicates 0..B-1 in consecutive chunks, tolerating singular ones.
@@ -262,7 +257,8 @@ def spectral_mc_null(
     g scores every replicate as it is.  `n_jobs` threads run the chunks; an
     `n_jobs` below 1 raises ValueError before any draw.
     """
-    _check_threads(n_jobs)
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be at least 1, got n_jobs={n_jobs}")
     n = joint.n_curves - m
     _check_groups(m, n)
     _check_estimator_grid(joint.grid, sim)

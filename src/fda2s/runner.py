@@ -17,8 +17,8 @@ from .errors import GridMismatch
 from .grids import FunctionalSample
 from .projections import BasisSpec
 from .qn import TestResult, qn_statistic, score_matrix
-from .resampling import (SimConfig, _check_estimator_grid, _check_threads,
-                         permutation_null, permutation_pvalue, spectral_mc_null)
+from .resampling import (SimConfig, _check_estimator_grid, permutation_null,
+                         permutation_pvalue, spectral_mc_null)
 from .rng import fresh_seed
 from .sea import SpectralDensity
 
@@ -42,7 +42,7 @@ def run_test(
     y: FunctionalSample,
     basis: BasisSpec,
     calibration: str = "asymptotic",
-    B: int = 1000,
+    B: int | None = None,
     seed: int | None = None,
     n_jobs: int = 1,
     sim: SimConfig | None = None,
@@ -56,10 +56,11 @@ def run_test(
     from each replicate's own spectra).  `sim`, the settings of the
     resimulated records, is required by ``"spectral-mc"`` and taken by no
     other calibration; `x` and `y` then hold spectra on its estimator grid.
-    `B` and `seed` go to the null; without a seed one is drawn.  `n_jobs`
-    threads run the spectral MC null, and any `n_jobs` below 1 raises
-    ValueError; every other calibration runs on one thread and refuses any
-    other `n_jobs`.
+    `B` and `seed` go to the null, which draws 1000 replicates without a
+    `B` and draws a seed without one; ``"asymptotic"`` has no null and
+    refuses either.  `n_jobs` threads run the spectral MC null, and any
+    `n_jobs` below 1 raises ValueError; every other calibration runs on one
+    thread and refuses any other `n_jobs`.
 
     The add-one p-value counts the replicates at or above the observed
     split's value by the null's own arithmetic, so a permutation replicate
@@ -73,9 +74,12 @@ def run_test(
         raise ValueError("calibration 'spectral-mc' needs sim, the resimulation settings")
     if calibration != "spectral-mc" and sim is not None:
         raise ValueError(f"calibration {calibration!r} takes no sim")
-    _check_threads(n_jobs)
     if calibration != "spectral-mc" and n_jobs != 1:
         raise ValueError(f"calibration {calibration!r} runs on one thread; got n_jobs={n_jobs}")
+    if calibration == "asymptotic":
+        for name, value in (("B", B), ("seed", seed)):
+            if value is not None:
+                raise ValueError(f"calibration 'asymptotic' takes no {name}")
     if sim is not None:  # off the estimator grid says more than "different grids"
         _check_estimator_grid(x.grid, sim)
         _check_estimator_grid(y.grid, sim)
@@ -85,6 +89,7 @@ def run_test(
                      scheme=g.scheme, params=dict(g.params))
     if calibration == "asymptotic":
         return result
+    B = 1000 if B is None else B
     seed = fresh_seed() if seed is None else seed
     if calibration == "permutation":
         null = permutation_null(joint, g, x.n_curves, B, seed)

@@ -278,6 +278,13 @@ class TestTest:
         assert report["k"] == 1
         assert report["params"]["parts"] == "odd"
 
+    def test_bare_permutation_draws_1000_replicates(self, tmp_path, rng):
+        xp, yp = self._write_pair(tmp_path, rng)
+        out = tmp_path / "report.json"
+        assert run("test", "--x", xp, "--y", yp, "--calibration", "permutation",
+                   "--seed", 1, "-o", out) == 0
+        assert json.loads(out.read_text())["n_resamples"] == 1000
+
     def test_malformed_csv_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("0.0,1.0\nx,2.0\n")
@@ -606,10 +613,16 @@ class TestQuantiles:
     ("quantiles", ("--probs", "0.9,0.5"), "--probs must be strictly increasing, got '0.9,0.5'"),
     ("quantiles", ("--probs", "0.5,0.5"), "--probs must be strictly increasing, got '0.5,0.5'"),
     ("segment", ("--order", 2, "--knots", 2), "spline order 2 with 2 knot sites"),
+    ("test", ("--calibration", "bootstrap"), "unknown calibration 'bootstrap'"),
+    ("test", ("--basis", "trig:k"), "malformed basis parameter 'k'"),
+    ("segment", ("--grid", 1), "common grid needs at least 2 points"),
+    ("segment", ("--order", 1), "spline order must be >= 2"),
+    ("segment", ("--knots", 1), "need at least the two endpoint knot sites"),
 ], ids=["test-asymptotic:", "test-permutation:", "test-spectral-mc:",
         "quantiles-permutation:", "quantiles-asymptotic", "quantiles-spectral-mc", "probs",
         "probs-outside-0-1", "probs-not-increasing", "probs-repeated",
-        "segment-order-2-knots-2"])
+        "segment-order-2-knots-2", "test-bootstrap", "test-trig:k", "segment-grid-1",
+        "segment-order-1", "segment-knots-1"])
 def test_parse_errors_exit_2_and_name_their_input(tmp_path, rng, capsys, record_file,
                                                   command, options, message):
     grid = uniform_grid(Interval(0.0, 1.0), 41)
@@ -619,6 +632,23 @@ def test_parse_errors_exit_2_and_name_their_input(tmp_path, rng, capsys, record_
         command, ("--x", xp, "--y", xp, "--basis", "trig:k=3", "--seed", 1))
     out = tmp_path / "out"
     assert run(command, *inputs, *options, "-o", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("test", "0.0,0.5,1.0\n1.0,nan,2.0\n", "line 2: non-finite value"),
+    ("test", "0.0,0.5,1.0\n", "line 1: need a grid row and at least one curve row"),
+    ("segment", "fs,1.0\nt0,0.0\n", "line 1: need fs and t0 headers plus at least one value"),
+    ("segment", "fs,1.0\nfs,2.0\n1.0\n2.0\n", "line 2: need both fs and t0 headers"),
+], ids=["curve-nan", "curve-grid-row-only", "record-two-lines", "record-two-fs"])
+def test_malformed_input_file_exits_2_naming_its_line(tmp_path, capsys, command, text,
+                                                      message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    inputs = ("--input", path) if command == "segment" else ("--x", path, "--y", path)
+    out = tmp_path / "out"
+    assert run(command, *inputs, "-o", out) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

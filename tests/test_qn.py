@@ -1,5 +1,6 @@
 """The quadratic-form statistic: scores, eta, pooled covariance, chi-square."""
 
+import math
 import re
 
 import numpy as np
@@ -417,8 +418,12 @@ def _tail_points(k):
     return [float(v) for v in q]
 
 
+INVERSE_LEVELS = np.concatenate([np.geomspace(1e-280, 0.5, 40), np.linspace(0.01, 0.99, 25),
+                                 1.0 - np.geomspace(1e-15, 0.5, 20)])
+
+
 class TestChiSquareClosedForm:
-    """The finite-sum tail and its Newton inverse against scipy.special."""
+    """The finite-sum tail and its bisection inverse against scipy.special."""
 
     @pytest.mark.parametrize("k", list(range(1, 41)) + [61, 99, 121, 240, 481, 600])
     def test_tail_matches_gammaincc(self, k):
@@ -435,12 +440,23 @@ class TestChiSquareClosedForm:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 12, 40, 121, 481, 600])
     def test_inverse_matches_gammainccinv(self, k):
-        p = np.concatenate([np.geomspace(1e-280, 0.5, 40), np.linspace(0.01, 0.99, 25),
-                            1.0 - np.geomspace(1e-15, 0.5, 20)])
+        p = INVERSE_LEVELS
         got = np.array([chi_square_isf(float(v), k) for v in p])
         np.testing.assert_allclose(got, 2.0 * gammainccinv(k / 2.0, p), rtol=1e-12, atol=0.0)
         back = np.array([chi_square_sf(v, k) for v in got])
         np.testing.assert_allclose(back, p, rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12, 40, 121, 481])
+    def test_inverse_is_the_crossing_double(self, k):
+        # q is the first double past the computed tail's crossing of p (the
+        # lower tail's crossing of 1 - p for p > 1/2), not just near it
+        for p in map(float, INVERSE_LEVELS):
+            q = chi_square_isf(p, k)
+            below = math.nextafter(q, 0.0)
+            if p <= 0.5:
+                assert chi_square_sf(q, k) <= p < chi_square_sf(below, k), (p, q)
+            else:
+                assert qn._chi_square_cdf(below, k) <= 1.0 - p < qn._chi_square_cdf(q, k), (p, q)
 
     def test_edges(self):
         assert chi_square_sf(0.0, 1) == 1.0

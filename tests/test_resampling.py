@@ -381,6 +381,12 @@ class TestRunTestCalibrations:
         with pytest.raises(ValueError, match=f"'{calibration}' runs on one thread; got n_jobs=2"):
             run_test(*pair, self.basis, calibration, B=5, seed=1, n_jobs=2)
 
+    @pytest.mark.parametrize("name, value", [("B", 5), ("seed", 1)])
+    def test_asymptotic_refuses_null_settings(self, pair, name, value):
+        # it draws no null, so a B or seed would be accepted and ignored
+        with pytest.raises(ValueError, match=f"'asymptotic' takes no {name}$"):
+            run_test(*pair, self.basis, "asymptotic", **{name: value})
+
     def test_spectral_mc_without_sim_rejected(self, pair):
         with pytest.raises(ValueError, match="'spectral-mc' needs sim"):
             run_test(*pair, self.basis, "spectral-mc", B=5, seed=1)

@@ -84,13 +84,6 @@ def _parse_calibration(text: str) -> tuple[str, int | None]:
     return head, b
 
 
-def _reject_given(given: set[str], names, context: str) -> None:
-    """Raise FdaError naming each option in `names` that was given."""
-    flags = [f"--{name.replace('_', '-')}" for name in names if name in given]
-    if flags:
-        raise FdaError(f"{context} does not combine with {', '.join(flags)}")
-
-
 def _config_value(action: argparse.Action, key: str, value):
     """A config-file value converted as the same value on the command line would be."""
     if action.nargs == 0:  # a flag: only JSON true/false
@@ -114,28 +107,21 @@ def _config_value(action: argparse.Action, key: str, value):
         raise FdaError(f"invalid value {value!r} for config key {key!r}") from None
 
 
-def _apply_config(args: argparse.Namespace, given: set[str]) -> set[str]:
-    """Fill the options the command line did not give from the --config file.
-
-    Every config value is checked, also one the command line overrides.
-    Returns the options given on the command line or in the config file.
-    """
-    if not args.config:
-        return given
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The --config file's values by option, each checked, also one a flag overrides."""
     with open(args.config, encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise FdaError(f"config file {args.config!r} must hold a JSON object, "
                        f"not {type(config).__name__}")
     actions = {a.dest: a for a in args.subparser._actions}
+    values = {}
     for key, value in config.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr) or attr not in actions:
             raise FdaError(f"unknown config key {key!r} for {args.command}")
-        value = _config_value(actions[attr], key, value)
-        if attr not in given:
-            setattr(args, attr, value)
-    return given | {key.replace("-", "_") for key in config}
+        values[attr] = _config_value(actions[attr], key, value)
+    return values
 
 
 def _check_required(args: argparse.Namespace) -> None:
@@ -147,7 +133,7 @@ def _check_required(args: argparse.Namespace) -> None:
         args.subparser.error(f"the following arguments are required: {', '.join(missing)}")
 
 
-def cmd_simulate(args, given: set[str]) -> int:
+def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     grid = default_frequency_grid(args.fs, tp=args.tp, n_freq=args.nfreq)
     spectrum = torsethaugen_spectrum(TorsethaugenParams(args.hs, args.tp), grid)
@@ -156,7 +142,7 @@ def cmd_simulate(args, given: set[str]) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(args, given: set[str]) -> int:
+def cmd_spectrum(args) -> int:
     records = [io.read_record(path) for path in args.input]
     for path, record in zip(args.input, records):
         if record.fs != records[0].fs:
@@ -169,7 +155,7 @@ def cmd_spectrum(args, given: set[str]) -> int:
     return EXIT_OK
 
 
-def cmd_segment(args, given: set[str]) -> int:
+def cmd_segment(args) -> int:
     spec = RegistrationSpec(
         n_grid=args.grid,
         spline_order=args.order,
@@ -198,17 +184,25 @@ def cmd_segment(args, given: set[str]) -> int:
     return EXIT_OK
 
 
-def cmd_test(args, given: set[str]) -> int:
+# The SimConfig field each --mc-* option sets.
+_SIM_FIELDS = {"mc_duration": "duration", "mc_fs": "fs", "mc_parzen": "parzen_L",
+               "mc_nfreq": "n_freq"}
+
+
+def cmd_test(args) -> int:
     basis = BasisSpec.parse(args.basis)
     method, B = _parse_calibration(args.calibration)
-    mc_flags = ("mc_duration", "mc_fs", "mc_parzen", "mc_nfreq")
-    if method != "spectral-mc":
-        seed_flag = ("seed",) if method == "asymptotic" else ()
-        _reject_given(given, seed_flag + mc_flags, f"--calibration {method}")
+    # These options default to None: a value was set by a flag or the config file.
+    unread = {"asymptotic": ("seed", *_SIM_FIELDS), "permutation": _SIM_FIELDS}
+    flags = [f"--{name.replace('_', '-')}" for name in unread.get(method, ())
+             if getattr(args, name) is not None]
+    if flags:
+        raise FdaError(f"--calibration {method} does not combine with {', '.join(flags)}")
     n_jobs = _threads() if method == "spectral-mc" else 1
     x = io.read_functional_sample(args.x, label="x")
     y = io.read_functional_sample(args.y, label="y")
-    sim = (SimConfig(args.mc_duration, args.mc_fs, args.mc_parzen, args.mc_nfreq)
+    sim = (SimConfig(**{field: getattr(args, name) for name, field in _SIM_FIELDS.items()
+                        if getattr(args, name) is not None})
            if method == "spectral-mc" else None)
     seed = None if method == "asymptotic" else _resolve_seed(args.seed)
     result = run_test(x, y, basis, method, B=B, seed=seed, n_jobs=n_jobs, sim=sim)
@@ -216,7 +210,7 @@ def cmd_test(args, given: set[str]) -> int:
     return EXIT_OK
 
 
-def cmd_quantiles(args, given: set[str]) -> int:
+def cmd_quantiles(args) -> int:
     try:
         probs = tuple(float(p) for p in args.probs.split(","))
     except ValueError:
@@ -288,11 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", default="asymptotic",
                    help="asymptotic | permutation:B=N | spectral-mc:B=N")
     p.add_argument("--seed", type=int, default=None)
-    sim = SimConfig()
-    p.add_argument("--mc-duration", type=float, default=sim.duration)
-    p.add_argument("--mc-fs", type=float, default=sim.fs)
-    p.add_argument("--mc-parzen", type=int, default=sim.parzen_L)
-    p.add_argument("--mc-nfreq", type=int, default=sim.n_freq)
+    p.add_argument("--mc-duration", type=float)
+    p.add_argument("--mc-fs", type=float)
+    p.add_argument("--mc-parzen", type=int)
+    p.add_argument("--mc-nfreq", type=int)
     p.add_argument("--config", default=None)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_test, subparser=p, required=("x", "y", "output"))
@@ -315,15 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Parsed again with no defaults, the namespace holds only what the
-    # command line itself sets, whatever the values.
-    for action in args.subparser._actions:
-        action.default = argparse.SUPPRESS
-    given = set(vars(parser.parse_args(argv)))
     try:
-        given = _apply_config(args, given)
+        if args.config:
+            # The file's values become the defaults, which the command line overrides.
+            args.subparser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         _check_required(args)
-        return args.func(args, given)
+        return args.func(args)
     except NoWaves as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY

@@ -87,8 +87,8 @@ def _run_replicates(draw, evaluate, B: int, seed: int, n_jobs: int,
     replicate was singular.  Chunk boundaries depend on `chunk` only, never
     on `n_jobs`.
     """
-    if B < 1:
-        raise ValueError(f"need at least one replicate, got B={B}")
+    if not isinstance(B, (int, np.integer)) or B < 1:
+        raise ValueError(f"need at least one replicate, got B={B!r}")
 
     def run(rs: range) -> np.ndarray:
         return evaluate(draw(rekeyed(substream(seed, rs.start), rs), len(rs)))
@@ -213,7 +213,7 @@ def average_spectrum(spectra: list[SpectralDensity]) -> SpectralDensity:
     grid = spectra[0].freq
     for s in spectra[1:]:
         if not s.freq.matches(grid):
-            raise ValueError("spectra do not share a frequency grid")
+            raise GridMismatch("spectra do not share a frequency grid")
     anchor = spectra[0].values
     offsets = np.mean([s.values - anchor for s in spectra], axis=0)
     return SpectralDensity(grid, np.clip(anchor + offsets, 0.0, None))

@@ -7,6 +7,7 @@ other replicates ran before it or on which thread ran it.
 
 from __future__ import annotations
 
+import operator
 import secrets
 from collections.abc import Iterable, Iterator
 
@@ -17,6 +18,12 @@ _ZEROS = (0, 0, 0, 0)
 
 
 def _check_key(seed: int, index: int) -> None:
+    try:
+        operator.index(seed), operator.index(index)
+    except TypeError:
+        raise ValueError(
+            f"seed and replicate index must be integers, got {seed!r} and {index!r}"
+        ) from None
     if not (0 <= seed < _WORD and 0 <= index < _WORD):
         raise ValueError(
             f"seed and replicate index must lie in [0, 2**64), got {seed} and {index}"

@@ -108,6 +108,8 @@ def run_test(
 def spectra_to_sample(
     spectra: list[SpectralDensity], label: str = ""
 ) -> FunctionalSample:
+    if not spectra:
+        raise ValueError("need at least one spectral density")
     grid = spectra[0].freq
     for s in spectra[1:]:
         if not s.freq.matches(grid):

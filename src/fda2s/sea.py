@@ -97,6 +97,8 @@ class TimeSeriesRecord:
     def __post_init__(self):
         if not (np.isfinite(self.fs) and self.fs > 0):
             raise InvalidParams(f"fs must be positive, got {self.fs}")
+        if not np.isfinite(self.t0):
+            raise NonFiniteValue(f"record t0 must be finite, got {self.t0}")
         vals = _frozen(self.values)
         if vals.ndim != 1:
             raise ValueError("record values must be one-dimensional")
@@ -324,7 +326,7 @@ def simulate_gaussian(
     """
     n = int(round(duration * fs))
     synth = GaussianSynthesizer(n, fs)
-    rng = seed if isinstance(seed, np.random.Generator) else substream(int(seed), 0)
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, 0)
     values = synth.simulate(s, rng)[0]
     return TimeSeriesRecord(fs, values)
 

@@ -239,6 +239,16 @@ class TestSegment:
         assert repr(next(iter(config))) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_value_a_flag_overrides_is_still_checked(self, record_file, tmp_path,
+                                                            capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"grid": 51.5}))
+        out = tmp_path / "w.csv"
+        assert run("segment", "--input", record_file, "--grid", 81, "--config", path,
+                   "-o", out) == 2
+        assert "'grid'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_constrain_upcross(self, record_file, tmp_path):
         out = tmp_path / "waves.csv"
         assert run("segment", "--input", record_file, "--constrain-upcross",
@@ -442,6 +452,15 @@ class TestTest:
         assert "does not combine with --mc-duration" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_seed_under_asymptotic_exits_2(self, tmp_path, rng, capsys):
+        xp, yp = self._write_pair(tmp_path, rng)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3}))
+        out = tmp_path / "r.json"
+        assert run("test", "--x", xp, "--y", yp, "--config", config, "-o", out) == 2
+        assert "does not combine with --seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectral_mc_report_matches_the_library(self, tmp_path, monkeypatch):
         # simulate -> spectrum -> test through the command line alone
         paths, records = {}, {}
@@ -466,6 +485,14 @@ class TestTest:
                            "--calibration", "spectral-mc:B=8", "--seed", 3,
                            "--mc-duration", 600, "-o", out) == 0
                 assert out.read_text() == expected, basis
+            # the same run with --mc-duration from a config file
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"mc-duration": 600}))
+            out = tmp_path / "r_config.json"
+            assert run("test", "--x", paths["x"], "--y", paths["y"], "--basis", str(basis),
+                       "--calibration", "spectral-mc:B=8", "--seed", 3,
+                       "--config", config, "-o", out) == 0
+            assert out.read_text() == expected, basis
 
     def test_spectral_mc_on_wave_sample_exits_2(self, record_file, tmp_path, capsys):
         waves = tmp_path / "waves.csv"

@@ -69,6 +69,26 @@ class TestPermutationNull:
         with pytest.raises(error):
             permutation_null(joint, g, m, B, 1)
 
+    @pytest.mark.parametrize("B", [2.5, 5.0, "5"])
+    def test_replicate_count_that_is_not_an_integer_rejected(self, rng, B):
+        joint = gaussian_joint(rng)
+        with pytest.raises(ValueError, match=f"B={B!r}"):
+            permutation_null(joint, BasisSpec("trig", {"k": 3}).build(joint), 20, B, 1)
+
+    def test_numpy_integer_replicate_count_accepted(self, rng):
+        joint = gaussian_joint(rng)
+        g = BasisSpec("trig", {"k": 3}).build(joint)
+        assert np.array_equal(permutation_null(joint, g, 20, np.int64(5), 1).values,
+                              permutation_null(joint, g, 20, 5, 1).values)
+
+    def test_seed_that_is_not_an_integer_rejected(self, rng):
+        # 1.5 would otherwise draw seed 1's splits and be reported as 1.5
+        joint = gaussian_joint(rng, n_curves=12)
+        x, y = (FunctionalSample(joint.grid, rows) for rows in (joint.values[:6],
+                                                               joint.values[6:]))
+        with pytest.raises(ValueError, match="got 1.5"):
+            run_test(x, y, BasisSpec.parse("indicator:k=2"), "permutation", B=5, seed=1.5)
+
     def test_single_replicate_finite(self, rng):
         joint = gaussian_joint(rng)
         null = permutation_null(joint, BasisSpec("trig", {"k": 3}).build(joint), 20, 1, 3)
@@ -440,6 +460,19 @@ class TestSpectralMcNull:
         s = torsethaugen_spectrum(TorsethaugenParams(2.0, 4.0), grid)
         avg = average_spectrum([s, s, s])
         assert np.array_equal(avg.values, s.values)
+
+    @pytest.mark.parametrize("combine", [average_spectrum, spectra_to_sample])
+    def test_spectra_on_two_grids_raise_grid_mismatch(self, combine):
+        params = TorsethaugenParams(2.0, 4.0)
+        s, t = (torsethaugen_spectrum(params, default_frequency_grid(fs, tp=4.0))
+                for fs in (1.28, 2.56))
+        with pytest.raises(GridMismatch, match="do not share a frequency grid"):
+            combine([s, t])
+
+    @pytest.mark.parametrize("combine", [average_spectrum, spectra_to_sample])
+    def test_no_spectra_rejected(self, combine):
+        with pytest.raises(ValueError, match="need at least one spectral density"):
+            combine([])
 
     @staticmethod
     def _spectra(count, duration, first_seed, fs=1.28, n_freq=481):

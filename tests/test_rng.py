@@ -1,5 +1,7 @@
 """Replicate substreams: range checks and re-keying one generator in place."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,10 @@ class TestRekeyed:
         with pytest.raises(ValueError, match="2\\*\\*64"):
             list(rekeyed(substream(3, 0), [1, index]))
 
+    def test_index_that_is_not_an_integer_rejected(self):
+        with pytest.raises(ValueError, match="must be integers, got 3 and 2.5"):
+            list(rekeyed(substream(3, 0), [1, 2.5]))
+
 
 class TestSubstream:
     @pytest.mark.parametrize("seed,index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64),
@@ -73,6 +79,16 @@ class TestSubstream:
     def test_key_outside_64_bits_rejected(self, seed, index):
         with pytest.raises(ValueError, match="2\\*\\*64"):
             substream(seed, index)
+
+    @pytest.mark.parametrize("seed,index", [(1.5, 0), (1.0, 0), (np.float64(3.0), 2),
+                                            (3, 0.5), ("3", 0)])
+    def test_key_that_is_not_an_integer_rejected(self, seed, index):
+        # 1.5 would otherwise be truncated to seed 1 and draw seed 1's stream
+        with pytest.raises(ValueError, match=re.escape(f"got {seed!r} and {index!r}")):
+            substream(seed, index)
+
+    def test_numpy_integer_key_accepted(self):
+        assert substream(np.int64(7), np.uint64(2)).random() == substream(7, 2).random()
 
     def test_largest_key_accepted(self):
         key = substream(2**64 - 1, 2**64 - 1).bit_generator.state["state"]["key"]

@@ -20,6 +20,7 @@ from fda2s.rng import substream
 from fda2s.errors import (
     InvalidParams,
     NegativeEstimate,
+    NonFiniteValue,
     NyquistViolation,
     RecordTooShort,
 )
@@ -129,6 +130,24 @@ class TestSimulateGaussian:
         s = SpectralDensity(Grid(np.linspace(0.0, 1.0, 11)), np.ones(11))
         with pytest.raises(InvalidParams):
             simulate_gaussian(s, 0.1, 2.0, seed=0)
+
+    def test_seed_that_is_not_an_integer_rejected(self):
+        # 3.7 would otherwise be truncated and give seed 3's record
+        s = SpectralDensity(Grid(np.linspace(0.0, 0.6, 33)), np.ones(33))
+        with pytest.raises(ValueError, match="got 3.7"):
+            simulate_gaussian(s, 100.0, 1.28, 3.7)
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        s = SpectralDensity(Grid(np.linspace(0.0, 0.6, 33)), np.ones(33))
+        assert np.array_equal(simulate_gaussian(s, 100.0, 1.28, np.int64(3)).values,
+                              simulate_gaussian(s, 100.0, 1.28, 3).values)
+
+
+class TestTimeSeriesRecord:
+    @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_time_rejected(self, t0):
+        with pytest.raises(NonFiniteValue, match="t0 must be finite"):
+            TimeSeriesRecord(1.28, np.zeros(10), t0=t0)
 
 
 class TestSimulatedAutocovariances:

@@ -53,7 +53,10 @@ def read_functional_sample(path, label: str | None = None) -> FunctionalSample:
     if len(lines) < 2:
         raise MalformedFile("need a grid row and at least one curve row", 1)
     grid_points = _parse_floats(lines[0], 1)
-    grid = Grid(np.asarray(grid_points))
+    try:
+        grid = Grid(np.asarray(grid_points))
+    except ValueError as exc:
+        raise MalformedFile(str(exc), 1) from None
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         row = _parse_floats(line, lineno)

@@ -7,7 +7,6 @@ replicate sequence is bit-identical however the chunks are scheduled.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +23,7 @@ from .sea import (
     check_lag_window,
     estimator_grid,
     parzen_estimates,
+    sample_count,
 )
 
 # Replicates per chunk of the permutation null.  A chunk fills one
@@ -95,6 +95,9 @@ def _run_replicates(draw, evaluate, B: int, seed: int, n_jobs: int,
 
     chunks = [range(s, min(s + chunk, B)) for s in range(0, B, chunk)]
     if n_jobs > 1:
+        # only threaded runs pay for this import
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             raw = np.concatenate(list(pool.map(run, chunks)))
     else:
@@ -143,13 +146,17 @@ class _SplitStatistic:
         sums edge rows of a block in a different order).  When m = n a split
         and its mirror are one split: both are evaluated on the side that
         holds curve 0, so they give the same bits.  The mask goes in `mask`:
-        zeros of at least (len(x_rows), N), left zero, allocated when None.
+        zeros of at least (len(x_rows), N), C-contiguous, left zero, allocated
+        when None.
         """
         count = x_rows.shape[0]
         if self.whiten is None:
             return np.full(count, np.nan)
         mask = np.zeros((count, self.N)) if mask is None else mask[:count]
-        mask[np.arange(count)[:, None], x_rows] = 1.0
+        if not mask.flags.c_contiguous:
+            # reshape would copy, and the scatter would be lost with the copy
+            raise ValueError("the membership mask must be C-contiguous")
+        mask.reshape(-1)[(x_rows + self.N * np.arange(count)[:, None]).ravel()] = 1.0
         if self.m == self.n:
             mirrored = mask[:, 0] == 0.0
             mask[mirrored] = 1.0 - mask[mirrored]
@@ -174,18 +181,22 @@ def permutation_null(
     closed form from one eigendecomposition (`_SplitStatistic`),
     PERMUTATION_CHUNK replicates at a time, on one thread: the draws hold
     the interpreter lock, so threads only slow them down.  Every chunk
-    fills the same x-rows and mask, allocated once.  The observed split,
-    the first m curves, is evaluated the same way.
+    shuffles in place the rows of one permutation buffer and fills one
+    mask, both allocated once; `permutation(N)` is `shuffle(arange(N))`, so
+    the draws are the same.  The observed split, the first m curves, is
+    evaluated the same way.
     """
     _check_groups(m, joint.n_curves - m)
     split = _SplitStatistic(score_matrix(joint, g), m)
-    x_rows = np.empty((PERMUTATION_CHUNK, m), dtype=np.intp)
+    identity = np.arange(split.N, dtype=np.intp)
+    perms = np.empty((PERMUTATION_CHUNK, split.N), dtype=np.intp)
     mask = np.zeros((PERMUTATION_CHUNK, split.N))
 
     def draw(gens, count: int) -> np.ndarray:
-        for row, gen in zip(x_rows, gens):
-            row[:] = gen.permutation(split.N)[:m]
-        return x_rows[:count]
+        for row, gen in zip(perms, gens):
+            row[:] = identity
+            gen.shuffle(row)
+        return perms[:count, :m]
 
     null = _run_replicates(draw, lambda rows: split.values(rows, mask), B, seed,
                            n_jobs=1, chunk=PERMUTATION_CHUNK)
@@ -220,7 +231,9 @@ def average_spectrum(spectra: list[SpectralDensity]) -> SpectralDensity:
 
 
 def _check_estimator_grid(grid: Grid, sim: SimConfig) -> None:
-    """Raise GridMismatch unless `grid` is the one the MC null estimates on."""
+    """Raise InvalidParams for settings that make no record (`sample_count`), and
+    GridMismatch unless `grid` is the one the MC null estimates on."""
+    sample_count(sim.duration, sim.fs)
     reference = estimator_grid(sim.fs, sim.n_freq).points
     if not (len(grid) == reference.size
             and np.allclose(grid.points, reference, rtol=1e-9, atol=1e-9)):
@@ -265,7 +278,7 @@ def spectral_mc_null(
     if not g.grid.matches(joint.grid):
         raise GridMismatch("g is not sampled on the spectra's frequency grid")
     s_avg = average_spectrum([SpectralDensity(joint.grid, row) for row in joint.values])
-    synth = GaussianSynthesizer(int(round(sim.duration * sim.fs)), sim.fs)
+    synth = GaussianSynthesizer(sample_count(sim.duration, sim.fs), sim.fs)
     check_lag_window(synth.n, sim.parzen_L)
     tables = synth.weighted_lag_tables(np.sqrt(synth.amplitude_variances(s_avg)),
                                        sim.parzen_L)

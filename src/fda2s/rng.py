@@ -48,16 +48,19 @@ def rekeyed(rng: np.random.Generator, indices: Iterable[int]) -> Iterator[np.ran
     """
     bit_generator = rng.bit_generator
     seed = int(bit_generator.state["state"]["key"][0])
+    # one mapping for every index: the state setter copies the values it reads
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": None},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for index in indices:
         _check_key(seed, index)
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZEROS, "key": (seed, index)},
-            "buffer": _ZEROS,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        state["state"]["key"] = (seed, index)
+        bit_generator.state = state
         yield rng
 
 

@@ -311,6 +311,15 @@ def _lag_tables(n: int, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
+def sample_count(duration: float, fs: float) -> int:
+    """Samples in a record of `duration` seconds at `fs` Hz, rounded."""
+    if not (np.isfinite(duration) and duration > 0):
+        raise InvalidParams(f"duration must be finite and positive, got {duration}")
+    if not (np.isfinite(fs) and fs > 0):
+        raise InvalidParams(f"fs must be finite and positive, got {fs}")
+    return int(round(duration * fs))
+
+
 def simulate_gaussian(
     s: SpectralDensity,
     duration: float,
@@ -324,8 +333,7 @@ def simulate_gaussian(
     the record lengthens.  Deterministic per seed: an integer seed draws
     from `substream(seed, 0)`, a generator is drawn from as given.
     """
-    n = int(round(duration * fs))
-    synth = GaussianSynthesizer(n, fs)
+    synth = GaussianSynthesizer(sample_count(duration, fs), fs)
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed, 0)
     values = synth.simulate(s, rng)[0]
     return TimeSeriesRecord(fs, values)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fda2s import FunctionalSample, Grid, Interval, resampling, run_test, uniform_grid
+from fda2s import FunctionalSample, Grid, Interval, run_test, uniform_grid
 from fda2s.io import format_test_result
 
 
@@ -57,7 +57,7 @@ def permutation_report(x, y, basis, B, seed):
         raise AssertionError("the permutation null built a thread pool")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(resampling, "ThreadPoolExecutor", no_pool)
+        mp.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
         return format_test_result(run_test(x, y, basis, "permutation", B=B, seed=seed))
 
 

@@ -645,17 +645,25 @@ class TestQuantiles:
     ("segment", ("--grid", 1), "common grid needs at least 2 points"),
     ("segment", ("--order", 1), "spline order must be >= 2"),
     ("segment", ("--knots", 1), "need at least the two endpoint knot sites"),
+    ("simulate", ("--duration", "inf"), "duration must be finite and positive, got inf"),
+    ("simulate", ("--duration", "nan"), "duration must be finite and positive, got nan"),
+    ("test", ("--calibration", "spectral-mc:B=5", "--mc-duration", "inf"),
+     "duration must be finite and positive, got inf"),
+    ("test", ("--calibration", "spectral-mc:B=5", "--mc-duration", "nan"),
+     "duration must be finite and positive, got nan"),
 ], ids=["test-asymptotic:", "test-permutation:", "test-spectral-mc:",
         "quantiles-permutation:", "quantiles-asymptotic", "quantiles-spectral-mc", "probs",
         "probs-outside-0-1", "probs-not-increasing", "probs-repeated",
         "segment-order-2-knots-2", "test-bootstrap", "test-trig:k", "segment-grid-1",
-        "segment-order-1", "segment-knots-1"])
+        "segment-order-1", "segment-knots-1", "simulate-duration-inf",
+        "simulate-duration-nan", "test-mc-duration-inf", "test-mc-duration-nan"])
 def test_parse_errors_exit_2_and_name_their_input(tmp_path, rng, capsys, record_file,
                                                   command, options, message):
     grid = uniform_grid(Interval(0.0, 1.0), 41)
     xp = tmp_path / "x.csv"
     write_functional_sample(FunctionalSample(grid, smooth_curves(rng, 20, grid)), xp)
-    inputs = {"segment": ("--input", record_file)}.get(
+    inputs = {"segment": ("--input", record_file),
+              "simulate": ("--hs", 2, "--tp", 8, "--seed", 1)}.get(
         command, ("--x", xp, "--y", xp, "--basis", "trig:k=3", "--seed", 1))
     out = tmp_path / "out"
     assert run(command, *inputs, *options, "-o", out) == 2
@@ -668,7 +676,10 @@ def test_parse_errors_exit_2_and_name_their_input(tmp_path, rng, capsys, record_
     ("test", "0.0,0.5,1.0\n", "line 1: need a grid row and at least one curve row"),
     ("segment", "fs,1.0\nt0,0.0\n", "line 1: need fs and t0 headers plus at least one value"),
     ("segment", "fs,1.0\nfs,2.0\n1.0\n2.0\n", "line 2: need both fs and t0 headers"),
-], ids=["curve-nan", "curve-grid-row-only", "record-two-lines", "record-two-fs"])
+    ("test", "0.0,0.5,0.4\n1.0,2.0,3.0\n", "line 1: grid points must be strictly increasing"),
+    ("test", "0.5\n1.0\n", "line 1: grid needs at least two points"),
+], ids=["curve-nan", "curve-grid-row-only", "record-two-lines", "record-two-fs",
+        "curve-grid-decreasing", "curve-grid-one-point"])
 def test_malformed_input_file_exits_2_naming_its_line(tmp_path, capsys, command, text,
                                                       message):
     path = tmp_path / "in.csv"

@@ -281,7 +281,7 @@ class TestClosedFormNull:
 
 
 class TestPermutationWorkspace:
-    """One x-rows buffer and one mask, allocated per call, serve every chunk."""
+    """One permutation buffer and one mask, allocated per call, serve every chunk."""
 
     @pytest.mark.parametrize("B", [1, 255, 256, 257, 513])
     @pytest.mark.parametrize("m", [20, 27])  # of 40 curves: m = n, and m != n
@@ -309,6 +309,31 @@ class TestPermutationWorkspace:
         for rows in (x_rows, x_rows[:1], x_rows[::-1]):
             assert split.values(rows, mask).tobytes() == split.values(rows).tobytes()
             assert not mask.any()
+
+    @pytest.mark.parametrize("m", [20, 27])
+    def test_a_strided_view_of_x_rows_gives_the_bits_of_its_copy(self, rng, m):
+        # the draws hand over the first m columns of whole permutations
+        joint = gaussian_joint(rng)
+        split = _SplitStatistic(
+            sample_inner_products(joint, BasisSpec("trig", {"k": 3}).build(joint).functions), m)
+        perms = np.array([rng.permutation(joint.n_curves) for _ in range(7)])
+        view = perms[:, :m]
+        assert not view.flags.c_contiguous
+        mask = np.zeros((8, joint.n_curves))
+        want = split.values(np.ascontiguousarray(view)).tobytes()
+        assert split.values(view, mask).tobytes() == want
+        assert split.values(view).tobytes() == want
+
+    @pytest.mark.parametrize("layout", ["transposed", "strided"])
+    def test_a_mask_that_is_not_c_contiguous_raises(self, rng, layout):
+        joint = gaussian_joint(rng)
+        N = joint.n_curves
+        split = _SplitStatistic(
+            sample_inner_products(joint, BasisSpec("trig", {"k": 3}).build(joint).functions), 20)
+        mask = np.zeros((N, 8)).T if layout == "transposed" else np.zeros((8, 2 * N))[:, ::2]
+        x_rows = np.array([rng.permutation(N)[:20] for _ in range(5)])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            split.values(x_rows, mask)
 
     def test_concatenate_samples_keeps_its_vstack(self, rng, monkeypatch):
         x, y = (gaussian_joint(rng, n_curves=n) for n in (3, 4))
@@ -468,6 +493,14 @@ class TestSpectralMcNull:
                 for fs in (1.28, 2.56))
         with pytest.raises(GridMismatch, match="do not share a frequency grid"):
             combine([s, t])
+
+    @pytest.mark.parametrize("duration", [np.inf, np.nan, 0.0])
+    def test_a_duration_that_makes_no_record_rejected(self, duration):
+        sim = SimConfig(duration=duration)
+        with pytest.raises(InvalidParams, match=f"duration must be finite and positive, "
+                                                f"got {duration}"):
+            spectral_mc_null(*pooled("indicator:k=2", self._spectra(4, 600.0, 1)), 2, sim,
+                             5, 1)
 
     @pytest.mark.parametrize("combine", [average_spectrum, spectra_to_sample])
     def test_no_spectra_rejected(self, combine):

@@ -59,6 +59,20 @@ class TestRekeyed:
                 substream(seed, r).integers(0, 10, size=5).tobytes())
             g.standard_normal(3)
 
+    def test_interleaved_iterators_keep_their_own_streams(self):
+        # each re-key of one generator must leave the other's state alone
+        a = rekeyed(substream(2, 0), [3, 7, 2**63])
+        b = rekeyed(substream(2**40 + 3, 0), [3, 8, 1])
+        for ra, rb in ((3, 3), (7, 8), (2**63, 1)):
+            ga = next(a)
+            first = ga.standard_normal(3)
+            gb = next(b)
+            got_b = gb.permutation(20)
+            rest = ga.standard_normal(4)
+            want_a = substream(2, ra).standard_normal(7)
+            assert np.concatenate([first, rest]).tobytes() == want_a.tobytes()
+            assert got_b.tobytes() == substream(2**40 + 3, rb).permutation(20).tobytes()
+
     def test_yields_the_same_generator(self):
         rng = substream(3, 0)
         assert all(g is rng for g in rekeyed(rng, range(4)))

@@ -131,6 +131,20 @@ class TestSimulateGaussian:
         with pytest.raises(InvalidParams):
             simulate_gaussian(s, 0.1, 2.0, seed=0)
 
+    @pytest.mark.parametrize("duration", [np.inf, np.nan, 0.0, -100.0])
+    def test_duration_that_makes_no_record_rejected(self, duration):
+        # int(round(inf * fs)) raised OverflowError, NaN a bare conversion error
+        s = SpectralDensity(Grid(np.linspace(0.0, 0.6, 33)), np.ones(33))
+        with pytest.raises(InvalidParams,
+                           match=f"duration must be finite and positive, got {duration}"):
+            simulate_gaussian(s, duration, 1.28, seed=0)
+
+    @pytest.mark.parametrize("fs", [np.inf, np.nan, 0.0])
+    def test_fs_that_makes_no_record_rejected(self, fs):
+        s = SpectralDensity(Grid(np.linspace(0.0, 0.6, 33)), np.ones(33))
+        with pytest.raises(InvalidParams, match=f"fs must be finite and positive, got {fs}"):
+            simulate_gaussian(s, 100.0, fs, seed=0)
+
     def test_seed_that_is_not_an_integer_rejected(self):
         # 3.7 would otherwise be truncated and give seed 3's record
         s = SpectralDensity(Grid(np.linspace(0.0, 0.6, 33)), np.ones(33))

@@ -29,6 +29,7 @@ from .sea import (
     TorsethaugenParams,
     default_frequency_grid,
     estimate_spectrum,
+    sample_count,
     simulate_gaussian,
     torsethaugen_spectrum,
 )
@@ -134,9 +135,11 @@ def _check_required(args: argparse.Namespace) -> None:
 
 
 def cmd_simulate(args) -> int:
+    params = TorsethaugenParams(args.hs, args.tp)
+    sample_count(args.duration, args.fs)  # checks fs before it sizes the grid
     seed = _resolve_seed(args.seed)
     grid = default_frequency_grid(args.fs, tp=args.tp, n_freq=args.nfreq)
-    spectrum = torsethaugen_spectrum(TorsethaugenParams(args.hs, args.tp), grid)
+    spectrum = torsethaugen_spectrum(params, grid)
     record = simulate_gaussian(spectrum, args.duration, args.fs, seed)
     io.write_record(record, args.output)
     return EXIT_OK

@@ -81,9 +81,9 @@ class TorsethaugenParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.hs) and self.hs > 0):
-            raise InvalidParams(f"hs must be positive, got {self.hs}")
+            raise InvalidParams(f"hs must be finite and positive, got {self.hs}")
         if not (np.isfinite(self.tp) and self.tp > 0):
-            raise InvalidParams(f"tp must be positive, got {self.tp}")
+            raise InvalidParams(f"tp must be finite and positive, got {self.tp}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,32 +350,14 @@ def parzen_window(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _next_fast_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, the length ``np.fft.rfft`` transforms fastest.
-
-    Equals ``scipy.fft.next_fast_len(n, real=True)``.
-    """
-    best = 1 << (n - 1).bit_length()  # the next power of two
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # lift p35 by the least power of two that reaches n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _autocovariances(rows: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased sample autocovariances c(0..max_lag) of mean-subtracted rows (2-d)."""
+    """Biased autocovariances c(h) = sum_{t<n-h} x_t x_{t+h} / n, h = 0..max_lag, of
+    mean-subtracted rows (2-d): n (max_lag + 1) multiply-adds, none of them in BLAS."""
     n = rows.shape[1]
     x = rows - rows.mean(axis=1, keepdims=True)
-    # Padding to n + max_lag + 1 keeps lags 0..max_lag free of wrap-around.
-    n_fft = _next_fast_len(n + max_lag + 1)
-    spec = np.fft.rfft(x, n_fft, axis=1)
-    periodogram = spec.real**2 + spec.imag**2
-    return np.fft.irfft(periodogram, n_fft, axis=1)[:, : max_lag + 1] / n
+    padded = np.concatenate([x, np.zeros((x.shape[0], max_lag))], axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, max_lag + 1, axis=1)[:, :n]
+    return np.einsum("rt,rth->rh", x, windows) / n
 
 
 def estimate_spectrum(
@@ -393,7 +375,7 @@ def estimate_spectrum(
 
 def estimator_grid(fs: float, n_freq: int) -> Grid:
     """Frequency grid of the Parzen estimator: [0, pi*fs] rad/s."""
-    return Grid(np.linspace(0.0, np.pi * fs, n_freq))
+    return default_frequency_grid(fs, n_freq=n_freq)
 
 
 @lru_cache(maxsize=16)
@@ -454,4 +436,6 @@ def default_frequency_grid(fs: float, tp: float | None = None, n_freq: int = 481
     w_max = np.pi * fs
     if tp is not None:
         w_max = max(w_max, 3.0 * 2.0 * np.pi / tp)
+    if n_freq < 2:
+        raise InvalidParams(f"n_freq must be at least 2, got {n_freq}")
     return Grid(np.linspace(0.0, w_max, n_freq))

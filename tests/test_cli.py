@@ -651,18 +651,27 @@ class TestQuantiles:
      "duration must be finite and positive, got inf"),
     ("test", ("--calibration", "spectral-mc:B=5", "--mc-duration", "nan"),
      "duration must be finite and positive, got nan"),
+    ("simulate", ("--fs", "inf"), "fs must be finite and positive, got inf"),
+    ("simulate", ("--fs", "nan"), "fs must be finite and positive, got nan"),
+    ("simulate", ("--tp", "inf"), "tp must be finite and positive, got inf"),
+    ("spectrum", ("--nfreq", 1), "n_freq must be at least 2, got 1"),
+    ("simulate", ("--nfreq", 1), "n_freq must be at least 2, got 1"),
+    ("test", ("--calibration", "spectral-mc:B=5", "--mc-nfreq", 1),
+     "n_freq must be at least 2, got 1"),
 ], ids=["test-asymptotic:", "test-permutation:", "test-spectral-mc:",
         "quantiles-permutation:", "quantiles-asymptotic", "quantiles-spectral-mc", "probs",
         "probs-outside-0-1", "probs-not-increasing", "probs-repeated",
         "segment-order-2-knots-2", "test-bootstrap", "test-trig:k", "segment-grid-1",
         "segment-order-1", "segment-knots-1", "simulate-duration-inf",
-        "simulate-duration-nan", "test-mc-duration-inf", "test-mc-duration-nan"])
+        "simulate-duration-nan", "test-mc-duration-inf", "test-mc-duration-nan",
+        "simulate-fs-inf", "simulate-fs-nan", "simulate-tp-inf", "spectrum-nfreq-1",
+        "simulate-nfreq-1", "test-mc-nfreq-1"])
 def test_parse_errors_exit_2_and_name_their_input(tmp_path, rng, capsys, record_file,
                                                   command, options, message):
     grid = uniform_grid(Interval(0.0, 1.0), 41)
     xp = tmp_path / "x.csv"
     write_functional_sample(FunctionalSample(grid, smooth_curves(rng, 20, grid)), xp)
-    inputs = {"segment": ("--input", record_file),
+    inputs = {"segment": ("--input", record_file), "spectrum": ("--input", record_file),
               "simulate": ("--hs", 2, "--tp", 8, "--seed", 1)}.get(
         command, ("--x", xp, "--y", xp, "--basis", "trig:k=3", "--seed", 1))
     out = tmp_path / "out"

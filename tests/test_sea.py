@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from fda2s import sea
 from fda2s import (
@@ -265,8 +264,10 @@ class TestEstimateSpectrum:
         with pytest.raises(RecordTooShort):
             estimate_spectrum(rec, 60)
 
-    # FFT lengths next_fast_len(n + L + 1): 2400, 2400, 1080, 512, 200
-    @pytest.mark.parametrize("n,L", [(2304, 60), (2303, 60), (1001, 30), (500, 7), (131, 64)])
+    # 30-min and 8-h records at 1.28 Hz, odd n, and windows up to the longest
+    # check_lag_window allows, (n - 1) // 2, where the zero padding is widest
+    @pytest.mark.parametrize("n,L", [(2304, 60), (2303, 60), (1001, 30), (500, 7), (131, 64),
+                                     (36864, 60), (2304, 1151)])
     def test_matches_lag_sum_oracle(self, n, L):
         fs, n_freq = 1.28, 97
         rows = np.random.default_rng(n).normal(size=(3, n)).cumsum(axis=1)
@@ -282,6 +283,14 @@ class TestEstimateSpectrum:
         assert np.array_equal(grid.points, omega)
         assert np.max(np.abs(values - dens)) <= 1e-12 * dens.max()
 
+    # `fda2s spectrum` estimates one record at a time, a batch estimates many
+    @pytest.mark.parametrize("n", [2303, 2304, 36864])
+    def test_row_alone_is_the_same_bits_as_in_a_batch(self, n):
+        rows = np.random.default_rng(n).normal(size=(20, n)).cumsum(axis=1)
+        batch = sea._autocovariances(rows, 60)
+        for r in range(20):
+            assert sea._autocovariances(rows[r:r + 1], 60)[0].tobytes() == batch[r].tobytes()
+
     def test_negative_estimate_raises(self, monkeypatch):
         # c(0) = 0, c(1) = 1 gives a density proportional to cos(omega dt)
         monkeypatch.setattr(sea, "_autocovariances", lambda rows, L: np.eye(1, L + 1, 1))
@@ -294,26 +303,6 @@ class TestEstimateSpectrum:
         rec = TimeSeriesRecord(1.0, np.cumsum(rng.normal(size=2000)))
         s = estimate_spectrum(rec, 60)
         assert np.all(s.values >= 0.0)
-
-
-class TestFftLength:
-    """The 5-smooth padding rule against scipy.fft.next_fast_len(n, real=True)."""
-
-    def test_matches_scipy_below_20000(self):
-        n = range(1, 20_000)
-        assert [sea._next_fast_len(v) for v in n] == [
-            scipy.fft.next_fast_len(v, real=True) for v in n
-        ]
-
-    # 30-min and 8-h records at 1.28 Hz, each padded by L + 1 = 61
-    @pytest.mark.parametrize("n", [2304, 36864])
-    def test_spectra_byte_identical_to_scipy_padding(self, monkeypatch, n):
-        rows = np.random.default_rng(n).normal(size=(2, n)).cumsum(axis=1)
-        ours = sea.estimate_spectra(rows, 1.28, 60, 481)[1]
-        assert sea._next_fast_len(n + 61) == scipy.fft.next_fast_len(n + 61, real=True)
-        monkeypatch.setattr(sea, "_next_fast_len",
-                            lambda v: scipy.fft.next_fast_len(v, real=True))
-        assert ours.tobytes() == sea.estimate_spectra(rows, 1.28, 60, 481)[1].tobytes()
 
 
 class TestRoundTrip:

@@ -23,24 +23,25 @@ from .resampling import (
     NullDistribution,
     QuantileTable,
     SimConfig,
-    average_spectrum,
     permutation_null,
     permutation_pvalue,
     quantile_table,
     spectral_mc_null,
 )
 from .rng import fresh_seed, substream
-from .runner import concatenate_samples, run_test, spectra_to_sample, spectral_mc_test
+from .runner import concatenate_samples, run_test
 from .sea import (
     GaussianSynthesizer,
     SpectralDensity,
     TimeSeriesRecord,
     TorsethaugenParams,
+    average_spectrum,
     default_frequency_grid,
     estimate_spectrum,
     estimator_grid,
     parzen_window,
     simulate_gaussian,
+    spectra_to_sample,
     torsethaugen_spectrum,
 )
 from .waves import (
@@ -99,7 +100,6 @@ __all__ = [
     "simulate_gaussian",
     "spectra_to_sample",
     "spectral_mc_null",
-    "spectral_mc_test",
     "substream",
     "to_bspline",
     "torsethaugen_spectrum",

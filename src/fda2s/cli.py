@@ -24,13 +24,14 @@ from .errors import FdaError, NoWaves
 from .projections import BasisSpec
 from .resampling import SimConfig, permutation_null, quantile_table
 from .rng import fresh_seed
-from .runner import concatenate_samples, run_test, spectra_to_sample
+from .runner import concatenate_samples, run_test
 from .sea import (
     TorsethaugenParams,
     default_frequency_grid,
     estimate_spectrum,
     sample_count,
     simulate_gaussian,
+    spectra_to_sample,
     torsethaugen_spectrum,
 )
 from .waves import RegistrationSpec, normalize_sample, register_sample, segment_waves, too_short

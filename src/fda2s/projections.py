@@ -162,9 +162,11 @@ def pca_eigenpairs(curves: np.ndarray, w: np.ndarray, d: int) -> tuple[np.ndarra
     data = (curves - curves.mean(axis=-2, keepdims=True)) / np.sqrt(n_curves - 1)
     sqrt_w = np.sqrt(w)
     z = data * sqrt_w
-    zt = np.swapaxes(z, -1, -2)
     snapshots = n_curves <= n_pts
-    eigvals, vecs = np.linalg.eigh(z @ zt if snapshots else zt @ z)
+    # N > P: einsum, as threaded BLAS products round differently at other thread counts;
+    # the snapshot Gram, once per spectral-MC chunk, stays on BLAS (einsum took 4x as long)
+    gram = z @ np.swapaxes(z, -1, -2) if snapshots else np.einsum("...np,...nq->...pq", z, z)
+    eigvals, vecs = np.linalg.eigh(gram)
     eigvals, vecs = eigvals[..., ::-1], vecs[..., ::-1]  # non-increasing
     _require_rank(eigvals, d)
     phis = np.swapaxes(vecs[..., :d], -1, -2)

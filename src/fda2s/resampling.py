@@ -19,7 +19,7 @@ from .qn import chi_square_isf, qn_batch, score_matrix
 from .rng import rekeyed, substream
 from .sea import (
     GaussianSynthesizer,
-    SpectralDensity,
+    average_rows,
     check_lag_window,
     estimator_grid,
     parzen_estimates,
@@ -213,35 +213,19 @@ def permutation_pvalue(observed_qn: float, null_values) -> float:
     return (1.0 + exceed) / (values.size + 1.0)
 
 
-def average_spectrum(spectra: list[SpectralDensity]) -> SpectralDensity:
-    """Pointwise mean of spectra sharing one frequency grid.
-
-    Anchored at the first density so that the mean of identical spectra
-    reproduces them bit-exactly.
-    """
-    if not spectra:
-        raise ValueError("need at least one spectral density")
-    grid = spectra[0].freq
-    for s in spectra[1:]:
-        if not s.freq.matches(grid):
-            raise GridMismatch("spectra do not share a frequency grid")
-    anchor = spectra[0].values
-    offsets = np.mean([s.values - anchor for s in spectra], axis=0)
-    return SpectralDensity(grid, np.clip(anchor + offsets, 0.0, None))
-
-
-def _check_estimator_grid(grid: Grid, sim: SimConfig) -> None:
-    """Raise InvalidParams for settings that make no record (`sample_count`), and
-    GridMismatch unless `grid` is the one the MC null estimates on."""
+def _check_estimator_grid(grid: Grid, sim: SimConfig) -> Grid:
+    """The grid the MC null estimates on; raise InvalidParams for settings that
+    make no record (`sample_count`), and GridMismatch unless `grid` is that grid."""
     sample_count(sim.duration, sim.fs)
-    reference = estimator_grid(sim.fs, sim.n_freq).points
-    if not (len(grid) == reference.size
-            and np.allclose(grid.points, reference, rtol=1e-9, atol=1e-9)):
+    reference = estimator_grid(sim.fs, sim.n_freq)
+    if not (len(grid) == len(reference)
+            and np.allclose(grid.points, reference.points, rtol=1e-9, atol=1e-9)):
         raise GridMismatch(
             "spectral-mc inputs must be spectra on the estimator grid "
             f"[0, pi*{sim.fs}] with {sim.n_freq} points; "
             "re-estimate with matching --mc-fs/--mc-nfreq"
         )
+    return reference
 
 
 def spectral_mc_null(
@@ -258,7 +242,7 @@ def spectral_mc_null(
     `joint` pools the m x-spectra and then the n y-spectra, one row each,
     on the estimator grid of `sim`.  Each replicate simulates m + n
     independent Gaussian records from their average density
-    (`average_spectrum`), re-estimates their spectra with the given
+    (`average_rows`), re-estimates their spectra with the given
     estimator settings, and evaluates the statistic on the (m, n) split.
     Replicate r draws the amplitudes `GaussianSynthesizer.simulate` draws
     from `substream(seed, r)`; its autocovariances come straight from them
@@ -274,15 +258,14 @@ def spectral_mc_null(
         raise ValueError(f"n_jobs must be at least 1, got n_jobs={n_jobs}")
     n = joint.n_curves - m
     _check_groups(m, n)
-    _check_estimator_grid(joint.grid, sim)
+    w = _check_estimator_grid(joint.grid, sim).weights
     if not g.grid.matches(joint.grid):
         raise GridMismatch("g is not sampled on the spectra's frequency grid")
-    s_avg = average_spectrum([SpectralDensity(joint.grid, row) for row in joint.values])
+    s_avg = average_rows(joint)
     synth = GaussianSynthesizer(sample_count(sim.duration, sim.fs), sim.fs)
     check_lag_window(synth.n, sim.parzen_L)
     tables = synth.weighted_lag_tables(np.sqrt(synth.amplitude_variances(s_avg)),
                                        sim.parzen_L)
-    w = estimator_grid(sim.fs, sim.n_freq).weights
 
     def evaluate(z: np.ndarray) -> np.ndarray:
         est = parzen_estimates(synth.autocovariances(tables, z), sim.fs, sim.n_freq)[1]

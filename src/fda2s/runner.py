@@ -20,7 +20,7 @@ from .qn import TestResult, qn_statistic, score_matrix
 from .resampling import (SimConfig, _check_estimator_grid, permutation_null,
                          permutation_pvalue, spectral_mc_null)
 from .rng import fresh_seed
-from .sea import SpectralDensity
+from .sea import SpectralDensity, spectra_to_sample
 
 CALIBRATIONS = ("asymptotic", "permutation", "spectral-mc")
 
@@ -103,18 +103,6 @@ def run_test(
         n_failed_resamples=null.n_failed,
         seed=seed,
     )
-
-
-def spectra_to_sample(
-    spectra: list[SpectralDensity], label: str = ""
-) -> FunctionalSample:
-    if not spectra:
-        raise ValueError("need at least one spectral density")
-    grid = spectra[0].freq
-    for s in spectra[1:]:
-        if not s.freq.matches(grid):
-            raise GridMismatch("spectra do not share a frequency grid")
-    return FunctionalSample(grid, np.asarray([s.values for s in spectra]), label)
 
 
 def spectral_mc_test(spectra_x: list[SpectralDensity], spectra_y: list[SpectralDensity],

@@ -13,13 +13,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    GridMismatch,
     InvalidParams,
     NegativeEstimate,
     NonFiniteValue,
     NyquistViolation,
     RecordTooShort,
 )
-from .grids import Grid, _frozen
+from .grids import FunctionalSample, Grid, _frozen
 from .rng import substream
 
 GRAVITY = 9.81
@@ -70,6 +71,32 @@ class SpectralDensity:
     def tp(self) -> float:
         wp = self.peak_angular_frequency
         return float(2.0 * np.pi / wp) if wp > 0 else float("inf")
+
+
+def spectra_to_sample(spectra: list[SpectralDensity], label: str = "") -> FunctionalSample:
+    """The spectra as the rows of one sample on their shared frequency grid."""
+    if not spectra:
+        raise ValueError("need at least one spectral density")
+    grid = spectra[0].freq
+    for s in spectra[1:]:
+        if not s.freq.matches(grid):
+            raise GridMismatch("spectra do not share a frequency grid")
+    return FunctionalSample(grid, np.asarray([s.values for s in spectra]), label)
+
+
+def average_rows(sample: FunctionalSample) -> SpectralDensity:
+    """Pointwise mean of the spectra in the rows of `sample`, anchored at the first
+    row so that the mean of identical spectra reproduces them bit-exactly."""
+    rows = sample.values
+    if np.any(rows < 0):
+        raise ValueError("spectral values must be non-negative")
+    anchor = rows[0]
+    return SpectralDensity(sample.grid, np.clip(anchor + (rows - anchor).mean(axis=0), 0.0, None))
+
+
+def average_spectrum(spectra: list[SpectralDensity]) -> SpectralDensity:
+    """Pointwise mean of spectra sharing one frequency grid (`average_rows`)."""
+    return average_rows(spectra_to_sample(spectra))
 
 
 @dataclass(frozen=True)
@@ -203,26 +230,21 @@ class GaussianSynthesizer:
         widths[-1] *= 0.5
         self._widths = widths
 
-    def check_nyquist(self, s: SpectralDensity):
-        above = s.freq.points > np.pi * self.fs * (1.0 + 1e-12)
-        if not np.any(above):
-            return
-        mass = float(np.dot(s.freq.weights[above], s.values[above]))
-        total = s.sigma2
-        if total > 0 and mass > 0.01 * total:
+    def amplitude_variances(self, s: SpectralDensity) -> np.ndarray:
+        """Per-cell amplitude variances, matching the density's band total; raises
+        NyquistViolation if over 1% of the variance lies above the Nyquist rate."""
+        in_band = s.freq.points <= np.pi * self.fs * (1.0 + 1e-12)
+        mass = float(np.dot(s.freq.weights[~in_band], s.values[~in_band]))
+        variance = s.sigma2
+        if variance > 0 and mass > 0.01 * variance:
             raise NyquistViolation(
-                f"{100 * mass / total:.2f}% of the variance lies above the "
+                f"{100 * mass / variance:.2f}% of the variance lies above the "
                 f"angular Nyquist rate {np.pi * self.fs:.4g} rad/s"
             )
-
-    def amplitude_variances(self, s: SpectralDensity) -> np.ndarray:
-        """Per-cell amplitude variances, matching the density's band total."""
-        self.check_nyquist(s)
         on_lattice = np.interp(self.lattice, s.freq.points, s.values,
                                left=0.0, right=0.0)
         v = on_lattice * self._widths
         total = v.sum()
-        in_band = s.freq.points <= np.pi * self.fs * (1.0 + 1e-12)
         band_var = float(np.dot(s.freq.weights[in_band], s.values[in_band]))
         if total > 0:
             v *= band_var / total

@@ -1,5 +1,10 @@
 """The four g-function construction schemes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +26,18 @@ from fda2s.projections import BasisSpec, pca_eigenpairs
 
 from conftest import eigh_pca_oracle, smooth_curves
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Prints a hash of the bits of pca_eigenpairs on one seeded (542, 101) sample.
+PCA_BITS = """
+import hashlib
+import numpy as np
+from fda2s.projections import pca_eigenpairs
+curves = np.random.default_rng(55).normal(size=(542, 101)).cumsum(axis=1)
+w = np.full(101, 0.01)
+w[[0, -1]] = 0.005
+vals, funcs = pca_eigenpairs(curves, w, 2)
+print(hashlib.sha256(vals.tobytes() + funcs.tobytes()).hexdigest())
+"""
 
 def unit_grid(n=1001):
     return uniform_grid(Interval(0.0, 1.0), n)
@@ -263,6 +280,18 @@ class TestPcaBasis:
             pca_basis(joint, 1)
         with pytest.raises(TooFewCurves):
             BasisSpec.parse("pca:d=1").build(joint)
+
+    def test_more_curves_than_points_give_the_same_bits_at_any_blas_thread_count(self):
+        # OpenBLAS threads a (101 x 542) x (542 x 101) product and rounds it
+        # differently on two threads than on one
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            out = subprocess.run([sys.executable, "-c", PCA_BITS], env=env,
+                                 capture_output=True, text=True, check=True)
+            hashes.append(out.stdout.strip())
+        assert hashes[0] == hashes[1]
 
 
 class TestSnapshotPca:

@@ -47,7 +47,7 @@ from fda2s.grids import sample_inner_products
 from fda2s.projections import GVector, trig_g_functions
 from fda2s.resampling import PERMUTATION_CHUNK, SPECTRAL_MC_CHUNK, _SplitStatistic
 from fda2s.rng import substream
-from fda2s.sea import GaussianSynthesizer, estimate_spectra, estimator_grid
+from fda2s.sea import GaussianSynthesizer, SpectralDensity, estimate_spectra, estimator_grid
 
 from conftest import eigh_pca_oracle, permutation_report, smooth_curves
 
@@ -659,6 +659,18 @@ class TestSpectralMcNull:
         with pytest.raises(GridMismatch, match="estimator grid"):
             spectral_mc_null(off_grid, BasisSpec.parse("indicator:k=2").build(off_grid),
                              2, sim, 3, 1)
+
+    def test_builds_one_density_the_average_of_its_rows(self, monkeypatch):
+        spectra = self._spectra(4, 600.0, 70)
+        joint, g = pooled("indicator:k=2", spectra)
+        expected = average_spectrum(spectra).values
+        sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
+        built, post_init = [], SpectralDensity.__post_init__
+        monkeypatch.setattr(SpectralDensity, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        spectral_mc_null(joint, g, 2, sim, 3, 1)
+        assert len(built) == 1
+        assert np.array_equal(built[0].values, expected)
 
     @pytest.mark.parametrize("fs,n_freq", [(1.28, 241), (2.56, 481)])
     def test_spectra_off_the_estimator_grid_rejected(self, fs, n_freq):

@@ -24,7 +24,8 @@ from .errors import FdaError, NoWaves
 from .projections import BasisSpec
 from .resampling import SimConfig, permutation_null, quantile_table
 from .rng import fresh_seed
-from .runner import concatenate_samples, run_test
+from .runner import (CALIBRATIONS, DEFAULT_B, concatenate_samples, parse_calibration,
+                     positive_int, run_test)
 from .sea import (
     TorsethaugenParams,
     default_frequency_grid,
@@ -41,49 +42,12 @@ EXIT_INVALID = 2
 EXIT_EMPTY = 3
 
 
-def _threads() -> int:
-    text = os.environ.get("FDA2S_THREADS", "1")
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise FdaError(f"FDA2S_THREADS must be a positive integer, got {text!r}")
-    return threads
-
-
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
     drawn = fresh_seed()
     print(f"seed {drawn}", file=sys.stderr)
     return drawn
-
-
-def _parse_calibration(text: str) -> tuple[str, int | None]:
-    head, colon, rest = text.partition(":")
-    head = head.strip().lower()
-    if head == "asymptotic":
-        if colon:
-            raise FdaError(f"calibration 'asymptotic' takes no parameters, got {text!r}")
-        return "asymptotic", None
-    if head not in ("permutation", "spectral-mc"):
-        raise FdaError(f"unknown calibration {head!r}")
-    if not colon:
-        return head, 1000
-    key, _, value = rest.partition("=")
-    if key.strip().lower() != "b":
-        raise FdaError(f"unknown calibration parameter {key!r} in {text!r}")
-    try:
-        b = int(value)
-    except ValueError:
-        b = 0
-    if b < 1:
-        raise FdaError(
-            f"calibration parameter 'B' must be a positive integer, got {value!r} "
-            f"in {text!r}"
-        )
-    return head, b
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -191,25 +155,29 @@ def cmd_segment(args) -> int:
 # The SimConfig field each --mc-* option sets.
 _SIM_FIELDS = {"mc_duration": "duration", "mc_fs": "fs", "mc_parzen": "parzen_L",
                "mc_nfreq": "n_freq"}
+# The run_test setting each option sets.
+_OPTION_SETTINGS = {"seed": "seed", **dict.fromkeys(_SIM_FIELDS, "sim")}
 
 
 def cmd_test(args) -> int:
     basis = BasisSpec.parse(args.basis)
-    method, B = _parse_calibration(args.calibration)
+    method, settings = parse_calibration(args.calibration)
+    reads = CALIBRATIONS[method]
     # These options default to None: a value was set by a flag or the config file.
-    unread = {"asymptotic": ("seed", *_SIM_FIELDS), "permutation": _SIM_FIELDS}
-    flags = [f"--{name.replace('_', '-')}" for name in unread.get(method, ())
-             if getattr(args, name) is not None]
+    flags = [f"--{name.replace('_', '-')}" for name, setting in _OPTION_SETTINGS.items()
+             if setting not in reads and getattr(args, name) is not None]
     if flags:
         raise FdaError(f"--calibration {method} does not combine with {', '.join(flags)}")
-    n_jobs = _threads() if method == "spectral-mc" else 1
+    if "n_jobs" in reads:
+        settings["n_jobs"] = positive_int(os.environ.get("FDA2S_THREADS", "1"), "FDA2S_THREADS")
     x = io.read_functional_sample(args.x, label="x")
     y = io.read_functional_sample(args.y, label="y")
-    sim = (SimConfig(**{field: getattr(args, name) for name, field in _SIM_FIELDS.items()
-                        if getattr(args, name) is not None})
-           if method == "spectral-mc" else None)
-    seed = None if method == "asymptotic" else _resolve_seed(args.seed)
-    result = run_test(x, y, basis, method, B=B, seed=seed, n_jobs=n_jobs, sim=sim)
+    if "sim" in reads:
+        settings["sim"] = SimConfig(**{field: getattr(args, name) for name, field in
+                                       _SIM_FIELDS.items() if getattr(args, name) is not None})
+    if "seed" in reads:
+        settings["seed"] = _resolve_seed(args.seed)
+    result = run_test(x, y, basis, method, **settings)
     io.write_test_result(result, args.output)
     return EXIT_OK
 
@@ -223,7 +191,7 @@ def cmd_quantiles(args) -> int:
         raise FdaError(f"--probs must lie strictly inside (0, 1), got {args.probs!r}")
     if any(b <= a for a, b in zip(probs, probs[1:])):
         raise FdaError(f"--probs must be strictly increasing, got {args.probs!r}")
-    method, B = _parse_calibration(args.calibration)
+    method, settings = parse_calibration(args.calibration)
     if method != "permutation":
         raise FdaError(
             f"quantiles supports permutation calibration only, got {args.calibration!r}"
@@ -233,7 +201,7 @@ def cmd_quantiles(args) -> int:
     y = io.read_functional_sample(args.y, label="y")
     joint = concatenate_samples(x, y)
     g = BasisSpec.parse(args.basis).build(joint)
-    values = permutation_null(joint, g, x.n_curves, B, seed).values
+    values = permutation_null(joint, g, x.n_curves, settings.get("B", DEFAULT_B), seed).values
     io.write_quantile_table(quantile_table(values, g.k, probs), args.output)
     return EXIT_OK
 
@@ -298,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x")
     p.add_argument("--y")
     p.add_argument("--basis")
-    p.add_argument("--calibration", default="permutation:B=1000", help="permutation:B=N")
+    p.add_argument("--calibration", default="permutation", help="permutation:B=N")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--probs", default="0.5,0.9,0.95,0.975,0.99")
     p.add_argument("--config", default=None)

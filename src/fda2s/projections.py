@@ -196,6 +196,25 @@ def _orient(phis: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(flip[..., None], -phis, phis)
 
 
+def parse_spec(text: str, kind: str) -> tuple[str, dict[str, str]]:
+    """`name[:key=value,...]`, the grammar of bases and calibrations, as the name and
+    each key's value, stripped, the name and keys lower-cased.  An item without `=`
+    (so `trig:` and `trig:k=2,`) or a repeated key raises ValueError."""
+    name, colon, rest = text.partition(":")
+    name = name.strip().lower()
+    params: dict[str, str] = {}
+    if colon:
+        for item in rest.split(","):
+            key, eq, value = item.partition("=")
+            if not eq:
+                raise ValueError(f"malformed {kind} parameter {item!r} in {text!r}")
+            key = key.strip().lower()
+            if key in params:
+                raise ValueError(f"repeated {name} parameter {key!r} in {text!r}")
+            params[key] = value.strip()
+    return name, params
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Descriptor of a g-function construction, buildable from a joint sample.
@@ -257,19 +276,7 @@ class BasisSpec:
 
     @classmethod
     def parse(cls, text: str) -> "BasisSpec":
-        scheme, _, rest = text.partition(":")
-        scheme = scheme.strip().lower()
-        params: dict = {}
-        if rest:
-            for item in rest.split(","):
-                key, _, value = item.partition("=")
-                if not _:
-                    raise ValueError(f"malformed basis parameter {item!r}")
-                key = key.strip().lower()
-                if key in params:
-                    raise ValueError(f"repeated {scheme} parameter {key!r} in {text!r}")
-                params[key] = value.strip()
-        return cls(scheme, params)
+        return cls(*parse_spec(text, "basis"))
 
     def __str__(self) -> str:
         if not self.params:

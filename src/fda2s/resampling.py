@@ -87,7 +87,7 @@ def _run_replicates(draw, evaluate, B: int, seed: int, n_jobs: int,
     replicate was singular.  Chunk boundaries depend on `chunk` only, never
     on `n_jobs`.
     """
-    if not isinstance(B, (int, np.integer)) or B < 1:
+    if not isinstance(B, (int, np.integer)) or isinstance(B, bool) or B < 1:
         raise ValueError(f"need at least one replicate, got B={B!r}")
 
     def run(rs: range) -> np.ndarray:
@@ -252,10 +252,11 @@ def spectral_mc_null(
     `pca` g is re-estimated from each replicate's spectra with its d = g.k,
     the chunk's eigenfunctions from one stacked `pca_eigenpairs`; any other
     g scores every replicate as it is.  `n_jobs` threads run the chunks; an
-    `n_jobs` below 1 raises ValueError before any draw.
+    `n_jobs` that is not an integer of at least 1 raises ValueError before
+    any draw.
     """
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be at least 1, got n_jobs={n_jobs}")
+    if not isinstance(n_jobs, (int, np.integer)) or isinstance(n_jobs, bool) or n_jobs < 1:
+        raise ValueError(f"n_jobs must be at least 1, got n_jobs={n_jobs!r}")
     n = joint.n_curves - m
     _check_groups(m, n)
     w = _check_estimator_grid(joint.grid, sim).weights

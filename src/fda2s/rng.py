@@ -32,6 +32,8 @@ def _check_key(seed: int, index: int) -> None:
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one replicate of a seeded run."""
+    if isinstance(seed, bool):  # an integer to `operator.index`, but not a seed
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     _check_key(seed, index)
     return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(index)]))
 

@@ -15,14 +15,51 @@ import numpy as np
 
 from .errors import GridMismatch
 from .grids import FunctionalSample
-from .projections import BasisSpec
+from .projections import BasisSpec, parse_spec
 from .qn import TestResult, qn_statistic, score_matrix
 from .resampling import (SimConfig, _check_estimator_grid, permutation_null,
                          permutation_pvalue, spectral_mc_null)
 from .rng import fresh_seed
 from .sea import SpectralDensity, spectra_to_sample
 
-CALIBRATIONS = ("asymptotic", "permutation", "spectral-mc")
+DEFAULT_B = 1000
+# The settings each calibration reads; `run_test` refuses any other.
+CALIBRATIONS = {"asymptotic": (), "permutation": ("B", "seed"),
+                "spectral-mc": ("B", "seed", "n_jobs", "sim")}
+_TEXT_KEYS = ("B",)  # the settings a calibration's text sets; callers pass the rest
+
+
+def _reads(calibration: str) -> tuple[str, ...]:
+    if calibration not in CALIBRATIONS:
+        raise ValueError(f"unknown calibration {calibration!r}; expected "
+                         + ", ".join(map(repr, CALIBRATIONS)))
+    return CALIBRATIONS[calibration]
+
+
+def positive_int(text: str, what: str) -> int:
+    """`text` as a positive integer; ValueError naming `what` if it is not one."""
+    try:
+        number = int(text)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise ValueError(f"{what} must be a positive integer, got {text!r}")
+    return number
+
+
+def parse_calibration(text: str) -> tuple[str, dict]:
+    """`name[:key=value,...]`, by `parse_spec`, as a name of CALIBRATIONS and the
+    settings its keys set: those of its settings in `_TEXT_KEYS`, in any case,
+    each a positive integer."""
+    name, params = parse_spec(text, "calibration")
+    keys = {key.lower(): key for key in _reads(name) if key in _TEXT_KEYS}
+    settings = {}
+    for key, value in params.items():
+        if key not in keys:
+            raise ValueError(f"calibration {name!r} takes "
+                             f"{', '.join(keys.values()) or 'no parameters'}, got {text!r}")
+        settings[keys[key]] = positive_int(value, f"parameter {keys[key]!r} of {text!r}")
+    return name, settings
 
 
 def concatenate_samples(
@@ -47,39 +84,27 @@ def run_test(
     n_jobs: int = 1,
     sim: SimConfig | None = None,
 ) -> TestResult:
-    """Two-sample test with the given basis and calibration, one of CALIBRATIONS.
+    """Two-sample test with the given basis and calibration, one of CALIBRATIONS,
+    which lists the settings each reads; a null given no `B` or `seed` draws
+    DEFAULT_B replicates from a fresh seed.
 
-    Data-driven schemes are built once from the pooled sample and reused
-    for the observed statistic and by either null: their construction
-    depends only on the unlabeled pooled set, so rebuilding per replicate
-    would change nothing (the spectral MC null re-estimates a `pca` basis
-    from each replicate's own spectra).  `sim`, the settings of the
-    resimulated records, is required by ``"spectral-mc"`` and taken by no
-    other calibration; `x` and `y` then hold spectra on its estimator grid.
-    `B` and `seed` go to the null, which draws 1000 replicates without a
-    `B` and draws a seed without one; ``"asymptotic"`` has no null and
-    refuses either.  `n_jobs` threads run the spectral MC null, and any
-    `n_jobs` below 1 raises ValueError; every other calibration runs on one
-    thread and refuses any other `n_jobs`.
-
-    The add-one p-value counts the replicates at or above the observed
-    split's value by the null's own arithmetic, so a permutation replicate
-    that draws the observed split ties with it; the reported `qn` is
-    `qn_statistic`'s.
+    Data-driven schemes are built once from the pooled sample and reused for the
+    observed statistic and by either null: they depend only on the unlabeled
+    pooled set, so rebuilding per replicate would change nothing (the spectral
+    MC null re-estimates a `pca` basis from each replicate's own spectra).  The
+    add-one p-value counts the replicates at or above the observed split's value
+    by the null's own arithmetic, so a permutation replicate that draws the
+    observed split ties with it; the reported `qn` is `qn_statistic`'s.
     """
-    if calibration not in CALIBRATIONS:
-        raise ValueError(f"unknown calibration {calibration!r}; run_test calibrations: "
-                         + ", ".join(map(repr, CALIBRATIONS)))
-    if calibration == "spectral-mc" and sim is None:
-        raise ValueError("calibration 'spectral-mc' needs sim, the resimulation settings")
-    if calibration != "spectral-mc" and sim is not None:
-        raise ValueError(f"calibration {calibration!r} takes no sim")
-    if calibration != "spectral-mc" and n_jobs != 1:
-        raise ValueError(f"calibration {calibration!r} runs on one thread; got n_jobs={n_jobs}")
-    if calibration == "asymptotic":
-        for name, value in (("B", B), ("seed", seed)):
-            if value is not None:
-                raise ValueError(f"calibration 'asymptotic' takes no {name}")
+    reads = _reads(calibration)
+    for name, value, unread in (("sim", sim, None), ("n_jobs", n_jobs, 1), ("B", B, None),
+                                ("seed", seed, None)):
+        if name not in reads and value != unread:
+            detail = (f"runs on one thread; got n_jobs={n_jobs}" if name == "n_jobs"
+                      else f"takes no {name}")
+            raise ValueError(f"calibration {calibration!r} {detail}")
+    if "sim" in reads and sim is None:
+        raise ValueError(f"calibration {calibration!r} needs sim, the resimulation settings")
     if sim is not None:  # off the estimator grid says more than "different grids"
         _check_estimator_grid(x.grid, sim)
         _check_estimator_grid(y.grid, sim)
@@ -89,7 +114,7 @@ def run_test(
                      scheme=g.scheme, params=dict(g.params))
     if calibration == "asymptotic":
         return result
-    B = 1000 if B is None else B
+    B = DEFAULT_B if B is None else B
     seed = fresh_seed() if seed is None else seed
     if calibration == "permutation":
         null = permutation_null(joint, g, x.n_curves, B, seed)
@@ -106,7 +131,7 @@ def run_test(
 
 
 def spectral_mc_test(spectra_x: list[SpectralDensity], spectra_y: list[SpectralDensity],
-                     basis: BasisSpec, sim: SimConfig, B: int = 1000,
+                     basis: BasisSpec, sim: SimConfig, B: int = DEFAULT_B,
                      seed: int | None = None, n_jobs: int = 1) -> TestResult:
     """The benchmark's adapter onto `run_test(..., "spectral-mc", sim=sim)`, kept only because
     bench/workloads.py calls it; the benchmark's mending (ROADMAP item 1) deletes it."""

@@ -28,6 +28,7 @@ from fda2s import (
     spectra_to_sample,
     uniform_grid,
 )
+from fda2s.runner import CALIBRATIONS
 
 from conftest import smooth_curves
 
@@ -258,6 +259,21 @@ class TestSegment:
         assert np.max(np.abs(mid)) < 0.2 * np.max(np.abs(sample.values))
 
 
+# The ways the command line sets each setting of CALIBRATIONS, as a suffix to
+# the calibration and flags; FDA2S_THREADS, which sets n_jobs, is left unread
+# rather than refused.
+SETTING_ARGV = {
+    "B": [(":B=5", ())],
+    "seed": [("", ("--seed", 5))],
+    "n_jobs": [],
+    "sim": [("", (flag, value)) for flag, value in (
+        ("--mc-duration", 600), ("--mc-fs", 2.56), ("--mc-parzen", 7), ("--mc-nfreq", 241))],
+}
+UNREAD_ARGV = [(calibration + suffix, argv) for calibration, reads in CALIBRATIONS.items()
+               for setting in sorted({s for r in CALIBRATIONS.values() for s in r})
+               if setting not in reads for suffix, argv in SETTING_ARGV[setting]]
+
+
 class TestTest:
     def _write_pair(self, tmp_path, rng, delta=0.0):
         grid = uniform_grid(Interval(0.0, 1.0), 101)
@@ -416,13 +432,18 @@ class TestTest:
         assert "'B'" in err and calibration in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("calibration", ["asymptotic:B=50", "asymptotic:whatever"])
-    def test_parameters_after_asymptotic_exit_2(self, tmp_path, rng, capsys, calibration):
+    @pytest.mark.parametrize("calibration, message", [
+        ("asymptotic:B=50", "'asymptotic' takes no parameters, got 'asymptotic:B=50'"),
+        ("asymptotic:whatever",
+         "malformed calibration parameter 'whatever' in 'asymptotic:whatever'"),
+    ], ids=["asymptotic:B=50", "asymptotic:whatever"])
+    def test_parameters_after_asymptotic_exit_2(self, tmp_path, rng, capsys, calibration,
+                                                message):
         xp, yp = self._write_pair(tmp_path, rng)
         out = tmp_path / "r.json"
         assert run("test", "--x", xp, "--y", yp, "--calibration", calibration,
                    "-o", out) == 2
-        assert f"'asymptotic' takes no parameters, got {calibration!r}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("calibration,extra,flags", [
@@ -440,6 +461,17 @@ class TestTest:
         assert run("test", "--x", xp, "--y", yp, "--calibration", calibration, *extra,
                    "-o", out) == 2
         assert f"does not combine with {flags}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("calibration, argv", UNREAD_ARGV)
+    def test_every_setting_the_table_leaves_unread_exits_2(self, tmp_path, rng, capsys,
+                                                          calibration, argv):
+        xp, yp = self._write_pair(tmp_path, rng)
+        out = tmp_path / "r.json"
+        assert run("test", "--x", xp, "--y", yp, "--calibration", calibration, *argv,
+                   "-o", out) == 2
+        err = capsys.readouterr().err
+        assert (argv[0] if argv else calibration) in err
         assert not out.exists()
 
     def test_config_flag_the_calibration_does_not_read_exits_2(self, tmp_path, rng, capsys):
@@ -625,7 +657,7 @@ class TestQuantiles:
 
 @pytest.mark.parametrize("command, options, message", [
     ("test", ("--calibration", "asymptotic:"),
-     "'asymptotic' takes no parameters, got 'asymptotic:'"),
+     "malformed calibration parameter '' in 'asymptotic:'"),
     ("test", ("--calibration", "permutation:"), "parameter '' in 'permutation:'"),
     ("test", ("--calibration", "spectral-mc:"), "parameter '' in 'spectral-mc:'"),
     ("quantiles", ("--calibration", "permutation:"), "parameter '' in 'permutation:'"),
@@ -642,6 +674,9 @@ class TestQuantiles:
     ("segment", ("--order", 2, "--knots", 2), "spline order 2 with 2 knot sites"),
     ("test", ("--calibration", "bootstrap"), "unknown calibration 'bootstrap'"),
     ("test", ("--basis", "trig:k"), "malformed basis parameter 'k'"),
+    ("test", ("--basis", "trig:"), "malformed basis parameter '' in 'trig:'"),
+    ("test", ("--calibration", "permutation:B=5,B=6"),
+     "repeated permutation parameter 'b' in 'permutation:B=5,B=6'"),
     ("segment", ("--grid", 1), "common grid needs at least 2 points"),
     ("segment", ("--order", 1), "spline order must be >= 2"),
     ("segment", ("--knots", 1), "need at least the two endpoint knot sites"),
@@ -661,7 +696,8 @@ class TestQuantiles:
 ], ids=["test-asymptotic:", "test-permutation:", "test-spectral-mc:",
         "quantiles-permutation:", "quantiles-asymptotic", "quantiles-spectral-mc", "probs",
         "probs-outside-0-1", "probs-not-increasing", "probs-repeated",
-        "segment-order-2-knots-2", "test-bootstrap", "test-trig:k", "segment-grid-1",
+        "segment-order-2-knots-2", "test-bootstrap", "test-trig:k", "test-trig:",
+        "test-permutation-repeated-B", "segment-grid-1",
         "segment-order-1", "segment-knots-1", "simulate-duration-inf",
         "simulate-duration-nan", "test-mc-duration-inf", "test-mc-duration-nan",
         "simulate-fs-inf", "simulate-fs-nan", "simulate-tp-inf", "spectrum-nfreq-1",

@@ -694,6 +694,85 @@ class TestSpectralMcNull:
                 spectral_mc_null(joint, g, 2, sim, 3, 1)
 
 
+# For each setting of runner.CALIBRATIONS, a value other than the one it keeps
+# under a calibration that does not read it.
+SET = {"B": 5, "seed": 1, "n_jobs": 2, "sim": SimConfig()}
+UNREAD = [(calibration, setting) for calibration, reads in runner.CALIBRATIONS.items()
+          for setting in sorted({s for r in runner.CALIBRATIONS.values() for s in r})
+          if setting not in reads]
+
+
+class TestCalibrationTable:
+    """run_test and parse_calibration follow runner.CALIBRATIONS, whatever its entries."""
+
+    basis = BasisSpec.parse("indicator:k=3")
+    # settings each calibration that reads them takes in these tests
+    given = {"B": 3, "seed": 2, "n_jobs": 1,
+             "sim": SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)}
+
+    @pytest.fixture(scope="class")
+    def spectra(self):
+        spectra = TestSpectralMcNull._spectra(6, 600.0, 50)
+        return spectra_to_sample(spectra[:3]), spectra_to_sample(spectra[3:])
+
+    def _run(self, spectra, calibration, **changed):
+        given = {**self.given, **changed}
+        return run_test(*spectra, self.basis, calibration,
+                        **{name: given[name] for name in runner.CALIBRATIONS[calibration]})
+
+    @pytest.mark.parametrize("calibration, setting", UNREAD)
+    def test_unread_setting_raises(self, spectra, monkeypatch, calibration, setting):
+        monkeypatch.setattr(resampling, "substream", None)  # before any draw
+        with pytest.raises(ValueError, match=f"^calibration '{calibration}' "):
+            run_test(*spectra, self.basis, calibration, **{setting: SET[setting]})
+
+    @pytest.mark.parametrize("calibration", list(runner.CALIBRATIONS))
+    def test_parse_calibration_round_trips(self, calibration):
+        assert runner.parse_calibration(f" {calibration.upper()} ") == (calibration, {})
+        spaced = f" {calibration.title()} : b = 7 "
+        if "B" in runner.CALIBRATIONS[calibration]:
+            assert runner.parse_calibration(f"{calibration}:B=7") == (calibration, {"B": 7})
+            assert runner.parse_calibration(spaced) == (calibration, {"B": 7})
+        else:
+            with pytest.raises(ValueError, match=f"'{calibration}' takes no parameters"):
+                runner.parse_calibration(spaced)
+
+    @pytest.mark.parametrize("calibration, nulls", [
+        ("asymptotic", []), ("permutation", ["permutation_null"]),
+        ("spectral-mc", ["spectral_mc_null"]),
+    ])
+    def test_nulls_are_looked_up_in_runner_when_called(self, spectra, monkeypatch,
+                                                       calibration, nulls):
+        # the benchmark captures each null by wrapping these two runner globals
+        calls = []
+
+        def counting(name):
+            null = getattr(runner, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return null(*args, **kwargs)
+            return counted
+
+        for name in ("permutation_null", "spectral_mc_null"):
+            monkeypatch.setattr(runner, name, counting(name))
+        self._run(spectra, calibration)
+        assert calls == nulls
+
+    @pytest.mark.parametrize("calibration, setting, value, message", [
+        ("permutation", "seed", True, "seed must be an integer, got True"),
+        ("permutation", "B", True, "need at least one replicate, got B=True"),
+        ("spectral-mc", "seed", True, "seed must be an integer, got True"),
+        ("spectral-mc", "B", True, "need at least one replicate, got B=True"),
+        ("spectral-mc", "n_jobs", 2.5, "n_jobs must be at least 1, got n_jobs=2.5"),
+        ("spectral-mc", "n_jobs", True, "n_jobs must be at least 1, got n_jobs=True"),
+    ])
+    def test_booleans_and_non_integers_rejected(self, spectra, calibration, setting, value,
+                                                message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self._run(spectra, calibration, **{setting: value})
+
+
 def counting_substream(monkeypatch):
     """Wrap `resampling.substream`; the returned list collects its calls."""
     calls = []

@@ -2,7 +2,8 @@
 
 Every file a command reads is a file a command writes: `simulate` writes
 records, which `spectrum` and `segment` read; both write functional-sample
-CSVs, which `test` and `quantiles` read.
+CSVs, which `test` and `quantiles` read and calibrate through one runner
+function, `runner.calibrate`.
 
 Exit codes: 0 on success, 2 on validation or input errors, 3 when the
 requested operation produced no result (e.g. a record with no waves).
@@ -22,10 +23,9 @@ import numpy as np
 from . import io
 from .errors import FdaError, NoWaves
 from .projections import BasisSpec
-from .resampling import SimConfig, permutation_null, quantile_table
+from .resampling import SimConfig, check_probs, quantile_table
 from .rng import fresh_seed
-from .runner import (CALIBRATIONS, DEFAULT_B, concatenate_samples, parse_calibration,
-                     positive_int, run_test)
+from .runner import CALIBRATIONS, calibrate, parse_calibration, positive_int, run_test
 from .sea import (
     TorsethaugenParams,
     default_frequency_grid,
@@ -187,22 +187,15 @@ def cmd_quantiles(args) -> int:
         probs = tuple(float(p) for p in args.probs.split(","))
     except ValueError:
         raise FdaError(f"--probs must be comma-separated numbers, got {args.probs!r}") from None
-    if not all(0.0 < p < 1.0 for p in probs):
-        raise FdaError(f"--probs must lie strictly inside (0, 1), got {args.probs!r}")
-    if any(b <= a for a, b in zip(probs, probs[1:])):
-        raise FdaError(f"--probs must be strictly increasing, got {args.probs!r}")
+    check_probs(probs)
     method, settings = parse_calibration(args.calibration)
-    if method != "permutation":
-        raise FdaError(
-            f"quantiles supports permutation calibration only, got {args.calibration!r}"
-        )
+    if method != "permutation":  # spectral-mc would need the --mc-* options
+        raise FdaError(f"quantiles supports permutation calibration only, got {args.calibration!r}")
     seed = _resolve_seed(args.seed)
     x = io.read_functional_sample(args.x, label="x")
     y = io.read_functional_sample(args.y, label="y")
-    joint = concatenate_samples(x, y)
-    g = BasisSpec.parse(args.basis).build(joint)
-    values = permutation_null(joint, g, x.n_curves, settings.get("B", DEFAULT_B), seed).values
-    io.write_quantile_table(quantile_table(values, g.k, probs), args.output)
+    result, null = calibrate(x, y, BasisSpec.parse(args.basis), method, seed=seed, **settings)
+    io.write_quantile_table(quantile_table(null.values, result.k, probs), args.output)
     return EXIT_OK
 
 

@@ -284,6 +284,16 @@ def spectral_mc_null(
     return _run_replicates(draw, evaluate, B, seed, n_jobs, SPECTRAL_MC_CHUNK)
 
 
+def check_probs(probs) -> np.ndarray:
+    """`probs` as floats; ValueError unless they increase and lie in the open unit interval."""
+    probs = np.asarray(probs, dtype=float)
+    if not np.all((probs > 0.0) & (probs < 1.0)):
+        raise ValueError(f"probs must lie strictly inside (0, 1), got {probs.tolist()}")
+    if np.any(np.diff(probs) <= 0):
+        raise ValueError(f"probs must be strictly increasing, got {probs.tolist()}")
+    return probs
+
+
 def quantile_table(null_values, k: int, probs=(0.5, 0.9, 0.95, 0.975, 0.99)) -> QuantileTable:
     """Empirical null quantiles with their chi-square reference values.
 
@@ -296,11 +306,7 @@ def quantile_table(null_values, k: int, probs=(0.5, 0.9, 0.95, 0.975, 0.99)) -> 
         raise TooFewReplicates(
             f"need at least 100 replicates for quantiles, got {values.size}"
         )
-    probs = np.asarray(probs, dtype=float)
-    if np.any(probs <= 0.0) or np.any(probs >= 1.0):
-        raise ValueError("probabilities must lie strictly inside (0, 1)")
-    if np.any(np.diff(probs) <= 0):
-        raise ValueError("probabilities must be strictly increasing")
+    probs = check_probs(probs)
     empirical = np.quantile(values, probs, method="linear")
     zero = probs[empirical == 0.0]
     if zero.size:

@@ -1,10 +1,11 @@
-"""The two-sample test: one entry point, `run_test`, for every calibration.
+"""The two-sample test: one path, `calibrate`, from two samples to a null.
 
-`run_test` builds the basis from the pooled sample, evaluates the observed
-statistic, and calibrates it by one of CALIBRATIONS: the chi-square limit,
-random splits of the pooled sample (`permutation_null`), or resimulation
-from the pooled average spectrum (`spectral_mc_null`).  Both nulls take the
-same inputs: the pooled sample, its g-vector and the x-sample's size.
+`calibrate` builds the basis from the pooled sample, evaluates the observed
+statistic and draws the null of one of CALIBRATIONS: none for the chi-square
+limit, random splits of the pooled sample (`permutation_null`), or
+resimulation from the pooled average spectrum (`spectral_mc_null`), both
+from the pooled sample, its g-vector and the x-sample's size.  `run_test`
+adds the add-one p-value; `fda2s quantiles` tabulates the null.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from .errors import GridMismatch
 from .grids import FunctionalSample
 from .projections import BasisSpec, parse_spec
 from .qn import TestResult, qn_statistic, score_matrix
-from .resampling import (SimConfig, _check_estimator_grid, permutation_null,
-                         permutation_pvalue, spectral_mc_null)
+from .resampling import (NullDistribution, SimConfig, _check_estimator_grid,
+                         permutation_null, permutation_pvalue, spectral_mc_null)
 from .rng import fresh_seed
 from .sea import SpectralDensity, spectra_to_sample
 
 DEFAULT_B = 1000
-# The settings each calibration reads; `run_test` refuses any other.
+# The settings each calibration reads; `calibrate` refuses any other.
 CALIBRATIONS = {"asymptotic": (), "permutation": ("B", "seed"),
                 "spectral-mc": ("B", "seed", "n_jobs", "sim")}
 _TEXT_KEYS = ("B",)  # the settings a calibration's text sets; callers pass the rest
@@ -74,32 +75,23 @@ def concatenate_samples(
     return FunctionalSample(x.grid, values, label)
 
 
-def run_test(
-    x: FunctionalSample,
-    y: FunctionalSample,
-    basis: BasisSpec,
-    calibration: str = "asymptotic",
-    B: int | None = None,
-    seed: int | None = None,
-    n_jobs: int = 1,
-    sim: SimConfig | None = None,
-) -> TestResult:
-    """Two-sample test with the given basis and calibration, one of CALIBRATIONS,
-    which lists the settings each reads; a null given no `B` or `seed` draws
-    DEFAULT_B replicates from a fresh seed.
-
-    Data-driven schemes are built once from the pooled sample and reused for the
-    observed statistic and by either null: they depend only on the unlabeled
-    pooled set, so rebuilding per replicate would change nothing (the spectral
-    MC null re-estimates a `pca` basis from each replicate's own spectra).  The
-    add-one p-value counts the replicates at or above the observed split's value
-    by the null's own arithmetic, so a permutation replicate that draws the
-    observed split ties with it; the reported `qn` is `qn_statistic`'s.
+def calibrate(x: FunctionalSample, y: FunctionalSample, basis: BasisSpec,
+              calibration: str = "asymptotic", B: int | None = None, seed: int | None = None,
+              n_jobs: int = 1, sim: SimConfig | None = None
+              ) -> tuple[TestResult, NullDistribution | None]:
+    """The observed statistic and the null (None if "asymptotic") of `calibration`,
+    one of CALIBRATIONS, which lists the settings each reads; a null given no `B`
+    or `seed` draws DEFAULT_B replicates from a fresh seed.  The result has the
+    null's replicate counts and seed (a Python int), not the resampled p-value.
+    One basis, built from the pooled sample, serves the observed statistic and
+    either null: it depends only on the unlabeled pooled set (the spectral MC null
+    re-estimates a `pca` basis from each replicate's own spectra).
     """
     reads = _reads(calibration)
     for name, value, unread in (("sim", sim, None), ("n_jobs", n_jobs, 1), ("B", B, None),
                                 ("seed", seed, None)):
-        if name not in reads and value != unread:
+        # of its type too: True and 1.0 equal the unread n_jobs 1
+        if name not in reads and (value != unread or type(value) is not type(unread)):
             detail = (f"runs on one thread; got n_jobs={n_jobs}" if name == "n_jobs"
                       else f"takes no {name}")
             raise ValueError(f"calibration {calibration!r} {detail}")
@@ -113,21 +105,29 @@ def run_test(
     result = replace(qn_statistic(score_matrix(x, g), score_matrix(y, g)),
                      scheme=g.scheme, params=dict(g.params))
     if calibration == "asymptotic":
-        return result
+        return result, None
     B = DEFAULT_B if B is None else B
     seed = fresh_seed() if seed is None else seed
     if calibration == "permutation":
         null = permutation_null(joint, g, x.n_curves, B, seed)
     else:
         null = spectral_mc_null(joint, g, x.n_curves, sim, B, seed, n_jobs=n_jobs)
+    return replace(result, n_resamples=null.n_effective, n_failed_resamples=null.n_failed,
+                   seed=int(seed)), null
+
+
+def run_test(x: FunctionalSample, y: FunctionalSample, basis: BasisSpec,
+             calibration: str = "asymptotic", B: int | None = None, seed: int | None = None,
+             n_jobs: int = 1, sim: SimConfig | None = None) -> TestResult:
+    """Two-sample test: `calibrate`'s result with the add-one p-value of its null,
+    which counts the replicates at or above the observed split's value by the
+    null's own arithmetic, so a permutation replicate that draws the observed
+    split ties with it; the reported `qn` is `qn_statistic`'s."""
+    result, null = calibrate(x, y, basis, calibration, B, seed, n_jobs, sim)
+    if null is None:
+        return result
     observed = result.qn if null.observed is None else null.observed
-    return replace(
-        result,
-        p_resampled=permutation_pvalue(observed, null.values),
-        n_resamples=null.n_effective,
-        n_failed_resamples=null.n_failed,
-        seed=seed,
-    )
+    return replace(result, p_resampled=permutation_pvalue(observed, null.values))
 
 
 def spectral_mc_test(spectra_x: list[SpectralDensity], spectra_y: list[SpectralDensity],

@@ -617,6 +617,21 @@ class TestQuantiles:
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
 
+    @pytest.mark.parametrize("command", ["test", "quantiles"])
+    def test_singular_observed_covariance_exits_2(self, tmp_path, rng, capsys, command):
+        # each sample repeats one curve: the observed split has no within-sample
+        # scatter, almost every random split has some
+        grid = uniform_grid(Interval(0.0, 1.0), 41)
+        curves = smooth_curves(rng, 2, grid)
+        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        for curve, path in zip(curves, (xp, yp)):
+            write_functional_sample(FunctionalSample(grid, np.tile(curve, (20, 1))), path)
+        out = tmp_path / "out"
+        assert run(command, "--x", xp, "--y", yp, "--basis", "indicator:k=1",
+                   "--calibration", "permutation:B=200", "--seed", 2, "-o", out) == 2
+        assert "error: pooled covariance (condition number" in capsys.readouterr().err
+        assert not out.exists()
+
     def _rejected_by_the_parser(self, capsys, *argv):
         with pytest.raises(SystemExit) as exc:
             run("quantiles", *argv)
@@ -668,9 +683,11 @@ class TestQuantiles:
     ("quantiles", ("--probs", "0.5,abc"),
      "--probs must be comma-separated numbers, got '0.5,abc'"),
     ("quantiles", ("--probs", "0.5,1.5"),
-     "--probs must lie strictly inside (0, 1), got '0.5,1.5'"),
-    ("quantiles", ("--probs", "0.9,0.5"), "--probs must be strictly increasing, got '0.9,0.5'"),
-    ("quantiles", ("--probs", "0.5,0.5"), "--probs must be strictly increasing, got '0.5,0.5'"),
+     "error: probs must lie strictly inside (0, 1), got [0.5, 1.5]"),
+    ("quantiles", ("--probs", "0.9,0.5"),
+     "error: probs must be strictly increasing, got [0.9, 0.5]"),
+    ("quantiles", ("--probs", "0.5,0.5"),
+     "error: probs must be strictly increasing, got [0.5, 0.5]"),
     ("segment", ("--order", 2, "--knots", 2), "spline order 2 with 2 knot sites"),
     ("test", ("--calibration", "bootstrap"), "unknown calibration 'bootstrap'"),
     ("test", ("--basis", "trig:k"), "malformed basis parameter 'k'"),

@@ -32,7 +32,7 @@ from fda2s import (
     default_frequency_grid,
     uniform_grid,
 )
-from fda2s import resampling, runner
+from fda2s import cli, resampling, runner
 from fda2s.errors import (
     GridMismatch,
     InvalidParams,
@@ -44,6 +44,7 @@ from fda2s.errors import (
     WrongInterval,
 )
 from fda2s.grids import sample_inner_products
+from fda2s.io import format_test_result, write_functional_sample
 from fda2s.projections import GVector, trig_g_functions
 from fda2s.resampling import PERMUTATION_CHUNK, SPECTRAL_MC_CHUNK, _SplitStatistic
 from fda2s.rng import substream
@@ -737,13 +738,14 @@ class TestCalibrationTable:
             with pytest.raises(ValueError, match=f"'{calibration}' takes no parameters"):
                 runner.parse_calibration(spaced)
 
-    @pytest.mark.parametrize("calibration, nulls", [
+    @pytest.mark.parametrize("call, nulls", [
         ("asymptotic", []), ("permutation", ["permutation_null"]),
-        ("spectral-mc", ["spectral_mc_null"]),
+        ("spectral-mc", ["spectral_mc_null"]), ("fda2s quantiles", ["permutation_null"]),
     ])
-    def test_nulls_are_looked_up_in_runner_when_called(self, spectra, monkeypatch,
-                                                       calibration, nulls):
-        # the benchmark captures each null by wrapping these two runner globals
+    def test_nulls_are_looked_up_in_runner_when_called(self, spectra, monkeypatch, tmp_path,
+                                                       call, nulls):
+        # the benchmark captures each null by wrapping these two runner globals, and
+        # `fda2s quantiles` draws its null through the runner too
         calls = []
 
         def counting(name):
@@ -756,8 +758,36 @@ class TestCalibrationTable:
 
         for name in ("permutation_null", "spectral_mc_null"):
             monkeypatch.setattr(runner, name, counting(name))
-        self._run(spectra, calibration)
+        if call == "fda2s quantiles":
+            paths = [tmp_path / "x.csv", tmp_path / "y.csv"]
+            for sample, path in zip(spectra, paths):
+                write_functional_sample(sample, path)
+            assert cli.main(["quantiles", "--x", str(paths[0]), "--y", str(paths[1]),
+                             "--basis", "indicator:k=3", "--calibration", "permutation:B=100",
+                             "--seed", "2", "-o", str(tmp_path / "table.csv")]) == 0
+        else:
+            self._run(spectra, call)
         assert calls == nulls
+
+    @pytest.mark.parametrize("calibration", [c for c, reads in runner.CALIBRATIONS.items()
+                                             if "n_jobs" not in reads])
+    @pytest.mark.parametrize("n_jobs", [True, 1.0])
+    def test_unread_n_jobs_is_only_the_integer_1(self, spectra, monkeypatch, calibration,
+                                                 n_jobs):
+        # each equals 1, yet neither is the integer 1 an unread n_jobs must be
+        monkeypatch.setattr(resampling, "substream", None)  # before any draw
+        settings = {name: self.given[name] for name in runner.CALIBRATIONS[calibration]}
+        with pytest.raises(ValueError, match=f"^calibration '{calibration}' runs on one "
+                                             f"thread; got n_jobs={n_jobs}$"):
+            run_test(*spectra, self.basis, calibration, n_jobs=n_jobs, **settings)
+
+    @pytest.mark.parametrize("calibration", [c for c, reads in runner.CALIBRATIONS.items()
+                                             if "seed" in reads])
+    def test_numpy_integer_seed_reports_as_the_integer(self, spectra, calibration):
+        reports = [format_test_result(self._run(spectra, calibration, seed=seed))
+                   for seed in (3, np.int64(3))]
+        assert reports[0] == reports[1]
+        assert json.loads(reports[1])["seed"] == 3
 
     @pytest.mark.parametrize("calibration, setting, value, message", [
         ("permutation", "seed", True, "seed must be an integer, got True"),
@@ -827,12 +857,12 @@ class TestQuantileTable:
 
     def test_probs_validation(self, rng):
         values = rng.chisquare(2, 200)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^probs must be strictly increasing, got \[0.5, 0.5\]$"):
             quantile_table(values, 2, (0.5, 0.5))
-        with pytest.raises(ValueError):
-            quantile_table(values, 2, (0.0, 0.5))
-        with pytest.raises(ValueError):
-            quantile_table(values, 2, (0.5, 1.0))
+        for probs in ((0.0, 0.5), (0.5, 1.0), (0.5, float("nan"))):
+            with pytest.raises(ValueError, match=r"^probs must lie strictly inside \(0, 1\), got "):
+                quantile_table(values, 2, probs)
 
     def test_too_few_replicates(self):
         with pytest.raises(TooFewReplicates):

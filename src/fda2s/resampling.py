@@ -140,28 +140,30 @@ class _SplitStatistic:
     def values(self, x_rows: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Qn of the splits whose x-samples are the rows of `x_rows`; NaN if singular.
 
-        Membership goes through a 0/1 mask, and every product is an einsum
+        Membership goes through a bool mask, and every product is an einsum
         over whole rows: a value depends on the set of x-indices only, not
         on their order, the row's position or the row count (BLAS matmul
-        sums edge rows of a block in a different order).  When m = n a split
-        and its mirror are one split: both are evaluated on the side that
-        holds curve 0, so they give the same bits.  The mask goes in `mask`:
-        zeros of at least (len(x_rows), N), C-contiguous, left zero, allocated
-        when None.
+        sums edge rows of a block in a different order).  The einsum takes
+        the mask as 1.0 and 0.0, and 1·x and 0·x are exact.  When m = n a
+        split and its mirror are one split: both are evaluated on the side
+        that holds curve 0, so they give the same bits.  The mask goes in
+        `mask`: a C-contiguous bool array of at least (len(x_rows), N), all
+        False, left all False, allocated when None; any other mask raises
+        ValueError.
         """
         count = x_rows.shape[0]
         if self.whiten is None:
             return np.full(count, np.nan)
-        mask = np.zeros((count, self.N)) if mask is None else mask[:count]
-        if not mask.flags.c_contiguous:
-            # reshape would copy, and the scatter would be lost with the copy
-            raise ValueError("the membership mask must be C-contiguous")
-        mask.reshape(-1)[(x_rows + self.N * np.arange(count)[:, None]).ravel()] = 1.0
+        mask = np.zeros((count, self.N), dtype=bool) if mask is None else mask[:count]
+        if mask.dtype != bool or not mask.flags.c_contiguous:
+            # reshape would copy a strided mask, and the scatter would be lost with the copy
+            raise ValueError("the membership mask must be a C-contiguous bool array")
+        mask.reshape(-1)[(x_rows + self.N * np.arange(count)[:, None]).ravel()] = True
         if self.m == self.n:
-            mirrored = mask[:, 0] == 0.0
-            mask[mirrored] = 1.0 - mask[mirrored]
+            mirrored = ~mask[:, 0]
+            mask[mirrored] = ~mask[mirrored]
         sx = np.einsum("cn,kn->ck", mask, self.centred_t)
-        mask.fill(0.0)
+        mask.fill(False)
         d = sx / self.m - (self.total - sx) / self.n
         z = np.einsum("ck,kj->cj", d, self.whiten)
         ha = self.h * np.einsum("cj,cj->c", z, z)
@@ -190,11 +192,11 @@ def permutation_null(
     split = _SplitStatistic(score_matrix(joint, g), m)
     identity = np.arange(split.N, dtype=np.intp)
     perms = np.empty((PERMUTATION_CHUNK, split.N), dtype=np.intp)
-    mask = np.zeros((PERMUTATION_CHUNK, split.N))
+    mask = np.zeros((PERMUTATION_CHUNK, split.N), dtype=bool)
 
     def draw(gens, count: int) -> np.ndarray:
+        perms[:count] = identity
         for row, gen in zip(perms, gens):
-            row[:] = identity
             gen.shuffle(row)
         return perms[:count, :m]
 
@@ -205,7 +207,10 @@ def permutation_null(
 
 
 def permutation_pvalue(observed_qn: float, null_values) -> float:
-    """Add-one estimator: (1 + #{replicates >= observed}) / (B + 1)."""
+    """Add-one estimator: (1 + #{replicates >= observed}) / (B + 1); a NaN
+    observed value raises ValueError, since no replicate would count."""
+    if np.isnan(observed_qn):
+        raise ValueError(f"observed_qn must not be NaN, got {observed_qn!r}")
     values = np.asarray(null_values, dtype=float)
     if values.size == 0:
         raise TooFewReplicates("no null replicates")
@@ -285,8 +290,11 @@ def spectral_mc_null(
 
 
 def check_probs(probs) -> np.ndarray:
-    """`probs` as floats; ValueError unless they increase and lie in the open unit interval."""
+    """`probs` as floats; ValueError unless they form a non-empty 1-d sequence that
+    increases and lies in the open unit interval."""
     probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1 or probs.size == 0:
+        raise ValueError(f"probs must be a non-empty 1-d sequence, got {probs.tolist()}")
     if not np.all((probs > 0.0) & (probs < 1.0)):
         raise ValueError(f"probs must lie strictly inside (0, 1), got {probs.tolist()}")
     if np.any(np.diff(probs) <= 0):

@@ -60,7 +60,9 @@ def rekeyed(rng: np.random.Generator, indices: Iterable[int]) -> Iterator[np.ran
         "uinteger": 0,
     }
     for index in indices:
-        _check_key(seed, index)
+        # the seed came from a key, so only the index can fail the check
+        if type(index) is not int or not 0 <= index < _WORD:
+            _check_key(seed, index)
         state["state"]["key"] = (seed, index)
         bit_generator.state = state
         yield rng

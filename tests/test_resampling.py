@@ -306,7 +306,7 @@ class TestPermutationWorkspace:
         split = _SplitStatistic(
             sample_inner_products(joint, BasisSpec("trig", {"k": 3}).build(joint).functions), m)
         x_rows = np.array([rng.permutation(joint.n_curves)[:m] for _ in range(5)])
-        mask = np.zeros((8, joint.n_curves))
+        mask = np.zeros((8, joint.n_curves), dtype=bool)
         for rows in (x_rows, x_rows[:1], x_rows[::-1]):
             assert split.values(rows, mask).tobytes() == split.values(rows).tobytes()
             assert not mask.any()
@@ -320,7 +320,7 @@ class TestPermutationWorkspace:
         perms = np.array([rng.permutation(joint.n_curves) for _ in range(7)])
         view = perms[:, :m]
         assert not view.flags.c_contiguous
-        mask = np.zeros((8, joint.n_curves))
+        mask = np.zeros((8, joint.n_curves), dtype=bool)
         want = split.values(np.ascontiguousarray(view)).tobytes()
         assert split.values(view, mask).tobytes() == want
         assert split.values(view).tobytes() == want
@@ -331,10 +331,44 @@ class TestPermutationWorkspace:
         N = joint.n_curves
         split = _SplitStatistic(
             sample_inner_products(joint, BasisSpec("trig", {"k": 3}).build(joint).functions), 20)
-        mask = np.zeros((N, 8)).T if layout == "transposed" else np.zeros((8, 2 * N))[:, ::2]
+        mask = (np.zeros((N, 8), dtype=bool).T if layout == "transposed"
+                else np.zeros((8, 2 * N), dtype=bool)[:, ::2])
         x_rows = np.array([rng.permutation(N)[:20] for _ in range(5)])
         with pytest.raises(ValueError, match="C-contiguous"):
             split.values(x_rows, mask)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_a_mask_that_is_not_bool_raises(self, rng, dtype):
+        joint = gaussian_joint(rng)
+        N = joint.n_curves
+        split = _SplitStatistic(
+            sample_inner_products(joint, BasisSpec("trig", {"k": 3}).build(joint).functions), 20)
+        x_rows = np.array([rng.permutation(N)[:20] for _ in range(5)])
+        with pytest.raises(ValueError, match="bool"):
+            split.values(x_rows, np.zeros((8, N), dtype=dtype))
+
+    @pytest.mark.parametrize("m", [20, 27])
+    def test_one_bool_mask_is_allocated_per_call(self, rng, monkeypatch, m):
+        joint = gaussian_joint(rng)
+        g = BasisSpec("trig", {"k": 3}).build(joint)
+        allocated, handed = [], []
+        zeros, values = np.zeros, _SplitStatistic.values
+
+        def counting_zeros(*args, **kwargs):
+            allocated.append(zeros(*args, **kwargs))
+            return allocated[-1]
+
+        def recording_values(self, x_rows, mask=None):
+            handed.append(mask)
+            return values(self, x_rows, mask)
+
+        monkeypatch.setattr(np, "zeros", counting_zeros)
+        monkeypatch.setattr(_SplitStatistic, "values", recording_values)
+        permutation_null(joint, g, m, 2 * PERMUTATION_CHUNK + 1, 11)
+        [mask] = [a for a in allocated if a.dtype == bool]
+        assert mask.shape == (PERMUTATION_CHUNK, joint.n_curves)
+        assert len(handed) == 4  # three chunks and the observed split
+        assert all(h is mask for h in handed)
 
     def test_concatenate_samples_keeps_its_vstack(self, rng, monkeypatch):
         x, y = (gaussian_joint(rng, n_curves=n) for n in (3, 4))
@@ -460,6 +494,13 @@ class TestPermutationPvalue:
     def test_empty_rejected(self):
         with pytest.raises(TooFewReplicates):
             permutation_pvalue(1.0, [])
+
+    def test_nan_observed_rejected_and_infinite_allowed(self):
+        # no replicate is >= NaN, so it would get the smallest p the null allows
+        with pytest.raises(ValueError, match="^observed_qn must not be NaN, got nan$"):
+            permutation_pvalue(float("nan"), [1.0, 2.0])
+        assert permutation_pvalue(math.inf, [1.0, 2.0]) == pytest.approx(1.0 / 3.0)
+        assert permutation_pvalue(-math.inf, [1.0, 2.0]) == 1.0
 
 
 def pooled(text: str, spectra) -> tuple[FunctionalSample, GVector]:
@@ -860,6 +901,10 @@ class TestQuantileTable:
         with pytest.raises(ValueError,
                            match=r"^probs must be strictly increasing, got \[0.5, 0.5\]$"):
             quantile_table(values, 2, (0.5, 0.5))
+        for probs, given in (([], r"\[\]"), (0.5, "0.5"), ([[0.1, 0.5]], r"\[\[0.1, 0.5\]\]")):
+            with pytest.raises(ValueError,
+                               match=rf"^probs must be a non-empty 1-d sequence, got {given}$"):
+                quantile_table(values, 2, probs)
         for probs in ((0.0, 0.5), (0.5, 1.0), (0.5, float("nan"))):
             with pytest.raises(ValueError, match=r"^probs must lie strictly inside \(0, 1\), got "):
                 quantile_table(values, 2, probs)

@@ -73,6 +73,14 @@ class TestRekeyed:
             assert np.concatenate([first, rest]).tobytes() == want_a.tobytes()
             assert got_b.tobytes() == substream(2**40 + 3, rb).permutation(20).tobytes()
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_numpy_integer_indices_give_the_streams_of_their_ints(self, seed):
+        indices = np.array([0, 7, 2**62, 3], dtype=np.int64)
+        for g, r in zip(rekeyed(substream(seed, 1), indices), indices):
+            assert type(r) is np.int64
+            want = substream(seed, int(r)).permutation(30)
+            assert g.permutation(30).tobytes() == want.tobytes()
+
     def test_yields_the_same_generator(self):
         rng = substream(3, 0)
         assert all(g is rng for g in rekeyed(rng, range(4)))

@@ -22,7 +22,6 @@ from .qn import TestResult, chi_square_isf, chi_square_sf, qn_statistic, score_m
 from .resampling import (
     NullDistribution,
     QuantileTable,
-    SimConfig,
     permutation_null,
     permutation_pvalue,
     quantile_table,
@@ -32,6 +31,7 @@ from .rng import fresh_seed, substream
 from .runner import concatenate_samples, run_test
 from .sea import (
     GaussianSynthesizer,
+    SimConfig,
     SpectralDensity,
     TimeSeriesRecord,
     TorsethaugenParams,

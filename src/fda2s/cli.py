@@ -23,10 +23,11 @@ import numpy as np
 from . import io
 from .errors import FdaError, NoWaves
 from .projections import BasisSpec
-from .resampling import SimConfig, check_probs, quantile_table
+from .resampling import check_probs, quantile_table
 from .rng import fresh_seed
 from .runner import CALIBRATIONS, calibrate, parse_calibration, positive_int, run_test
 from .sea import (
+    SimConfig,
     TorsethaugenParams,
     default_frequency_grid,
     estimate_spectrum,
@@ -210,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate a Gaussian wave record")
     p.add_argument("--hs", type=float, help="significant wave height (m)")
     p.add_argument("--tp", type=float, help="spectral peak period (s)")
-    p.add_argument("--duration", type=float, default=1800.0, help="record length (s)")
-    p.add_argument("--fs", type=float, default=1.28, help="sampling frequency (Hz)")
+    p.add_argument("--duration", type=float, default=SimConfig.duration, help="record length (s)")
+    p.add_argument("--fs", type=float, default=SimConfig.fs, help="sampling frequency (Hz)")
     p.add_argument("--nfreq", type=int, default=481)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
@@ -220,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="Parzen lag-window spectral estimates, one row a record")
     p.add_argument("--input", nargs="+", help="records sharing one fs")
-    p.add_argument("--parzen", type=int, default=60, help="lag-window length")
-    p.add_argument("--nfreq", type=int, default=481)
+    p.add_argument("--parzen", type=int, default=SimConfig.parzen_L, help="lag-window length")
+    p.add_argument("--nfreq", type=int, default=SimConfig.n_freq)
     p.add_argument("--config", default=None)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_spectrum, subparser=p, required=("input", "output"))

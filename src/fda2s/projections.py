@@ -252,8 +252,10 @@ class BasisSpec:
             try:
                 number = int(value) if isinstance(value, str) else operator.index(value)
             except (TypeError, ValueError):
+                number = None
+            if number is None or isinstance(value, bool):  # operator.index(True) is 1
                 raise ValueError(f"{self.scheme} parameter {key!r} must be an integer, "
-                                 f"got {value!r}") from None
+                                 f"got {value!r}")
             if number < self._LEAST[key]:
                 raise ValueError(f"{self.scheme} parameter {key!r} must be >= "
                                  f"{self._LEAST[key]}, got {number}")

@@ -119,7 +119,7 @@ def quadratic_form(eta: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 
 def _check_df(k) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise InvalidDF(f"degrees of freedom must be a positive integer, got {k}")
 
 

@@ -2,7 +2,8 @@
 
 Both nulls run through one driver, `_run_replicates`: replicate r draws from
 the stream of `substream(seed, r)`, one Philox per chunk of replicates, so the
-replicate sequence is bit-identical however the chunks are scheduled.
+replicate sequence is bit-identical however the chunks are scheduled.  The
+spectral MC null resimulates records as `sea.SimConfig` sets them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .qn import chi_square_isf, qn_batch, score_matrix
 from .rng import rekeyed, substream
 from .sea import (
     GaussianSynthesizer,
+    SimConfig,
     average_rows,
     check_lag_window,
     estimator_grid,
@@ -34,16 +36,6 @@ PERMUTATION_CHUNK = 256
 # draws of SPECTRAL_MC_CHUNK x (m + n) records (1.5 MB for 10 vs 10 30-min
 # records at 1.28 Hz); larger chunks ran no faster.
 SPECTRAL_MC_CHUNK = 4
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Settings for simulating and re-estimating records inside the MC null."""
-
-    duration: float = 1800.0
-    fs: float = 1.28
-    parzen_L: int = 60
-    n_freq: int = 481
 
 
 @dataclass(frozen=True, eq=False)

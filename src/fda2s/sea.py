@@ -2,7 +2,8 @@
 
 Convention: spectral densities are one-sided on angular frequency (rad/s)
 with ``integral of s over [0, omega_max] = variance`` and ``Hs = 4*sigma``.
-No factor of 2 appears anywhere; other toolboxes differ.
+No factor of 2 appears anywhere; other toolboxes differ.  Record and estimator
+defaults have one copy, `SimConfig`: the CLI, `estimate_spectrum` and the MC null read it.
 """
 
 from __future__ import annotations
@@ -140,6 +141,16 @@ class TimeSeriesRecord:
     @property
     def duration(self) -> float:
         return self.values.size / self.fs
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Record length (s) and rate (Hz), Parzen length and grid size; their one set of defaults."""
+
+    duration: float = 1800.0
+    fs: float = 1.28
+    parzen_L: int = 60
+    n_freq: int = 481
 
 
 def _jonswap_shape(w: np.ndarray, wp: float, gamma: float) -> np.ndarray:
@@ -382,9 +393,8 @@ def _autocovariances(rows: np.ndarray, max_lag: int) -> np.ndarray:
     return np.einsum("rt,rth->rh", x, windows) / n
 
 
-def estimate_spectrum(
-    rec: TimeSeriesRecord, parzen_L: int = 60, n_freq: int = 481
-) -> SpectralDensity:
+def estimate_spectrum(rec: TimeSeriesRecord, parzen_L: int = SimConfig.parzen_L,
+                      n_freq: int = SimConfig.n_freq) -> SpectralDensity:
     """Parzen lag-window estimate on [0, pi*fs] rad/s.
 
     The mean is removed, autocovariances up to lag ``parzen_L`` are weighted
@@ -414,7 +424,10 @@ def _parzen_map(fs: float, parzen_L: int, n_freq: int) -> tuple[Grid, np.ndarray
 
 
 def check_lag_window(n_samples: int, parzen_L: int):
-    """Reject a Parzen window length below 1 or not below half the record."""
+    """Reject a Parzen window length that is not an integer (a bool or 2.0 is not),
+    is below 1 or is not below half the record."""
+    if not isinstance(parzen_L, (int, np.integer)) or isinstance(parzen_L, bool):
+        raise InvalidParams(f"Parzen window length must be an integer, got {parzen_L!r}")
     if parzen_L < 1:
         raise InvalidParams("Parzen window length must be >= 1")
     if n_samples <= 2 * parzen_L:
@@ -423,9 +436,8 @@ def check_lag_window(n_samples: int, parzen_L: int):
         )
 
 
-def estimate_spectra(
-    rows: np.ndarray, fs: float, parzen_L: int = 60, n_freq: int = 481
-) -> tuple[Grid, np.ndarray]:
+def estimate_spectra(rows: np.ndarray, fs: float, parzen_L: int = SimConfig.parzen_L,
+                     n_freq: int = SimConfig.n_freq) -> tuple[Grid, np.ndarray]:
     """Vectorized Parzen estimates for a batch of records (one per row)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     check_lag_window(rows.shape[1], parzen_L)

@@ -58,3 +58,10 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from fda2s import *", namespace)  # AttributeError on a stale export
     assert sorted(set(fda2s.__all__) - set(namespace)) == []
+
+
+def test_sim_config_is_one_class_under_each_import_path():
+    # it lives in `sea`; `fda2s` and `fda2s.resampling` still export it
+    from fda2s import SimConfig, resampling, sea
+
+    assert SimConfig is sea.SimConfig is resampling.SimConfig

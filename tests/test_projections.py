@@ -415,6 +415,8 @@ class TestBasisSpec:
     def test_non_integer_library_value_rejected(self):
         with pytest.raises(ValueError, match="'k'"):
             BasisSpec("trig", {"k": 2.5})
+        with pytest.raises(ValueError, match="'k'"):  # operator.index(True) is 1
+            BasisSpec("indicator", {"k": True})
         assert BasisSpec("trig", {"k": np.int64(2)}).params == {"k": 2}
 
     @pytest.mark.parametrize("text", [

@@ -18,6 +18,7 @@ from fda2s import (
     chi_square_sf,
     indicator_basis,
     qn_statistic,
+    quantile_table,
     score_matrix,
     uniform_grid,
 )
@@ -409,6 +410,10 @@ class TestChiSquare:
             chi_square_sf(1.0, 0)
         with pytest.raises(InvalidDF):
             chi_square_isf(0.5, -2)
+        with pytest.raises(InvalidDF):  # True would be 1 degree of freedom
+            chi_square_sf(3.0, True)
+        with pytest.raises(InvalidDF):
+            quantile_table(np.linspace(1.0, 2.0, 200), k=True)
 
 
 def _tail_points(k):

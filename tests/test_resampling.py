@@ -1,5 +1,6 @@
 """Permutation splits, the spectral MC null, p-values, and quantile tables."""
 
+import inspect
 import itertools
 import json
 import math
@@ -46,7 +47,8 @@ from fda2s.errors import (
 from fda2s.grids import sample_inner_products
 from fda2s.io import format_test_result, write_functional_sample
 from fda2s.projections import GVector, trig_g_functions
-from fda2s.resampling import PERMUTATION_CHUNK, SPECTRAL_MC_CHUNK, _SplitStatistic
+from fda2s.resampling import (PERMUTATION_CHUNK, SPECTRAL_MC_CHUNK, NullDistribution,
+                              _SplitStatistic)
 from fda2s.rng import substream
 from fda2s.sea import GaussianSynthesizer, SpectralDensity, estimate_spectra, estimator_grid
 
@@ -735,6 +737,18 @@ class TestSpectralMcNull:
             with pytest.raises(error):
                 spectral_mc_null(joint, g, 2, sim, 3, 1)
 
+    @pytest.mark.parametrize("L", [60.5, 2.0, True])
+    def test_non_integer_window_length_rejected_before_any_draw(self, monkeypatch, L):
+        # np.arange(L + 1) would run 60.5 as 61 and True as 1
+        spectra = self._spectra(4, 600.0, 70)
+        x, y = spectra_to_sample(spectra[:2]), spectra_to_sample(spectra[2:])
+        monkeypatch.setattr(resampling, "substream", None)
+        sim = SimConfig(duration=600.0, fs=1.28, parzen_L=L, n_freq=481)
+        with pytest.raises(InvalidParams, match=f"^Parzen window length must be an integer, "
+                                                f"got {L!r}$"):
+            run_test(x, y, BasisSpec.parse("indicator:k=2"), "spectral-mc", B=20, seed=1,
+                     sim=sim)
+
 
 # For each setting of runner.CALIBRATIONS, a value other than the one it keeps
 # under a calibration that does not read it.
@@ -809,6 +823,42 @@ class TestCalibrationTable:
         else:
             self._run(spectra, call)
         assert calls == nulls
+
+    @pytest.mark.parametrize("calibration, null", [
+        ("asymptotic", None), ("permutation", "permutation_null"),
+        ("spectral-mc", "spectral_mc_null"),
+    ])
+    @pytest.mark.parametrize("omitted", [(), ("B", "seed")])
+    def test_each_null_receives_exactly_its_settings(self, spectra, monkeypatch, calibration,
+                                                     null, omitted):
+        received = {}
+
+        def receiving(name):
+            signature = inspect.signature(getattr(runner, name))
+
+            def wrapped(*args, **kwargs):
+                received[name] = signature.bind(*args, **kwargs).arguments
+                return NullDistribution(np.zeros(3), 0)
+            return wrapped
+
+        for name in ("permutation_null", "spectral_mc_null"):
+            monkeypatch.setattr(runner, name, receiving(name))
+        reads = runner.CALIBRATIONS[calibration]
+        given = {name: self.given[name] for name in reads if name not in omitted}
+        run_test(*spectra, self.basis, calibration, **given)
+        if null is None:
+            assert received == {}
+            return
+        [(name, arguments)] = received.items()
+        assert name == null and arguments["m"] == spectra[0].n_curves
+        settings = {key: value for key, value in arguments.items()
+                    if key not in ("joint", "g", "m")}
+        assert sorted(settings) == sorted(reads)
+        assert {key: settings[key] for key in given} == given
+        if "B" in omitted:
+            assert settings["B"] == runner.DEFAULT_B
+        if "seed" in omitted:
+            assert type(settings["seed"]) is int
 
     @pytest.mark.parametrize("calibration", [c for c, reads in runner.CALIBRATIONS.items()
                                              if "n_jobs" not in reads])

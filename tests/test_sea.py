@@ -264,6 +264,15 @@ class TestEstimateSpectrum:
         with pytest.raises(RecordTooShort):
             estimate_spectrum(rec, 60)
 
+    @pytest.mark.parametrize("L", [60.5, 2.0, True])
+    def test_non_integer_window_length_rejected(self, L):
+        rec = TimeSeriesRecord(1.28, np.random.default_rng(5).normal(size=768))
+        with pytest.raises(InvalidParams, match=f"^Parzen window length must be an integer, "
+                                                f"got {L!r}$"):
+            estimate_spectrum(rec, L)
+        assert np.array_equal(estimate_spectrum(rec, np.int64(2)).values,
+                              estimate_spectrum(rec, 2).values)
+
     # 30-min and 8-h records at 1.28 Hz, odd n, and windows up to the longest
     # check_lag_window allows, (n - 1) // 2, where the zero padding is widest
     @pytest.mark.parametrize("n,L", [(2304, 60), (2303, 60), (1001, 30), (500, 7), (131, 64),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned, InvalidOrder, WrongInterval
+from .errors import IllConditioned, InvalidOrder, WrongInterval, count
 from .grids import FunctionalSample, Interval
 
 # Largest condition number accepted for a normal system or a pooled score
@@ -40,8 +40,7 @@ class BSplineSpec:
     knots: np.ndarray
 
     def __post_init__(self):
-        if self.order < 2:
-            raise InvalidOrder(f"spline order must be >= 2, got {self.order}")
+        count(self.order, "order", 2, InvalidOrder)
         knots = np.array(self.knots, dtype=float)
         knots.flags.writeable = False
         if knots.size < 2 * self.order:
@@ -71,11 +70,8 @@ class BSplineSpec:
 
 def equidistant_spec(interval: Interval, order: int, n_sites: int) -> BSplineSpec:
     """Clamped spec with ``n_sites`` equidistant knot sites, endpoints included."""
-    if order < 2:
-        raise InvalidOrder(f"spline order must be >= 2, got {order}")
-    if n_sites < 2:
-        raise InvalidOrder("need at least the two endpoint sites")
-    sites = np.linspace(interval.a, interval.b, n_sites)
+    count(order, "order", 2, InvalidOrder)
+    sites = np.linspace(interval.a, interval.b, count(n_sites, "n_sites", 2, InvalidOrder))
     knots = np.concatenate(
         [np.full(order - 1, interval.a), sites, np.full(order - 1, interval.b)]
     )

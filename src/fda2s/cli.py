@@ -21,17 +21,16 @@ import sys
 import numpy as np
 
 from . import io
-from .errors import FdaError, NoWaves
-from .projections import BasisSpec
+from .errors import FdaError, NoWaves, count
+from .projections import BasisSpec, integer_text
 from .resampling import check_probs, quantile_table
 from .rng import fresh_seed
-from .runner import CALIBRATIONS, calibrate, parse_calibration, positive_int, run_test
+from .runner import CALIBRATIONS, calibrate, parse_calibration, run_test
 from .sea import (
     SimConfig,
     TorsethaugenParams,
     default_frequency_grid,
     estimate_spectrum,
-    sample_count,
     simulate_gaussian,
     spectra_to_sample,
     torsethaugen_spectrum,
@@ -102,7 +101,6 @@ def _check_required(args: argparse.Namespace) -> None:
 
 def cmd_simulate(args) -> int:
     params = TorsethaugenParams(args.hs, args.tp)
-    sample_count(args.duration, args.fs)  # checks fs before it sizes the grid
     seed = _resolve_seed(args.seed)
     grid = default_frequency_grid(args.fs, tp=args.tp, n_freq=args.nfreq)
     spectrum = torsethaugen_spectrum(params, grid)
@@ -170,7 +168,8 @@ def cmd_test(args) -> int:
     if flags:
         raise FdaError(f"--calibration {method} does not combine with {', '.join(flags)}")
     if "n_jobs" in reads:
-        settings["n_jobs"] = positive_int(os.environ.get("FDA2S_THREADS", "1"), "FDA2S_THREADS")
+        threads = integer_text(os.environ.get("FDA2S_THREADS", "1"))
+        settings["n_jobs"] = count(threads, "FDA2S_THREADS", 1)
     x = io.read_functional_sample(args.x, label="x")
     y = io.read_functional_sample(args.y, label="y")
     if "sim" in reads:
@@ -213,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tp", type=float, help="spectral peak period (s)")
     p.add_argument("--duration", type=float, default=SimConfig.duration, help="record length (s)")
     p.add_argument("--fs", type=float, default=SimConfig.fs, help="sampling frequency (Hz)")
-    p.add_argument("--nfreq", type=int, default=481)
+    p.add_argument("--nfreq", type=int, default=SimConfig.n_freq)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("-o", "--output")
@@ -230,9 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", help="extract and register downcrossing waves")
     p.add_argument("--input")
     p.add_argument("--constrain-upcross", action="store_true")
-    p.add_argument("--grid", type=int, default=101, help="common grid size")
-    p.add_argument("--order", type=int, default=6, help="spline order")
-    p.add_argument("--knots", type=int, default=61, help="equidistant knot sites")
+    p.add_argument("--grid", type=int, default=RegistrationSpec.n_grid, help="common grid size")
+    p.add_argument("--order", type=int, default=RegistrationSpec.spline_order, help="spline order")
+    p.add_argument("--knots", type=int, default=RegistrationSpec.n_knots,
+                   help="equidistant knot sites")
     p.add_argument("--normalize", action="store_true",
                    help="divide waves by the record standard deviation")
     p.add_argument("--config", default=None)

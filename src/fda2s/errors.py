@@ -1,4 +1,10 @@
-"""Exception types raised by fda2s operations."""
+"""Exception types raised by fda2s operations, and the one check of a count (an int
+or NumPy integer, never a bool, float or text), `count`, and of a real setting (a
+finite positive number, never a bool or text), `positive`."""
+
+import math
+
+import numpy as np
 
 
 class FdaError(ValueError):
@@ -54,7 +60,8 @@ class TooFewReplicates(FdaError):
 
 
 class InvalidParams(FdaError):
-    """Spectral model parameters out of range (hs <= 0, tp <= 0, ...)."""
+    """A count or real setting that `count` or `positive` refuses, or spectral model
+    parameters out of range."""
 
 
 class NyquistViolation(FdaError):
@@ -88,3 +95,21 @@ class MalformedFile(FdaError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def count(value, name: str, least: int, error: type[FdaError] = InvalidParams) -> int:
+    """`value` as an int of at least `least`; `error` naming `name` if it is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be at least {least}, got {value!r}")
+    return int(value)
+
+
+def positive(value, name: str, error: type[FdaError] = InvalidParams) -> float:
+    """`value` as a finite positive float; `error` naming `name` if it is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise error(f"{name} must be finite and positive, got {value!r}")
+    return float(value)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, NonFiniteValue
+from .errors import DimensionMismatch, GridMismatch, NonFiniteValue, count
 
 
 def _frozen(arr, dtype=np.float64) -> np.ndarray:
@@ -89,9 +89,7 @@ class Grid:
 
 def uniform_grid(interval: Interval, n: int) -> Grid:
     """Uniform grid of n points over the interval (endpoints included)."""
-    if n < 2:
-        raise ValueError("uniform grid needs n >= 2")
-    return Grid(np.linspace(interval.a, interval.b, n))
+    return Grid(np.linspace(interval.a, interval.b, count(n, "n", 2)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,13 +8,12 @@ joint (pooled) sample.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bsplines import CONDITION_BOUND, basis_matrix, equidistant_spec
-from .errors import DegenerateCovariance, InvalidK, TooFewCurves, WrongInterval
+from .errors import DegenerateCovariance, InvalidK, TooFewCurves, WrongInterval, count
 from .grids import FunctionalSample, Grid, Interval, sample_inner_products
 
 UNIT_INTERVAL_TOL = 1e-9
@@ -47,8 +46,7 @@ class GVector:
 
 def indicator_basis(interval: Interval, k: int, grid: Grid) -> GVector:
     """Indicators of k equal subintervals, right-open except the last."""
-    if k < 1:
-        raise InvalidK(f"need k >= 1 indicators, got {k}")
+    k = count(k, "k", 1, InvalidK)
     t = grid.points
     edges = np.linspace(interval.a, interval.b, k + 1)
     funcs = np.zeros((k, t.size))
@@ -65,7 +63,7 @@ def bspline_basis_g(
     interval: Interval, order: int, interior_nodes: int, grid: Grid
 ) -> GVector:
     """All clamped equidistant B-spline basis functions on the grid."""
-    spec = equidistant_spec(interval, order, interior_nodes + 2)
+    spec = equidistant_spec(interval, order, count(interior_nodes, "interior_nodes", 0) + 2)
     funcs = basis_matrix(spec, grid.points).T
     return GVector(
         grid, funcs, "bspline", {"order": order, "interior": interior_nodes}
@@ -93,8 +91,7 @@ def fourier_coefficients(
 
     Both are (n_curves, k_max) matrices.
     """
-    if k_max < 1:
-        raise InvalidK(f"k_max must be >= 1, got {k_max}")
+    count(k_max, "k_max", 1, InvalidK)
     _require_unit_interval(joint)
     sines, cosines = _harmonics(joint.grid, k_max)
     return sample_inner_products(joint, sines), sample_inner_products(joint, cosines)
@@ -155,8 +152,8 @@ def pca_eigenpairs(curves: np.ndarray, w: np.ndarray, d: int) -> tuple[np.ndarra
     eigenfunctions (..., d, P) of unit L2 norm, signed by `_orient`.
     """
     n_curves, n_pts = curves.shape[-2:]
-    if not 1 <= d <= n_pts:
-        raise InvalidK(f"need 1 <= d <= {n_pts}, got {d}")
+    if count(d, "d", 1, InvalidK) > n_pts:
+        raise InvalidK(f"d must be at most {n_pts}, got {d}")
     if n_curves < 2:
         raise TooFewCurves(f"pca needs at least 2 curves, got {n_curves}")
     data = (curves - curves.mean(axis=-2, keepdims=True)) / np.sqrt(n_curves - 1)
@@ -196,13 +193,14 @@ def _orient(phis: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(flip[..., None], -phis, phis)
 
 
-def parse_spec(text: str, kind: str) -> tuple[str, dict[str, str]]:
+def parse_spec(text: str, kind: str) -> tuple[str, dict[str, int | str]]:
     """`name[:key=value,...]`, the grammar of bases and calibrations, as the name and
-    each key's value, stripped, the name and keys lower-cased.  An item without `=`
-    (so `trig:` and `trig:k=2,`) or a repeated key raises ValueError."""
+    each key's value, stripped, as an int where it spells one, the name and keys
+    lower-cased.  An item without `=` (so `trig:` and `trig:k=2,`) or a repeated key
+    raises ValueError."""
     name, colon, rest = text.partition(":")
     name = name.strip().lower()
-    params: dict[str, str] = {}
+    params: dict[str, int | str] = {}
     if colon:
         for item in rest.split(","):
             key, eq, value = item.partition("=")
@@ -211,8 +209,16 @@ def parse_spec(text: str, kind: str) -> tuple[str, dict[str, str]]:
             key = key.strip().lower()
             if key in params:
                 raise ValueError(f"repeated {name} parameter {key!r} in {text!r}")
-            params[key] = value.strip()
+            params[key] = integer_text(value.strip())
     return name, params
+
+
+def integer_text(text: str) -> int | str:
+    """`text` as the int it spells, or unchanged, for `count` to refuse."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 @dataclass(frozen=True)
@@ -249,17 +255,7 @@ class BasisSpec:
                                      f"got {value!r}")
                 params[key] = value
                 continue
-            try:
-                number = int(value) if isinstance(value, str) else operator.index(value)
-            except (TypeError, ValueError):
-                number = None
-            if number is None or isinstance(value, bool):  # operator.index(True) is 1
-                raise ValueError(f"{self.scheme} parameter {key!r} must be an integer, "
-                                 f"got {value!r}")
-            if number < self._LEAST[key]:
-                raise ValueError(f"{self.scheme} parameter {key!r} must be >= "
-                                 f"{self._LEAST[key]}, got {number}")
-            params[key] = number
+            params[key] = count(value, f"{self.scheme} parameter {key!r}", self._LEAST[key])
         object.__setattr__(self, "params", params)
 
     @property

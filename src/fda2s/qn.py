@@ -19,6 +19,7 @@ from .errors import (
     InvalidDF,
     SingularCovariance,
     TooFewCurves,
+    count,
 )
 from .grids import FunctionalSample, sample_inner_products
 from .projections import GVector
@@ -118,11 +119,6 @@ def quadratic_form(eta: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_df(k) -> None:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise InvalidDF(f"degrees of freedom must be a positive integer, got {k}")
-
-
 def _poisson_term(x: float, j: float) -> float:
     """x^j e^-x / Gamma(j + 1), from its logarithm, which cannot underflow early."""
     return math.exp(j * math.log(x) - x - math.lgamma(j + 1.0))
@@ -137,7 +133,7 @@ def chi_square_sf(q: float, k: int) -> float:
     is exponentiated from its logarithm: the e^-x recurrence underflows
     deep in the tail (k = 481, q = 1530 has p = 1.4e-109).
     """
-    _check_df(k)
+    k = count(k, "degrees of freedom k", 1, InvalidDF)
     q = float(q)
     if math.isnan(q):
         raise ValueError("quadratic form value must not be NaN")
@@ -173,7 +169,7 @@ def chi_square_isf(p: float, k: int) -> float:
     double with chi_square_sf(q, k) <= p for p <= 1/2, else the smallest
     with _chi_square_cdf(q, k) > 1 - p.
     """
-    _check_df(k)
+    k = count(k, "degrees of freedom k", 1, InvalidDF)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"tail probability must be in (0, 1], got {p}")
     if p == 1.0:

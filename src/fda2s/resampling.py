@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bsplines import CONDITION_BOUND, condition_number, well_conditioned
-from .errors import GridMismatch, SingularCovariance, TooFewCurves, TooFewReplicates
+from .errors import GridMismatch, SingularCovariance, TooFewCurves, TooFewReplicates, count
 from .grids import FunctionalSample, Grid
 from .projections import GVector, pca_eigenpairs
 from .qn import chi_square_isf, qn_batch, score_matrix
@@ -64,9 +64,12 @@ class QuantileTable:
     relative_error: np.ndarray
 
 
-def _check_groups(m: int, n: int) -> None:
-    if m < 2 or n < 2:
+def _check_groups(m: int, n_curves: int) -> int:
+    """n = n_curves - m, the y-sample's size; TooFewCurves unless m and n are at least 2."""
+    n = n_curves - count(m, "m", 2, TooFewCurves)
+    if n < 2:
         raise TooFewCurves(f"both groups need at least 2 curves, got {m} and {n}")
+    return n
 
 
 def _run_replicates(draw, evaluate, B: int, seed: int, n_jobs: int,
@@ -79,8 +82,7 @@ def _run_replicates(draw, evaluate, B: int, seed: int, n_jobs: int,
     replicate was singular.  Chunk boundaries depend on `chunk` only, never
     on `n_jobs`.
     """
-    if not isinstance(B, (int, np.integer)) or isinstance(B, bool) or B < 1:
-        raise ValueError(f"need at least one replicate, got B={B!r}")
+    B = count(B, "B", 1)
 
     def run(rs: range) -> np.ndarray:
         return evaluate(draw(rekeyed(substream(seed, rs.start), rs), len(rs)))
@@ -180,7 +182,7 @@ def permutation_null(
     the draws are the same.  The observed split, the first m curves, is
     evaluated the same way.
     """
-    _check_groups(m, joint.n_curves - m)
+    _check_groups(m, joint.n_curves)
     split = _SplitStatistic(score_matrix(joint, g), m)
     identity = np.arange(split.N, dtype=np.intp)
     perms = np.empty((PERMUTATION_CHUNK, split.N), dtype=np.intp)
@@ -211,9 +213,7 @@ def permutation_pvalue(observed_qn: float, null_values) -> float:
 
 
 def _check_estimator_grid(grid: Grid, sim: SimConfig) -> Grid:
-    """The grid the MC null estimates on; raise InvalidParams for settings that
-    make no record (`sample_count`), and GridMismatch unless `grid` is that grid."""
-    sample_count(sim.duration, sim.fs)
+    """The grid the MC null estimates on; GridMismatch unless `grid` is that grid."""
     reference = estimator_grid(sim.fs, sim.n_freq)
     if not (len(grid) == len(reference)
             and np.allclose(grid.points, reference.points, rtol=1e-9, atol=1e-9)):
@@ -249,13 +249,10 @@ def spectral_mc_null(
     `pca` g is re-estimated from each replicate's spectra with its d = g.k,
     the chunk's eigenfunctions from one stacked `pca_eigenpairs`; any other
     g scores every replicate as it is.  `n_jobs` threads run the chunks; an
-    `n_jobs` that is not an integer of at least 1 raises ValueError before
-    any draw.
+    `n_jobs` that is not a count of at least 1 raises before any draw.
     """
-    if not isinstance(n_jobs, (int, np.integer)) or isinstance(n_jobs, bool) or n_jobs < 1:
-        raise ValueError(f"n_jobs must be at least 1, got n_jobs={n_jobs!r}")
-    n = joint.n_curves - m
-    _check_groups(m, n)
+    n_jobs = count(n_jobs, "n_jobs", 1)
+    n = _check_groups(m, joint.n_curves)
     w = _check_estimator_grid(joint.grid, sim).weights
     if not g.grid.matches(joint.grid):
         raise GridMismatch("g is not sampled on the spectra's frequency grid")

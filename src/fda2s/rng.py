@@ -7,33 +7,25 @@ other replicates ran before it or on which thread ran it.
 
 from __future__ import annotations
 
-import operator
 import secrets
 from collections.abc import Iterable, Iterator
 
 import numpy as np
+
+from .errors import InvalidParams, count
 
 _WORD = 1 << 64
 _ZEROS = (0, 0, 0, 0)
 
 
 def _check_key(seed: int, index: int) -> None:
-    try:
-        operator.index(seed), operator.index(index)
-    except TypeError:
-        raise ValueError(
-            f"seed and replicate index must be integers, got {seed!r} and {index!r}"
-        ) from None
-    if not (0 <= seed < _WORD and 0 <= index < _WORD):
-        raise ValueError(
-            f"seed and replicate index must lie in [0, 2**64), got {seed} and {index}"
-        )
+    for value, name in ((seed, "seed"), (index, "replicate index")):
+        if count(value, name, 0) >= _WORD:
+            raise InvalidParams(f"{name} must lie in [0, 2**64), got {value}")
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one replicate of a seeded run."""
-    if isinstance(seed, bool):  # an integer to `operator.index`, but not a seed
-        raise ValueError(f"seed must be an integer, got {seed!r}")
     _check_key(seed, index)
     return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(index)]))
 

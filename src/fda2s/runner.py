@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, count
 from .grids import FunctionalSample
 from .projections import BasisSpec, parse_spec
 from .qn import TestResult, qn_statistic, score_matrix
@@ -37,21 +37,10 @@ def _reads(calibration: str) -> tuple[str, ...]:
     return CALIBRATIONS[calibration]
 
 
-def positive_int(text: str, what: str) -> int:
-    """`text` as a positive integer; ValueError naming `what` if it is not one."""
-    try:
-        number = int(text)
-    except ValueError:
-        number = 0
-    if number < 1:
-        raise ValueError(f"{what} must be a positive integer, got {text!r}")
-    return number
-
-
 def parse_calibration(text: str) -> tuple[str, dict]:
     """`name[:key=value,...]`, by `parse_spec`, as a name of CALIBRATIONS and the
     settings its keys set: those of its settings in `_TEXT_KEYS`, in any case,
-    each a positive integer."""
+    each a count of at least 1."""
     name, params = parse_spec(text, "calibration")
     keys = {key.lower(): key for key in _reads(name) if key in _TEXT_KEYS}
     settings = {}
@@ -59,7 +48,7 @@ def parse_calibration(text: str) -> tuple[str, dict]:
         if key not in keys:
             raise ValueError(f"calibration {name!r} takes "
                              f"{', '.join(keys.values()) or 'no parameters'}, got {text!r}")
-        settings[keys[key]] = positive_int(value, f"parameter {keys[key]!r} of {text!r}")
+        settings[keys[key]] = count(value, f"parameter {keys[key]!r} of {text!r}", 1)
     return name, settings
 
 

@@ -20,6 +20,8 @@ from .errors import (
     NonFiniteValue,
     NyquistViolation,
     RecordTooShort,
+    count,
+    positive,
 )
 from .grids import FunctionalSample, Grid, _frozen
 from .rng import substream
@@ -108,10 +110,8 @@ class TorsethaugenParams:
     tp: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.hs) and self.hs > 0):
-            raise InvalidParams(f"hs must be finite and positive, got {self.hs}")
-        if not (np.isfinite(self.tp) and self.tp > 0):
-            raise InvalidParams(f"tp must be finite and positive, got {self.tp}")
+        positive(self.hs, "hs")
+        positive(self.tp, "tp")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,8 +123,7 @@ class TimeSeriesRecord:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.fs) and self.fs > 0):
-            raise InvalidParams(f"fs must be positive, got {self.fs}")
+        positive(self.fs, "fs")
         if not np.isfinite(self.t0):
             raise NonFiniteValue(f"record t0 must be finite, got {self.t0}")
         vals = _frozen(self.values)
@@ -151,6 +150,12 @@ class SimConfig:
     fs: float = 1.28
     parzen_L: int = 60
     n_freq: int = 481
+
+    def __post_init__(self):
+        positive(self.duration, "duration")
+        positive(self.fs, "fs")
+        count(self.parzen_L, "parzen_L", 1)
+        count(self.n_freq, "n_freq", 2)
 
 
 def _jonswap_shape(w: np.ndarray, wp: float, gamma: float) -> np.ndarray:
@@ -231,10 +236,8 @@ class GaussianSynthesizer:
     """
 
     def __init__(self, n_samples: int, fs: float):
-        if n_samples < 2:
-            raise InvalidParams("need at least two samples (fs * duration >= 2)")
-        self.n = int(n_samples)
-        self.fs = float(fs)
+        self.n = count(n_samples, "n_samples", 2)
+        self.fs = positive(fs, "fs")
         self.lattice = 2.0 * np.pi * fs * np.arange(self.n // 2 + 1) / self.n
         widths = np.full(self.lattice.size, 2.0 * np.pi * fs / self.n)
         widths[0] *= 0.5
@@ -271,7 +274,7 @@ class GaussianSynthesizer:
                  n_records: int = 1) -> np.ndarray:
         """Batch of records, one per row; exactly Gaussian for any density."""
         std = np.sqrt(self.amplitude_variances(s))
-        a, b = self.amplitude_normals(rng, n_records) * std
+        a, b = self.amplitude_normals(rng, count(n_records, "n_records", 1)) * std
         spectrum = np.empty((n_records, std.size), dtype=complex)
         spectrum.real = a
         spectrum.imag = -b
@@ -345,12 +348,9 @@ def _lag_tables(n: int, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_count(duration: float, fs: float) -> int:
-    """Samples in a record of `duration` seconds at `fs` Hz, rounded."""
-    if not (np.isfinite(duration) and duration > 0):
-        raise InvalidParams(f"duration must be finite and positive, got {duration}")
-    if not (np.isfinite(fs) and fs > 0):
-        raise InvalidParams(f"fs must be finite and positive, got {fs}")
-    return int(round(duration * fs))
+    """Samples in a record of `duration` seconds at `fs` Hz, rounded; at least 2."""
+    samples = round(positive(duration, "duration") * positive(fs, "fs"))
+    return count(samples, "fs * duration", 2)
 
 
 def simulate_gaussian(
@@ -424,13 +424,9 @@ def _parzen_map(fs: float, parzen_L: int, n_freq: int) -> tuple[Grid, np.ndarray
 
 
 def check_lag_window(n_samples: int, parzen_L: int):
-    """Reject a Parzen window length that is not an integer (a bool or 2.0 is not),
-    is below 1 or is not below half the record."""
-    if not isinstance(parzen_L, (int, np.integer)) or isinstance(parzen_L, bool):
-        raise InvalidParams(f"Parzen window length must be an integer, got {parzen_L!r}")
-    if parzen_L < 1:
-        raise InvalidParams("Parzen window length must be >= 1")
-    if n_samples <= 2 * parzen_L:
+    """Reject a Parzen window length that is not a count of at least 1 or is not
+    below half the record."""
+    if n_samples <= 2 * count(parzen_L, "parzen_L", 1):
         raise RecordTooShort(
             f"record of {n_samples} samples too short for Parzen length {parzen_L}"
         )
@@ -452,7 +448,7 @@ def parzen_estimates(acov: np.ndarray, fs: float, n_freq: int) -> tuple[Grid, np
     own largest value raises `NegativeEstimate`.  The estimate is clipped
     at 0 and rescaled so that its integral equals c(0) exactly.
     """
-    grid, table = _parzen_map(float(fs), acov.shape[-1] - 1, int(n_freq))
+    grid, table = _parzen_map(fs, acov.shape[-1] - 1, count(n_freq, "n_freq", 2))
     s = acov @ table
     floor = -1e-12 * (1.0 + np.max(np.abs(s), axis=(-2, -1), keepdims=True))
     if np.any(s < floor):
@@ -465,11 +461,10 @@ def parzen_estimates(acov: np.ndarray, fs: float, n_freq: int) -> tuple[Grid, np
     return grid, s * scale[..., None]
 
 
-def default_frequency_grid(fs: float, tp: float | None = None, n_freq: int = 481) -> Grid:
+def default_frequency_grid(fs: float, tp: float | None = None,
+                           n_freq: int = SimConfig.n_freq) -> Grid:
     """Grid reaching the larger of the angular Nyquist rate and 3 * 2*pi/tp."""
-    w_max = np.pi * fs
+    w_max = np.pi * positive(fs, "fs")
     if tp is not None:
-        w_max = max(w_max, 3.0 * 2.0 * np.pi / tp)
-    if n_freq < 2:
-        raise InvalidParams(f"n_freq must be at least 2, got {n_freq}")
-    return Grid(np.linspace(0.0, w_max, n_freq))
+        w_max = max(w_max, 3.0 * 2.0 * np.pi / positive(tp, "tp"))
+    return Grid(np.linspace(0.0, w_max, count(n_freq, "n_freq", 2)))

@@ -22,7 +22,7 @@ from .bsplines import (
     equidistant_spec,
     least_squares_fit,
 )
-from .errors import NoWaves, ZeroVariance
+from .errors import NoWaves, ZeroVariance, count
 from .grids import FunctionalSample, Grid, Interval, _frozen, uniform_grid
 from .sea import TimeSeriesRecord
 
@@ -47,12 +47,9 @@ class RegistrationSpec:
     constrain_upcross: bool = False
 
     def __post_init__(self):
-        if self.n_grid < 2:
-            raise ValueError("common grid needs at least 2 points")
-        if self.spline_order < 2:
-            raise ValueError("spline order must be >= 2")
-        if self.n_knots < 2:
-            raise ValueError("need at least the two endpoint knot sites")
+        count(self.n_grid, "n_grid", 2)
+        count(self.spline_order, "spline_order", 2)
+        count(self.n_knots, "n_knots", 2)
         if self.spline_order + self.n_knots - 4 < 1:  # both end coefficients pinned
             raise ValueError(f"spline order {self.spline_order} with {self.n_knots} knot "
                              "sites leaves no free spline function: need order + knots >= 5")

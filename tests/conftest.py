@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fda2s import FunctionalSample, Grid, Interval, run_test, uniform_grid
 from fda2s.io import format_test_result
+
+# Every property test draws the same examples on every run, keeps none between runs
+# and has no deadline; each sets only its example count.
+settings.register_profile("fda2s", derandomize=True, database=None, deadline=None)
+settings.load_profile("fda2s")
 
 
 def smooth_curves(rng, n_curves, grid, scale=1.0):

@@ -150,7 +150,7 @@ class TestLeastSquaresFit:
 
 
 class TestBasisMatrix:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         order=st.integers(2, 6),
         n_sites=st.integers(2, 61),

@@ -395,7 +395,8 @@ class TestTest:
         out = tmp_path / "r.json"
         assert run("test", "--x", xp, "--y", yp, "--calibration", "permutation:B=20",
                    "--seed", seed, "-o", out) == 2
-        assert "2**64" in capsys.readouterr().err
+        message = "2**64" if seed > 0 else "seed must be at least 0, got -1"
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("basis,key", [
@@ -568,14 +569,16 @@ class TestTest:
         assert "estimator grid" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "2.5", "nan", "inf"])
     def test_bad_thread_count_exits_2(self, tmp_path, rng, monkeypatch, capsys, threads):
         xp, yp = self._write_pair(tmp_path, rng)
         monkeypatch.setenv("FDA2S_THREADS", threads)
         out = tmp_path / "report.json"
         assert run("test", "--x", xp, "--y", yp, "--calibration", "spectral-mc:B=99",
                    "--seed", 3, "-o", out) == 2
-        assert "FDA2S_THREADS" in capsys.readouterr().err
+        refusal = (f"at least 1, got {int(threads)}" if threads.lstrip("-").isdigit()
+                   else f"an integer, got {threads!r}")
+        assert f"FDA2S_THREADS must be {refusal}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("calibration, seed", [("asymptotic", ()),
@@ -670,6 +673,47 @@ class TestQuantiles:
         assert not (tmp_path / "t.csv").exists()
 
 
+# The int and float flags of the five commands: the command, options under which it
+# reads the flag, the flag, the parameter it sets and that parameter's least value
+# (None for a real setting).
+NUMBER_FLAGS = [
+    *[("simulate", (), f"--{name}", name, None) for name in ("hs", "tp", "duration", "fs")],
+    ("simulate", (), "--nfreq", "n_freq", 2),
+    ("simulate", (), "--seed", "seed", 0),
+    ("spectrum", (), "--parzen", "parzen_L", 1),
+    ("spectrum", (), "--nfreq", "n_freq", 2),
+    ("segment", (), "--grid", "n_grid", 2),
+    ("segment", (), "--order", "spline_order", 2),
+    ("segment", (), "--knots", "n_knots", 2),
+    ("test", ("--calibration", "permutation:B=5"), "--seed", "seed", 0),
+    ("test", ("--calibration", "spectral-mc:B=5"), "--mc-duration", "duration", None),
+    ("test", ("--calibration", "spectral-mc:B=5"), "--mc-fs", "fs", None),
+    ("test", ("--calibration", "spectral-mc:B=5"), "--mc-parzen", "parzen_L", 1),
+    ("test", ("--calibration", "spectral-mc:B=5"), "--mc-nfreq", "n_freq", 2),
+    ("quantiles", (), "--seed", "seed", 0),
+]
+
+
+def _refused_numbers():
+    """(row, id) of each value a number flag refuses: argparse refuses 2.5, nan and inf
+    for an int flag, the library 0 for a count (-1 for a seed, which may be 0) and nan,
+    inf and 0 for a real setting (which may be 2.5)."""
+    for command, reads, flag, name, least in NUMBER_FLAGS:
+        if least is None:
+            refused = [(v, f"{name} must be finite and positive, got {float(v)!r}")
+                       for v in ("nan", "inf", "0")]
+        else:
+            refused = [(v, f"argument {flag}: invalid int value: '{v}'")
+                       for v in ("2.5", "nan", "inf")]
+            low = 0 if least > 0 else -1
+            refused.append((low, f"{name} must be at least {least}, got {low}"))
+        for value, message in refused:
+            yield (command, (*reads, flag, value), message), f"{command}-{flag[2:]}-{value}"
+
+
+NUMBER_ROWS, NUMBER_IDS = zip(*_refused_numbers())
+
+
 @pytest.mark.parametrize("command, options, message", [
     ("test", ("--calibration", "asymptotic:"),
      "malformed calibration parameter '' in 'asymptotic:'"),
@@ -694,31 +738,22 @@ class TestQuantiles:
     ("test", ("--basis", "trig:"), "malformed basis parameter '' in 'trig:'"),
     ("test", ("--calibration", "permutation:B=5,B=6"),
      "repeated permutation parameter 'b' in 'permutation:B=5,B=6'"),
-    ("segment", ("--grid", 1), "common grid needs at least 2 points"),
-    ("segment", ("--order", 1), "spline order must be >= 2"),
-    ("segment", ("--knots", 1), "need at least the two endpoint knot sites"),
-    ("simulate", ("--duration", "inf"), "duration must be finite and positive, got inf"),
-    ("simulate", ("--duration", "nan"), "duration must be finite and positive, got nan"),
-    ("test", ("--calibration", "spectral-mc:B=5", "--mc-duration", "inf"),
-     "duration must be finite and positive, got inf"),
-    ("test", ("--calibration", "spectral-mc:B=5", "--mc-duration", "nan"),
-     "duration must be finite and positive, got nan"),
-    ("simulate", ("--fs", "inf"), "fs must be finite and positive, got inf"),
-    ("simulate", ("--fs", "nan"), "fs must be finite and positive, got nan"),
-    ("simulate", ("--tp", "inf"), "tp must be finite and positive, got inf"),
+    ("segment", ("--grid", 1), "n_grid must be at least 2, got 1"),
+    ("segment", ("--order", 1), "spline_order must be at least 2, got 1"),
+    ("segment", ("--knots", 1), "n_knots must be at least 2, got 1"),
     ("spectrum", ("--nfreq", 1), "n_freq must be at least 2, got 1"),
     ("simulate", ("--nfreq", 1), "n_freq must be at least 2, got 1"),
+    ("simulate", ("--duration", 1), "fs * duration must be at least 2, got 1"),
     ("test", ("--calibration", "spectral-mc:B=5", "--mc-nfreq", 1),
      "n_freq must be at least 2, got 1"),
+    *NUMBER_ROWS,
 ], ids=["test-asymptotic:", "test-permutation:", "test-spectral-mc:",
         "quantiles-permutation:", "quantiles-asymptotic", "quantiles-spectral-mc", "probs",
         "probs-outside-0-1", "probs-not-increasing", "probs-repeated",
         "segment-order-2-knots-2", "test-bootstrap", "test-trig:k", "test-trig:",
         "test-permutation-repeated-B", "segment-grid-1",
-        "segment-order-1", "segment-knots-1", "simulate-duration-inf",
-        "simulate-duration-nan", "test-mc-duration-inf", "test-mc-duration-nan",
-        "simulate-fs-inf", "simulate-fs-nan", "simulate-tp-inf", "spectrum-nfreq-1",
-        "simulate-nfreq-1", "test-mc-nfreq-1"])
+        "segment-order-1", "segment-knots-1", "spectrum-nfreq-1",
+        "simulate-nfreq-1", "simulate-duration-1", "test-mc-nfreq-1", *NUMBER_IDS])
 def test_parse_errors_exit_2_and_name_their_input(tmp_path, rng, capsys, record_file,
                                                   command, options, message):
     grid = uniform_grid(Interval(0.0, 1.0), 41)
@@ -728,8 +763,13 @@ def test_parse_errors_exit_2_and_name_their_input(tmp_path, rng, capsys, record_
               "simulate": ("--hs", 2, "--tp", 8, "--seed", 1)}.get(
         command, ("--x", xp, "--y", xp, "--basis", "trig:k=3", "--seed", 1))
     out = tmp_path / "out"
-    assert run(command, *inputs, *options, "-o", out) == 2
-    assert message in capsys.readouterr().err
+    try:
+        code = run(command, *inputs, *options, "-o", out)
+    except SystemExit as exc:  # argparse refused the text
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

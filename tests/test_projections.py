@@ -254,7 +254,7 @@ class TestPcaBasis:
 
     @pytest.mark.parametrize("n_curves,n_points", [((4, 12), (20, 60)), ((25, 60), (3, 15))],
                              ids=["None-N<P", "None-N>P"])
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(data=st.data())
     def test_matches_dense_eigh_oracle(self, n_curves, n_points, data):
         joint, d = data.draw(pca_problems(n_curves, n_points))
@@ -300,7 +300,7 @@ class TestSnapshotPca:
 
     @pytest.mark.parametrize("n_curves,n_points", [((4, 12), (20, 60)), ((25, 60), (3, 15))],
                              ids=["N<P", "N>P"])
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(data=st.data())
     def test_a_stack_matches_dense_eigh_oracle(self, n_curves, n_points, data):
         grid, stack, d = data.draw(pca_stacks(n_curves, n_points))

@@ -321,7 +321,7 @@ def score_stacks(draw):
     return data.normal(size=(3, m + n, k)) * scale, m, data
 
 
-INVARIANCE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+INVARIANCE = settings(max_examples=60)
 
 
 def both_statistics(scores, m):

@@ -1,9 +1,11 @@
 """Permutation splits, the spectral MC null, p-values, and quantile tables."""
 
+import functools
 import inspect
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,13 +15,23 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from fda2s import (
+    BSplineSpec,
     BasisSpec,
     FunctionalSample,
     Interval,
+    RegistrationSpec,
     SimConfig,
+    TimeSeriesRecord,
     average_spectrum,
+    bspline_basis_g,
+    chi_square_isf,
+    chi_square_sf,
     concatenate_samples,
+    equidistant_spec,
     estimate_spectrum,
+    fourier_coefficients,
+    indicator_basis,
+    pca_basis,
     permutation_null,
     permutation_pvalue,
     qn_statistic,
@@ -35,6 +47,7 @@ from fda2s import (
 )
 from fda2s import cli, resampling, runner
 from fda2s.errors import (
+    FdaError,
     GridMismatch,
     InvalidParams,
     NegativeEstimate,
@@ -50,7 +63,8 @@ from fda2s.projections import GVector, trig_g_functions
 from fda2s.resampling import (PERMUTATION_CHUNK, SPECTRAL_MC_CHUNK, NullDistribution,
                               _SplitStatistic)
 from fda2s.rng import substream
-from fda2s.sea import GaussianSynthesizer, SpectralDensity, estimate_spectra, estimator_grid
+from fda2s.sea import (GaussianSynthesizer, SpectralDensity, estimate_spectra, estimator_grid,
+                       sample_count)
 
 from conftest import eigh_pca_oracle, permutation_report, smooth_curves
 
@@ -75,7 +89,7 @@ class TestPermutationNull:
     @pytest.mark.parametrize("B", [2.5, 5.0, "5"])
     def test_replicate_count_that_is_not_an_integer_rejected(self, rng, B):
         joint = gaussian_joint(rng)
-        with pytest.raises(ValueError, match=f"B={B!r}"):
+        with pytest.raises(ValueError, match=f"^B must be an integer, got {B!r}$"):
             permutation_null(joint, BasisSpec("trig", {"k": 3}).build(joint), 20, B, 1)
 
     def test_numpy_integer_replicate_count_accepted(self, rng):
@@ -198,7 +212,7 @@ def small_problems(draw):
     return joint, BasisSpec("indicator", {"k": k}), m, seed
 
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=40)
 
 
 class TestClosedFormNull:
@@ -540,11 +554,10 @@ class TestSpectralMcNull:
 
     @pytest.mark.parametrize("duration", [np.inf, np.nan, 0.0])
     def test_a_duration_that_makes_no_record_rejected(self, duration):
-        sim = SimConfig(duration=duration)
+        # SimConfig checks its fields once, so no null sees such a duration
         with pytest.raises(InvalidParams, match=f"duration must be finite and positive, "
                                                 f"got {duration}"):
-            spectral_mc_null(*pooled("indicator:k=2", self._spectra(4, 600.0, 1)), 2, sim,
-                             5, 1)
+            SimConfig(duration=duration)
 
     @pytest.mark.parametrize("combine", [average_spectrum, spectra_to_sample])
     def test_no_spectra_rejected(self, combine):
@@ -636,7 +649,7 @@ class TestSpectralMcNull:
         monkeypatch.setattr(resampling, "substream", None)
         basis = BasisSpec.parse("indicator:k=2")
         x, y = spectra_to_sample(spectra[:2]), spectra_to_sample(spectra[2:])
-        message = f"n_jobs must be at least 1, got n_jobs={n_jobs}"
+        message = f"^n_jobs must be at least 1, got {n_jobs}$"
         with pytest.raises(ValueError, match=message):
             run_test(x, y, basis, "spectral-mc", B=5, seed=1, n_jobs=n_jobs, sim=sim)
         joint = spectra_to_sample(spectra)
@@ -733,8 +746,8 @@ class TestSpectralMcNull:
         spectra = self._spectra(4, 600.0, 70)
         joint, g = pooled("indicator:k=2", spectra)
         for L, error in ((0, InvalidParams), (400, RecordTooShort)):
-            sim = SimConfig(duration=600.0, fs=1.28, parzen_L=L, n_freq=481)
             with pytest.raises(error):
+                sim = SimConfig(duration=600.0, fs=1.28, parzen_L=L, n_freq=481)
                 spectral_mc_null(joint, g, 2, sim, 3, 1)
 
     @pytest.mark.parametrize("L", [60.5, 2.0, True])
@@ -743,9 +756,8 @@ class TestSpectralMcNull:
         spectra = self._spectra(4, 600.0, 70)
         x, y = spectra_to_sample(spectra[:2]), spectra_to_sample(spectra[2:])
         monkeypatch.setattr(resampling, "substream", None)
-        sim = SimConfig(duration=600.0, fs=1.28, parzen_L=L, n_freq=481)
-        with pytest.raises(InvalidParams, match=f"^Parzen window length must be an integer, "
-                                                f"got {L!r}$"):
+        with pytest.raises(InvalidParams, match=f"^parzen_L must be an integer, got {L!r}$"):
+            sim = SimConfig(duration=600.0, fs=1.28, parzen_L=L, n_freq=481)
             run_test(x, y, BasisSpec.parse("indicator:k=2"), "spectral-mc", B=20, seed=1,
                      sim=sim)
 
@@ -758,23 +770,138 @@ UNREAD = [(calibration, setting) for calibration, reads in runner.CALIBRATIONS.i
           if setting not in reads]
 
 
+@functools.cache
+def contract_inputs() -> dict:
+    """Valid inputs of the CONTRACT calls, built once."""
+    spectra = TestSpectralMcNull._spectra(6, 600.0, 50)
+    return {"pair": (spectra_to_sample(spectra[:3]), spectra_to_sample(spectra[3:])),
+            "joint": pooled("indicator:k=3", spectra),
+            "waves": gaussian_joint(np.random.default_rng(3)),
+            "record": TimeSeriesRecord(1.28, np.random.default_rng(5).normal(size=768)),
+            "sea": torsethaugen_spectrum(TorsethaugenParams(2.0, 8.0),
+                                         default_frequency_grid(2, tp=8.0))}
+
+
+def calibrated(calibration: str, **changed):
+    """`run_test` of the settings `calibration` reads, TestCalibrationTable's given ones
+    but for those `changed`, on the 3-vs-3 contract spectra."""
+    given = {**TestCalibrationTable.given, **changed}
+    return run_test(*contract_inputs()["pair"], TestCalibrationTable.basis, calibration,
+                    **{name: given[name] for name in runner.CALIBRATIONS[calibration]})
+
+
+def _null(null, *settings):
+    return null(*contract_inputs()["joint"], 3, *settings)
+
+
+UNIT = Interval(0.0, 1.0)
+GRID = uniform_grid(UNIT, 41)
+SIM = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
+DF = "degrees of freedom k"
+# Every public entry point's counts and real settings: the entry, the parameter, its
+# least value (None for a real setting), a valid integer value, a call that passes
+# its argument as the parameter, and the name the messages give it.
+CONTRACT = [
+    ("permutation", "B", 1, 3, lambda v: calibrated("permutation", B=v), "B"),
+    ("permutation", "seed", 0, 2, lambda v: calibrated("permutation", seed=v), "seed"),
+    ("spectral-mc", "B", 1, 3, lambda v: calibrated("spectral-mc", B=v), "B"),
+    ("spectral-mc", "seed", 0, 2, lambda v: calibrated("spectral-mc", seed=v), "seed"),
+    ("spectral-mc", "n_jobs", 1, 1, lambda v: calibrated("spectral-mc", n_jobs=v), "n_jobs"),
+    ("permutation_null", "B", 1, 3, lambda v: _null(permutation_null, v, 2), "B"),
+    ("permutation_null", "seed", 0, 2, lambda v: _null(permutation_null, 3, v), "seed"),
+    ("spectral_mc_null", "B", 1, 3, lambda v: _null(spectral_mc_null, SIM, v, 2), "B"),
+    ("spectral_mc_null", "seed", 0, 2, lambda v: _null(spectral_mc_null, SIM, 3, v), "seed"),
+    ("spectral_mc_null", "n_jobs", 1, 1, lambda v: _null(spectral_mc_null, SIM, 3, 2, v),
+     "n_jobs"),
+    ("permutation_null", "m", 2, 3,
+     lambda v: permutation_null(*contract_inputs()["joint"], v, 3, 2), "m"),
+    ("spectral_mc_null", "m", 2, 3,
+     lambda v: spectral_mc_null(*contract_inputs()["joint"], v, SIM, 3, 2), "m"),
+    ("substream", "seed", 0, 3, lambda v: substream(v, 1), "seed"),
+    ("substream", "index", 0, 3, lambda v: substream(1, v), "replicate index"),
+    ("chi_square_sf", "k", 1, 3, lambda v: chi_square_sf(2.0, v), DF),
+    ("chi_square_isf", "k", 1, 3, lambda v: chi_square_isf(0.05, v), DF),
+    ("quantile_table", "k", 1, 3, lambda v: quantile_table(np.arange(1.0, 101.0), v), DF),
+    ("BasisSpec", "indicator-k", 1, 3, lambda v: BasisSpec("indicator", {"k": v}),
+     "indicator parameter 'k'"),
+    ("BasisSpec", "bspline-order", 2, 5, lambda v: BasisSpec("bspline", {"order": v}),
+     "bspline parameter 'order'"),
+    ("BasisSpec", "bspline-interior", 0, 7, lambda v: BasisSpec("bspline", {"interior": v}),
+     "bspline parameter 'interior'"),
+    ("BasisSpec", "trig-k", 1, 3, lambda v: BasisSpec("trig", {"k": v}),
+     "trig parameter 'k'"),
+    ("BasisSpec", "pca-d", 1, 2, lambda v: BasisSpec("pca", {"d": v}), "pca parameter 'd'"),
+    ("indicator_basis", "k", 1, 3, lambda v: indicator_basis(UNIT, v, GRID), "k"),
+    ("bspline_basis_g", "order", 2, 4, lambda v: bspline_basis_g(UNIT, v, 3, GRID), "order"),
+    ("bspline_basis_g", "interior_nodes", 0, 3, lambda v: bspline_basis_g(UNIT, 4, v, GRID),
+     "interior_nodes"),
+    ("trig_g_functions", "k_max", 1, 3, lambda v: trig_g_functions(contract_inputs()["waves"], v),
+     "k_max"),
+    ("fourier_coefficients", "k_max", 1, 3,
+     lambda v: fourier_coefficients(contract_inputs()["waves"], v), "k_max"),
+    ("pca_basis", "d", 1, 2, lambda v: pca_basis(contract_inputs()["waves"], v), "d"),
+    ("equidistant_spec", "order", 2, 4, lambda v: equidistant_spec(UNIT, v, 5), "order"),
+    ("equidistant_spec", "n_sites", 2, 5, lambda v: equidistant_spec(UNIT, 4, v), "n_sites"),
+    ("BSplineSpec", "order", 2, 2, lambda v: BSplineSpec(v, [0.0, 0.0, 1.0, 1.0]), "order"),
+    ("uniform_grid", "n", 2, 11, lambda v: uniform_grid(UNIT, v), "n"),
+    ("RegistrationSpec", "n_grid", 2, 101, lambda v: RegistrationSpec(n_grid=v), "n_grid"),
+    ("RegistrationSpec", "spline_order", 2, 6, lambda v: RegistrationSpec(spline_order=v),
+     "spline_order"),
+    ("RegistrationSpec", "n_knots", 2, 61, lambda v: RegistrationSpec(n_knots=v), "n_knots"),
+    ("SimConfig", "duration", None, 600, lambda v: SimConfig(duration=v), "duration"),
+    ("SimConfig", "fs", None, 2, lambda v: SimConfig(fs=v), "fs"),
+    ("SimConfig", "parzen_L", 1, 60, lambda v: SimConfig(parzen_L=v), "parzen_L"),
+    ("SimConfig", "n_freq", 2, 481, lambda v: SimConfig(n_freq=v), "n_freq"),
+    ("estimate_spectrum", "parzen_L", 1, 60,
+     lambda v: estimate_spectrum(contract_inputs()["record"], v), "parzen_L"),
+    ("estimate_spectrum", "n_freq", 2, 481,
+     lambda v: estimate_spectrum(contract_inputs()["record"], 60, v), "n_freq"),
+    ("estimator_grid", "fs", None, 2, lambda v: estimator_grid(v, 481), "fs"),
+    ("estimator_grid", "n_freq", 2, 481, lambda v: estimator_grid(1.28, v), "n_freq"),
+    ("default_frequency_grid", "fs", None, 2, lambda v: default_frequency_grid(v), "fs"),
+    ("default_frequency_grid", "tp", None, 8, lambda v: default_frequency_grid(1.28, tp=v),
+     "tp"),
+    ("default_frequency_grid", "n_freq", 2, 481,
+     lambda v: default_frequency_grid(1.28, n_freq=v), "n_freq"),
+    ("TorsethaugenParams", "hs", None, 2, lambda v: TorsethaugenParams(v, 8.0), "hs"),
+    ("TorsethaugenParams", "tp", None, 8, lambda v: TorsethaugenParams(2.0, v), "tp"),
+    ("TimeSeriesRecord", "fs", None, 2, lambda v: TimeSeriesRecord(v, np.zeros(4)), "fs"),
+    ("GaussianSynthesizer", "n_samples", 2, 768, lambda v: GaussianSynthesizer(v, 1.28),
+     "n_samples"),
+    ("GaussianSynthesizer", "fs", None, 2, lambda v: GaussianSynthesizer(768, v), "fs"),
+    ("GaussianSynthesizer.simulate", "n_records", 1, 2,
+     lambda v: GaussianSynthesizer(768, 2).simulate(contract_inputs()["sea"], substream(1, 0), v),
+     "n_records"),
+    ("simulate_gaussian", "duration", None, 600,
+     lambda v: simulate_gaussian(contract_inputs()["sea"], v, 2, 1), "duration"),
+    ("simulate_gaussian", "fs", None, 2,
+     lambda v: simulate_gaussian(contract_inputs()["sea"], 600, v, 1), "fs"),
+    ("simulate_gaussian", "seed", 0, 1,
+     lambda v: simulate_gaussian(contract_inputs()["sea"], 600, 2, v), "seed"),
+    ("sample_count", "duration", None, 600, lambda v: sample_count(v, 1.28), "duration"),
+    ("sample_count", "fs", None, 2, lambda v: sample_count(600, v), "fs"),
+]
+# What no count is, and what no real setting is, by the rule each breaks.
+NOT_COUNTS = [(v, "be an integer") for v in (True, 2.0, 2.5, math.nan, math.inf, "3")]
+NOT_REAL = ([(v, "be a number") for v in (True, "3")]
+            + [(v, "be finite and positive") for v in (math.nan, math.inf, -math.inf, 0, -1)])
+REFUSALS = [(row, value, rule) for row in CONTRACT for value, rule in (
+    NOT_REAL if row[2] is None else
+    NOT_COUNTS + [(v, f"be at least {row[2]}") for v in sorted({row[2] - 1, 0, -1})
+                  if v < row[2]])]
+
+
 class TestCalibrationTable:
-    """run_test and parse_calibration follow runner.CALIBRATIONS, whatever its entries."""
+    """run_test and parse_calibration follow runner.CALIBRATIONS, whatever its entries,
+    and every CONTRACT entry point refuses what is not a count or a real setting."""
 
     basis = BasisSpec.parse("indicator:k=3")
     # settings each calibration that reads them takes in these tests
-    given = {"B": 3, "seed": 2, "n_jobs": 1,
-             "sim": SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)}
+    given = {"B": 3, "seed": 2, "n_jobs": 1, "sim": SIM}
 
     @pytest.fixture(scope="class")
     def spectra(self):
-        spectra = TestSpectralMcNull._spectra(6, 600.0, 50)
-        return spectra_to_sample(spectra[:3]), spectra_to_sample(spectra[3:])
-
-    def _run(self, spectra, calibration, **changed):
-        given = {**self.given, **changed}
-        return run_test(*spectra, self.basis, calibration,
-                        **{name: given[name] for name in runner.CALIBRATIONS[calibration]})
+        return contract_inputs()["pair"]
 
     @pytest.mark.parametrize("calibration, setting", UNREAD)
     def test_unread_setting_raises(self, spectra, monkeypatch, calibration, setting):
@@ -821,7 +948,7 @@ class TestCalibrationTable:
                              "--basis", "indicator:k=3", "--calibration", "permutation:B=100",
                              "--seed", "2", "-o", str(tmp_path / "table.csv")]) == 0
         else:
-            self._run(spectra, call)
+            calibrated(call)
         assert calls == nulls
 
     @pytest.mark.parametrize("calibration, null", [
@@ -874,24 +1001,25 @@ class TestCalibrationTable:
 
     @pytest.mark.parametrize("calibration", [c for c, reads in runner.CALIBRATIONS.items()
                                              if "seed" in reads])
-    def test_numpy_integer_seed_reports_as_the_integer(self, spectra, calibration):
-        reports = [format_test_result(self._run(spectra, calibration, seed=seed))
+    def test_numpy_integer_seed_reports_as_the_integer(self, calibration):
+        reports = [format_test_result(calibrated(calibration, seed=seed))
                    for seed in (3, np.int64(3))]
         assert reports[0] == reports[1]
         assert json.loads(reports[1])["seed"] == 3
 
-    @pytest.mark.parametrize("calibration, setting, value, message", [
-        ("permutation", "seed", True, "seed must be an integer, got True"),
-        ("permutation", "B", True, "need at least one replicate, got B=True"),
-        ("spectral-mc", "seed", True, "seed must be an integer, got True"),
-        ("spectral-mc", "B", True, "need at least one replicate, got B=True"),
-        ("spectral-mc", "n_jobs", 2.5, "n_jobs must be at least 1, got n_jobs=2.5"),
-        ("spectral-mc", "n_jobs", True, "n_jobs must be at least 1, got n_jobs=True"),
-    ])
-    def test_booleans_and_non_integers_rejected(self, spectra, calibration, setting, value,
-                                                message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            self._run(spectra, calibration, **{setting: value})
+    @pytest.mark.parametrize("row, value, rule", REFUSALS,
+                             ids=[f"{row[0]}-{row[1]}-{value!r}" for row, value, _ in REFUSALS])
+    def test_booleans_and_non_integers_rejected(self, row, value, rule):
+        # the contract of every CONTRACT entry: the rule broken, with the parameter named
+        *_, call, named = row
+        message = f"^{re.escape(named)} must {rule}, got {re.escape(repr(value))}$"
+        with pytest.raises(FdaError, match=message):
+            call(value)
+
+    @pytest.mark.parametrize("row", CONTRACT, ids=[f"{row[0]}-{row[1]}" for row in CONTRACT])
+    def test_numpy_integers_accepted(self, row):
+        _, _, _, valid, call, _ = row
+        call(np.int64(valid))
 
 
 def counting_substream(monkeypatch):

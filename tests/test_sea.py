@@ -267,8 +267,7 @@ class TestEstimateSpectrum:
     @pytest.mark.parametrize("L", [60.5, 2.0, True])
     def test_non_integer_window_length_rejected(self, L):
         rec = TimeSeriesRecord(1.28, np.random.default_rng(5).normal(size=768))
-        with pytest.raises(InvalidParams, match=f"^Parzen window length must be an integer, "
-                                                f"got {L!r}$"):
+        with pytest.raises(InvalidParams, match=f"^parzen_L must be an integer, got {L!r}$"):
             estimate_spectrum(rec, L)
         assert np.array_equal(estimate_spectrum(rec, np.int64(2)).values,
                               estimate_spectrum(rec, 2).values)

@@ -363,7 +363,7 @@ class TestRegisterWave:
 
 
 class TestBatchedRegistration:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         sizes=st.lists(st.integers(2, 30), min_size=1, max_size=12),
         order=st.integers(2, 8),
@@ -463,7 +463,7 @@ class TestBatchedRegistration:
         for row, wave in zip(sample.values, waves):
             assert np.array_equal(row, register_one(wave, spec))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         sizes=st.lists(st.integers(3, 600), min_size=1, max_size=12),
         constrain=st.booleans(),
@@ -655,7 +655,7 @@ def searched_intervals(u, lengths, k, knots, kstart):
 class TestSiteIntervals:
     """The not-a-knot rule fixes each site's knot interval by its index."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         k=st.integers(1, 7),
         extra=st.lists(st.integers(0, 598), min_size=1, max_size=8),

@@ -29,8 +29,8 @@ from .sea import (
 )
 
 # Replicates per chunk of the permutation null.  A chunk fills one
-# PERMUTATION_CHUNK x N membership mask, allocated once per call, so memory
-# does not grow with B.
+# PERMUTATION_CHUNK x N membership mask, allocated once per statistic, so
+# memory does not grow with B.
 PERMUTATION_CHUNK = 256
 # Replicates per chunk of the spectral MC null.  A chunk holds the amplitude
 # draws of SPECTRAL_MC_CHUNK x (m + n) records (1.5 MB for 10 vs 10 30-min
@@ -130,8 +130,9 @@ class _SplitStatistic:
         eigvals, vecs = np.linalg.eigh(centred.T @ centred)
         self.min_slack = condition_number(eigvals) / CONDITION_BOUND
         self.whiten = vecs / np.sqrt(eigvals) if well_conditioned(eigvals) else None
+        self._mask = np.zeros((PERMUTATION_CHUNK, self.N), dtype=bool)
 
-    def values(self, x_rows: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    def values(self, x_rows: np.ndarray) -> np.ndarray:
         """Qn of the splits whose x-samples are the rows of `x_rows`; NaN if singular.
 
         Membership goes through a bool mask, and every product is an einsum
@@ -140,18 +141,17 @@ class _SplitStatistic:
         sums edge rows of a block in a different order).  The einsum takes
         the mask as 1.0 and 0.0, and 1·x and 0·x are exact.  When m = n a
         split and its mirror are one split: both are evaluated on the side
-        that holds curve 0, so they give the same bits.  The mask goes in
-        `mask`: a C-contiguous bool array of at least (len(x_rows), N), all
-        False, left all False, allocated when None; any other mask raises
-        ValueError.
+        that holds curve 0, so they give the same bits.  The mask is the
+        statistic's own, (PERMUTATION_CHUNK, N) or as many rows as the largest
+        call brought, all False between calls, so calls on one statistic must
+        not overlap.
         """
         count = x_rows.shape[0]
         if self.whiten is None:
             return np.full(count, np.nan)
-        mask = np.zeros((count, self.N), dtype=bool) if mask is None else mask[:count]
-        if mask.dtype != bool or not mask.flags.c_contiguous:
-            # reshape would copy a strided mask, and the scatter would be lost with the copy
-            raise ValueError("the membership mask must be a C-contiguous bool array")
+        if count > self._mask.shape[0]:
+            self._mask = np.zeros((count, self.N), dtype=bool)
+        mask = self._mask[:count]
         mask.reshape(-1)[(x_rows + self.N * np.arange(count)[:, None]).ravel()] = True
         if self.m == self.n:
             mirrored = ~mask[:, 0]
@@ -177,16 +177,15 @@ def permutation_null(
     closed form from one eigendecomposition (`_SplitStatistic`),
     PERMUTATION_CHUNK replicates at a time, on one thread: the draws hold
     the interpreter lock, so threads only slow them down.  Every chunk
-    shuffles in place the rows of one permutation buffer and fills one
-    mask, both allocated once; `permutation(N)` is `shuffle(arange(N))`, so
-    the draws are the same.  The observed split, the first m curves, is
+    shuffles in place the rows of one permutation buffer, allocated once, and
+    fills the statistic's one mask; `permutation(N)` is `shuffle(arange(N))`,
+    so the draws are the same.  The observed split, the first m curves, is
     evaluated the same way.
     """
     _check_groups(m, joint.n_curves)
     split = _SplitStatistic(score_matrix(joint, g), m)
     identity = np.arange(split.N, dtype=np.intp)
     perms = np.empty((PERMUTATION_CHUNK, split.N), dtype=np.intp)
-    mask = np.zeros((PERMUTATION_CHUNK, split.N), dtype=bool)
 
     def draw(gens, count: int) -> np.ndarray:
         perms[:count] = identity
@@ -194,9 +193,8 @@ def permutation_null(
             gen.shuffle(row)
         return perms[:count, :m]
 
-    null = _run_replicates(draw, lambda rows: split.values(rows, mask), B, seed,
-                           n_jobs=1, chunk=PERMUTATION_CHUNK)
-    [observed] = split.values(np.arange(m)[None, :], mask)
+    null = _run_replicates(draw, split.values, B, seed, n_jobs=1, chunk=PERMUTATION_CHUNK)
+    [observed] = split.values(np.arange(m)[None, :])
     return replace(null, observed=None if np.isnan(observed) else float(observed))
 
 

@@ -268,13 +268,14 @@ class GaussianSynthesizer:
                           out: np.ndarray | None = None) -> np.ndarray:
         """The normals (2, n_records, n//2 + 1) `simulate` scales into A_j, B_j,
         written into ``out`` when it is given."""
-        return rng.standard_normal((2, n_records, self.lattice.size), out=out)
+        shape = (2, count(n_records, "n_records", 1), self.lattice.size)
+        return rng.standard_normal(shape, out=out)
 
     def simulate(self, s: SpectralDensity, rng: np.random.Generator,
                  n_records: int = 1) -> np.ndarray:
         """Batch of records, one per row; exactly Gaussian for any density."""
         std = np.sqrt(self.amplitude_variances(s))
-        a, b = self.amplitude_normals(rng, count(n_records, "n_records", 1)) * std
+        a, b = self.amplitude_normals(rng, n_records) * std
         spectrum = np.empty((n_records, std.size), dtype=complex)
         spectrum.real = a
         spectrum.imag = -b
@@ -448,7 +449,9 @@ def parzen_estimates(acov: np.ndarray, fs: float, n_freq: int) -> tuple[Grid, np
     own largest value raises `NegativeEstimate`.  The estimate is clipped
     at 0 and rescaled so that its integral equals c(0) exactly.
     """
-    grid, table = _parzen_map(fs, acov.shape[-1] - 1, count(n_freq, "n_freq", 2))
+    # checked before the cache, where True and 1 are one key
+    grid, table = _parzen_map(positive(fs, "fs"), acov.shape[-1] - 1,
+                              count(n_freq, "n_freq", 2))
     s = acov @ table
     floor = -1e-12 * (1.0 + np.max(np.abs(s), axis=(-2, -1), keepdims=True))
     if np.any(s < floor):

@@ -9,7 +9,7 @@ clamped B-spline basis with endpoints held at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -80,12 +80,12 @@ def _sample_index(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Waves:
     """Waves end to end: wave i is samples ``offsets[i]:offsets[i + 1]`` of
-    ``times`` and ``values``, interpolated zero endpoints included, with
-    period ``periods[i]``.
+    ``times`` and ``values``, interpolated zero endpoints included, and its
+    period ``periods[i]`` is the time from its first sample to its last.
 
     The arrays are read-only: one that owns its data and is already read-only
     is kept, anything else is copied.  Every wave has at least two samples,
-    finite times and values and strictly increasing times, and a positive
+    finite times and values and strictly increasing times, so a positive
     period; anything else raises ValueError.  ``len``, iteration and integer
     indexing give `Wave` views; a slice gives a `Waves`.
     """
@@ -93,28 +93,24 @@ class Waves:
     times: np.ndarray
     values: np.ndarray
     offsets: np.ndarray
-    periods: np.ndarray
+    periods: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        t, v = _frozen(self.times), _frozen(self.values)
-        offsets, periods = _frozen(self.offsets, np.intp), _frozen(self.periods)
+        t, v, offsets = _frozen(self.times), _frozen(self.values), _frozen(self.offsets, np.intp)
         if t.shape != v.shape or t.ndim != 1:
             raise ValueError("wave needs matching time/value arrays of length >= 2")
-        if (offsets.ndim != 1 or periods.shape != (offsets.size - 1,)
-                or offsets[0] != 0 or offsets[-1] != t.size):
-            raise ValueError(
-                "offsets must run from 0 to the sample count, one period per wave")
+        if offsets.ndim != 1 or not offsets.size or offsets[0] != 0 or offsets[-1] != t.size:
+            raise ValueError("offsets must run from 0 to the sample count")
         if np.any(np.diff(offsets) < 2):
             raise ValueError("wave needs matching time/value arrays of length >= 2")
-        if not np.all(periods > 0.0):
-            raise ValueError("wave period must be positive")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise ValueError("wave times and values must be finite")
         steps = np.diff(t)
         steps[offsets[1:-1] - 1] = 1.0  # from one wave to the next
         if not np.all(steps > 0.0):
             raise ValueError("wave times must be strictly increasing")
-        fields = {"times": t, "values": v, "offsets": offsets, "periods": periods}
+        fields = {"times": t, "values": v, "offsets": offsets,
+                  "periods": _read_only(t[offsets[1:] - 1] - t[offsets[:-1]])[0]}
         for name, arr in fields.items():
             object.__setattr__(self, name, arr)
 
@@ -127,8 +123,7 @@ class Waves:
             idx = _sample_index(self.offsets, rows)
             sizes = self.offsets[rows + 1] - self.offsets[rows]
             return Waves(*_read_only(self.times[idx], self.values[idx],
-                                     np.concatenate([[0], np.cumsum(sizes)]),
-                                     self.periods[rows]))
+                                     np.concatenate([[0], np.cumsum(sizes)])))
         i = range(len(self))[key]
         lo, hi = self.offsets[i], self.offsets[i + 1]
         return Wave(self.times[lo:hi], self.values[lo:hi], float(self.periods[i]))
@@ -187,7 +182,7 @@ def segment_waves(rec: TimeSeriesRecord) -> Waves:
     flat_t, flat_v = times[src], centered[src]
     flat_t[offsets[:-1]], flat_t[offsets[1:] - 1] = crossings[:-1], crossings[1:]
     flat_v[offsets[:-1]] = flat_v[offsets[1:] - 1] = 0.0
-    return Waves(*_read_only(flat_t, flat_v, offsets, crossings[1:] - crossings[:-1]))
+    return Waves(*_read_only(flat_t, flat_v, offsets))
 
 
 @lru_cache(maxsize=16)

@@ -64,7 +64,7 @@ from fda2s.resampling import (PERMUTATION_CHUNK, SPECTRAL_MC_CHUNK, NullDistribu
                               _SplitStatistic)
 from fda2s.rng import substream
 from fda2s.sea import (GaussianSynthesizer, SpectralDensity, estimate_spectra, estimator_grid,
-                       sample_count)
+                       parzen_estimates, sample_count)
 
 from conftest import eigh_pca_oracle, permutation_report, smooth_curves
 
@@ -298,93 +298,89 @@ class TestClosedFormNull:
 
 
 class TestPermutationWorkspace:
-    """One permutation buffer and one mask, allocated per call, serve every chunk."""
+    """One permutation buffer per call and the statistic's one mask serve every chunk."""
+
+    @staticmethod
+    def split_of(joint, m):
+        return _SplitStatistic(
+            sample_inner_products(joint, BasisSpec("trig", {"k": 3}).build(joint).functions), m)
 
     @pytest.mark.parametrize("B", [1, 255, 256, 257, 513])
     @pytest.mark.parametrize("m", [20, 27])  # of 40 curves: m = n, and m != n
     def test_values_match_a_fresh_allocation_run(self, rng, B, m):
-        # chunk edges, and the lone split of B = 1 and B = 257
+        # chunk edges, and the lone split of B = 1 and B = 257; a fresh
+        # statistic, and so a fresh mask, for every chunk and the observed split
         joint = gaussian_joint(rng)
         g = BasisSpec("trig", {"k": 3}).build(joint)
-        split = _SplitStatistic(sample_inner_products(joint, g.functions), m)
         x_rows = np.array([substream(11, r).permutation(joint.n_curves)[:m] for r in range(B)])
-        fresh = np.concatenate([split.values(x_rows[s:s + PERMUTATION_CHUNK])
+        fresh = np.concatenate([self.split_of(joint, m).values(x_rows[s:s + PERMUTATION_CHUNK])
                                 for s in range(0, B, PERMUTATION_CHUNK)])
         null = permutation_null(joint, g, m, B, 11)
         assert null.n_failed == 0
         assert null.values.tobytes() == fresh.tobytes()
-        [observed] = split.values(np.arange(m)[None, :])
+        [observed] = self.split_of(joint, m).values(np.arange(m)[None, :])
         assert null.observed == observed
 
     @pytest.mark.parametrize("m", [20, 27])
-    def test_values_leave_the_mask_zero(self, rng, m):
+    def test_values_leave_the_mask_all_false(self, rng, m):
         joint = gaussian_joint(rng)
-        split = _SplitStatistic(
-            sample_inner_products(joint, BasisSpec("trig", {"k": 3}).build(joint).functions), m)
-        x_rows = np.array([rng.permutation(joint.n_curves)[:m] for _ in range(5)])
-        mask = np.zeros((8, joint.n_curves), dtype=bool)
-        for rows in (x_rows, x_rows[:1], x_rows[::-1]):
-            assert split.values(rows, mask).tobytes() == split.values(rows).tobytes()
-            assert not mask.any()
+        N = joint.n_curves
+        split = self.split_of(joint, m)
+        x_rows = np.array([rng.permutation(N)[:m] for _ in range(2 * PERMUTATION_CHUNK + 3)])
+        chunked = [split.values(x_rows[s:s + PERMUTATION_CHUNK])
+                   for s in range(0, x_rows.shape[0], PERMUTATION_CHUNK)]
+        assert split._mask.shape == (PERMUTATION_CHUNK, N) and not split._mask.any()
+        # more rows than a chunk: the mask grows, and every value keeps its bits
+        whole = split.values(x_rows)
+        assert split._mask.shape == (x_rows.shape[0], N) and not split._mask.any()
+        assert whole.tobytes() == np.concatenate(chunked).tobytes()
+        for rows in (x_rows[:5], x_rows[:1], x_rows[4::-1]):
+            assert split.values(rows).tobytes() == self.split_of(joint, m).values(rows).tobytes()
+            assert not split._mask.any()
+
+    def test_a_singular_statistic_leaves_the_mask_all_false(self, rng):
+        # T fails the singular rule, so `whiten` is None and every split fails
+        scores = rng.normal(size=(40, 1)) * np.ones((1, 2))
+        split = _SplitStatistic(scores, 20)
+        assert split.whiten is None
+        x_rows = np.array([rng.permutation(40)[:20] for _ in range(PERMUTATION_CHUNK + 1)])
+        assert np.isnan(split.values(x_rows)).all()
+        assert split._mask.shape == (PERMUTATION_CHUNK, 40) and not split._mask.any()
 
     @pytest.mark.parametrize("m", [20, 27])
     def test_a_strided_view_of_x_rows_gives_the_bits_of_its_copy(self, rng, m):
         # the draws hand over the first m columns of whole permutations
         joint = gaussian_joint(rng)
-        split = _SplitStatistic(
-            sample_inner_products(joint, BasisSpec("trig", {"k": 3}).build(joint).functions), m)
+        split = self.split_of(joint, m)
         perms = np.array([rng.permutation(joint.n_curves) for _ in range(7)])
         view = perms[:, :m]
         assert not view.flags.c_contiguous
-        mask = np.zeros((8, joint.n_curves), dtype=bool)
         want = split.values(np.ascontiguousarray(view)).tobytes()
-        assert split.values(view, mask).tobytes() == want
         assert split.values(view).tobytes() == want
-
-    @pytest.mark.parametrize("layout", ["transposed", "strided"])
-    def test_a_mask_that_is_not_c_contiguous_raises(self, rng, layout):
-        joint = gaussian_joint(rng)
-        N = joint.n_curves
-        split = _SplitStatistic(
-            sample_inner_products(joint, BasisSpec("trig", {"k": 3}).build(joint).functions), 20)
-        mask = (np.zeros((N, 8), dtype=bool).T if layout == "transposed"
-                else np.zeros((8, 2 * N), dtype=bool)[:, ::2])
-        x_rows = np.array([rng.permutation(N)[:20] for _ in range(5)])
-        with pytest.raises(ValueError, match="C-contiguous"):
-            split.values(x_rows, mask)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
-    def test_a_mask_that_is_not_bool_raises(self, rng, dtype):
-        joint = gaussian_joint(rng)
-        N = joint.n_curves
-        split = _SplitStatistic(
-            sample_inner_products(joint, BasisSpec("trig", {"k": 3}).build(joint).functions), 20)
-        x_rows = np.array([rng.permutation(N)[:20] for _ in range(5)])
-        with pytest.raises(ValueError, match="bool"):
-            split.values(x_rows, np.zeros((8, N), dtype=dtype))
 
     @pytest.mark.parametrize("m", [20, 27])
     def test_one_bool_mask_is_allocated_per_call(self, rng, monkeypatch, m):
         joint = gaussian_joint(rng)
         g = BasisSpec("trig", {"k": 3}).build(joint)
-        allocated, handed = [], []
+        allocated, used = [], []
         zeros, values = np.zeros, _SplitStatistic.values
 
         def counting_zeros(*args, **kwargs):
             allocated.append(zeros(*args, **kwargs))
             return allocated[-1]
 
-        def recording_values(self, x_rows, mask=None):
-            handed.append(mask)
-            return values(self, x_rows, mask)
+        def recording_values(self, x_rows):
+            out = values(self, x_rows)
+            used.append(self._mask)
+            return out
 
         monkeypatch.setattr(np, "zeros", counting_zeros)
         monkeypatch.setattr(_SplitStatistic, "values", recording_values)
         permutation_null(joint, g, m, 2 * PERMUTATION_CHUNK + 1, 11)
         [mask] = [a for a in allocated if a.dtype == bool]
         assert mask.shape == (PERMUTATION_CHUNK, joint.n_curves)
-        assert len(handed) == 4  # three chunks and the observed split
-        assert all(h is mask for h in handed)
+        assert len(used) == 4  # three chunks and the observed split
+        assert all(u is mask for u in used)
 
     def test_concatenate_samples_keeps_its_vstack(self, rng, monkeypatch):
         x, y = (gaussian_joint(rng, n_curves=n) for n in (3, 4))
@@ -798,6 +794,7 @@ UNIT = Interval(0.0, 1.0)
 GRID = uniform_grid(UNIT, 41)
 SIM = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
 DF = "degrees of freedom k"
+WHITE = np.eye(1, 61)  # autocovariances c(0..60) of unit white noise
 # Every public entry point's counts and real settings: the entry, the parameter, its
 # least value (None for a real setting), a valid integer value, a call that passes
 # its argument as the parameter, and the name the messages give it.
@@ -856,6 +853,9 @@ CONTRACT = [
      lambda v: estimate_spectrum(contract_inputs()["record"], v), "parzen_L"),
     ("estimate_spectrum", "n_freq", 2, 481,
      lambda v: estimate_spectrum(contract_inputs()["record"], 60, v), "n_freq"),
+    ("estimate_spectra", "fs", None, 2,
+     lambda v: estimate_spectra(contract_inputs()["record"].values, v, 60, 481), "fs"),
+    ("parzen_estimates", "fs", None, 2, lambda v: parzen_estimates(WHITE, v, 481), "fs"),
     ("estimator_grid", "fs", None, 2, lambda v: estimator_grid(v, 481), "fs"),
     ("estimator_grid", "n_freq", 2, 481, lambda v: estimator_grid(1.28, v), "n_freq"),
     ("default_frequency_grid", "fs", None, 2, lambda v: default_frequency_grid(v), "fs"),
@@ -869,6 +869,8 @@ CONTRACT = [
     ("GaussianSynthesizer", "n_samples", 2, 768, lambda v: GaussianSynthesizer(v, 1.28),
      "n_samples"),
     ("GaussianSynthesizer", "fs", None, 2, lambda v: GaussianSynthesizer(768, v), "fs"),
+    ("GaussianSynthesizer.amplitude_normals", "n_records", 1, 2,
+     lambda v: GaussianSynthesizer(768, 2).amplitude_normals(substream(1, 0), v), "n_records"),
     ("GaussianSynthesizer.simulate", "n_records", 1, 2,
      lambda v: GaussianSynthesizer(768, 2).simulate(contract_inputs()["sea"], substream(1, 0), v),
      "n_records"),
@@ -1020,6 +1022,16 @@ class TestCalibrationTable:
     def test_numpy_integers_accepted(self, row):
         _, _, _, valid, call, _ = row
         call(np.int64(valid))
+
+    @pytest.mark.parametrize("estimate", [
+        lambda fs: estimate_spectra(contract_inputs()["record"].values, fs, 60, 481),
+        lambda fs: parzen_estimates(WHITE, fs, 481),
+    ], ids=["estimate_spectra", "parzen_estimates"])
+    def test_fs_is_checked_before_the_cached_map(self, estimate):
+        # True == 1, so a Parzen map cached for fs=1 would answer fs=True
+        estimate(1)
+        with pytest.raises(InvalidParams, match=r"^fs must be a number, got True$"):
+            estimate(True)
 
 
 def counting_substream(monkeypatch):

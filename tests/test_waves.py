@@ -84,10 +84,10 @@ def spline_oracle(wave, spec):
 
 
 def waves_of(*waves):
-    """One `Waves` set from (times, values, period) triples or `Wave` views."""
-    times, values, periods = zip(*waves)
+    """One `Waves` set from (times, values) pairs or `Wave` views."""
+    times, values = zip(*(wave[:2] for wave in waves))
     offsets = np.concatenate([[0], np.cumsum([len(t) for t in times])])
-    return Waves(np.concatenate(times), np.concatenate(values), offsets, periods)
+    return Waves(np.concatenate(times), np.concatenate(values), offsets)
 
 
 def register_one(wave, spec):
@@ -103,7 +103,7 @@ def random_waves(rng, sizes):
         t = 3.0 + np.cumsum(rng.uniform(0.2, 1.5, n))
         v = rng.normal(size=n)
         v[0] = v[-1] = 0.0
-        waves.append((t, v, float(t[-1] - t[0])))
+        waves.append((t, v))
     return waves_of(*waves)
 
 
@@ -195,7 +195,7 @@ class TestSegmentWaves:
 class TestWaves:
     def test_length_and_indexing(self):
         sizes = [2, 5, 3, 4]
-        ws = waves_of(*[(np.arange(n) + 10.0 * i, np.full(n, float(i)), float(n - 1))
+        ws = waves_of(*[(np.arange(n) + 10.0 * i, np.full(n, float(i)))
                         for i, n in enumerate(sizes)])
         assert len(ws) == 4 and ws.offsets.tolist() == [0, 2, 7, 10, 14]
         assert ws[1].raw_times.tolist() == [10.0, 11.0, 12.0, 13.0, 14.0]
@@ -224,24 +224,23 @@ class TestWaves:
                 arr[0] = 1
         # the constructor copies what it is given
         t, v = np.array([0.0, 1.0, 2.0]), np.array([0.0, -1.0, 0.0])
-        one = Waves(t, v, [0, 3], [2.0])
+        one = Waves(t, v, [0, 3])
         t[1] = v[1] = 5.0
         assert one[0].raw_times.tolist() == [0.0, 1.0, 2.0]
         assert one[0].raw_values.tolist() == [0.0, -1.0, 0.0]
 
     def test_constructor_keeps_only_owned_read_only_arrays(self):
         t, v = np.array([0.0, 1.0, 2.0]), np.array([0.0, -1.0, 0.0])
-        offsets, periods = np.array([0, 3], dtype=np.intp), np.array([2.0])
-        for arr in (t, v, offsets, periods):
+        offsets = np.array([0, 3], dtype=np.intp)
+        for arr in (t, v, offsets):
             arr.flags.writeable = False
-        one = Waves(t, v, offsets, periods)
-        assert one.times is t and one.values is v
-        assert one.offsets is offsets and one.periods is periods
+        one = Waves(t, v, offsets)
+        assert one.times is t and one.values is v and one.offsets is offsets
         # a read-only view of a writeable array, or another dtype, is copied
         base = np.array([0.0, 1.0, 2.0])
         view = base.view()
         view.flags.writeable = False
-        other = Waves(view, v.astype(np.float32), offsets, periods)
+        other = Waves(view, v.astype(np.float32), offsets)
         assert not np.shares_memory(other.times, base) and other.values.dtype == np.float64
         base[1] = 5.0
         assert other[0].raw_times.tolist() == [0.0, 1.0, 2.0]
@@ -249,7 +248,7 @@ class TestWaves:
         bad = np.array([0.0, 2.0, 1.0])
         bad.flags.writeable = False
         with pytest.raises(ValueError, match="strictly increasing"):
-            Waves(bad, v, offsets, periods)
+            Waves(bad, v, offsets)
 
     @pytest.mark.parametrize("fs", [1.28, 64.0])
     def test_segmented_waves_share_their_crossings(self, fs):
@@ -261,27 +260,34 @@ class TestWaves:
         assert np.all(ws.values[first] == 0.0) and np.all(ws.values[last] == 0.0)
         assert np.array_equal(ws.periods, ws.times[last] - ws.times[first])
 
-    @pytest.mark.parametrize("times,values,offsets,periods,message", [
-        ([0.0, 1.0, 2.0], [0.0, 0.0], [0, 3], [2.0], "matching time/value arrays"),
-        ([[0.0, 1.0]], [[0.0, 0.0]], [0, 2], [1.0], "matching time/value arrays"),
-        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0] * 5, [0, 1, 5], [1.0, 3.0], "length >= 2"),
-        ([0.0, 1.0, 2.0], [0.0] * 3, [0, 2], [1.0], "offsets must run from 0"),
-        ([0.0, 1.0, 2.0], [0.0] * 3, [0, 3], [1.0, 1.0], "offsets must run from 0"),
-        ([0.0, 1.0, 2.0], [0.0] * 3, [0, 3], [0.0], "wave period must be positive"),
-        ([0.0, 1.0, 2.0], [0.0] * 3, [0, 3], [-2.0], "wave period must be positive"),
-        ([0.0, np.inf, 2.0], [0.0] * 3, [0, 3], [2.0], "must be finite"),
-        ([0.0, 1.0, 2.0], [0.0, np.nan, 0.0], [0, 3], [2.0], "must be finite"),
-        ([0.0, 1.0, 1.0], [0.0] * 3, [0, 3], [1.0], "strictly increasing"),
-        ([0.0, 2.0, 3.0, 1.0], [0.0] * 4, [0, 2, 4], [2.0, 2.0], "strictly increasing"),
+    @pytest.mark.parametrize("times,values,offsets,message", [
+        ([0.0, 1.0, 2.0], [0.0, 0.0], [0, 3], "matching time/value arrays"),
+        ([[0.0, 1.0]], [[0.0, 0.0]], [0, 2], "matching time/value arrays"),
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0] * 5, [0, 1, 5], "length >= 2"),
+        ([0.0, 1.0, 2.0], [0.0] * 3, [0, 2], "^offsets must run from 0 to the sample count$"),
+        ([0.0, 1.0, 2.0], [0.0] * 3, [1, 3], "^offsets must run from 0 to the sample count$"),
+        ([0.0, 1.0, 2.0], [0.0] * 3, [], "^offsets must run from 0 to the sample count$"),
+        ([0.0, np.inf, 2.0], [0.0] * 3, [0, 3], "must be finite"),
+        ([0.0, 1.0, 2.0], [0.0, np.nan, 0.0], [0, 3], "must be finite"),
+        ([0.0, 1.0, 1.0], [0.0] * 3, [0, 3], "strictly increasing"),
+        ([0.0, 2.0, 3.0, 1.0], [0.0] * 4, [0, 2, 4], "strictly increasing"),
     ])
-    def test_construction_rejects_bad_waves(self, times, values, offsets, periods, message):
+    def test_construction_rejects_bad_waves(self, times, values, offsets, message):
         with pytest.raises(ValueError, match=message):
-            Waves(np.array(times), np.array(values), offsets, periods)
+            Waves(np.array(times), np.array(values), offsets)
 
     def test_waves_may_restart_in_time(self):
         # only the steps inside a wave must increase
-        ws = Waves(np.array([5.0, 6.0, 0.0, 1.0]), np.zeros(4), [0, 2, 4], [1.0, 1.0])
-        assert len(ws) == 2
+        ws = Waves(np.array([5.0, 6.0, 0.0, 1.0]), np.zeros(4), [0, 2, 4])
+        assert len(ws) == 2 and ws.periods.tolist() == [1.0, 1.0]
+
+    def test_periods_are_derived_and_read_only(self):
+        # each wave's period runs from its first sample to its last
+        ws = Waves(np.array([0.0, 1.0, 2.0, 2.0, 3.5]), np.zeros(5), [0, 3, 5])
+        assert ws.periods.tolist() == [2.0, 1.5] and ws[0].period == 2.0
+        assert not ws.periods.flags.writeable
+        with pytest.raises(TypeError):
+            Waves(np.array([0.0, 1.0, 2.0]), np.zeros(3), [0, 3], [99.0])
 
 
 class TestRegisterWave:
@@ -298,7 +304,7 @@ class TestRegisterWave:
     def test_linear_map_domain(self):
         t = np.linspace(10.0, 12.5, 11)
         v = -np.sin(2 * np.pi * (t - 10.0) / 2.5)
-        sample, kept, dropped = register_sample(waves_of((t, v, 2.5)), RegistrationSpec())
+        sample, kept, dropped = register_sample(waves_of((t, v)), RegistrationSpec())
         assert kept.tolist() == [0] and dropped == 0
         assert sample.grid.points[0] == 0.0 and sample.grid.points[-1] == 1.0
 
@@ -333,8 +339,8 @@ class TestRegisterWave:
     def test_no_upcrossing(self):
         # a constrained wave without an upcrossing is dropped; alone, none survive
         t = np.linspace(0.0, 1.0, 21)
-        below = (t, -np.sin(np.pi * t), 1.0)  # never above zero
-        good = (t, -np.sin(2 * np.pi * t), 1.0)
+        below = (t, -np.sin(np.pi * t))  # never above zero
+        good = (t, -np.sin(2 * np.pi * t))
         spec = RegistrationSpec(constrain_upcross=True)
         u, has_up = _warp_times(t, below[1], np.array([t.size]), True)
         assert has_up.tolist() == [False] and np.all(np.isnan(u))
@@ -407,8 +413,8 @@ class TestBatchedRegistration:
     def test_upcrossing_stays_inside_its_wave(self):
         # the step from one wave's last sample (below zero) to the next
         # wave's first (above it) is no upcrossing of either wave
-        pair = waves_of((np.linspace(0.0, 10.0, 8), -np.linspace(1.0, 2.0, 8), 10.0),
-                        (np.linspace(1.0, 5.0, 8), np.linspace(1.0, 2.0, 8), 4.0))
+        pair = waves_of((np.linspace(0.0, 10.0, 8), -np.linspace(1.0, 2.0, 8)),
+                        (np.linspace(1.0, 5.0, 8), np.linspace(1.0, 2.0, 8)))
         spec = RegistrationSpec(constrain_upcross=True)
         with pytest.raises(NoWaves):
             register_sample(pair, spec, min_interior=0)
@@ -515,7 +521,7 @@ class TestBatchedRegistration:
     ])
     def test_bad_times_or_values_raise(self, times, values, message):
         # the set rejects the wave when it is built, before any registration
-        bad = (np.array(times), np.array(values), 1.0)
+        bad = (np.array(times), np.array(values))
         good = random_waves(np.random.default_rng(5), [7, 7])
         with pytest.raises(ValueError, match=message):
             waves_of(good[0], bad, good[1])
@@ -528,7 +534,7 @@ class TestBatchedRegistration:
         # the set that would hold it cannot be built, whatever the path
         good = random_waves(np.random.default_rng(5), [9, 9, 9])
         values = [0.0, -1.0, -0.5, 0.5, 1.0, 0.8, 0.5, 0.2, 0.0]
-        bad = (np.full(9, 2.0), np.array(values), 8.0)
+        bad = (np.full(9, 2.0), np.array(values))
         spec = RegistrationSpec(constrain_upcross=constrain)
         with pytest.raises(ValueError, match="strictly increasing"):
             register_sample(waves_of(*good, bad), spec)
@@ -539,7 +545,7 @@ class TestBatchedRegistration:
         # count the wave as one without an upcrossing and drop it, and the
         # set that would hold it cannot be built
         values = [0.0, -1.0, -0.5, np.nan, 1.0, 0.8, 0.5, 0.2, 0.0]
-        bad = (np.arange(9.0), np.array(values), 8.0)
+        bad = (np.arange(9.0), np.array(values))
         good = random_waves(np.random.default_rng(5), [9])[0]
         with pytest.raises(ValueError, match="wave times and values must be finite"):
             register_sample(waves_of(good, bad), RegistrationSpec(constrain_upcross=constrain))
@@ -579,7 +585,7 @@ class TestGridEvaluation:
         spec = RegistrationSpec(constrain_upcross=True)
         u, has_up = _warp_times(t, v, np.array([t.size]), True)
         assert has_up.tolist() == [True] and u[6] == 0.5 == self.GRID[50]
-        wave = waves_of((t, v, 1.0))[0]
+        wave = waves_of((t, v))[0]
         want, got = spline_oracle(wave, spec), register_one(wave, spec)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 

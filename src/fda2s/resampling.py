@@ -25,7 +25,9 @@ from .sea import (
     check_lag_window,
     estimator_grid,
     parzen_estimates,
+    parzen_score_map,
     sample_count,
+    variance_scale,
 )
 
 # Replicates per chunk of the permutation null.  A chunk fills one
@@ -241,13 +243,18 @@ def spectral_mc_null(
     estimator settings, and evaluates the statistic on the (m, n) split.
     Replicate r draws the amplitudes `GaussianSynthesizer.simulate` draws
     from `substream(seed, r)`; its autocovariances come straight from them
-    (`GaussianSynthesizer.autocovariances`), and SPECTRAL_MC_CHUNK
-    replicates at a time go through one Parzen, score and Qn computation.
-    `g` is the observed statistic's g-vector, sampled on the same grid.  A
-    `pca` g is re-estimated from each replicate's spectra with its d = g.k,
-    the chunk's eigenfunctions from one stacked `pca_eigenpairs`; any other
-    g scores every replicate as it is.  `n_jobs` threads run the chunks; an
-    `n_jobs` that is not a count of at least 1 raises before any draw.
+    (`GaussianSynthesizer.autocovariances`), SPECTRAL_MC_CHUNK replicates
+    at a time.  `g` is the observed statistic's g-vector, sampled on the
+    same grid.  A `pca` g is re-estimated from each replicate's spectra
+    with its d = g.k: the chunk goes through one Parzen estimate, stacked
+    `pca_eigenpairs`, score and Qn computation.  Any other g is fixed, and
+    the chunk's scores come from the lag domain: the autocovariances times
+    `parzen_score_map`, folded into the lag tables once per null, give c(0),
+    the integral of each unscaled estimate and its raw scores, which
+    `variance_scale` turns into the scores of the clipped, normalized
+    estimate (no clip acts; see `parzen_score_map`).  `n_jobs` threads run
+    the chunks; an `n_jobs` that is not a count of at least 1 raises before
+    any draw.
     """
     n_jobs = count(n_jobs, "n_jobs", 1)
     n = _check_groups(m, joint.n_curves)
@@ -257,13 +264,23 @@ def spectral_mc_null(
     s_avg = average_rows(joint)
     synth = GaussianSynthesizer(sample_count(sim.duration, sim.fs), sim.fs)
     check_lag_window(synth.n, sim.parzen_L)
-    tables = synth.weighted_lag_tables(np.sqrt(synth.amplitude_variances(s_avg)),
-                                       sim.parzen_L)
+    std = np.sqrt(synth.amplitude_variances(s_avg))
+    if g.scheme == "pca":
+        tables = synth.weighted_lag_tables(std, sim.parzen_L)
 
-    def evaluate(z: np.ndarray) -> np.ndarray:
-        est = parzen_estimates(synth.autocovariances(tables, z), sim.fs, sim.n_freq)[1]
-        funcs = pca_eigenpairs(est, w, g.k)[1] if g.scheme == "pca" else g.functions
-        return qn_batch(est @ np.swapaxes(funcs * w, -1, -2), m)
+        def evaluate(z: np.ndarray) -> np.ndarray:
+            est = parzen_estimates(synth.autocovariances(tables, z), sim.fs, sim.n_freq)[1]
+            funcs = pca_eigenpairs(est, w, g.k)[1]
+            return qn_batch(est @ np.swapaxes(funcs * w, -1, -2), m)
+    else:
+        tables = synth.weighted_lag_tables(std, sim.parzen_L,
+                                           project=parzen_score_map(sim, g.functions))
+
+        def evaluate(z: np.ndarray) -> np.ndarray:
+            # columns: c(0), the estimate's integral, its k raw scores
+            projected = synth.autocovariances(tables, z)
+            scale = variance_scale(projected[..., 0], projected[..., 1])
+            return qn_batch(projected[..., 2:] * scale[..., None], m)
 
     def draw(gens, count: int) -> np.ndarray:
         # in place: per-replicate arrays and their stacked copy churned 3 MB a

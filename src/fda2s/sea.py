@@ -285,15 +285,22 @@ class GaussianSynthesizer:
             spectrum[:, -1] = self.n * a[:, -1]
         return np.fft.irfft(spectrum, self.n, axis=1)
 
-    def weighted_lag_tables(self, std: np.ndarray, max_lag: int) -> tuple[np.ndarray, ...]:
+    def weighted_lag_tables(self, std: np.ndarray, max_lag: int,
+                            project: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """The read-only tables `autocovariances` reads for lags 0..max_lag.
 
         ``std`` is the square root of `amplitude_variances`; the tables are
         std * cos, std * sin and std^2 / 2 * cos, the scaling of the
         amplitudes a = z[:, 0] * std and b = z[:, 1] * std moved into them.
+        A ``project`` matrix, (max_lag + 1, K), is folded into the last table,
+        (n//2 + 1, K) in place of (n//2 + 1, max_lag + 1), and kept as a
+        fourth, so `autocovariances` returns the autocovariances times it.
         """
         cos, sin = _lag_tables(self.n, max_lag)
         tables = (std[:, None] * cos, std[:, None] * sin, (0.5 * std**2)[:, None] * cos)
+        if project is not None:
+            project = np.array(project, dtype=float)
+            tables = (*tables[:2], tables[2] @ project, project)
         for table in tables:
             table.flags.writeable = False
         return tables
@@ -303,15 +310,17 @@ class GaussianSynthesizer:
 
         ``tables`` is `weighted_lag_tables` of the amplitude std and max_lag;
         ``z`` stacks C draws of `amplitude_normals`, shape (C, 2, R, n//2 + 1),
-        and is left unchanged.  Returns shape (C, R, max_lag + 1).  No record
-        is built: with a_k, b_k the scaled amplitudes, the mean-removed record
-        is x_t = sum_{k>=1} a_k cos(w_k t) + b_k sin(w_k t) (only
+        and is left unchanged.  Returns shape (C, R, max_lag + 1), or, for
+        tables that hold a (max_lag + 1, K) projection, the (C, R, K) product
+        of the autocovariances with it.  No record is built: with a_k, b_k
+        the scaled amplitudes, the mean-removed record is
+        x_t = sum_{k>=1} a_k cos(w_k t) + b_k sin(w_k t) (only
         a_k (-1)^t at an even n's Nyquist cell), so its circular
         autocovariance is sum_k (a_k^2 + b_k^2)/2 cos(w_k h) (a_k^2 at
         Nyquist); the biased one drops the h wrapped products
         x_{s-h} x_s, s < h, which need x_t for |t| <= max_lag only.
         """
-        std_cos, std_sin, power_cos = tables
+        std_cos, std_sin, power_cos, *project = tables
         max_lag = std_sin.shape[1]
         even = z[:, 0] @ std_cos  # x_t = even_t + odd_t, x_-t = even_t - odd_t
         odd = z[:, 1] @ std_sin
@@ -329,6 +338,8 @@ class GaussianSynthesizer:
         padded = np.concatenate([tail, np.zeros_like(tail)], axis=-1)
         toeplitz = np.lib.stride_tricks.sliding_window_view(padded, max_lag, axis=-1)
         wrapped = np.einsum("...hs,...s->...h", toeplitz[..., ::-1, :], head)
+        if project:
+            wrapped = wrapped @ project[0]
         return power @ power_cos - wrapped / self.n
 
 
@@ -445,23 +456,44 @@ def parzen_estimates(acov: np.ndarray, fs: float, n_freq: int) -> tuple[Grid, np
     """Parzen estimates from autocovariances c(0..L) in the last axis.
 
     ``acov`` holds one batch of rows (R, L+1) or a stack of batches
-    (C, R, L+1); a batch whose estimate is negative beyond round-off of its
-    own largest value raises `NegativeEstimate`.  The estimate is clipped
+    (C, R, L+1); a batch whose estimate is negative beyond round-off,
+    1e-12 of its own largest |value|, raises `NegativeEstimate`.  The estimate is clipped
     at 0 and rescaled so that its integral equals c(0) exactly.
     """
     # checked before the cache, where True and 1 are one key
     grid, table = _parzen_map(positive(fs, "fs"), acov.shape[-1] - 1,
                               count(n_freq, "n_freq", 2))
     s = acov @ table
-    floor = -1e-12 * (1.0 + np.max(np.abs(s), axis=(-2, -1), keepdims=True))
+    floor = -1e-12 * np.max(np.abs(s), axis=(-2, -1), keepdims=True)
     if np.any(s < floor):
         raise NegativeEstimate(f"Parzen estimate {np.min(s):.3e} is negative beyond round-off")
     s = np.clip(s, 0.0, None)
     # Exact variance normalization removes any residual convention slack.
-    variance = acov[..., 0]
-    integrals = s @ grid.weights
-    scale = np.where(integrals > 0, variance / np.where(integrals > 0, integrals, 1.0), 0.0)
-    return grid, s * scale[..., None]
+    return grid, s * variance_scale(acov[..., 0], s @ grid.weights)[..., None]
+
+
+def variance_scale(variance: np.ndarray, integrals: np.ndarray) -> np.ndarray:
+    """variance / integral where the integral is positive, else 0: the factor
+    that makes a Parzen estimate integrate to its c(0)."""
+    ok = integrals > 0
+    return np.where(ok, variance / np.where(ok, integrals, 1.0), 0.0)
+
+
+def parzen_score_map(sim: SimConfig, functions: np.ndarray) -> np.ndarray:
+    """The (L+1, k+2) map [e_0 | T w | T (f w)'] from autocovariances c(0..L).
+
+    T is the Parzen map of `parzen_estimates` for the estimator settings of
+    ``sim``, w the estimator grid's weights and f the k ``functions`` on
+    that grid.  The map takes c to c(0), the
+    integral of the unscaled estimate c T and its k inner products with f,
+    which `variance_scale` turns into the scores of the `parzen_estimates`
+    estimate.  That estimate is never clipped when c is a sequence of biased
+    autocovariances: these are positive semi-definite and the Parzen window's
+    transform is non-negative, so c T >= 0 up to round-off.
+    """
+    grid, table = _parzen_map(sim.fs, sim.parzen_L, sim.n_freq)
+    w = grid.weights
+    return np.column_stack([np.eye(sim.parzen_L + 1, 1), table @ w, table @ (functions * w).T])
 
 
 def default_frequency_grid(fs: float, tp: float | None = None,

@@ -574,13 +574,13 @@ class TestSpectralMcNull:
         spectra = self._spectra(8, 900.0, 10)
         sim = SimConfig(duration=900.0, fs=1.28, parzen_L=60, n_freq=481)
         B = 4 * SPECTRAL_MC_CHUNK + 1
-        for text in ("indicator:k=3", "pca:d=2"):
+        for text in ("indicator:k=3", "pca:d=2", "bspline:order=4,interior=2"):
             joint, g = pooled(text, spectra)
             serial = spectral_mc_null(joint, g, 4, sim, B, 21, n_jobs=1)
             threaded = spectral_mc_null(joint, g, 4, sim, B, 21, n_jobs=3)
             assert np.array_equal(serial.values, threaded.values), text
 
-    @pytest.mark.parametrize("basis", ["indicator:k=8", "pca:d=2"])
+    @pytest.mark.parametrize("basis", ["indicator:k=8", "pca:d=2", "bspline:order=4,interior=2"])
     def test_replicate_matches_its_definition(self, basis):
         spectra = self._spectra(10, 600.0, 40)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
@@ -675,19 +675,22 @@ class TestSpectralMcNull:
         assert len(built_from) == 2
 
     def test_chunk_size_does_not_change_values(self, monkeypatch):
-        spectra = self._spectra(6, 600.0, 60, n_freq=241)
+        spectra = self._spectra(10, 600.0, 60, n_freq=241)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=40, n_freq=241)
-        for text in ("indicator:k=2", "pca:d=2"):
-            joint, g = pooled(text, spectra)
+        # the 6 b-spline scores need more than 6 spectra
+        for text, N in (("indicator:k=2", 6), ("pca:d=2", 6), ("bspline:order=4,interior=2", 10)):
+            joint, g = pooled(text, spectra[:N])
             values = []
             for chunk in (1, 3, 7):
                 monkeypatch.setattr(resampling, "SPECTRAL_MC_CHUNK", chunk)
-                values.append(spectral_mc_null(joint, g, 3, sim, 7, 3).values)
+                values.append(spectral_mc_null(joint, g, N // 2, sim, 7, 3).values)
             assert np.array_equal(values[0], values[1]), text
             assert np.array_equal(values[0], values[2]), text
 
     def test_negative_estimate_raises(self, monkeypatch):
-        # c(0) = 0, c(1) = 1 gives a density proportional to cos(omega dt)
+        # c(0) = 0, c(1) = 1 gives a density proportional to cos(omega dt).
+        # Only the pca null forms estimates: a fixed basis scores the
+        # autocovariances directly, which are positive semi-definite.
         def acov(self, tables, z):
             lags = tables[0].shape[1]
             return np.broadcast_to(np.eye(1, lags, 1), (z.shape[0], z.shape[2], lags))
@@ -696,7 +699,7 @@ class TestSpectralMcNull:
         spectra = self._spectra(4, 600.0, 70)
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
         with pytest.raises(NegativeEstimate):
-            spectral_mc_null(*pooled("indicator:k=2", spectra), 2, sim, 3, 1)
+            spectral_mc_null(*pooled("pca:d=2", spectra), 2, sim, 3, 1)
 
     def test_negative_input_value_rejected_before_any_draw(self, monkeypatch):
         spectra = self._spectra(4, 600.0, 70)

@@ -181,6 +181,7 @@ class TestSimulatedAutocovariances:
         L = (n - 1) // 2 if L == "half" else L
         synth = sea.GaussianSynthesizer(n, fs)
         z = np.stack([substream(5, r).standard_normal((2, 4, n // 2 + 1)) for r in range(3)])
+        project = np.random.default_rng(n).normal(size=(L + 1, 5))
         for s in self._spectra(fs):
             std = np.sqrt(synth.amplitude_variances(s))
             got = synth.autocovariances(synth.weighted_lag_tables(std, L), z)
@@ -190,15 +191,22 @@ class TestSimulatedAutocovariances:
             ])
             assert got.shape == (3, 4, L + 1)
             assert np.max(np.abs(got - want)) <= 1e-12 * want[..., 0].max()
+            # the projection folded into the power table and the wrapped term
+            got = synth.autocovariances(synth.weighted_lag_tables(std, L, project), z)
+            want = want @ project
+            assert got.shape == (3, 4, 5)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_each_generator_is_its_own_block(self):
         synth = sea.GaussianSynthesizer(500, 1.28)
         std = np.sqrt(synth.amplitude_variances(self._spectra(1.28)[1]))
         z = np.stack([substream(2, r).standard_normal((2, 3, 251)) for r in range(5)])
-        tables = synth.weighted_lag_tables(std, 30)
-        together = synth.autocovariances(tables, z)
-        one_by_one = [synth.autocovariances(tables, z[r:r + 1])[0] for r in range(5)]
-        assert np.array_equal(together, np.stack(one_by_one))
+        project = np.random.default_rng(2).normal(size=(31, 4))
+        for tables in (synth.weighted_lag_tables(std, 30),
+                       synth.weighted_lag_tables(std, 30, project)):
+            together = synth.autocovariances(tables, z)
+            one_by_one = [synth.autocovariances(tables, z[r:r + 1])[0] for r in range(5)]
+            assert np.array_equal(together, np.stack(one_by_one))
 
     @pytest.mark.parametrize("n", [500, 501])
     def test_draws_are_left_unchanged(self, n):
@@ -214,10 +222,17 @@ class TestSimulatedAutocovariances:
         assert z.tobytes() == before.tobytes()
 
     def test_lag_tables_are_read_only(self):
-        weighted = sea.GaussianSynthesizer(64, 1.28).weighted_lag_tables(np.ones(33), 5)
-        for table in (*sea._lag_tables(64, 5), *weighted):
+        synth = sea.GaussianSynthesizer(64, 1.28)
+        weighted = synth.weighted_lag_tables(np.ones(33), 5)
+        project = np.ones((6, 3))
+        projected = synth.weighted_lag_tables(np.ones(33), 5, project)
+        assert len(projected) == 4 and projected[2].shape == (33, 3)
+        for table in (*sea._lag_tables(64, 5), *weighted, *projected):
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
+        # the tables keep their own copy of the projection
+        project[0, 0] = 2.0
+        assert projected[3][0, 0] == 1.0
 
 
 class TestParzenWindow:
@@ -231,6 +246,15 @@ class TestParzenWindow:
 
     def test_vanishes_beyond_one(self):
         assert np.all(parzen_window(np.array([1.1, 2.0])) == 0.0)
+
+    def test_transform_is_non_negative(self):
+        # sum_{|h| <= L} w(h/L) cos(omega h): with biased autocovariances, which
+        # are positive semi-definite, a Parzen estimate needs no clip at 0
+        omega = np.linspace(0.0, np.pi, 4097)
+        for L in range(1, 121):
+            lags = np.arange(1, L + 1)
+            transform = 1.0 + 2.0 * parzen_window(lags / L) @ np.cos(np.outer(lags, omega))
+            assert transform.min() >= -1e-12 * transform.max(), L
 
 
 class TestEstimateSpectrum:
@@ -299,12 +323,21 @@ class TestEstimateSpectrum:
         for r in range(20):
             assert sea._autocovariances(rows[r:r + 1], 60)[0].tobytes() == batch[r].tobytes()
 
-    def test_negative_estimate_raises(self, monkeypatch):
-        # c(0) = 0, c(1) = 1 gives a density proportional to cos(omega dt)
-        monkeypatch.setattr(sea, "_autocovariances", lambda rows, L: np.eye(1, L + 1, 1))
+    # the floor is relative to the batch's largest value, at any scale
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+    def test_negative_estimate_raises(self, monkeypatch, scale):
+        # c(0) = 0, c(1) = scale gives a density proportional to cos(omega dt)
+        monkeypatch.setattr(sea, "_autocovariances",
+                            lambda rows, L: scale * np.eye(1, L + 1, 1))
         rec = TimeSeriesRecord(1.0, np.random.default_rng(0).normal(size=500))
         with pytest.raises(NegativeEstimate):
             estimate_spectrum(rec, 60)
+
+    def test_tiny_record_estimates(self):
+        values = 1e-9 * np.random.default_rng(8).normal(size=2000)
+        s = estimate_spectrum(TimeSeriesRecord(1.0, values), 60)
+        assert np.all(s.values >= 0.0)
+        assert s.sigma2 == pytest.approx(np.var(values), rel=1e-10)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)

@@ -23,8 +23,8 @@ from .sea import (
     SimConfig,
     average_rows,
     check_lag_window,
+    estimate_span,
     estimator_grid,
-    parzen_estimates,
     parzen_score_map,
     sample_count,
     variance_scale,
@@ -212,8 +212,8 @@ def permutation_pvalue(observed_qn: float, null_values) -> float:
     return (1.0 + exceed) / (values.size + 1.0)
 
 
-def _check_estimator_grid(grid: Grid, sim: SimConfig) -> Grid:
-    """The grid the MC null estimates on; GridMismatch unless `grid` is that grid."""
+def _check_estimator_grid(grid: Grid, sim: SimConfig) -> None:
+    """GridMismatch unless `grid` is the grid the MC null estimates on."""
     reference = estimator_grid(sim.fs, sim.n_freq)
     if not (len(grid) == len(reference)
             and np.allclose(grid.points, reference.points, rtol=1e-9, atol=1e-9)):
@@ -222,7 +222,6 @@ def _check_estimator_grid(grid: Grid, sim: SimConfig) -> Grid:
             f"[0, pi*{sim.fs}] with {sim.n_freq} points; "
             "re-estimate with matching --mc-fs/--mc-nfreq"
         )
-    return reference
 
 
 def spectral_mc_null(
@@ -242,45 +241,41 @@ def spectral_mc_null(
     (`average_rows`), re-estimates their spectra with the given
     estimator settings, and evaluates the statistic on the (m, n) split.
     Replicate r draws the amplitudes `GaussianSynthesizer.simulate` draws
-    from `substream(seed, r)`; its autocovariances come straight from them
-    (`GaussianSynthesizer.autocovariances`), SPECTRAL_MC_CHUNK replicates
-    at a time.  `g` is the observed statistic's g-vector, sampled on the
-    same grid.  A `pca` g is re-estimated from each replicate's spectra
-    with its d = g.k: the chunk goes through one Parzen estimate, stacked
-    `pca_eigenpairs`, score and Qn computation.  Any other g is fixed, and
-    the chunk's scores come from the lag domain: the autocovariances times
-    `parzen_score_map`, folded into the lag tables once per null, give c(0),
-    the integral of each unscaled estimate and its raw scores, which
-    `variance_scale` turns into the scores of the clipped, normalized
-    estimate (no clip acts; see `parzen_score_map`).  `n_jobs` threads run
-    the chunks; an `n_jobs` that is not a count of at least 1 raises before
-    any draw.
+    from `substream(seed, r)`, SPECTRAL_MC_CHUNK replicates at a time.  No
+    record or estimate is formed: the autocovariances
+    (`GaussianSynthesizer.autocovariances`) times `parzen_score_map`, folded
+    into the lag tables once per null, give c(0), the integral of each
+    unscaled estimate and its raw scores on a set of functions, which
+    `variance_scale` scales as it scales the estimate (no clip acts; see
+    `parzen_score_map`).  The functions are those of `g`, the observed
+    statistic's g-vector on the same grid, or for a `pca` g `estimate_span`:
+    the scores are then the estimates' L2(w) coordinates, and each
+    replicate's `pca_eigenpairs` of them, on unit weights with d = g.k, give
+    its pca scores up to signs, which Qn does not depend on.  `n_jobs`
+    threads run the chunks; an `n_jobs` that is not a count of at least 1
+    raises before any draw.
     """
     n_jobs = count(n_jobs, "n_jobs", 1)
     n = _check_groups(m, joint.n_curves)
-    w = _check_estimator_grid(joint.grid, sim).weights
+    _check_estimator_grid(joint.grid, sim)
     if not g.grid.matches(joint.grid):
         raise GridMismatch("g is not sampled on the spectra's frequency grid")
     s_avg = average_rows(joint)
     synth = GaussianSynthesizer(sample_count(sim.duration, sim.fs), sim.fs)
     check_lag_window(synth.n, sim.parzen_L)
     std = np.sqrt(synth.amplitude_variances(s_avg))
-    if g.scheme == "pca":
-        tables = synth.weighted_lag_tables(std, sim.parzen_L)
+    functions = estimate_span(sim) if g.scheme == "pca" else g.functions
+    tables = synth.weighted_lag_tables(std, sim.parzen_L, parzen_score_map(sim, functions))
 
-        def evaluate(z: np.ndarray) -> np.ndarray:
-            est = parzen_estimates(synth.autocovariances(tables, z), sim.fs, sim.n_freq)[1]
-            funcs = pca_eigenpairs(est, w, g.k)[1]
-            return qn_batch(est @ np.swapaxes(funcs * w, -1, -2), m)
-    else:
-        tables = synth.weighted_lag_tables(std, sim.parzen_L,
-                                           project=parzen_score_map(sim, g.functions))
-
-        def evaluate(z: np.ndarray) -> np.ndarray:
-            # columns: c(0), the estimate's integral, its k raw scores
-            projected = synth.autocovariances(tables, z)
-            scale = variance_scale(projected[..., 0], projected[..., 1])
-            return qn_batch(projected[..., 2:] * scale[..., None], m)
+    def evaluate(z: np.ndarray) -> np.ndarray:
+        # columns: c(0), the estimate's integral, its raw scores on `functions`
+        projected = synth.autocovariances(tables, z)
+        scale = variance_scale(projected[..., 0], projected[..., 1])
+        scores = projected[..., 2:] * scale[..., None]
+        if g.scheme == "pca":
+            phis = pca_eigenpairs(scores, np.ones(scores.shape[-1]), g.k)[1]
+            scores = scores @ np.swapaxes(phis, -1, -2)
+        return qn_batch(scores, m)
 
     def draw(gens, count: int) -> np.ndarray:
         # in place: per-replicate arrays and their stacked copy churned 3 MB a

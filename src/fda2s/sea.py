@@ -286,41 +286,38 @@ class GaussianSynthesizer:
         return np.fft.irfft(spectrum, self.n, axis=1)
 
     def weighted_lag_tables(self, std: np.ndarray, max_lag: int,
-                            project: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+                            project: np.ndarray) -> tuple[np.ndarray, ...]:
         """The read-only tables `autocovariances` reads for lags 0..max_lag.
 
         ``std`` is the square root of `amplitude_variances`; the tables are
-        std * cos, std * sin and std^2 / 2 * cos, the scaling of the
-        amplitudes a = z[:, 0] * std and b = z[:, 1] * std moved into them.
-        A ``project`` matrix, (max_lag + 1, K), is folded into the last table,
-        (n//2 + 1, K) in place of (n//2 + 1, max_lag + 1), and kept as a
-        fourth, so `autocovariances` returns the autocovariances times it.
+        std * cos, std * sin, std^2 / 2 * cos @ ``project`` and a copy of
+        ``project``, a (max_lag + 1, K) matrix: the scaling of the amplitudes
+        a = z[:, 0] * std and b = z[:, 1] * std moved into them, and the
+        projection folded into the power table, (n//2 + 1, K).
         """
         cos, sin = _lag_tables(self.n, max_lag)
-        tables = (std[:, None] * cos, std[:, None] * sin, (0.5 * std**2)[:, None] * cos)
-        if project is not None:
-            project = np.array(project, dtype=float)
-            tables = (*tables[:2], tables[2] @ project, project)
+        project = np.array(project, dtype=float)
+        tables = (std[:, None] * cos, std[:, None] * sin,
+                  ((0.5 * std**2)[:, None] * cos) @ project, project)
         for table in tables:
             table.flags.writeable = False
         return tables
 
     def autocovariances(self, tables: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
-        """Biased autocovariances c(0..max_lag) of the records `simulate` makes.
+        """The (C, R, K) biased autocovariances c(0..max_lag) of the records `simulate`
+        makes, times the (max_lag + 1, K) projection of ``tables``.
 
-        ``tables`` is `weighted_lag_tables` of the amplitude std and max_lag;
-        ``z`` stacks C draws of `amplitude_normals`, shape (C, 2, R, n//2 + 1),
-        and is left unchanged.  Returns shape (C, R, max_lag + 1), or, for
-        tables that hold a (max_lag + 1, K) projection, the (C, R, K) product
-        of the autocovariances with it.  No record is built: with a_k, b_k
-        the scaled amplitudes, the mean-removed record is
-        x_t = sum_{k>=1} a_k cos(w_k t) + b_k sin(w_k t) (only
-        a_k (-1)^t at an even n's Nyquist cell), so its circular
-        autocovariance is sum_k (a_k^2 + b_k^2)/2 cos(w_k h) (a_k^2 at
-        Nyquist); the biased one drops the h wrapped products
-        x_{s-h} x_s, s < h, which need x_t for |t| <= max_lag only.
+        ``tables`` is `weighted_lag_tables` of the amplitude std, max_lag and the
+        projection; ``z`` stacks C draws of `amplitude_normals`, shape
+        (C, 2, R, n//2 + 1), and is left unchanged.  No record is built: with
+        a_k, b_k the scaled amplitudes, the mean-removed record is
+        x_t = sum_{k>=1} a_k cos(w_k t) + b_k sin(w_k t) (only a_k (-1)^t at an
+        even n's Nyquist cell), so its circular autocovariance is
+        sum_k (a_k^2 + b_k^2)/2 cos(w_k h) (a_k^2 at Nyquist); the biased one
+        drops the h wrapped products x_{s-h} x_s, s < h, which need x_t for
+        |t| <= max_lag only.
         """
-        std_cos, std_sin, power_cos, *project = tables
+        std_cos, std_sin, power_cos, project = tables
         max_lag = std_sin.shape[1]
         even = z[:, 0] @ std_cos  # x_t = even_t + odd_t, x_-t = even_t - odd_t
         odd = z[:, 1] @ std_sin
@@ -338,9 +335,7 @@ class GaussianSynthesizer:
         padded = np.concatenate([tail, np.zeros_like(tail)], axis=-1)
         toeplitz = np.lib.stride_tricks.sliding_window_view(padded, max_lag, axis=-1)
         wrapped = np.einsum("...hs,...s->...h", toeplitz[..., ::-1, :], head)
-        if project:
-            wrapped = wrapped @ project[0]
-        return power @ power_cos - wrapped / self.n
+        return power @ power_cos - (wrapped @ project) / self.n
 
 
 @lru_cache(maxsize=16)
@@ -453,23 +448,21 @@ def estimate_spectra(rows: np.ndarray, fs: float, parzen_L: int = SimConfig.parz
 
 
 def parzen_estimates(acov: np.ndarray, fs: float, n_freq: int) -> tuple[Grid, np.ndarray]:
-    """Parzen estimates from autocovariances c(0..L) in the last axis.
-
-    ``acov`` holds one batch of rows (R, L+1) or a stack of batches
-    (C, R, L+1); a batch whose estimate is negative beyond round-off,
-    1e-12 of its own largest |value|, raises `NegativeEstimate`.  The estimate is clipped
-    at 0 and rescaled so that its integral equals c(0) exactly.
-    """
+    """Parzen estimates from the autocovariances c(0..L) in the rows of ``acov``, each
+    row mapped alone, so that it gives the same bits as in any batch.  A batch whose
+    estimate is negative beyond round-off, 1e-12 of its largest |value|, raises
+    `NegativeEstimate`; the estimate is clipped at 0 and rescaled so that its
+    integral equals c(0) exactly."""
     # checked before the cache, where True and 1 are one key
     grid, table = _parzen_map(positive(fs, "fs"), acov.shape[-1] - 1,
                               count(n_freq, "n_freq", 2))
-    s = acov @ table
-    floor = -1e-12 * np.max(np.abs(s), axis=(-2, -1), keepdims=True)
+    s = acov[..., None, :] @ table  # a (1, n_freq) product per row, and its integral
+    floor = -1e-12 * np.max(np.abs(s))
     if np.any(s < floor):
         raise NegativeEstimate(f"Parzen estimate {np.min(s):.3e} is negative beyond round-off")
     s = np.clip(s, 0.0, None)
     # Exact variance normalization removes any residual convention slack.
-    return grid, s * variance_scale(acov[..., 0], s @ grid.weights)[..., None]
+    return grid, (s * variance_scale(acov[..., :1], s @ grid.weights)[..., None])[..., 0, :]
 
 
 def variance_scale(variance: np.ndarray, integrals: np.ndarray) -> np.ndarray:
@@ -484,16 +477,26 @@ def parzen_score_map(sim: SimConfig, functions: np.ndarray) -> np.ndarray:
 
     T is the Parzen map of `parzen_estimates` for the estimator settings of
     ``sim``, w the estimator grid's weights and f the k ``functions`` on
-    that grid.  The map takes c to c(0), the
-    integral of the unscaled estimate c T and its k inner products with f,
-    which `variance_scale` turns into the scores of the `parzen_estimates`
-    estimate.  That estimate is never clipped when c is a sequence of biased
-    autocovariances: these are positive semi-definite and the Parzen window's
-    transform is non-negative, so c T >= 0 up to round-off.
+    that grid.  The map takes c to c(0), the integral of the unscaled
+    estimate c T and its k inner products with f, which `variance_scale`
+    turns into the scores of the `parzen_estimates` estimate.  That estimate
+    is never clipped when c is a sequence of biased autocovariances: these
+    are positive semi-definite and the Parzen window's transform is
+    non-negative, so c T >= 0 up to round-off.
     """
     grid, table = _parzen_map(sim.fs, sim.parzen_L, sim.n_freq)
     w = grid.weights
     return np.column_stack([np.eye(sim.parzen_L + 1, 1), table @ w, table @ (functions * w).T])
+
+
+def estimate_span(sim: SimConfig) -> np.ndarray:
+    """Functions, one a row and orthonormal in L2(w), that span every Parzen estimate
+    c T of the settings of ``sim``: Q' / sqrt(w) for the reduced QR (T sqrt(w))' = Q R,
+    so T = R' Q' / sqrt(w) and the `parzen_score_map` scores of an estimate on them
+    are its coordinates, whose dot products are its L2(w) inner products."""
+    grid, table = _parzen_map(sim.fs, sim.parzen_L, sim.n_freq)
+    sqrt_w = np.sqrt(grid.weights)
+    return np.linalg.qr((table * sqrt_w).T)[0].T / sqrt_w
 
 
 def default_frequency_grid(fs: float, tp: float | None = None,

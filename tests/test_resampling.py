@@ -45,12 +45,11 @@ from fda2s import (
     default_frequency_grid,
     uniform_grid,
 )
-from fda2s import cli, resampling, runner
+from fda2s import cli, resampling, runner, sea
 from fda2s.errors import (
     FdaError,
     GridMismatch,
     InvalidParams,
-    NegativeEstimate,
     RecordTooShort,
     SingularCovariance,
     TooFewCurves,
@@ -687,19 +686,20 @@ class TestSpectralMcNull:
             assert np.array_equal(values[0], values[1]), text
             assert np.array_equal(values[0], values[2]), text
 
-    def test_negative_estimate_raises(self, monkeypatch):
-        # c(0) = 0, c(1) = 1 gives a density proportional to cos(omega dt).
-        # Only the pca null forms estimates: a fixed basis scores the
-        # autocovariances directly, which are positive semi-definite.
-        def acov(self, tables, z):
-            lags = tables[0].shape[1]
-            return np.broadcast_to(np.eye(1, lags, 1), (z.shape[0], z.shape[2], lags))
+    def test_no_null_forms_an_estimate(self, monkeypatch):
+        # every basis scores the autocovariances in the lag domain, so no
+        # replicate estimate is formed, clipped or checked for negative values
+        def estimate(*args):
+            raise AssertionError("parzen_estimates called")
 
-        monkeypatch.setattr(GaussianSynthesizer, "autocovariances", acov)
-        spectra = self._spectra(4, 600.0, 70)
+        spectra = self._spectra(10, 600.0, 70)  # the 6 b-spline scores need more than 6
         sim = SimConfig(duration=600.0, fs=1.28, parzen_L=60, n_freq=481)
-        with pytest.raises(NegativeEstimate):
-            spectral_mc_null(*pooled("pca:d=2", spectra), 2, sim, 3, 1)
+        joints = {text: pooled(text, spectra)
+                  for text in ("pca:d=2", "indicator:k=3", "bspline:order=4,interior=2")}
+        monkeypatch.setattr(sea, "parzen_estimates", estimate)
+        assert "parzen_estimates" not in vars(resampling)  # no reference of its own
+        for text, (joint, g) in joints.items():
+            assert spectral_mc_null(joint, g, 5, sim, 3, 1).n_effective == 3, text
 
     def test_negative_input_value_rejected_before_any_draw(self, monkeypatch):
         spectra = self._spectra(4, 600.0, 70)

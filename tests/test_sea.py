@@ -184,7 +184,7 @@ class TestSimulatedAutocovariances:
         project = np.random.default_rng(n).normal(size=(L + 1, 5))
         for s in self._spectra(fs):
             std = np.sqrt(synth.amplitude_variances(s))
-            got = synth.autocovariances(synth.weighted_lag_tables(std, L), z)
+            got = synth.autocovariances(synth.weighted_lag_tables(std, L, np.eye(L + 1)), z)
             want = np.stack([
                 sea._autocovariances(synth.simulate(s, substream(5, r), 4), L)
                 for r in range(3)
@@ -202,7 +202,7 @@ class TestSimulatedAutocovariances:
         std = np.sqrt(synth.amplitude_variances(self._spectra(1.28)[1]))
         z = np.stack([substream(2, r).standard_normal((2, 3, 251)) for r in range(5)])
         project = np.random.default_rng(2).normal(size=(31, 4))
-        for tables in (synth.weighted_lag_tables(std, 30),
+        for tables in (synth.weighted_lag_tables(std, 30, np.eye(31)),
                        synth.weighted_lag_tables(std, 30, project)):
             together = synth.autocovariances(tables, z)
             one_by_one = [synth.autocovariances(tables, z[r:r + 1])[0] for r in range(5)]
@@ -218,12 +218,12 @@ class TestSimulatedAutocovariances:
             assert synth.amplitude_normals(substream(4, r), 3, out=row) is row
         assert np.array_equal(in_place, z)
         before = z.copy()
-        synth.autocovariances(synth.weighted_lag_tables(std, 30), z)
+        synth.autocovariances(synth.weighted_lag_tables(std, 30, np.eye(31)), z)
         assert z.tobytes() == before.tobytes()
 
     def test_lag_tables_are_read_only(self):
         synth = sea.GaussianSynthesizer(64, 1.28)
-        weighted = synth.weighted_lag_tables(np.ones(33), 5)
+        weighted = synth.weighted_lag_tables(np.ones(33), 5, np.eye(6))
         project = np.ones((6, 3))
         projected = synth.weighted_lag_tables(np.ones(33), 5, project)
         assert len(projected) == 4 and projected[2].shape == (33, 3)
@@ -233,6 +233,28 @@ class TestSimulatedAutocovariances:
         # the tables keep their own copy of the projection
         project[0, 0] = 2.0
         assert projected[3][0, 0] == 1.0
+
+
+class TestEstimateSpan:
+    """Functions orthonormal in L2(w) whose span holds every Parzen estimate."""
+
+    # n_freq = 9 < L + 1: the span has rank 9
+    @pytest.mark.parametrize("L,n_freq", [(60, 481), (60, 9), (1, 481)])
+    def test_orthonormal_and_rebuild_the_estimates(self, L, n_freq):
+        sim = sea.SimConfig(duration=600.0, parzen_L=L, n_freq=n_freq)
+        grid, table = sea._parzen_map(sim.fs, L, n_freq)
+        span = sea.estimate_span(sim)
+        assert span.shape == (min(L + 1, n_freq), n_freq)
+        gram = (span * grid.weights) @ span.T
+        assert np.max(np.abs(gram - np.eye(span.shape[0]))) <= 1e-12
+        s = torsethaugen_spectrum(TorsethaugenParams(2.0, 4.0),
+                                  default_frequency_grid(sim.fs, tp=4.0))
+        records = sea.GaussianSynthesizer(768, sim.fs).simulate(s, substream(3, 0), 5)
+        acov = sea._autocovariances(records, L)
+        # the unscaled estimates c T from their coordinates, the raw scores on the span
+        coords = (acov @ sea.parzen_score_map(sim, span))[:, 2:]
+        unscaled = acov @ table
+        assert np.max(np.abs(coords @ span - unscaled)) <= 1e-12 * np.max(np.abs(unscaled))
 
 
 class TestParzenWindow:
@@ -320,8 +342,10 @@ class TestEstimateSpectrum:
     def test_row_alone_is_the_same_bits_as_in_a_batch(self, n):
         rows = np.random.default_rng(n).normal(size=(20, n)).cumsum(axis=1)
         batch = sea._autocovariances(rows, 60)
+        estimates = sea.estimate_spectra(rows, 1.28)[1]
         for r in range(20):
             assert sea._autocovariances(rows[r:r + 1], 60)[0].tobytes() == batch[r].tobytes()
+            assert sea.estimate_spectra(rows[r], 1.28)[1][0].tobytes() == estimates[r].tobytes()
 
     # the floor is relative to the batch's largest value, at any scale
     @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])

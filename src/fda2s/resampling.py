@@ -18,17 +18,7 @@ from .grids import FunctionalSample, Grid
 from .projections import GVector, pca_eigenpairs
 from .qn import chi_square_isf, qn_batch, score_matrix
 from .rng import rekeyed, substream
-from .sea import (
-    GaussianSynthesizer,
-    SimConfig,
-    average_rows,
-    check_lag_window,
-    estimate_span,
-    estimator_grid,
-    parzen_score_map,
-    sample_count,
-    variance_scale,
-)
+from .sea import ParzenScorer, SimConfig, average_rows, estimate_span, estimator_grid
 
 # Replicates per chunk of the permutation null.  A chunk fills one
 # PERMUTATION_CHUNK x N membership mask, allocated once per statistic, so
@@ -241,37 +231,26 @@ def spectral_mc_null(
     (`average_rows`), re-estimates their spectra with the given
     estimator settings, and evaluates the statistic on the (m, n) split.
     Replicate r draws the amplitudes `GaussianSynthesizer.simulate` draws
-    from `substream(seed, r)`, SPECTRAL_MC_CHUNK replicates at a time.  No
-    record or estimate is formed: the autocovariances
-    (`GaussianSynthesizer.autocovariances`) times `parzen_score_map`, folded
-    into the lag tables once per null, give c(0), the integral of each
-    unscaled estimate and its raw scores on a set of functions, which
-    `variance_scale` scales as it scales the estimate (no clip acts; see
-    `parzen_score_map`).  The functions are those of `g`, the observed
-    statistic's g-vector on the same grid, or for a `pca` g `estimate_span`:
-    the scores are then the estimates' L2(w) coordinates, and each
-    replicate's `pca_eigenpairs` of them, on unit weights with d = g.k, give
-    its pca scores up to signs, which Qn does not depend on.  `n_jobs`
-    threads run the chunks; an `n_jobs` that is not a count of at least 1
-    raises before any draw.
+    from `substream(seed, r)`, SPECTRAL_MC_CHUNK replicates at a time, and
+    `ParzenScorer` turns them into the estimates' scores without forming a
+    record or an estimate.  The functions scored on are those of `g`, or
+    for a `pca` g `estimate_span`, whose scores are the estimates' L2(w)
+    coordinates: each replicate's `pca_eigenpairs` of them, on unit weights
+    with d = g.k, give its pca scores up to signs, which Qn does not depend
+    on.  `n_jobs` threads run the chunks; an `n_jobs` that is not a count
+    of at least 1 raises before any draw.
     """
     n_jobs = count(n_jobs, "n_jobs", 1)
     n = _check_groups(m, joint.n_curves)
     _check_estimator_grid(joint.grid, sim)
     if not g.grid.matches(joint.grid):
         raise GridMismatch("g is not sampled on the spectra's frequency grid")
-    s_avg = average_rows(joint)
-    synth = GaussianSynthesizer(sample_count(sim.duration, sim.fs), sim.fs)
-    check_lag_window(synth.n, sim.parzen_L)
-    std = np.sqrt(synth.amplitude_variances(s_avg))
     functions = estimate_span(sim) if g.scheme == "pca" else g.functions
-    tables = synth.weighted_lag_tables(std, sim.parzen_L, parzen_score_map(sim, functions))
+    scorer = ParzenScorer(sim, average_rows(joint), functions)
+    synth = scorer.synth
 
     def evaluate(z: np.ndarray) -> np.ndarray:
-        # columns: c(0), the estimate's integral, its raw scores on `functions`
-        projected = synth.autocovariances(tables, z)
-        scale = variance_scale(projected[..., 0], projected[..., 1])
-        scores = projected[..., 2:] * scale[..., None]
+        scores = scorer.scores(z)
         if g.scheme == "pca":
             phis = pca_eigenpairs(scores, np.ones(scores.shape[-1]), g.k)[1]
             scores = scores @ np.swapaxes(phis, -1, -2)

@@ -285,74 +285,6 @@ class GaussianSynthesizer:
             spectrum[:, -1] = self.n * a[:, -1]
         return np.fft.irfft(spectrum, self.n, axis=1)
 
-    def weighted_lag_tables(self, std: np.ndarray, max_lag: int,
-                            project: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The read-only tables `autocovariances` reads for lags 0..max_lag.
-
-        ``std`` is the square root of `amplitude_variances`; the tables are
-        std * cos, std * sin, std^2 / 2 * cos @ ``project`` and a copy of
-        ``project``, a (max_lag + 1, K) matrix: the scaling of the amplitudes
-        a = z[:, 0] * std and b = z[:, 1] * std moved into them, and the
-        projection folded into the power table, (n//2 + 1, K).
-        """
-        cos, sin = _lag_tables(self.n, max_lag)
-        project = np.array(project, dtype=float)
-        tables = (std[:, None] * cos, std[:, None] * sin,
-                  ((0.5 * std**2)[:, None] * cos) @ project, project)
-        for table in tables:
-            table.flags.writeable = False
-        return tables
-
-    def autocovariances(self, tables: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
-        """The (C, R, K) biased autocovariances c(0..max_lag) of the records `simulate`
-        makes, times the (max_lag + 1, K) projection of ``tables``.
-
-        ``tables`` is `weighted_lag_tables` of the amplitude std, max_lag and the
-        projection; ``z`` stacks C draws of `amplitude_normals`, shape
-        (C, 2, R, n//2 + 1), and is left unchanged.  No record is built: with
-        a_k, b_k the scaled amplitudes, the mean-removed record is
-        x_t = sum_{k>=1} a_k cos(w_k t) + b_k sin(w_k t) (only a_k (-1)^t at an
-        even n's Nyquist cell), so its circular autocovariance is
-        sum_k (a_k^2 + b_k^2)/2 cos(w_k h) (a_k^2 at Nyquist); the biased one
-        drops the h wrapped products x_{s-h} x_s, s < h, which need x_t for
-        |t| <= max_lag only.
-        """
-        std_cos, std_sin, power_cos, project = tables
-        max_lag = std_sin.shape[1]
-        even = z[:, 0] @ std_cos  # x_t = even_t + odd_t, x_-t = even_t - odd_t
-        odd = z[:, 1] @ std_sin
-        # one replicate at a time: chunk-sized temporaries cost page faults
-        power = np.empty((z.shape[0], *z.shape[2:]))
-        for p, (a, b) in zip(power, z):
-            np.square(a, out=p)
-            p += np.square(b)
-        if self.n % 2 == 0:
-            power[..., -1] = 2.0 * np.square(z[:, 0, :, -1])
-        # wrapped[h] = sum_s tail[max_lag - h + s] head[s] over the samples
-        # tail = x_-L..x_-1 and head = x_0..x_L-1: a Toeplitz product
-        tail = (even[..., 1:] - odd)[..., ::-1]
-        head = np.concatenate([even[..., :1], even[..., 1:max_lag] + odd[..., :-1]], axis=-1)
-        padded = np.concatenate([tail, np.zeros_like(tail)], axis=-1)
-        toeplitz = np.lib.stride_tricks.sliding_window_view(padded, max_lag, axis=-1)
-        wrapped = np.einsum("...hs,...s->...h", toeplitz[..., ::-1, :], head)
-        return power @ power_cos - (wrapped @ project) / self.n
-
-
-@lru_cache(maxsize=16)
-def _lag_tables(n: int, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(2 pi k h / n) for h = 0..max_lag and sin(2 pi k h / n) for
-    h = 1..max_lag, k = 0..n//2, read-only.  Rows that drop a term are 0:
-    k = 0 (the record mean, which the autocovariances remove) and an even
-    n's Nyquist sine (`irfft` ignores that cell's imaginary part)."""
-    phase = 2.0 * np.pi / n * (np.outer(np.arange(n // 2 + 1), np.arange(max_lag + 1)) % n)
-    cos, sin = np.cos(phase), np.sin(phase[:, 1:])
-    cos[0] = 0.0
-    if n % 2 == 0:
-        sin[-1] = 0.0
-    cos.flags.writeable = False
-    sin.flags.writeable = False
-    return cos, sin
-
 
 def sample_count(duration: float, fs: float) -> int:
     """Samples in a record of `duration` seconds at `fs` Hz, rounded; at least 2."""
@@ -472,27 +404,95 @@ def variance_scale(variance: np.ndarray, integrals: np.ndarray) -> np.ndarray:
     return np.where(ok, variance / np.where(ok, integrals, 1.0), 0.0)
 
 
-def parzen_score_map(sim: SimConfig, functions: np.ndarray) -> np.ndarray:
-    """The (L+1, k+2) map [e_0 | T w | T (f w)'] from autocovariances c(0..L).
+@lru_cache(maxsize=16)
+def _lag_tables(n: int, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(2 pi k h / n) for h = 0..max_lag and sin(2 pi k h / n) for
+    h = 1..max_lag, k = 0..n//2, read-only.  Rows that drop a term are 0:
+    k = 0 (the record mean, which the autocovariances remove) and an even
+    n's Nyquist sine (`irfft` ignores that cell's imaginary part)."""
+    phase = 2.0 * np.pi / n * (np.outer(np.arange(n // 2 + 1), np.arange(max_lag + 1)) % n)
+    cos, sin = np.cos(phase), np.sin(phase[:, 1:])
+    cos[0] = 0.0
+    if n % 2 == 0:
+        sin[-1] = 0.0
+    cos.flags.writeable = False
+    sin.flags.writeable = False
+    return cos, sin
 
-    T is the Parzen map of `parzen_estimates` for the estimator settings of
-    ``sim``, w the estimator grid's weights and f the k ``functions`` on
-    that grid.  The map takes c to c(0), the integral of the unscaled
-    estimate c T and its k inner products with f, which `variance_scale`
-    turns into the scores of the `parzen_estimates` estimate.  That estimate
-    is never clipped when c is a sequence of biased autocovariances: these
-    are positive semi-definite and the Parzen window's transform is
-    non-negative, so c T >= 0 up to round-off.
+
+class ParzenScorer:
+    """Parzen scores of the records a `GaussianSynthesizer` simulates from one density,
+    taken from the amplitude normals in the lag domain: no record or estimate is formed.
+
+    ``sim`` sets the records and the estimator, ``s`` is the density and
+    ``functions`` holds the k functions scored on, one a row on the estimator
+    grid.  A record's scores are the inner products, by the grid weights w, of
+    its `parzen_estimates` estimate with the functions.  With c the record's
+    biased autocovariances c(0..L) and T the Parzen map, the (L+1, k+2) map
+    [e_0 | T w | T (f w)'] takes c to c(0), the integral of the unscaled
+    estimate c T and its raw scores, which `variance_scale` scales as it scales
+    the estimate.  No clip acts on that estimate: biased autocovariances are
+    positive semi-definite and the Parzen window's transform is non-negative,
+    so c T >= 0 up to round-off.  The map, the amplitude std and the lag
+    phases are folded into read-only tables once, here.
     """
-    grid, table = _parzen_map(sim.fs, sim.parzen_L, sim.n_freq)
-    w = grid.weights
-    return np.column_stack([np.eye(sim.parzen_L + 1, 1), table @ w, table @ (functions * w).T])
+
+    def __init__(self, sim: SimConfig, s: SpectralDensity, functions: np.ndarray):
+        self.synth = GaussianSynthesizer(sample_count(sim.duration, sim.fs), sim.fs)
+        check_lag_window(self.synth.n, sim.parzen_L)
+        std = np.sqrt(self.synth.amplitude_variances(s))
+        grid, table = _parzen_map(sim.fs, sim.parzen_L, sim.n_freq)
+        w = grid.weights
+        project = np.column_stack([np.eye(sim.parzen_L + 1, 1), table @ w,
+                                   table @ (functions * w).T])
+        cos, sin = _lag_tables(self.synth.n, sim.parzen_L)
+        # the amplitudes a = z[:, 0] * std and b = z[:, 1] * std scaled in the
+        # tables, and the map folded into the power table, (n//2 + 1, k + 2)
+        self._tables = (std[:, None] * cos, std[:, None] * sin,
+                        ((0.5 * std**2)[:, None] * cos) @ project, project)
+        for table in self._tables:
+            table.flags.writeable = False
+
+    def scores(self, z: np.ndarray) -> np.ndarray:
+        """The (C, R, k) scores of the records `simulate` makes from ``z``, which
+        stacks C draws of `amplitude_normals`, shape (C, 2, R, n//2 + 1), and is
+        left unchanged.
+
+        With a_k, b_k the scaled amplitudes, the mean-removed record is
+        x_t = sum_{k>=1} a_k cos(w_k t) + b_k sin(w_k t) (only a_k (-1)^t at an
+        even n's Nyquist cell), so its circular autocovariance is
+        sum_k (a_k^2 + b_k^2)/2 cos(w_k h) (a_k^2 at Nyquist); the biased one
+        drops the h wrapped products x_{s-h} x_s, s < h, which need x_t for
+        |t| <= L only.
+        """
+        std_cos, std_sin, power_cos, project = self._tables
+        max_lag = std_sin.shape[1]
+        even = z[:, 0] @ std_cos  # x_t = even_t + odd_t, x_-t = even_t - odd_t
+        odd = z[:, 1] @ std_sin
+        # one replicate at a time: chunk-sized temporaries cost page faults
+        power = np.empty((z.shape[0], *z.shape[2:]))
+        for p, (a, b) in zip(power, z):
+            np.square(a, out=p)
+            p += np.square(b)
+        if self.synth.n % 2 == 0:
+            power[..., -1] = 2.0 * np.square(z[:, 0, :, -1])
+        # wrapped[h] = sum_s tail[L - h + s] head[s] over the samples
+        # tail = x_-L..x_-1 and head = x_0..x_L-1: a Toeplitz product
+        tail = (even[..., 1:] - odd)[..., ::-1]
+        head = np.concatenate([even[..., :1], even[..., 1:max_lag] + odd[..., :-1]], axis=-1)
+        padded = np.concatenate([tail, np.zeros_like(tail)], axis=-1)
+        toeplitz = np.lib.stride_tricks.sliding_window_view(padded, max_lag, axis=-1)
+        wrapped = np.einsum("...hs,...s->...h", toeplitz[..., ::-1, :], head)
+        # columns: c(0), the estimate's integral, its raw scores
+        projected = power @ power_cos - (wrapped @ project) / self.synth.n
+        scale = variance_scale(projected[..., 0], projected[..., 1])
+        return projected[..., 2:] * scale[..., None]
 
 
 def estimate_span(sim: SimConfig) -> np.ndarray:
     """Functions, one a row and orthonormal in L2(w), that span every Parzen estimate
     c T of the settings of ``sim``: Q' / sqrt(w) for the reduced QR (T sqrt(w))' = Q R,
-    so T = R' Q' / sqrt(w) and the `parzen_score_map` scores of an estimate on them
+    so T = R' Q' / sqrt(w) and the `ParzenScorer` scores of an estimate on them
     are its coordinates, whose dot products are its L2(w) inner products."""
     grid, table = _parzen_map(sim.fs, sim.parzen_L, sim.n_freq)
     sqrt_w = np.sqrt(grid.weights)

@@ -295,18 +295,18 @@ def _grid_runs(points: np.ndarray, knots: np.ndarray, kstart: np.ndarray,
 
 
 def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
-                 k: int, points: np.ndarray, band: np.ndarray | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 k: int, points: np.ndarray, band: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
     """Degree-k not-a-knot interpolants of a batch of waves, evaluated at points.
 
     ``u`` and ``values`` hold the waves' sites and values end to end and
     ``lengths`` the sample count of each wave; ``points`` is sorted and
-    spans [u_first, u_last] of every wave.  Returns (waves, points), written
-    into ``out`` when given.  Each wave's collocation matrix has lower and
+    spans [u_first, u_last] of every wave.  Writes the (waves, points) values
+    into ``out`` and returns it.  Each wave's collocation matrix has lower and
     upper bandwidth k, so the batch is one block-diagonal banded system of
     the same bandwidth, solved by one LAPACK ``gbsv`` call (the solve
     ``make_interp_spline`` runs per wave), in ``band``: scratch space of at
-    least (3k + 1) * u.size doubles, allocated when None.  The solved
+    least (3k + 1) * u.size doubles.  The solved
     splines are then turned into piecewise-polynomial form, one Taylor
     expansion per knot interval, and evaluated by Horner: time and memory
     are linear in the number of samples and points.
@@ -327,8 +327,6 @@ def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
     # LAPACK's band layout, as `scipy.linalg.solve_banded` hands it over:
     # column-major, the matrix in rows k .. 3k, rows 0 .. k - 1 zero for the
     # fill-in of pivoting
-    if band is None:
-        band = np.empty((3 * k + 1) * n_sites)
     ab = band[:(3 * k + 1) * n_sites].reshape(3 * k + 1, n_sites, order="F")
     ab.fill(0.0)
     ab[2 * k + np.arange(n_sites) - cols, cols] = bspline_values(knots, k, l, u)
@@ -357,8 +355,6 @@ def _interpolate(u: np.ndarray, values: np.ndarray, lengths: np.ndarray,
 
     dx = np.repeat(knots[lp], runs).reshape(n_waves, n_points)
     np.subtract(points, dx, out=dx)
-    if out is None:
-        out = np.empty((n_waves, n_points))
     np.multiply(term(k), dx, out=out)
     for m in range(k - 1, 0, -1):
         out += term(m)

@@ -100,20 +100,29 @@ class TestSpectrum:
         assert abs(s.sigma2 - biased) / biased < 0.02
 
     def test_rows_are_the_records_estimates_in_input_order(self, record_file, tmp_path):
-        short = tmp_path / "short.csv"
-        assert run("simulate", "--hs", 3, "--tp", 6.0, "--duration", 400,
-                   "--fs", 1.28, "--seed", 8, "-o", short) == 0
-        inputs = [short, record_file, short]
+        short, other = tmp_path / "short.csv", tmp_path / "other.csv"
+        for path, seed in ((short, 8), (other, 9)):
+            assert run("simulate", "--hs", 3, "--tp", 6.0, "--duration", 400,
+                       "--fs", 1.28, "--seed", seed, "-o", path) == 0
+        inputs = [short, record_file, other, short]
         out = tmp_path / "spec.csv"
         assert run("spectrum", "--input", *inputs, "--parzen", 40, "--nfreq", 301,
                    "-o", out) == 0
         sample = read_functional_sample(out)
-        assert sample.n_curves == 3
+        assert sample.n_curves == 4
         for path, row in zip(inputs, sample.values):
             expected = sea.estimate_spectrum(read_record(path), 40, 301)
             assert np.array_equal(sample.grid.points, expected.freq.points)
             assert np.array_equal(row, expected.values)
         assert read_record(short).values.size != read_record(record_file).values.size
+        # the records of one length, estimated in one batch, give the same rows
+        same_length = [0, 2, 3]
+        records = [read_record(inputs[i]) for i in same_length]
+        rows = np.stack([record.values for record in records])
+        assert not np.array_equal(rows[0], rows[1])
+        grid, batch = sea.estimate_spectra(rows, records[0].fs, 40, 301)
+        assert np.array_equal(grid.points, sample.grid.points)
+        assert sample.values[same_length].tobytes() == batch.tobytes()
 
     def test_records_with_different_fs_exit_2(self, record_file, tmp_path, capsys):
         other = tmp_path / "fast.csv"

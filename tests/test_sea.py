@@ -163,8 +163,8 @@ class TestTimeSeriesRecord:
             TimeSeriesRecord(1.28, np.zeros(10), t0=t0)
 
 
-class TestSimulatedAutocovariances:
-    """Lag-domain autocovariances against those of the records `simulate` makes."""
+class TestParzenScorer:
+    """Lag-domain scores against those of the estimates of the records `simulate` makes."""
 
     @staticmethod
     def _spectra(fs):
@@ -174,65 +174,69 @@ class TestSimulatedAutocovariances:
             TorsethaugenParams(2.0, 4.0), default_frequency_grid(fs, tp=4.0))
         return flat, sea_state
 
+    @staticmethod
+    def _sim(n, L, fs=1.28):
+        """Settings whose records have n samples, Parzen length L on 481 points."""
+        sim = sea.SimConfig(duration=n / fs, fs=fs, parzen_L=L)
+        assert sea.sample_count(sim.duration, sim.fs) == n
+        return sim
+
     @pytest.mark.parametrize("n", [2304, 2303, 200, 201])
     @pytest.mark.parametrize("L", [1, 60, "half"])
     def test_match_the_simulated_records(self, n, L):
-        fs = 1.28
         L = (n - 1) // 2 if L == "half" else L
-        synth = sea.GaussianSynthesizer(n, fs)
+        sim = self._sim(n, L)
         z = np.stack([substream(5, r).standard_normal((2, 4, n // 2 + 1)) for r in range(3)])
-        project = np.random.default_rng(n).normal(size=(L + 1, 5))
-        for s in self._spectra(fs):
-            std = np.sqrt(synth.amplitude_variances(s))
-            got = synth.autocovariances(synth.weighted_lag_tables(std, L, np.eye(L + 1)), z)
-            want = np.stack([
-                sea._autocovariances(synth.simulate(s, substream(5, r), 4), L)
-                for r in range(3)
-            ])
-            assert got.shape == (3, 4, L + 1)
-            assert np.max(np.abs(got - want)) <= 1e-12 * want[..., 0].max()
-            # the projection folded into the power table and the wrapped term
-            got = synth.autocovariances(synth.weighted_lag_tables(std, L, project), z)
-            want = want @ project
+        functions = np.random.default_rng(n).normal(size=(5, sim.n_freq))
+        for s in self._spectra(sim.fs):
+            scorer = sea.ParzenScorer(sim, s, functions)
+            got = scorer.scores(z)
+            want = []
+            for r in range(3):
+                grid, est = sea.estimate_spectra(scorer.synth.simulate(s, substream(5, r), 4),
+                                                 sim.fs, L, sim.n_freq)
+                want.append((est * grid.weights) @ functions.T)
+            want = np.stack(want)
             assert got.shape == (3, 4, 5)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_each_generator_is_its_own_block(self):
-        synth = sea.GaussianSynthesizer(500, 1.28)
-        std = np.sqrt(synth.amplitude_variances(self._spectra(1.28)[1]))
+        sim = self._sim(500, 30)
         z = np.stack([substream(2, r).standard_normal((2, 3, 251)) for r in range(5)])
-        project = np.random.default_rng(2).normal(size=(31, 4))
-        for tables in (synth.weighted_lag_tables(std, 30, np.eye(31)),
-                       synth.weighted_lag_tables(std, 30, project)):
-            together = synth.autocovariances(tables, z)
-            one_by_one = [synth.autocovariances(tables, z[r:r + 1])[0] for r in range(5)]
+        functions = np.random.default_rng(2).normal(size=(4, sim.n_freq))
+        for f in (functions, sea.estimate_span(sim)):
+            scorer = sea.ParzenScorer(sim, self._spectra(1.28)[1], f)
+            together = scorer.scores(z)
+            one_by_one = [scorer.scores(z[r:r + 1])[0] for r in range(5)]
             assert np.array_equal(together, np.stack(one_by_one))
 
     @pytest.mark.parametrize("n", [500, 501])
     def test_draws_are_left_unchanged(self, n):
-        synth = sea.GaussianSynthesizer(n, 1.28)
-        std = np.sqrt(synth.amplitude_variances(self._spectra(1.28)[1]))
+        sim = self._sim(n, 30)
+        scorer = sea.ParzenScorer(sim, self._spectra(1.28)[1], np.ones((2, sim.n_freq)))
+        synth = scorer.synth
         z = np.stack([synth.amplitude_normals(substream(4, r), 3) for r in range(2)])
         in_place = np.empty_like(z)
         for r, row in enumerate(in_place):
             assert synth.amplitude_normals(substream(4, r), 3, out=row) is row
         assert np.array_equal(in_place, z)
         before = z.copy()
-        synth.autocovariances(synth.weighted_lag_tables(std, 30, np.eye(31)), z)
+        scorer.scores(z)
         assert z.tobytes() == before.tobytes()
 
     def test_lag_tables_are_read_only(self):
-        synth = sea.GaussianSynthesizer(64, 1.28)
-        weighted = synth.weighted_lag_tables(np.ones(33), 5, np.eye(6))
-        project = np.ones((6, 3))
-        projected = synth.weighted_lag_tables(np.ones(33), 5, project)
-        assert len(projected) == 4 and projected[2].shape == (33, 3)
-        for table in (*sea._lag_tables(64, 5), *weighted, *projected):
+        sim = self._sim(64, 5)
+        functions = np.ones((3, sim.n_freq))
+        scorer = sea.ParzenScorer(sim, self._spectra(1.28)[0], functions)
+        z = substream(1, 0).standard_normal((1, 2, 2, 33))
+        before = scorer.scores(z)
+        assert before.shape == (1, 2, 3)
+        for table in (*sea._lag_tables(64, 5), *scorer._tables):
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
-        # the tables keep their own copy of the projection
-        project[0, 0] = 2.0
-        assert projected[3][0, 0] == 1.0
+        # the tables keep nothing of the functions they were built from
+        functions[0, 0] = 2.0
+        assert scorer.scores(z).tobytes() == before.tobytes()
 
 
 class TestEstimateSpan:
@@ -242,19 +246,19 @@ class TestEstimateSpan:
     @pytest.mark.parametrize("L,n_freq", [(60, 481), (60, 9), (1, 481)])
     def test_orthonormal_and_rebuild_the_estimates(self, L, n_freq):
         sim = sea.SimConfig(duration=600.0, parzen_L=L, n_freq=n_freq)
-        grid, table = sea._parzen_map(sim.fs, L, n_freq)
+        grid = sea.estimator_grid(sim.fs, n_freq)
         span = sea.estimate_span(sim)
         assert span.shape == (min(L + 1, n_freq), n_freq)
         gram = (span * grid.weights) @ span.T
         assert np.max(np.abs(gram - np.eye(span.shape[0]))) <= 1e-12
         s = torsethaugen_spectrum(TorsethaugenParams(2.0, 4.0),
                                   default_frequency_grid(sim.fs, tp=4.0))
-        records = sea.GaussianSynthesizer(768, sim.fs).simulate(s, substream(3, 0), 5)
-        acov = sea._autocovariances(records, L)
-        # the unscaled estimates c T from their coordinates, the raw scores on the span
-        coords = (acov @ sea.parzen_score_map(sim, span))[:, 2:]
-        unscaled = acov @ table
-        assert np.max(np.abs(coords @ span - unscaled)) <= 1e-12 * np.max(np.abs(unscaled))
+        scorer = sea.ParzenScorer(sim, s, span)
+        # the estimates from their coordinates, their scores on the span
+        coords = scorer.scores(scorer.synth.amplitude_normals(substream(3, 0), 5)[None])[0]
+        records = scorer.synth.simulate(s, substream(3, 0), 5)
+        est = sea.estimate_spectra(records, sim.fs, L, n_freq)[1]
+        assert np.max(np.abs(coords @ span - est)) <= 1e-12 * np.max(np.abs(est))
 
 
 class TestParzenWindow:

@@ -553,7 +553,8 @@ class TestBatchedRegistration:
 
 def interpolate_one(u, v, k, points):
     """One wave's interpolant on points, and make_interp_spline's."""
-    got = _interpolate(u, v, np.array([u.size]), k, points)[0]
+    band, out = np.empty((3 * k + 1) * u.size), np.empty((1, points.size))
+    got = _interpolate(u, v, np.array([u.size]), k, points, band, out)[0]
     return got, make_interp_spline(u, v, k=k)(points)
 
 
@@ -629,7 +630,8 @@ class TestGridEvaluation:
             expected.append(kstart[w] + np.minimum(l, n - 1))  # the right end closed
         assert np.array_equal(np.repeat(lp, runs), np.concatenate(expected))
         v = rng.normal(size=u.size)
-        got = _interpolate(u, v, lengths, k, self.GRID)
+        got = _interpolate(u, v, lengths, k, self.GRID, np.empty((3 * k + 1) * u.size),
+                           np.empty((lengths.size, self.GRID.size)))
         starts = np.cumsum(lengths) - lengths
         for row, a, n in zip(got, starts, lengths):
             want = make_interp_spline(u[a:a + n], v[a:a + n], k=k)(self.GRID)

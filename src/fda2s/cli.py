@@ -2,8 +2,10 @@
 
 Every file a command reads is a file a command writes: `simulate` writes
 records, which `spectrum` and `segment` read; both write functional-sample
-CSVs, which `test` and `quantiles` read and calibrate through one runner
-function, `runner.calibrate`.
+CSVs, each with a JSON sidecar saying what made it, which `test` and
+`quantiles` read and calibrate through one runner function,
+`runner.calibrate`.  `test --calibration spectral-mc` resimulates records
+as the spectrum sidecars of its two inputs describe them.
 
 Exit codes: 0 on success, 2 on validation or input errors, 3 when the
 requested operation produced no result (e.g. a record with no waves).
@@ -21,7 +23,7 @@ import sys
 import numpy as np
 
 from . import io
-from .errors import FdaError, NoWaves, count
+from .errors import FdaError, NoWaves, count, positive
 from .projections import BasisSpec, integer_text
 from .resampling import check_probs, quantile_table
 from .rng import fresh_seed
@@ -99,6 +101,55 @@ def _check_required(args: argparse.Namespace) -> None:
         args.subparser.error(f"the following arguments are required: {', '.join(missing)}")
 
 
+def _write_sidecar(output, fields: dict) -> None:
+    """`<output>.json`: what made the CSV at `output`, in canonical JSON."""
+    with open(str(output) + ".json", "w", encoding="utf-8") as fh:
+        fh.write(io.canonical_json(fields))
+
+
+def _spectrum_sidecar(path, sample) -> dict:
+    """The sidecar `spectrum` wrote next to `path`, checked against `sample`, read from it."""
+    name = str(path) + ".json"
+    try:
+        with open(name, encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+    except FileNotFoundError:
+        raise FdaError(f"spectral-mc needs {name}, the sidecar `fda2s spectrum` "
+                       f"writes next to {path}") from None
+    except json.JSONDecodeError as exc:
+        raise FdaError(f"{name} is not JSON: {exc}") from None
+    if not (isinstance(sidecar, dict) and sorted(sidecar) == ["fs", "parzen_L", "samples"]
+            and isinstance(sidecar["samples"], list)):
+        raise FdaError(f"{name} is not a spectrum sidecar {{fs, parzen_L, samples}}")
+    try:
+        positive(sidecar["fs"], "fs")
+        count(sidecar["parzen_L"], "parzen_L", 1)
+        for samples in sidecar["samples"]:
+            count(samples, "samples", 1)
+    except FdaError as exc:
+        raise FdaError(f"{name}: {exc}") from None
+    if len(sidecar["samples"]) != sample.n_curves:
+        raise FdaError(f"{name} lists {len(sidecar['samples'])} records, "
+                       f"{path} has {sample.n_curves} spectra")
+    return sidecar
+
+
+def _sim_config(args, x, y) -> SimConfig:
+    """The resimulation of the records the spectra at --x and --y were estimated from,
+    as their sidecars describe them: one record length, fs and Parzen length."""
+    xs, ys = _spectrum_sidecar(args.x, x), _spectrum_sidecar(args.y, y)
+    for key in ("fs", "parzen_L"):
+        if xs[key] != ys[key]:
+            raise FdaError(f"{args.x}.json has {key} {xs[key]}, {args.y}.json has {ys[key]}")
+    lengths = sorted(set(xs["samples"] + ys["samples"]))
+    if len(lengths) > 1:
+        raise FdaError(f"spectral-mc resimulates records of one length; {args.x}.json and "
+                       f"{args.y}.json list records of {lengths} samples")
+    # sample_count rounds duration * fs back to the records' length
+    return SimConfig(duration=lengths[0] / xs["fs"], fs=xs["fs"], parzen_L=xs["parzen_L"],
+                     n_freq=len(x.grid))
+
+
 def cmd_simulate(args) -> int:
     params = TorsethaugenParams(args.hs, args.tp)
     seed = _resolve_seed(args.seed)
@@ -119,6 +170,8 @@ def cmd_spectrum(args) -> int:
             )
     spectra = [estimate_spectrum(record, args.parzen, args.nfreq) for record in records]
     io.write_functional_sample(spectra_to_sample(spectra), args.output)
+    _write_sidecar(args.output, {"fs": records[0].fs, "parzen_L": args.parzen,
+                                 "samples": [record.values.size for record in records]})
     return EXIT_OK
 
 
@@ -146,35 +199,24 @@ def cmd_segment(args) -> int:
         "record_std": std,
         "hs_interval": 4.0 * std,
     }
-    with open(str(args.output) + ".json", "w", encoding="utf-8") as fh:
-        fh.write(io.canonical_json(sidecar))
+    _write_sidecar(args.output, sidecar)
     return EXIT_OK
-
-
-# The SimConfig field each --mc-* option sets.
-_SIM_FIELDS = {"mc_duration": "duration", "mc_fs": "fs", "mc_parzen": "parzen_L",
-               "mc_nfreq": "n_freq"}
-# The run_test setting each option sets.
-_OPTION_SETTINGS = {"seed": "seed", **dict.fromkeys(_SIM_FIELDS, "sim")}
 
 
 def cmd_test(args) -> int:
     basis = BasisSpec.parse(args.basis)
     method, settings = parse_calibration(args.calibration)
     reads = CALIBRATIONS[method]
-    # These options default to None: a value was set by a flag or the config file.
-    flags = [f"--{name.replace('_', '-')}" for name, setting in _OPTION_SETTINGS.items()
-             if setting not in reads and getattr(args, name) is not None]
-    if flags:
-        raise FdaError(f"--calibration {method} does not combine with {', '.join(flags)}")
+    # --seed defaults to None: a value was set by the flag or the config file.
+    if "seed" not in reads and args.seed is not None:
+        raise FdaError(f"--calibration {method} does not combine with --seed")
     if "n_jobs" in reads:
         threads = integer_text(os.environ.get("FDA2S_THREADS", "1"))
         settings["n_jobs"] = count(threads, "FDA2S_THREADS", 1)
     x = io.read_functional_sample(args.x, label="x")
     y = io.read_functional_sample(args.y, label="y")
     if "sim" in reads:
-        settings["sim"] = SimConfig(**{field: getattr(args, name) for name, field in
-                                       _SIM_FIELDS.items() if getattr(args, name) is not None})
+        settings["sim"] = _sim_config(args, x, y)
     if "seed" in reads:
         settings["seed"] = _resolve_seed(args.seed)
     result = run_test(x, y, basis, method, **settings)
@@ -189,7 +231,9 @@ def cmd_quantiles(args) -> int:
         raise FdaError(f"--probs must be comma-separated numbers, got {args.probs!r}") from None
     check_probs(probs)
     method, settings = parse_calibration(args.calibration)
-    if method != "permutation":  # spectral-mc would need the --mc-* options
+    # spectral-mc null values, unlike its reports, may differ in their last bits
+    # across BLAS thread counts, and a quantile table prints them
+    if method != "permutation":
         raise FdaError(f"quantiles supports permutation calibration only, got {args.calibration!r}")
     seed = _resolve_seed(args.seed)
     x = io.read_functional_sample(args.x, label="x")
@@ -248,10 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", default="asymptotic",
                    help="asymptotic | permutation:B=N | spectral-mc:B=N")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mc-duration", type=float)
-    p.add_argument("--mc-fs", type=float)
-    p.add_argument("--mc-parzen", type=int)
-    p.add_argument("--mc-nfreq", type=int)
     p.add_argument("--config", default=None)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_test, subparser=p, required=("x", "y", "output"))

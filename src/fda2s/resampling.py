@@ -209,8 +209,7 @@ def _check_estimator_grid(grid: Grid, sim: SimConfig) -> None:
             and np.allclose(grid.points, reference.points, rtol=1e-9, atol=1e-9)):
         raise GridMismatch(
             "spectral-mc inputs must be spectra on the estimator grid "
-            f"[0, pi*{sim.fs}] with {sim.n_freq} points; "
-            "re-estimate with matching --mc-fs/--mc-nfreq"
+            f"[0, pi*fs] with fs = {sim.fs} Hz, in n_freq = {sim.n_freq} points"
         )
 
 

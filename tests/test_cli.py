@@ -7,6 +7,7 @@ import pytest
 
 from fda2s.cli import main
 from fda2s.io import (
+    canonical_json,
     format_test_result,
     read_functional_sample,
     read_record,
@@ -35,6 +36,25 @@ from conftest import smooth_curves
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def spectra_file(tmp_path, name, durations, *flags, fs=1.28, tp=4.0, seed=0):
+    """`spectrum`'s CSV (and sidecar) for records of `durations` seconds at `fs` Hz."""
+    inputs = []
+    for i, duration in enumerate(durations):
+        inputs.append(tmp_path / f"{name}{i}.csv")
+        assert run("simulate", "--hs", 2, "--tp", tp, "--duration", duration, "--fs", fs,
+                   "--seed", seed + i, "-o", inputs[-1]) == 0
+    out = tmp_path / f"{name}.csv"
+    assert run("spectrum", "--input", *inputs, *flags, "-o", out) == 0
+    return out
+
+
+def write_spectra(rows, path, fs=1.28, parzen_L=60, samples=2304):
+    """Hand-made spectra on `fs`'s estimator grid, with the sidecar `spectrum` would write."""
+    write_functional_sample(FunctionalSample(sea.estimator_grid(fs, rows.shape[1]), rows), path)
+    sidecar = {"fs": fs, "parzen_L": parzen_L, "samples": [samples] * len(rows)}
+    (path.parent / f"{path.name}.json").write_text(canonical_json(sidecar))
 
 
 @pytest.fixture
@@ -124,6 +144,14 @@ class TestSpectrum:
         assert np.array_equal(grid.points, sample.grid.points)
         assert sample.values[same_length].tobytes() == batch.tobytes()
 
+    def test_sidecar_says_how_the_spectra_were_made(self, tmp_path):
+        out = spectra_file(tmp_path, "rec", [400, 900, 400], "--parzen", 40, "--nfreq", 301)
+        text = (tmp_path / "rec.csv.json").read_text()
+        assert canonical_json(json.loads(text)) == text
+        # records of different lengths are accepted; each row's length is listed
+        assert json.loads(text) == {"fs": 1.28, "parzen_L": 40, "samples": [512, 1152, 512]}
+        assert read_functional_sample(out).n_curves == 3
+
     def test_records_with_different_fs_exit_2(self, record_file, tmp_path, capsys):
         other = tmp_path / "fast.csv"
         assert run("simulate", "--hs", 2, "--tp", 4.0, "--duration", 300,
@@ -132,7 +160,7 @@ class TestSpectrum:
         assert run("spectrum", "--input", record_file, other, "-o", out) == 2
         err = capsys.readouterr().err
         assert "one fs" in err and str(other) in err
-        assert not out.exists()
+        assert not out.exists() and not (tmp_path / "spec.csv.json").exists()
 
     @pytest.mark.parametrize("value, code", [
         ("rec.csv", 0), (["rec.csv"], 0), (["rec.csv", "rec.csv"], 0),
@@ -152,7 +180,7 @@ class TestSpectrum:
         out = tmp_path / "s.csv"
         assert run("spectrum", "--input", record_file, "-o", out) == 2
         assert "is negative beyond round-off" in capsys.readouterr().err
-        assert not out.exists()
+        assert not out.exists() and not (tmp_path / "s.csv.json").exists()
 
     def test_short_record_exits_2(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -270,13 +298,13 @@ class TestSegment:
 
 # The ways the command line sets each setting of CALIBRATIONS, as a suffix to
 # the calibration and flags; FDA2S_THREADS, which sets n_jobs, is left unread
-# rather than refused.
+# rather than refused, and the spectrum sidecars, which set sim, are read only
+# by spectral-mc.
 SETTING_ARGV = {
     "B": [(":B=5", ())],
     "seed": [("", ("--seed", 5))],
     "n_jobs": [],
-    "sim": [("", (flag, value)) for flag, value in (
-        ("--mc-duration", 600), ("--mc-fs", 2.56), ("--mc-parzen", 7), ("--mc-nfreq", 241))],
+    "sim": [],
 }
 UNREAD_ARGV = [(calibration + suffix, argv) for calibration, reads in CALIBRATIONS.items()
                for setting in sorted({s for r in CALIBRATIONS.values() for s in r})
@@ -458,11 +486,7 @@ class TestTest:
 
     @pytest.mark.parametrize("calibration,extra,flags", [
         ("asymptotic", ("--seed", 5), "--seed"),
-        ("asymptotic", ("--seed", 5, "--mc-fs", 2.56, "--mc-parzen", 7),
-         "--seed, --mc-fs, --mc-parzen"),
-        ("asymptotic", ("--mc-nfreq", 241), "--mc-nfreq"),
-        ("permutation:B=50", ("--mc-duration", 3), "--mc-duration"),
-        ("permutation:B=50", ("--mc-duration", 1800), "--mc-duration"),
+        ("asymptotic", ("--seed", 0), "--seed"),
     ])
     def test_flag_the_calibration_does_not_read_exits_2(self, tmp_path, rng, capsys,
                                                          calibration, extra, flags):
@@ -484,14 +508,27 @@ class TestTest:
         assert (argv[0] if argv else calibration) in err
         assert not out.exists()
 
-    def test_config_flag_the_calibration_does_not_read_exits_2(self, tmp_path, rng, capsys):
-        xp, yp = self._write_pair(tmp_path, rng)
+    def test_help_lists_no_resimulation_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("test", "--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--calibration" in out and "--mc-" not in out
+
+    @pytest.mark.parametrize("calibration", ["spectral-mc:B=5", "permutation:B=20"])
+    def test_resimulation_options_are_gone(self, tmp_path, capsys, calibration):
+        # the spectrum sidecars say how the records were made; no option restates it
+        paths = [spectra_file(tmp_path, name, [600] * 3) for name in "xy"]
+        argv = ("--x", paths[0], "--y", paths[1], "--calibration", calibration, "--seed", 1)
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run("test", *argv, "--mc-duration", 600, "-o", out)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mc-duration 600" in capsys.readouterr().err
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"mc-duration": 600}))
-        out = tmp_path / "r.json"
-        assert run("test", "--x", xp, "--y", yp, "--calibration", "permutation:B=20",
-                   "--seed", 1, "--config", config, "-o", out) == 2
-        assert "does not combine with --mc-duration" in capsys.readouterr().err
+        assert run("test", *argv, "--config", config, "-o", out) == 2
+        assert "unknown config key 'mc-duration'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_seed_under_asymptotic_exits_2(self, tmp_path, rng, capsys):
@@ -503,20 +540,15 @@ class TestTest:
         assert "does not combine with --seed" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_spectral_mc_report_matches_the_library(self, tmp_path, monkeypatch):
-        # simulate -> spectrum -> test through the command line alone
-        paths, records = {}, {}
-        for g, (name, tp) in enumerate((("x", 4.0), ("y", 4.2))):
-            inputs = [tmp_path / f"{name}{i}.csv" for i in range(3)]
-            for i, path in enumerate(inputs):
-                assert run("simulate", "--hs", 2, "--tp", tp, "--duration", 600,
-                           "--seed", 10 * g + i, "-o", path) == 0
-            paths[name] = tmp_path / f"{name}.csv"
-            assert run("spectrum", "--input", *inputs, "-o", paths[name]) == 0
-            records[name] = [read_record(path) for path in inputs]
-        x, y = (spectra_to_sample([sea.estimate_spectrum(rec) for rec in records[n]])
-                for n in "xy")
-        sim = SimConfig(duration=600.0)
+    @pytest.mark.parametrize("duration", [600, 1800])
+    def test_spectral_mc_report_matches_the_library(self, tmp_path, monkeypatch, duration):
+        # simulate -> spectrum -> test through the command line alone: the
+        # resimulation settings come from the spectrum sidecars
+        paths = {name: spectra_file(tmp_path, name, [duration] * 3, tp=tp, seed=10 * g)
+                 for g, (name, tp) in enumerate((("x", 4.0), ("y", 4.2)))}
+        x, y = (spectra_to_sample([sea.estimate_spectrum(read_record(tmp_path / f"{n}{i}.csv"))
+                                   for i in range(3)]) for n in "xy")
+        sim = SimConfig(duration=duration)
         for basis in map(BasisSpec.parse, ("indicator:k=4", "pca:d=2")):
             expected = format_test_result(
                 run_test(x, y, basis, "spectral-mc", B=8, seed=3, sim=sim))
@@ -524,17 +556,65 @@ class TestTest:
                 monkeypatch.setenv("FDA2S_THREADS", threads)
                 out = tmp_path / f"r{threads}.json"
                 assert run("test", "--x", paths["x"], "--y", paths["y"], "--basis", str(basis),
-                           "--calibration", "spectral-mc:B=8", "--seed", 3,
-                           "--mc-duration", 600, "-o", out) == 0
+                           "--calibration", "spectral-mc:B=8", "--seed", 3, "-o", out) == 0
                 assert out.read_text() == expected, basis
-            # the same run with --mc-duration from a config file
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({"mc-duration": 600}))
-            out = tmp_path / "r_config.json"
-            assert run("test", "--x", paths["x"], "--y", paths["y"], "--basis", str(basis),
-                       "--calibration", "spectral-mc:B=8", "--seed", 3,
-                       "--config", config, "-o", out) == 0
-            assert out.read_text() == expected, basis
+
+    @pytest.mark.parametrize("x_durations, flags, fs, y_durations, message", [
+        ([600] * 3, (), 1.28, [1800] * 3, "records of [768, 2304] samples"),
+        ([600, 1800, 600], (), 1.28, [600] * 3, "records of [768, 2304] samples"),
+        ([600] * 3, ("--parzen", 40), 1.28, [600] * 3, "parzen_L 40"),
+        ([600] * 3, (), 2.56, [600] * 3, "fs 2.56"),
+    ], ids=["600s-vs-1800s", "lengths-within-x", "parzen", "fs"])
+    def test_spectral_mc_refuses_spectra_it_cannot_resimulate(
+            self, tmp_path, capsys, x_durations, flags, fs, y_durations, message):
+        paths = [spectra_file(tmp_path, "x", x_durations, *flags, fs=fs),
+                 spectra_file(tmp_path, "y", y_durations, seed=10)]
+        out = tmp_path / "r.json"
+        assert run("test", "--x", paths[0], "--y", paths[1], "--basis", "indicator:k=4",
+                   "--calibration", "spectral-mc:B=5", "--seed", 1, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert all(f"{path}.json" in err for path in paths)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "spectral-mc needs {}, the sidecar `fda2s spectrum` writes"),
+        ('{"fs": 1.28, "parzen_L": 60, "samples": [768, 768]}', "{} lists 2 records"),
+        ('{"n_waves": 3, "periods": [1, 2, 3]}', "{} is not a spectrum sidecar"),
+        ('{"fs": 1.28, "parzen_L": 60}', "{} is not a spectrum sidecar"),
+        ('{"fs": 1.28, "parzen_L": 60, "samples": 768}', "{} is not a spectrum sidecar"),
+        ('[1.28, 60, [768, 768, 768]]', "{} is not a spectrum sidecar"),
+        ('{"fs": 1.28, "parzen_L": 60, "samples": [768, 768.0, 768]}',
+         "{}: samples must be an integer, got 768.0"),
+        ('{"fs": 1.28, "parzen_L": 60, "samples": [768, 0, 768]}',
+         "{}: samples must be at least 1, got 0"),
+        ('{"fs": 1.28, "parzen_L": "60", "samples": [768, 768, 768]}',
+         "{}: parzen_L must be an integer, got '60'"),
+        ('{"fs": 1.28, "parzen_L": 0, "samples": [768, 768, 768]}',
+         "{}: parzen_L must be at least 1, got 0"),
+        ('{"fs": true, "parzen_L": 60, "samples": [768, 768, 768]}',
+         "{}: fs must be a number, got True"),
+        ('{"fs": 0, "parzen_L": 60, "samples": [768, 768, 768]}',
+         "{}: fs must be finite and positive, got 0"),
+        ('{"fs": 1.28, ', "{} is not JSON"),
+    ], ids=["missing", "rows", "foreign", "no-samples", "samples-not-a-list", "not-an-object",
+            "float-samples", "zero-samples", "text-parzen", "zero-parzen", "bool-fs", "zero-fs",
+            "not-json"])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_spectral_mc_refuses_a_sidecar_that_does_not_describe_its_spectra(
+            self, tmp_path, capsys, side, text, message):
+        paths = {name: spectra_file(tmp_path, name, [600] * 3, seed=10 * g)
+                 for g, name in enumerate("xy")}
+        sidecar = tmp_path / f"{side}.csv.json"
+        if text is None:
+            sidecar.unlink()
+        else:
+            sidecar.write_text(text)
+        out = tmp_path / "r.json"
+        assert run("test", "--x", paths["x"], "--y", paths["y"], "--basis", "indicator:k=4",
+                   "--calibration", "spectral-mc:B=5", "--seed", 1, "-o", out) == 2
+        assert message.format(sidecar) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_spectral_mc_on_wave_sample_exits_2(self, record_file, tmp_path, capsys):
         waves = tmp_path / "waves.csv"
@@ -544,17 +624,16 @@ class TestTest:
         assert run("test", "--x", waves, "--y", waves, "--calibration", "spectral-mc:B=2",
                    "--seed", 1, "-o", out) == 2
         err = capsys.readouterr().err
-        assert "estimator grid" in err and "broadcast" not in err
+        assert f"{waves}.json is not a spectrum sidecar" in err and "broadcast" not in err
         assert not out.exists()
 
     def test_spectral_mc_negative_value_exits_2(self, tmp_path, rng, capsys):
-        grid = sea.estimator_grid(1.28, 481)
         values = rng.uniform(0.5, 1.5, (6, 481))
         values[4, 200] = -1e-9
         paths = {}
         for name, rows in (("x", values[:3]), ("y", values[3:])):
             paths[name] = tmp_path / f"{name}.csv"
-            write_functional_sample(FunctionalSample(grid, rows), paths[name])
+            write_spectra(rows, paths[name])
         out = tmp_path / "r.json"
         assert run("test", "--x", paths["x"], "--y", paths["y"], "--basis", "indicator:k=2",
                    "--calibration", "spectral-mc:B=2", "--seed", 1, "-o", out) == 2
@@ -563,15 +642,14 @@ class TestTest:
 
     @pytest.mark.parametrize("off_grid", ["x", "y"])
     def test_spectral_mc_checks_both_grids(self, tmp_path, rng, capsys, off_grid):
-        good = sea.estimator_grid(1.28, 481)
-        bad = sea.estimator_grid(2.56, 481)  # same size, other interval
         paths = {}
         for name in ("x", "y"):
-            grid = bad if name == off_grid else good
             paths[name] = tmp_path / f"{name}.csv"
-            write_functional_sample(
-                FunctionalSample(grid, rng.uniform(0.5, 1.5, (3, 481))), paths[name]
-            )
+            write_spectra(rng.uniform(0.5, 1.5, (3, 481)), paths[name])
+            if name == off_grid:  # same size, other interval than its sidecar's fs says
+                write_functional_sample(FunctionalSample(sea.estimator_grid(2.56, 481),
+                                                         rng.uniform(0.5, 1.5, (3, 481))),
+                                        paths[name])
         out = tmp_path / "r.json"
         assert run("test", "--x", paths["x"], "--y", paths["y"],
                    "--calibration", "spectral-mc:B=2", "--seed", 1, "-o", out) == 2
@@ -695,10 +773,6 @@ NUMBER_FLAGS = [
     ("segment", (), "--order", "spline_order", 2),
     ("segment", (), "--knots", "n_knots", 2),
     ("test", ("--calibration", "permutation:B=5"), "--seed", "seed", 0),
-    ("test", ("--calibration", "spectral-mc:B=5"), "--mc-duration", "duration", None),
-    ("test", ("--calibration", "spectral-mc:B=5"), "--mc-fs", "fs", None),
-    ("test", ("--calibration", "spectral-mc:B=5"), "--mc-parzen", "parzen_L", 1),
-    ("test", ("--calibration", "spectral-mc:B=5"), "--mc-nfreq", "n_freq", 2),
     ("quantiles", (), "--seed", "seed", 0),
 ]
 
@@ -753,8 +827,6 @@ NUMBER_ROWS, NUMBER_IDS = zip(*_refused_numbers())
     ("spectrum", ("--nfreq", 1), "n_freq must be at least 2, got 1"),
     ("simulate", ("--nfreq", 1), "n_freq must be at least 2, got 1"),
     ("simulate", ("--duration", 1), "fs * duration must be at least 2, got 1"),
-    ("test", ("--calibration", "spectral-mc:B=5", "--mc-nfreq", 1),
-     "n_freq must be at least 2, got 1"),
     *NUMBER_ROWS,
 ], ids=["test-asymptotic:", "test-permutation:", "test-spectral-mc:",
         "quantiles-permutation:", "quantiles-asymptotic", "quantiles-spectral-mc", "probs",
@@ -762,7 +834,7 @@ NUMBER_ROWS, NUMBER_IDS = zip(*_refused_numbers())
         "segment-order-2-knots-2", "test-bootstrap", "test-trig:k", "test-trig:",
         "test-permutation-repeated-B", "segment-grid-1",
         "segment-order-1", "segment-knots-1", "spectrum-nfreq-1",
-        "simulate-nfreq-1", "simulate-duration-1", "test-mc-nfreq-1", *NUMBER_IDS])
+        "simulate-nfreq-1", "simulate-duration-1", *NUMBER_IDS])
 def test_parse_errors_exit_2_and_name_their_input(tmp_path, rng, capsys, record_file,
                                                   command, options, message):
     grid = uniform_grid(Interval(0.0, 1.0), 41)
